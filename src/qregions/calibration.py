@@ -79,19 +79,6 @@ def base_contains(region: DiscreteRegion, y, gamma: float) -> bool:
                               region.points)[0] <= gamma)
 
 
-def initial_coverage(provider, x_cal, y_cal, gammas) -> float:
-    """Fraction of calibration pairs captured by their own dilated region."""
-    x_cal = np.asarray(x_cal, dtype=float)
-    y_cal = np.asarray(y_cal, dtype=float)
-    if len(y_cal) == 0:
-        raise ValueError("calibration set must be nonempty")
-    hits = [
-        base_contains(provider(x_cal[i]), y_cal[i], gammas[i])
-        for i in range(len(y_cal))
-    ]
-    return float(np.mean(hits))
-
-
 @dataclass
 class CalibratedRule:
     """Frozen output of calibration: one mode, one distance threshold.
@@ -169,10 +156,6 @@ class CalibratedRule:
             "gamma_init_max": float(g.max()) if g.size else None,
             "complement_threshold": self.complement_threshold,
         }
-
-
-def calibrated_contains(rule: CalibratedRule, x, y) -> bool:
-    return rule.contains(x, y)
 
 
 def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid,

@@ -12,21 +12,18 @@ reparameterization numerically stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .nn import (
-    AdamState,
     MlpModel,
     TrainConfig,
-    adam_step,
     backward,
     forward_batch,
     forward_cached,
     init_mlp,
-    run_training_loop,
+    train_minibatches,
 )
 from .numerics import Rng
 
@@ -106,28 +103,12 @@ def encode_batch(model: CvaeModel, x_rows, y_rows, rng: Rng | None = None,
     return mu + np.exp(0.5 * logvar) * eps
 
 
-def encode(model: CvaeModel, x, y, rng: Rng | None = None,
-           stochastic: bool = False) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.d,):
-        raise ValueError(f"response has shape {y.shape}, expected ({model.d},)")
-    return encode_batch(model, x[None, :], y[None, :], rng, stochastic)[0]
-
-
 def decode_batch(model: CvaeModel, x_rows, z_rows) -> np.ndarray:
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
     if x_rows.shape[0] == 1 and z_rows.shape[0] > 1:
         x_rows = np.repeat(x_rows, z_rows.shape[0], axis=0)
     return forward_batch(model.decoder, np.concatenate([x_rows, z_rows], axis=1))
-
-
-def decode(model: CvaeModel, x, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.r,):
-        raise ValueError(f"latent has shape {z.shape}, expected ({model.r},)")
-    return decode_batch(model, np.asarray(x, dtype=float)[None, :], z[None, :])[0]
 
 
 def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
@@ -153,19 +134,17 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
     kl = float(np.mean(kl_terms))
     loss = recon + lam * kl
 
-    dec_grads, dec_grad_in = backward(decoder, dec_cache, 2.0 * residual / n,
-                                      train_mode=train_mode)
+    dec_grads, dec_grad_in = backward(decoder, dec_cache, 2.0 * residual / n)
     dz = dec_grad_in[:, x.shape[1]:]
     dmu = dz + (lam / n) * mu
     dlogvar = dz * (0.5 * sigma * eps) + (lam / n) * 0.5 * (np.exp(logvar) - 1.0)
     enc_grads, _ = backward(encoder, enc_cache,
-                            np.concatenate([dmu, dlogvar], axis=1),
-                            train_mode=train_mode)
+                            np.concatenate([dmu, dlogvar], axis=1))
     return loss, enc_grads + dec_grads
 
 
 def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
-        hidden=None, dropout: float = 0.0, batch_norm: bool = False) -> CvaeModel:
+        hidden=None, dropout: float = 0.0) -> CvaeModel:
     """Train encoder and decoder jointly with Adam and early stopping.
 
     The validation loss scores the posterior mean (no sampling noise), so
@@ -184,29 +163,16 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     if hidden is None:
         hidden = default_hidden(p)
     rng = Rng(config.seed)
-    encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10), dropout=dropout,
-                       batch_norm=batch_norm)
-    decoder = init_mlp((p + r, *hidden, d), rng.spawn(11), dropout=dropout,
-                       batch_norm=batch_norm)
+    encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10), dropout=dropout)
+    decoder = init_mlp((p + r, *hidden, d), rng.spawn(11), dropout=dropout)
     eps_rng = rng.spawn(12)
     drop_rng = rng.spawn(13)
     model = CvaeModel(encoder, decoder, r, lam)
-    params = encoder.parameters() + decoder.parameters()
-    adam = AdamState.for_params(params)
 
-    def run_epoch(epoch: int) -> float:
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            eps = eps_rng.standard_normal(size=(len(idx), r))
-            loss, grads = composite_loss_and_grads(
-                encoder, decoder, x_train[idx], y_train[idx], eps, lam, r,
-                train_mode=True, drop_rng=drop_rng)
-            adam_step(params, grads, adam, config.learning_rate)
-            total += loss * len(idx)
-            seen += len(idx)
-        return total / seen
+    def step(idx):
+        eps = eps_rng.standard_normal(size=(len(idx), r))
+        return composite_loss_and_grads(encoder, decoder, x_train[idx], y_train[idx],
+                                        eps, lam, r, drop_rng=drop_rng)
 
     def val_loss() -> float:
         mu, logvar = model.posterior(x_val, y_val)
@@ -215,7 +181,8 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
         kl = float(np.mean(-0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar), axis=1)))
         return recon + lam * kl
 
-    run_training_loop(params, run_epoch, val_loss, config.max_epochs, config.patience)
+    train_minibatches(encoder.parameters() + decoder.parameters(), n, step, val_loss,
+                      config, rng)
     return model
 
 

@@ -14,16 +14,6 @@ from .numerics import Rng
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
 
-# Default sample counts for the synthetic settings, by feature dimension.
-_DEFAULT_SAMPLES = {
-    (LINEAR, 1): 20_000,
-    (LINEAR, 10): 20_000,
-    (LINEAR, 50): 80_000,
-    (LINEAR, 100): 100_000,
-    (NONLINEAR, 1): 20_000,
-    (NONLINEAR, 10): 20_000,
-}
-
 _SPLIT_FRACTIONS = (0.384, 0.256, 0.16, 0.2)  # train, calibration, validation, test
 
 
@@ -83,13 +73,6 @@ class SplitIndices:
     def sizes(self):
         return (len(self.train), len(self.calibration),
                 len(self.validation), len(self.test))
-
-
-def default_sample_count(setting: str, p: int) -> int:
-    try:
-        return _DEFAULT_SAMPLES[(setting, p)]
-    except KeyError:
-        return 20_000
 
 
 def gen_synthetic(setting: str, d: int, p: int, n: int, seed: int) -> Dataset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .data import (
     zscore_fit_apply,
 )
 from .metrics import (
-    ClusterAssignment,
     EvaluationReport,
     cluster_coverages,
     delta_coverage,
@@ -37,7 +37,7 @@ from .metrics import (
 )
 from .nn import TrainConfig
 from .numerics import Rng
-from .regions import AREA_MEASUREMENT, REGION_DISCRETIZATION, build_grid
+from .regions import AREA_MEASUREMENT, REGION_DISCRETIZATION, area, build_grid
 
 METHODS = ("stdqr", "npdqr", "naive")
 
@@ -72,12 +72,12 @@ class TrainingProfile:
 
     cvae: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 512, "max_epochs": 10_000,
-        "patience": 200, "hidden": None, "dropout": 0.1, "batch_norm": False,
+        "patience": 200, "hidden": None, "dropout": 0.1,
     })
     dqr: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
         "patience": 100, "hidden": (64, 64, 64), "pool_size": 2048,
-        "train_directions": 32, "membership_directions": 256, "dropout": 0.0,
+        "train_directions": 32, "membership_directions": 256,
     })
     naive: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
@@ -85,10 +85,20 @@ class TrainingProfile:
     })
 
     def merged(self, overrides: dict | None) -> "TrainingProfile":
+        """Copy with ``overrides`` ({section: {key: value}}) applied.
+
+        Raises ValueError on a section or key the profile does not have.
+        """
         profile = TrainingProfile(
             cvae=dict(self.cvae), dqr=dict(self.dqr), naive=dict(self.naive))
         for section, values in (overrides or {}).items():
-            getattr(profile, section).update(values)
+            if section not in ("cvae", "dqr", "naive"):
+                raise ValueError(f"unknown training section {section!r}")
+            target = getattr(profile, section)
+            unknown = sorted(set(values) - set(target))
+            if unknown:
+                raise ValueError(f"unknown {section} training keys {unknown}")
+            target.update(values)
         return profile
 
 
@@ -219,18 +229,14 @@ def _train_config(section: dict, seed: int) -> TrainConfig:
 class DistanceRule:
     """Adapter for grow/shrink-calibrated point-set providers."""
 
-    def __init__(self, rule: CalibratedRule, provider):
+    def __init__(self, rule: CalibratedRule):
         self.rule = rule
-        self.provider = provider
 
-    def contains(self, x, y) -> bool:
-        return self.rule.contains(x, y)
-
-    def membership(self, x, points) -> np.ndarray:
-        return self.rule.membership(x, points)
+    def membership_rows(self, x_rows, y_rows) -> np.ndarray:
+        return np.array([self.rule.contains(x, y) for x, y in zip(x_rows, y_rows)])
 
     def area_cells(self, x, area_grid) -> int:
-        return int(self.rule.membership(x, area_grid.points()).sum())
+        return area(self.rule.membership, x, area_grid)
 
     def report(self) -> dict:
         return self.rule.to_report()
@@ -241,12 +247,6 @@ class RectangleRule:
 
     def __init__(self, model: naive_qr.NaiveModel):
         self.model = model
-
-    def contains(self, x, y) -> bool:
-        return naive_qr.region(self.model, x).contains(y)
-
-    def membership(self, x, points) -> np.ndarray:
-        return naive_qr.region(self.model, x).contains_batch(points)
 
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
         return naive_qr.membership_flags(self.model, x_rows, y_rows)
@@ -292,7 +292,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             config=_train_config(dqr_cfg, seed),
             train_dir_count=dqr_cfg["train_directions"],
             membership_count=dqr_cfg["membership_directions"],
-            hidden=tuple(dqr_cfg["hidden"]), dropout=dqr_cfg.get("dropout", 0.0))
+            hidden=tuple(dqr_cfg["hidden"]))
         region_grid = build_grid(y_tr, d, REGION_DISCRETIZATION)
         extractor = npdqr.RegionExtractor(model, region_grid)
         provider = extractor.extract
@@ -323,7 +323,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
         raise ValueError(f"unknown method {method!r}")
 
     rule = calibrate(provider, x_cal, y_cal, config.alpha, area_grid)
-    adapter = DistanceRule(rule, provider)
+    adapter = DistanceRule(rule)
     info["calibration"] = adapter.report()
     if save_dir is not None:
         (save_dir / "calibration.json").write_text(json.dumps(info["calibration"]))
@@ -334,10 +334,7 @@ def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,
                   seed: int) -> dict:
     """Coverage, region size, and cluster deviation for one fitted cell."""
     x_te, y_te = prep.x["test"], prep.y["test"]
-    if isinstance(rule, RectangleRule):
-        flags = rule.membership_rows(x_te, y_te)
-    else:
-        flags = np.array([rule.contains(x_te[i], y_te[i]) for i in range(len(y_te))])
+    flags = rule.membership_rows(x_te, y_te)
     cov = float(flags.mean())
 
     eval_count = min(config.area_eval_count, len(x_te))
@@ -419,6 +416,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> dict:
             except Exception as exc:  # cell isolation
                 rows.append({"method": method, "seed": seed,
                              "error": f"{type(exc).__name__}: {exc}",
+                             "traceback": traceback.format_exc(),
                              "config_digest": config.digest()})
     reports = aggregate(rows)
     result = {

@@ -71,8 +71,8 @@ class EvaluationReport:
 def membership_flags(rule, x_rows, y_rows) -> np.ndarray:
     """Per-row membership of each response in its input's region.
 
-    ``rule`` must expose ``contains(x, y)`` (calibrated distance rules and
-    rectangle models both do through their adapters).
+    ``rule`` must expose ``contains(x, y)``, as a calibrated distance rule
+    does.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))

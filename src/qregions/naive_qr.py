@@ -41,17 +41,6 @@ class Rectangle:
     lower: np.ndarray
     upper: np.ndarray
 
-    def contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(self.lower <= y) and np.all(y <= self.upper))
-
-    def contains_batch(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        return np.all((ys >= self.lower) & (ys <= self.upper), axis=1)
-
-    def volume(self) -> float:
-        return float(np.prod(np.maximum(self.upper - self.lower, 0.0)))
-
     def grid_cell_count(self, grid: Grid) -> int:
         """Number of grid cell centers inside; decomposes per dimension."""
         count = 1
@@ -150,10 +139,6 @@ def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
         raise ValueError(f"responses have {y_rows.shape[1]} dims, model has {model.d}")
     lo, hi = model.bounds(x_rows)
     return np.maximum(lo - y_rows, y_rows - hi).max(axis=1)
-
-
-def cqr_score(model: NaiveModel, x, y) -> float:
-    return float(cqr_scores(model, np.atleast_2d(x), np.atleast_2d(y))[0])
 
 
 def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:

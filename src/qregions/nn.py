@@ -1,9 +1,9 @@
 """Minimal feed-forward network with manual backpropagation.
 
 One fixed topology: dense layers, leaky-ReLU hidden activations, linear
-output, optional inverted dropout and batch normalization on hidden
-layers. Optimization is Adam with early stopping on a validation loss;
-the snapshot with the best validation loss is what training returns.
+output, optional inverted dropout on hidden layers. Optimization is
+minibatch Adam with early stopping on a validation loss; the snapshot
+with the best validation loss is what training returns.
 
 Everything is numpy and deterministic under a fixed seed, which makes
 seeded training bit-reproducible on a given platform.
@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import Rng
-
-_BN_EPS = 1e-5
-_BN_MOMENTUM = 0.1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,39 +49,18 @@ class MlpModel:
     net with widths (3, 64, 64, 1) has two hidden layers.
     """
 
-    def __init__(self, widths, weights, biases, leaky_slope=0.2, dropout=0.0,
-                 batch_norm=False, bn_gamma=None, bn_beta=None,
-                 bn_running_mean=None, bn_running_var=None):
+    def __init__(self, widths, weights, biases, leaky_slope=0.2, dropout=0.0):
         self.widths = tuple(int(w) for w in widths)
         self.weights = weights
         self.biases = biases
         self.leaky_slope = float(leaky_slope)
         self.dropout = float(dropout)
-        self.batch_norm = bool(batch_norm)
-        n_hidden = len(self.widths) - 2
-        if batch_norm:
-            self.bn_gamma = bn_gamma if bn_gamma is not None else [
-                np.ones(w) for w in self.widths[1:-1]
-            ]
-            self.bn_beta = bn_beta if bn_beta is not None else [
-                np.zeros(w) for w in self.widths[1:-1]
-            ]
-            self.bn_running_mean = bn_running_mean if bn_running_mean is not None else [
-                np.zeros(w) for w in self.widths[1:-1]
-            ]
-            self.bn_running_var = bn_running_var if bn_running_var is not None else [
-                np.ones(w) for w in self.widths[1:-1]
-            ]
-        else:
-            self.bn_gamma = self.bn_beta = []
-            self.bn_running_mean = self.bn_running_var = []
         if len(self.weights) != len(self.widths) - 1:
             raise ValueError("one weight matrix per layer transition expected")
         for k, w in enumerate(self.weights):
             if w.shape != (self.widths[k], self.widths[k + 1]):
                 raise ValueError(f"weight {k} has shape {w.shape}, expected "
                                  f"{(self.widths[k], self.widths[k + 1])}")
-        del n_hidden
 
     @property
     def in_width(self) -> int:
@@ -96,7 +72,7 @@ class MlpModel:
 
     def parameters(self) -> list:
         """Trainable arrays, in a fixed order shared with gradients."""
-        return list(self.weights) + list(self.biases) + list(self.bn_gamma) + list(self.bn_beta)
+        return list(self.weights) + list(self.biases)
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -105,43 +81,27 @@ class MlpModel:
             [b.copy() for b in self.biases],
             self.leaky_slope,
             self.dropout,
-            self.batch_norm,
-            [g.copy() for g in self.bn_gamma] or None,
-            [b.copy() for b in self.bn_beta] or None,
-            [m.copy() for m in self.bn_running_mean] or None,
-            [v.copy() for v in self.bn_running_var] or None,
         )
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "widths": list(self.widths),
             "leaky_slope": self.leaky_slope,
             "dropout": self.dropout,
-            "batch_norm": self.batch_norm,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
-        if self.batch_norm:
-            d["bn_gamma"] = [g.tolist() for g in self.bn_gamma]
-            d["bn_beta"] = [b.tolist() for b in self.bn_beta]
-            d["bn_running_mean"] = [m.tolist() for m in self.bn_running_mean]
-            d["bn_running_var"] = [v.tolist() for v in self.bn_running_var]
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "MlpModel":
-        bn = d.get("batch_norm", False)
+        if d.get("batch_norm", False):
+            raise ValueError("batch-normalized networks are not supported")
         return MlpModel(
             d["widths"],
             [np.array(w, dtype=float) for w in d["weights"]],
             [np.array(b, dtype=float) for b in d["biases"]],
             d.get("leaky_slope", 0.2),
             d.get("dropout", 0.0),
-            bn,
-            [np.array(g, dtype=float) for g in d["bn_gamma"]] if bn else None,
-            [np.array(b, dtype=float) for b in d["bn_beta"]] if bn else None,
-            [np.array(m, dtype=float) for m in d["bn_running_mean"]] if bn else None,
-            [np.array(v, dtype=float) for v in d["bn_running_var"]] if bn else None,
         )
 
     def save(self, path) -> None:
@@ -154,7 +114,7 @@ class MlpModel:
             return MlpModel.from_dict(json.load(fh))
 
 
-def init_mlp(widths, rng: Rng, leaky_slope=0.2, dropout=0.0, batch_norm=False) -> MlpModel:
+def init_mlp(widths, rng: Rng, leaky_slope=0.2, dropout=0.0) -> MlpModel:
     """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero biases."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
@@ -165,7 +125,7 @@ def init_mlp(widths, rng: Rng, leaky_slope=0.2, dropout=0.0, batch_norm=False) -
         bound = np.sqrt(3.0 * gain2 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(widths, weights, biases, leaky_slope, dropout, batch_norm)
+    return MlpModel(widths, weights, biases, leaky_slope, dropout)
 
 
 def forward_batch(model: MlpModel, x: np.ndarray, train_mode: bool = False,
@@ -176,21 +136,12 @@ def forward_batch(model: MlpModel, x: np.ndarray, train_mode: bool = False,
     return out
 
 
-def forward(model: MlpModel, x, train_mode: bool = False, rng: Rng | None = None) -> np.ndarray:
-    """Forward pass for a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.in_width:
-        raise ValueError(f"input has shape {x.shape}, expected ({model.in_width},)")
-    return forward_batch(model, x[None, :], train_mode=train_mode, rng=rng)[0]
-
-
 def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False,
                    rng: Rng | None = None, keep_cache: bool = True):
     """Forward pass that (optionally) records what backward needs.
 
     Returns (output, cache). Dropout is active only in train mode and
-    needs an rng; batch statistics update the running averages only in
-    train mode.
+    needs an rng.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
@@ -199,38 +150,15 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False,
     if use_dropout and rng is None:
         raise ValueError("dropout in train mode needs an rng")
     n_layers = len(model.weights)
-    cache = {"inputs": [], "pre_bn": [], "bn_hat": [], "bn_std": [],
-             "pre_act": [], "drop_mask": []} if keep_cache else None
+    cache = {"inputs": [], "pre_act": [], "drop_mask": []} if keep_cache else None
     a = x
     for k in range(n_layers):
         if keep_cache:
             cache["inputs"].append(a)
         z = a @ model.weights[k] + model.biases[k]
-        last = k == n_layers - 1
-        if last:
+        if k == n_layers - 1:
             a = z
             break
-        if model.batch_norm:
-            if keep_cache:
-                cache["pre_bn"].append(z)
-            if train_mode:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                model.bn_running_mean[k] = (
-                    (1 - _BN_MOMENTUM) * model.bn_running_mean[k] + _BN_MOMENTUM * mu
-                )
-                model.bn_running_var[k] = (
-                    (1 - _BN_MOMENTUM) * model.bn_running_var[k] + _BN_MOMENTUM * var
-                )
-            else:
-                mu = model.bn_running_mean[k]
-                var = model.bn_running_var[k]
-            std = np.sqrt(var + _BN_EPS)
-            z_hat = (z - mu) / std
-            z = model.bn_gamma[k] * z_hat + model.bn_beta[k]
-            if keep_cache:
-                cache["bn_hat"].append(z_hat)
-                cache["bn_std"].append(std)
         if keep_cache:
             cache["pre_act"].append(z)
         a = np.where(z > 0, z, model.leaky_slope * z)
@@ -244,59 +172,33 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False,
     return a, cache
 
 
-def backward(model: MlpModel, cache: dict, grad_out: np.ndarray, train_mode: bool = True):
+def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns (grads, grad_input) where grads matches model.parameters()
-    ordering. ``train_mode`` must match the forward call: in train mode
-    batch-norm gradients flow through the batch statistics.
+    ordering.
     """
     n_layers = len(model.weights)
     w_grads = [None] * n_layers
     b_grads = [None] * n_layers
-    g_grads = [None] * (n_layers - 1) if model.batch_norm else []
-    beta_grads = [None] * (n_layers - 1) if model.batch_norm else []
     delta = np.asarray(grad_out, dtype=float)
     for k in reversed(range(n_layers)):
         if k != n_layers - 1:
-            # Through dropout, activation, then batch norm.
+            # Through dropout, then the activation.
             mask = cache["drop_mask"][k]
             if mask is not None:
                 delta = delta * mask
             z = cache["pre_act"][k]
             delta = delta * np.where(z > 0, 1.0, model.leaky_slope)
-            if model.batch_norm:
-                z_hat = cache["bn_hat"][k]
-                std = cache["bn_std"][k]
-                g_grads[k] = (delta * z_hat).sum(axis=0)
-                beta_grads[k] = delta.sum(axis=0)
-                dz_hat = delta * model.bn_gamma[k]
-                if train_mode:
-                    # Gradient through the batch statistics themselves.
-                    delta = (
-                        dz_hat - dz_hat.mean(axis=0)
-                        - z_hat * (dz_hat * z_hat).mean(axis=0)
-                    ) / std
-                else:
-                    delta = dz_hat / std
         w_grads[k] = cache["inputs"][k].T @ delta
         b_grads[k] = delta.sum(axis=0)
         delta = delta @ model.weights[k].T
-    return w_grads + b_grads + g_grads + beta_grads, delta
+    return w_grads + b_grads, delta
 
 
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
-
-def pinball_loss(y: float, yhat: float, alpha: float) -> float:
-    """Asymmetric check loss whose population minimizer is the
-    alpha-quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"pinball level must be in (0,1), got {alpha}")
-    diff = y - yhat
-    return alpha * diff if diff > 0 else (1.0 - alpha) * (-diff)
-
 
 def pinball_values(y: np.ndarray, yhat: np.ndarray, alpha: float) -> np.ndarray:
     diff = y - yhat
@@ -425,6 +327,35 @@ def run_training_loop(params, run_epoch, val_loss, max_epochs: int,
     return history
 
 
+def train_minibatches(params, n: int, step, val_loss, config: TrainConfig,
+                      rng: Rng) -> TrainHistory:
+    """Minibatch Adam over ``n`` rows with early stopping.
+
+    Each epoch draws a permutation of the rows from ``rng`` and calls
+    ``step(idx)`` once per batch of ``config.batch_size`` indices (the
+    last batch may be shorter). ``step`` returns the batch's mean loss
+    and its gradients in ``params`` order; a step may draw more from
+    ``rng``, after the epoch's permutation. The epoch's train loss is the
+    row-weighted mean of the batch losses. See ``run_training_loop`` for
+    the stopping rule and the restored snapshot.
+    """
+    adam = AdamState.for_params(params)
+
+    def run_epoch(epoch: int) -> float:
+        order = rng.permutation(n)
+        total, seen = 0.0, 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            batch_loss, grads = step(idx)
+            adam_step(params, grads, adam, config.learning_rate)
+            total += batch_loss * len(idx)
+            seen += len(idx)
+        return total / seen
+
+    return run_training_loop(params, run_epoch, val_loss, config.max_epochs,
+                             config.patience)
+
+
 def train(model: MlpModel, train_xy, loss, config: TrainConfig, val_xy):
     """Minibatch-train a supervised net; returns (best model, history).
 
@@ -438,28 +369,18 @@ def train(model: MlpModel, train_xy, loss, config: TrainConfig, val_xy):
         raise ValueError("training and validation sets must be nonempty")
     rng = Rng(config.seed)
     drop_rng = rng.spawn(1)
-    params = model.parameters()
-    adam = AdamState.for_params(params)
-    n = x_train.shape[0]
 
-    def run_epoch(epoch: int) -> float:
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            out, cache = forward_cached(model, x_train[idx], train_mode=True, rng=drop_rng)
-            batch_loss, grad_out = loss.value_and_grad(y_train[idx], out)
-            grads, _ = backward(model, cache, grad_out, train_mode=True)
-            adam_step(params, grads, adam, config.learning_rate)
-            total += batch_loss * len(idx)
-            seen += len(idx)
-        return total / seen
+    def step(idx):
+        out, cache = forward_cached(model, x_train[idx], train_mode=True, rng=drop_rng)
+        batch_loss, grad_out = loss.value_and_grad(y_train[idx], out)
+        grads, _ = backward(model, cache, grad_out)
+        return batch_loss, grads
 
     def val_loss() -> float:
         return loss.value(y_val, forward_batch(model, x_val))
 
-    history = run_training_loop(params, run_epoch, val_loss,
-                                config.max_epochs, config.patience)
+    history = train_minibatches(model.parameters(), x_train.shape[0], step, val_loss,
+                                config, rng)
     return model, history
 
 

@@ -22,16 +22,14 @@ import numpy as np
 
 from .calibration import DiscreteRegion
 from .nn import (
-    AdamState,
     MlpModel,
     PinballLoss,
     TrainConfig,
-    adam_step,
     backward,
     forward_batch,
     forward_cached,
     init_mlp,
-    run_training_loop,
+    train_minibatches,
 )
 from .numerics import Rng
 
@@ -140,13 +138,14 @@ class NpdqrModel:
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
         config: TrainConfig, train_dir_count: int = DEFAULT_TRAIN_DIRECTIONS,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS,
-        hidden=DEFAULT_HIDDEN, dropout: float = 0.0) -> NpdqrModel:
+        hidden=DEFAULT_HIDDEN) -> NpdqrModel:
     """Pinball-train the threshold net on direction projections.
 
     Each gradient step pairs one batch of rows with a fresh sample of
     ``train_dir_count`` pool directions; the target for (row i,
     direction u) is the projection u . y_i and the loss level is alpha,
-    so the net estimates the lower directional quantile.
+    so the net estimates the lower directional quantile. The net trains
+    without dropout.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
@@ -162,14 +161,11 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
         raise ValueError("membership direction count must fit in the pool")
     n, p = x_train.shape
     rng = Rng(config.seed)
-    drop_rng = rng.spawn(1)
     membership_indices = rng.spawn(2).subset(len(pool), membership_count)
     val_dirs = pool.directions[rng.spawn(3).subset(len(pool), train_dir_count)]
 
-    net = init_mlp((p + pool.dim, *hidden, 1), rng.spawn(4), dropout=dropout)
+    net = init_mlp((p + pool.dim, *hidden, 1), rng.spawn(4))
     loss = PinballLoss(alpha)
-    params = net.parameters()
-    adam = AdamState.for_params(params)
 
     # Validation inputs are fixed, so assemble them once.
     val_stack = np.concatenate(
@@ -177,28 +173,21 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
          np.tile(val_dirs, (x_val.shape[0], 1))], axis=1)
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
-    def run_epoch(epoch: int) -> float:
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            dirs = pool.directions[rng.subset(len(pool), train_dir_count)]
-            stacked = np.concatenate(
-                [np.repeat(x_train[idx], len(dirs), axis=0),
-                 np.tile(dirs, (len(idx), 1))], axis=1)
-            targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-            out, cache = forward_cached(net, stacked, train_mode=True, rng=drop_rng)
-            batch_loss, grad_out = loss.value_and_grad(targets, out)
-            grads, _ = backward(net, cache, grad_out, train_mode=True)
-            adam_step(params, grads, adam, config.learning_rate)
-            total += batch_loss * len(idx)
-            seen += len(idx)
-        return total / seen
+    def step(idx):
+        dirs = pool.directions[rng.subset(len(pool), train_dir_count)]
+        stacked = np.concatenate(
+            [np.repeat(x_train[idx], len(dirs), axis=0),
+             np.tile(dirs, (len(idx), 1))], axis=1)
+        targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
+        out, cache = forward_cached(net, stacked, train_mode=True)
+        batch_loss, grad_out = loss.value_and_grad(targets, out)
+        grads, _ = backward(net, cache, grad_out)
+        return batch_loss, grads
 
     def val_loss() -> float:
         return loss.value(val_targets, forward_batch(net, val_stack))
 
-    run_training_loop(params, run_epoch, val_loss, config.max_epochs, config.patience)
+    train_minibatches(net.parameters(), n, step, val_loss, config, rng)
     return NpdqrModel(net=net, pool=pool, alpha=alpha,
                       membership_indices=membership_indices,
                       train_dir_count=train_dir_count)
@@ -248,8 +237,3 @@ class RegionExtractor:
     def extract(self, x, space: str = "response") -> DiscreteRegion:
         return DiscreteRegion(points=self.points[self.mask(x)], space=space,
                               x=np.asarray(x, dtype=float))
-
-
-def extract_region(model: NpdqrModel, x, grid) -> DiscreteRegion:
-    """Lattice points where every directional constraint holds."""
-    return RegionExtractor(model, grid).extract(x)

@@ -12,11 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
 from .numerics import empirical_quantile
 
 REGION_DISCRETIZATION = "region"
@@ -137,61 +132,11 @@ def area(membership, x, grid: Grid) -> int:
     return int(mask.sum())
 
 
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _min_sq_dist_kernel(queries, carrier):  # pragma: no cover - jitted
-        n, d = queries.shape
-        m = carrier.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            best = np.inf
-            for j in range(m):
-                s = 0.0
-                for k in range(d):
-                    diff = queries[i, k] - carrier[j, k]
-                    s += diff * diff
-                if s < best:
-                    best = s
-            out[i] = best
-        return out
-
-    @numba.njit(cache=True)
-    def _nn_sq_dist_kernel(points):  # pragma: no cover - jitted
-        m, d = points.shape
-        out = np.empty(m)
-        for i in range(m):
-            best = np.inf
-            for j in range(m):
-                if i == j:
-                    continue
-                s = 0.0
-                for k in range(d):
-                    diff = points[i, k] - points[j, k]
-                    s += diff * diff
-                if s < best:
-                    best = s
-            out[i] = best
-        return out
-
-
-def _min_distances_numpy(points: np.ndarray, carrier: np.ndarray,
-                         chunk: int = 2048) -> np.ndarray:
-    """Pure-numpy brute force, chunked over queries to bound memory."""
-    chunk = max(1, min(chunk, 4_000_000 // carrier.shape[0]))
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        sq = ((block[:, None, :] - carrier[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(sq.min(axis=1))
-    return out
-
-
 def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
     """Exact minimum Euclidean distance from each point to the carrier set.
 
-    Brute force over all pairs with difference-based arithmetic; the
-    compiled kernel and the numpy fallback produce identical bits.
+    Brute force over all pairs with difference-based arithmetic, chunked
+    over queries to bound memory.
     """
     carrier = np.ascontiguousarray(np.atleast_2d(np.asarray(carrier, dtype=float)))
     points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
@@ -199,9 +144,13 @@ def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
         raise ValueError("minimum distance to an empty carrier is undefined")
     if points.shape[1] != carrier.shape[1]:
         raise ValueError("queries and carrier disagree on dimension")
-    if numba is not None:
-        return np.sqrt(_min_sq_dist_kernel(points, carrier))
-    return _min_distances_numpy(points, carrier)
+    chunk = max(1, min(2048, 4_000_000 // carrier.shape[0]))
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], chunk):
+        block = points[start : start + chunk]
+        sq = ((block[:, None, :] - carrier[None, :, :]) ** 2).sum(axis=2)
+        out[start : start + chunk] = np.sqrt(sq.min(axis=1))
+    return out
 
 
 def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
@@ -213,8 +162,6 @@ def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
     m = points.shape[0]
     if m < 2:
         raise ValueError("nearest-neighbor spacing needs at least 2 points")
-    if numba is not None:
-        return np.sqrt(_nn_sq_dist_kernel(points))
     chunk = max(1, min(2048, 4_000_000 // m))
     out = np.empty(m)
     for start in range(0, m, chunk):
@@ -224,8 +171,3 @@ def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
         sq[rows - start, rows] = np.inf
         out[start : start + chunk] = np.sqrt(sq.min(axis=1))
     return out
-
-
-def min_distance(y, carrier) -> float:
-    """Exact minimum Euclidean distance from y to a nonempty point set."""
-    return float(min_distances(np.atleast_2d(np.asarray(y, dtype=float)), carrier)[0])

@@ -36,6 +36,7 @@ from .npdqr import (
     DirectionPool,
     NpdqrModel,
     RegionExtractor,
+    sample_direction_pool,
 )
 from .npdqr import fit as fit_npdqr
 from .numerics import Rng
@@ -170,7 +171,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     latent_grid = build_grid(z_train, r, REGION_DISCRETIZATION)
     inactive_layers = inactive_unit_layers(z_train, latent_grid)
     if pool is None:
-        pool = sample_pool_for(r, pool_size, dqr_config.seed)
+        pool = sample_direction_pool(r, pool_size, Rng(dqr_config.seed).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
                              pool=pool, config=dqr_config,
                              train_dir_count=train_dir_count,
@@ -178,13 +179,3 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
                              hidden=dqr_hidden)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=latent_grid,
                       inactive_layers=inactive_layers)
-
-
-def sample_pool_for(r: int, pool_size: int, seed: int) -> DirectionPool:
-    from .npdqr import sample_direction_pool
-
-    return sample_direction_pool(r, pool_size, Rng(seed).spawn(100))
-
-
-def region(model: StdqrModel, x) -> DiscreteRegion:
-    return model.region(x)

@@ -13,9 +13,7 @@ from qregions.calibration import (
     DiscreteRegion,
     base_contains,
     calibrate,
-    calibrated_contains,
     gamma_init,
-    initial_coverage,
 )
 from qregions.numerics import Rng
 from qregions.regions import AREA_MEASUREMENT, build_grid, min_distances
@@ -72,8 +70,9 @@ class TestBaseContains:
 
 class TestInitialCoverage:
     def test_full_and_zero(self):
-        x = np.zeros((5, 1))
-        y = Rng(0).uniform(size=(5, 2))
+        x = np.zeros((20, 1))
+        y = Rng(0).uniform(size=(20, 2))
+        grid = build_grid(y, 2, AREA_MEASUREMENT)
 
         def cover_all(_x):
             return region_of(y)  # every response is one of the points
@@ -81,8 +80,8 @@ class TestInitialCoverage:
         def cover_none(_x):
             return DiscreteRegion(points=np.zeros((0, 2)))
 
-        assert initial_coverage(cover_all, x, y, np.zeros(5)) == 1.0
-        assert initial_coverage(cover_none, x, y, np.ones(5)) == 0.0
+        assert calibrate(cover_all, x, y, alpha=0.1, area_grid=grid).c_init == 1.0
+        assert calibrate(cover_none, x, y, alpha=0.1, area_grid=grid).c_init == 0.0
 
 
 def ring_provider(center_fn, radii=(0.3, 0.6), count=12):
@@ -272,9 +271,9 @@ class TestShrink:
         provider, grid, draw, region_pts = disc_setup
         x, y = draw(99)
         rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
-        assert calibrated_contains(rule, x[0], np.zeros(2))
+        assert rule.contains(x[0], np.zeros(2))
         # A grid point just outside the disc sits in the complement.
         outside = grid.points()[
             np.argmax(np.linalg.norm(grid.points(), axis=1) >= 2.2 + 3 * rule.complement_threshold)
         ]
-        assert not calibrated_contains(rule, x[0], outside)
+        assert not rule.contains(x[0], outside)

@@ -5,10 +5,8 @@ from gradcheck import central_difference, relative_errors, sample_probes
 from qregions.cvae import (
     CvaeModel,
     composite_loss_and_grads,
-    decode,
     decode_batch,
     default_hidden,
-    encode,
     encode_batch,
     fit,
     reconstruction_mse,
@@ -41,34 +39,35 @@ class TestHiddenDefaults:
 class TestEncodeDecode:
     def test_zeroed_encoder_gives_noise_or_zero(self):
         model = zeroed_cvae()
-        x, y = np.zeros(1), np.zeros(2)
-        assert np.array_equal(encode(model, x, y), np.zeros(2))
-        z = encode(model, x, y, rng=Rng(3), stochastic=True)
+        x, y = np.zeros((1, 1)), np.zeros((1, 2))
+        assert np.array_equal(encode_batch(model, x, y), np.zeros((1, 2)))
+        z = encode_batch(model, x, y, rng=Rng(3), stochastic=True)
         # mu = 0, logvar = 0, so z is exactly the standard normal draw.
-        assert np.array_equal(z, Rng(3).standard_normal(size=(1, 2))[0])
+        assert np.array_equal(z, Rng(3).standard_normal(size=(1, 2)))
 
     def test_deterministic_encoding_repeats(self):
         model = zeroed_cvae()
-        a = encode(model, np.zeros(1), np.zeros(2))
-        b = encode(model, np.zeros(1), np.zeros(2))
+        a = encode_batch(model, np.zeros((1, 1)), np.zeros((1, 2)))
+        b = encode_batch(model, np.zeros((1, 1)), np.zeros((1, 2)))
         assert np.array_equal(a, b)
 
     def test_zeroed_decoder_outputs_bias(self):
         model = zeroed_cvae()
         model.decoder.biases[-1][...] = [0.7, -0.2]
-        assert np.array_equal(decode(model, np.zeros(1), np.zeros(2)), [0.7, -0.2])
+        assert np.array_equal(decode_batch(model, np.zeros((1, 1)), np.zeros((1, 2))),
+                              [[0.7, -0.2]])
 
     def test_decode_is_pure(self):
         model = zeroed_cvae()
-        x, z = np.array([0.3]), np.array([1.0, -1.0])
-        assert np.array_equal(decode(model, x, z), decode(model, x, z))
+        x, z = np.array([[0.3]]), np.array([[1.0, -1.0]])
+        assert np.array_equal(decode_batch(model, x, z), decode_batch(model, x, z))
 
     def test_shape_validation(self):
         model = zeroed_cvae()
         with pytest.raises(ValueError):
-            encode(model, np.zeros(1), np.zeros(3))
+            encode_batch(model, np.zeros((1, 1)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            decode(model, np.zeros(1), np.zeros(3))
+            decode_batch(model, np.zeros((1, 1)), np.zeros((1, 3)))
 
     def test_decode_batch_broadcasts_single_x(self):
         model = zeroed_cvae()

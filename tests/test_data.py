@@ -6,7 +6,6 @@ from qregions.data import (
     NONLINEAR,
     CsvParseError,
     Dataset,
-    default_sample_count,
     gen_synthetic,
     load_csv,
     pca_reduce,
@@ -73,12 +72,6 @@ class TestGenSynthetic:
         beta_hat = Rng(9).uniform(0.0, 1.0, size=4)
         beta = beta_hat / np.abs(beta_hat).sum()
         assert np.sum(np.abs(beta)) == pytest.approx(1.0)
-
-    def test_default_sizes(self):
-        assert default_sample_count(LINEAR, 1) == 20_000
-        assert default_sample_count(LINEAR, 50) == 80_000
-        assert default_sample_count(LINEAR, 100) == 100_000
-        assert default_sample_count(NONLINEAR, 10) == 20_000
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

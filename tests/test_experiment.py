@@ -1,0 +1,88 @@
+import csv
+import json
+
+import pytest
+
+from qregions import experiment
+from qregions.naive_qr import NaiveModel
+from qregions.npdqr import NpdqrModel
+from qregions.stdqr import StdqrModel
+
+ROW_KEYS = {"seed", "coverage", "area", "delta_coverage", "per_cluster_coverage",
+            "n_test", "method", "config_digest", "calibration"}
+AGGREGATE_KEYS = {"method", "coverage", "coverage_se", "area", "area_se",
+                  "delta_coverage", "delta_coverage_se", "per_cluster_coverage", "seeds"}
+CSV_HEADER = ["method", "seed", "coverage", "area", "delta_coverage",
+              "config_digest", "error"]
+
+
+def smoke_config(methods, out_dir):
+    """Three-method run on 200 synthetic rows with every net capped at 60 epochs."""
+    capped = {section: {"max_epochs": 60, "patience": 60}
+              for section in ("cvae", "dqr", "naive")}
+    return experiment.ExperimentConfig(
+        dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
+                 "n": 200, "seed": 0},
+        methods=methods, seeds=(0,), out_dir=str(out_dir),
+        training=experiment.desk_scale_profile().merged(capped))
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("run")
+    result = experiment.run_experiment(smoke_config(experiment.METHODS, out_dir))
+    return result, out_dir
+
+
+class TestRunExperiment:
+    def test_report_schema(self, smoke_run):
+        result, out_dir = smoke_run
+        report = json.loads((out_dir / "report.json").read_text())
+        assert set(report) == {"config_digest", "rows", "aggregate"}
+        assert [row["method"] for row in report["rows"]] == list(experiment.METHODS)
+        extra = {"stdqr": {"directional_level", "reconstruction_mse"},
+                 "npdqr": {"directional_level"}, "naive": set()}
+        for row in report["rows"]:
+            assert set(row) == ROW_KEYS | extra[row["method"]]
+        assert [a["method"] for a in report["aggregate"]] == sorted(experiment.METHODS)
+        assert all(set(a) == AGGREGATE_KEYS for a in report["aggregate"])
+        with open(out_dir / "report.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == CSV_HEADER
+        assert len(table) == 1 + len(experiment.METHODS)
+
+    def test_saved_bundles_reload(self, smoke_run):
+        _, out_dir = smoke_run
+        naive = NaiveModel.load(out_dir / "naive" / "0" / "model")
+        assert naive.is_calibrated
+        npdqr = NpdqrModel.load(out_dir / "npdqr" / "0" / "model")
+        assert npdqr.d == 2
+        stdqr = StdqrModel.load(out_dir / "stdqr" / "0" / "model")
+        assert stdqr.r == 3
+
+    def test_failed_cell_keeps_its_traceback(self, tmp_path, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("broken naive fit")
+
+        monkeypatch.setattr(experiment.naive_qr, "fit", broken_fit)
+        result = experiment.run_experiment(smoke_config(("naive", "npdqr"), tmp_path))
+        failed, finished = result["rows"]
+        assert failed["error"] == "RuntimeError: broken naive fit"
+        assert "broken_fit" in failed["traceback"]
+        assert "error" not in finished and 0.0 <= finished["coverage"] <= 1.0
+        assert [a["method"] for a in result["aggregate"]] == ["npdqr"]
+
+
+class TestTrainingProfile:
+    def test_desk_scale_profile_merges(self):
+        profile = experiment.desk_scale_profile()
+        assert profile.cvae["dropout"] == 0.0
+        assert profile.dqr["max_epochs"] == 120
+
+    def test_unknown_section_raises(self):
+        with pytest.raises(ValueError, match="'decoder'"):
+            experiment.TrainingProfile().merged({"decoder": {"max_epochs": 5}})
+
+    def test_unknown_key_raises(self):
+        with pytest.raises(ValueError, match="batch_norm"):
+            experiment.TrainingProfile().merged({"cvae": {"batch_norm": True}})

@@ -14,13 +14,12 @@ from qregions.nn import (
     TrainingDivergedError,
     adam_step,
     backward,
-    forward,
     forward_batch,
     forward_cached,
     gaussian_kl,
     init_mlp,
-    pinball_loss,
     train,
+    train_minibatches,
 )
 from qregions.numerics import Rng
 
@@ -32,18 +31,19 @@ class TestForward:
         model = init_mlp((3, 4, 2), Rng(0))
         for w in model.weights:
             w[...] = 0.0
-        assert np.array_equal(forward(model, [1.0, -2.0, 3.0]), np.zeros(2))
+        assert np.array_equal(forward_batch(model, np.array([[1.0, -2.0, 3.0]]))[0],
+                              np.zeros(2))
 
     def test_identity_single_layer(self):
         model = init_mlp((3, 3), Rng(0))
         model.weights[0][...] = np.eye(3)
         v = np.array([0.3, -1.2, 4.0])
-        assert np.allclose(forward(model, v), v)
+        assert np.allclose(forward_batch(model, v[None, :])[0], v)
 
     def test_eval_mode_is_deterministic(self):
         model = init_mlp((4, 8, 8, 2), Rng(3), dropout=0.3)
-        v = Rng(1).uniform(size=4)
-        assert np.array_equal(forward(model, v), forward(model, v))
+        v = Rng(1).uniform(size=(1, 4))
+        assert np.array_equal(forward_batch(model, v), forward_batch(model, v))
 
     def test_dropout_changes_train_mode_output(self):
         model = init_mlp((4, 32, 32, 2), Rng(3), dropout=0.5)
@@ -58,28 +58,28 @@ class TestForward:
     def test_shape_mismatch_raises(self):
         model = init_mlp((3, 2), Rng(0))
         with pytest.raises(ValueError):
-            forward(model, [1.0, 2.0])
+            forward_batch(model, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             forward_batch(model, np.zeros((5, 4)))
 
 
 class TestPinball:
     def test_direct_values(self):
-        assert pinball_loss(1.0, 0.0, 0.9) == pytest.approx(0.9)
-        assert pinball_loss(0.0, 1.0, 0.9) == pytest.approx(0.1)
-        assert pinball_loss(2.5, 2.5, 0.3) == 0.0
+        assert PinballLoss(0.9).value(np.array([1.0]), np.array([0.0])) == pytest.approx(0.9)
+        assert PinballLoss(0.9).value(np.array([0.0]), np.array([1.0])) == pytest.approx(0.1)
+        assert PinballLoss(0.3).value(np.array([2.5]), np.array([2.5])) == 0.0
 
     @given(y=finite_floats, yhat=finite_floats,
            alpha=st.floats(min_value=0.01, max_value=0.99))
     def test_nonnegative_and_zero_only_at_match(self, y, yhat, alpha):
-        value = pinball_loss(y, yhat, alpha)
+        value = PinballLoss(alpha).value(np.array([y]), np.array([yhat]))
         assert value >= 0.0
         if y != yhat:
             assert value > 0.0
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
-            pinball_loss(1.0, 0.0, 1.5)
+            PinballLoss(1.5)
 
 
 class TestGaussianKl:
@@ -178,30 +178,6 @@ class TestGradients:
         flat_analytic = [analytic[p].reshape(-1)[i] for p, i in probes]
         assert relative_errors(flat_analytic, numeric).max() <= 1e-4
 
-    def test_batch_norm_matches_finite_differences(self):
-        rng = Rng(21)
-        model = init_mlp((3, 6, 2), rng, batch_norm=True)
-        x = rng.uniform(-1, 1, size=(32, 3))
-        y = rng.uniform(-1, 1, size=(32, 2))
-        loss = MseLoss()
-        frozen = model.copy()  # keep running stats fixed across FD evals
-
-        def loss_value():
-            work = frozen.copy()
-            for p_work, p_cur in zip(work.parameters(), model.parameters()):
-                p_work[...] = p_cur
-            out, _ = forward_cached(work, x, train_mode=True)
-            return loss.value(y, out)
-
-        out, cache = forward_cached(model.copy(), x, train_mode=True)
-        _, grad_out = loss.value_and_grad(y, out)
-        analytic, _ = backward(model, cache, grad_out, train_mode=True)
-        params = model.parameters()
-        probes = sample_probes(params, 40, Rng(3))
-        numeric = central_difference(loss_value, params, probes)
-        flat_analytic = [analytic[p].reshape(-1)[i] for p, i in probes]
-        assert relative_errors(flat_analytic, numeric).max() <= 1e-3
-
     def test_input_gradient(self):
         model, x, y = _clean_regression_setup((3, 5, 2), seed=17)
         loss = MseLoss()
@@ -240,7 +216,7 @@ class TestTraining:
         config = TrainConfig(learning_rate=2e-3, batch_size=1001, max_epochs=4000,
                              patience=4000, seed=0)
         model, _ = train(model, (x, samples), PinballLoss(alpha), config, (x, samples))
-        fitted = float(forward(model, [0.0])[0])
+        fitted = float(forward_batch(model, np.zeros((1, 1)))[0, 0])
         order = np.sort(samples)
         k = math.ceil(alpha * 1001)
         lo, hi = order[k - 2], order[k]  # one order statistic on each side
@@ -292,6 +268,27 @@ class TestTraining:
             assert np.array_equal(a, b)
 
 
+class TestTrainMinibatches:
+    def test_ragged_last_batch(self):
+        # 10 rows in batches of 4: two full batches and one of 2 rows.
+        params = [np.zeros(1)]
+        seen = []
+
+        def step(idx):
+            seen.append(idx.copy())
+            return float(idx.sum()), [np.zeros(1)]
+
+        config = TrainConfig(batch_size=4, max_epochs=3, patience=3, seed=0)
+        history = train_minibatches(params, 10, step, lambda: 1.0, config, Rng(5))
+        assert history.epochs_run == 3
+        assert [len(idx) for idx in seen] == [4, 4, 2] * 3
+        for epoch in range(3):
+            batches = seen[3 * epoch : 3 * epoch + 3]
+            assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(10))
+            weighted = sum(float(idx.sum()) * len(idx) for idx in batches) / 10
+            assert history.train_losses[epoch] == weighted
+
+
 class TestSerialization:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         model = init_mlp((3, 7, 7, 2), Rng(12), dropout=0.1)
@@ -303,12 +300,8 @@ class TestSerialization:
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
 
-    def test_roundtrip_with_batch_norm(self, tmp_path):
-        model = init_mlp((2, 5, 1), Rng(1), batch_norm=True)
-        # Push the running stats away from the init values.
-        forward_cached(model, Rng(2).uniform(size=(32, 2)), train_mode=True)
-        path = tmp_path / "bn.json"
-        model.save(path)
-        loaded = MlpModel.load(path)
-        x = Rng(3).uniform(size=(4, 2))
-        assert np.array_equal(forward_batch(model, x), forward_batch(loaded, x))
+    def test_batch_norm_bundle_is_rejected(self):
+        bundle = init_mlp((2, 5, 1), Rng(1)).to_dict()
+        bundle["batch_norm"] = True
+        with pytest.raises(ValueError):
+            MlpModel.from_dict(bundle)

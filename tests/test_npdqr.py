@@ -7,7 +7,6 @@ from qregions.npdqr import (
     NpdqrModel,
     RegionExtractor,
     contains,
-    extract_region,
     fit,
     sample_direction_pool,
 )
@@ -71,7 +70,7 @@ class TestExtractRegion:
 
     def test_ball_region_matches_exact_membership(self, grid):
         model = constant_threshold_model(2, -1.0, pool_size=2048, membership=256)
-        region = extract_region(model, [0.0], grid)
+        region = RegionExtractor(model, grid).extract([0.0])
         pts = grid.points()
         radii = np.linalg.norm(pts, axis=1)
         cell_diagonal = float(np.linalg.norm(grid.cell_widths))
@@ -84,7 +83,7 @@ class TestExtractRegion:
 
     def test_infeasible_thresholds_give_empty_region(self, grid):
         model = constant_threshold_model(2, 50.0)
-        region = extract_region(model, [0.0], grid)
+        region = RegionExtractor(model, grid).extract([0.0])
         assert region.is_empty
 
     def test_extracted_points_pass_contains(self, grid):
@@ -93,7 +92,7 @@ class TestExtractRegion:
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
                            membership_indices=np.arange(64), train_dir_count=8)
-        region = extract_region(model, [0.4], grid)
+        region = RegionExtractor(model, grid).extract([0.4])
         for pt in region.points[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
 

@@ -10,7 +10,6 @@ from qregions.regions import (
     Grid,
     area,
     build_grid,
-    min_distance,
     min_distances,
 )
 
@@ -112,14 +111,14 @@ class TestArea:
 class TestMinDistance:
     def test_zero_for_member(self):
         carrier = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert min_distance([1.0, 1.0], carrier) == 0.0
+        assert min_distances(np.array([[1.0, 1.0]]), carrier)[0] == 0.0
 
     def test_three_four_five(self):
-        assert min_distance([3.0, 4.0], np.array([[0.0, 0.0]])) == 5.0
+        assert min_distances(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))[0] == 5.0
 
     def test_empty_carrier_raises(self):
         with pytest.raises(ValueError):
-            min_distance([0.0], np.zeros((0, 1)))
+            min_distances(np.array([[0.0]]), np.zeros((0, 1)))
 
     def test_matches_full_pairwise_oracle_bitwise(self):
         rng = Rng(77)
@@ -142,5 +141,5 @@ class TestMinDistance:
         for _ in range(100):
             y1 = rng.uniform(-2, 2, size=2)
             y2 = rng.uniform(-2, 2, size=2)
-            d1, d2 = min_distance(y1, carrier), min_distance(y2, carrier)
+            d1, d2 = min_distances(np.stack([y1, y2]), carrier)
             assert abs(d1 - d2) <= np.linalg.norm(y1 - y2) + 1e-12

@@ -13,7 +13,7 @@ from qregions.regions import (
     min_distances,
     pairwise_nn_distances,
 )
-from qregions.stdqr import InactiveLatentError, StdqrModel, fit, region
+from qregions.stdqr import InactiveLatentError, StdqrModel, fit
 
 
 def identity_pipeline():
@@ -63,14 +63,14 @@ class TestRegionComposition:
     def test_identity_decoder_passes_latent_points_through(self):
         model = identity_pipeline()
         latent = model.latent_region([0.5])
-        decoded = region(model, [0.5])
+        decoded = model.region([0.5])
         assert not latent.is_empty
         assert np.allclose(np.sort(decoded.points, axis=0),
                            np.sort(latent.points, axis=0))
 
     def test_cardinality_preserved(self):
         model = identity_pipeline()
-        assert len(region(model, [0.2])) == len(model.latent_region([0.2]))
+        assert len(model.region([0.2])) == len(model.latent_region([0.2]))
 
     def test_matches_manual_decode(self):
         model = identity_pipeline()
@@ -79,13 +79,13 @@ class TestRegionComposition:
         from qregions.cvae import decode_batch
 
         manual = decode_batch(model.cvae, x[None, :], latent.points)
-        assert np.array_equal(region(model, x).points, manual)
+        assert np.array_equal(model.region(x).points, manual)
 
     def test_empty_latent_region_gives_empty_response_region(self):
         model = identity_pipeline()
         model.latent_model.net.biases[0][...] = 50.0  # infeasible thresholds
         model._extractor = type(model._extractor)(model.latent_model, model.latent_grid)
-        result = region(model, [0.0])
+        result = model.region([0.0])
         assert result.is_empty
         assert result.space == "response"
 
@@ -116,7 +116,7 @@ class TestInactiveUnits:
         assert len(latent) > 2
         assert np.unique(latent.points[:, 0]).tolist() == [
             model.latent_grid.axis_centers(0)[6]]
-        decoded = region(model, [0.3])
+        decoded = model.region([0.3])
         assert np.all(pairwise_nn_distances(decoded.points) > 0.0)
 
     def test_fit_raises_when_every_unit_is_inactive(self):
@@ -148,14 +148,14 @@ class TestFittedPipeline:
         model, _, _, x_stats = nonlinear_fit
         for raw in (1.5, 2.0, 2.5):
             x = x_stats.normalize(np.array([raw]))
-            assert len(region(model, x)) > 50
+            assert len(model.region(x)) > 50
 
     def test_v_shape_region_is_nonconvex(self, nonlinear_fit):
         # At x = 1.5 the conditional support is a v: the midpoint of the
         # two arm tips falls in the empty valley, far from region points.
         model, _, _, x_stats = nonlinear_fit
         x = x_stats.normalize(np.array([1.5]))
-        pts = region(model, x).points
+        pts = model.region(x).points
         tip_lo = pts[np.argmin(pts[:, 0])]
         tip_hi = pts[np.argmax(pts[:, 0])]
         midpoint = 0.5 * (tip_lo + tip_hi)
@@ -170,7 +170,7 @@ class TestFittedPipeline:
         fractions = []
         for raw in (1.5, 2.0, 2.5):
             x = x_stats.normalize(np.array([raw]))
-            pts = region(model, x).points
+            pts = model.region(x).points
             near = min_distances(pts, y_tr) <= spacing
             fractions.append(float(near.mean()))
         assert min(fractions) >= 0.95
@@ -185,7 +185,7 @@ class TestFittedPipeline:
         hits_latent, hits_response = [], []
         for i in idx:
             latent = model.latent_region(x_cal[i])
-            decoded = region(model, x_cal[i])
+            decoded = model.region(x_cal[i])
             if latent.is_empty:
                 hits_latent.append(False)
                 hits_response.append(False)
@@ -254,4 +254,4 @@ class TestSerialization:
             assert loaded.latent_grid == model.latent_grid
             assert loaded.inactive_layers == model.inactive_layers
             x = np.array([0.4])
-            assert np.array_equal(region(loaded, x).points, region(model, x).points)
+            assert np.array_equal(loaded.region(x).points, model.region(x).points)
