@@ -34,6 +34,7 @@ from .metrics import (
     cluster_coverages,
     delta_coverage,
     kmeans,
+    membership_flags,
 )
 from .nn import TrainConfig
 from .numerics import Rng
@@ -233,7 +234,7 @@ class DistanceRule:
         self.rule = rule
 
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
-        return np.array([self.rule.contains(x, y) for x, y in zip(x_rows, y_rows)])
+        return membership_flags(self.rule, x_rows, y_rows)
 
     def area_cells(self, x, area_grid) -> int:
         return area(self.rule.membership, x, area_grid)

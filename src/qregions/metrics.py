@@ -71,8 +71,8 @@ class EvaluationReport:
 def membership_flags(rule, x_rows, y_rows) -> np.ndarray:
     """Per-row membership of each response in its input's region.
 
-    ``rule`` must expose ``contains(x, y)``, as a calibrated distance rule
-    does.
+    ``rule`` must expose ``contains(x, y)``, as ``CalibratedRule`` does;
+    ``experiment.DistanceRule.membership_rows`` answers through this.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
