@@ -213,23 +213,18 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid,
         raise CalibrationSetTooSmallError(
             f"need floor((n2+1) alpha) >= 1, got {k_shrink}")
     threshold = empirical_quantile(gammas, int(np.ceil(0.5 * n2)))
-    grid_points = area_grid.points()
+    rule = CalibratedRule(
+        mode=SHRINK, gamma_cal=0.0, provider=provider, alpha=alpha,
+        n2=n2, c_init=c_init, gamma_init_values=gammas, anchor=anchor,
+        complement_threshold=threshold, complement_grid=area_grid,
+    )
+    # Score against the rule's own complement carrier, as membership does.
     shrink_scores = np.empty(n2)
     for i in range(n2):
-        region = provider(x_cal[i])
-        if region.is_empty:
-            complement = grid_points
-        else:
-            dist = min_distances(grid_points, region.points)
-            complement = grid_points[dist > threshold]
+        complement = rule.complement_carrier(x_cal[i])
         if complement.shape[0] == 0:
             raise DegenerateComplementError(
                 f"region at calibration row {i} leaves no complement carrier")
         shrink_scores[i] = float(min_distances(y_cal[i][None, :], complement)[0])
-    gamma_cal = empirical_quantile(shrink_scores, k_shrink)
-    rule = CalibratedRule(
-        mode=SHRINK, gamma_cal=gamma_cal, provider=provider, alpha=alpha,
-        n2=n2, c_init=c_init, gamma_init_values=gammas, anchor=anchor,
-        complement_threshold=threshold, complement_grid=area_grid,
-    )
+    rule.gamma_cal = empirical_quantile(shrink_scores, k_shrink)
     return rule

@@ -5,6 +5,7 @@ ingestion for user-supplied datasets."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,11 +231,14 @@ def load_csv(path, response_columns) -> Dataset:
             values = []
             for j, cell in enumerate(row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvParseError(
                         f"non-numeric value {cell!r}", row_number, header[j]
                     ) from None
+                if not math.isfinite(value):
+                    raise CsvParseError(f"non-finite value {cell!r}", row_number, header[j])
+                values.append(value)
             x_rows.append([values[j] for j in feature_idx])
             y_rows.append([values[j] for j in response_idx])
     if not x_rows:

@@ -15,6 +15,7 @@ import json
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -262,7 +263,9 @@ class RectangleRule:
 
 def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
                       seed: int, save_dir: Path | None = None):
-    """Train one method and calibrate it; returns (rule adapter, info)."""
+    """Train one method and calibrate it; returns (rule adapter, area grid,
+    info), with the wall times ``fit_s`` and ``calibrate_s`` in ``info``."""
+    start = perf_counter()
     levels = config.resolve_levels()
     x_tr, y_tr = prep.x["train"], prep.y["train"]
     x_v, y_v = prep.x["validation"], prep.y["validation"]
@@ -276,7 +279,9 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             x_tr, y_tr, x_v, y_v, alpha=config.alpha,
             config=_train_config(config.training.naive, seed),
             hidden=tuple(config.training.naive["hidden"]))
+        fitted = perf_counter()
         model = naive_qr.calibrate(model, x_cal, y_cal, config.alpha)
+        info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted)
         if save_dir is not None:
             model.save(save_dir / "model")
         rule = RectangleRule(model)
@@ -323,7 +328,9 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    fitted = perf_counter()
     rule = calibrate(provider, x_cal, y_cal, config.alpha, area_grid)
+    info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted)
     adapter = DistanceRule(rule)
     info["calibration"] = adapter.report()
     if save_dir is not None:
@@ -365,8 +372,11 @@ def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int,
         save_dir = out_dir / method / str(seed)
         save_dir.mkdir(parents=True, exist_ok=True)
     rule, area_grid, info = fit_and_calibrate(method, config, prep, seed, save_dir)
+    evaluating = perf_counter()
     row = evaluate_cell(rule, area_grid, config, prep, seed)
-    row.update({"method": method, "config_digest": config.digest()})
+    row.update({"method": method, "config_digest": config.digest(),
+                "fit_s": info["fit_s"], "calibrate_s": info["calibrate_s"],
+                "evaluate_s": perf_counter() - evaluating})
     row["calibration"] = info.get("calibration")
     if "directional_level" in info:
         row["directional_level"] = info["directional_level"]

@@ -1,9 +1,11 @@
-"""Axis-aligned evaluation lattices and point-set distance queries.
+"""Axis-aligned evaluation lattices and exact point-set distance queries.
 
 Two grid purposes exist, with different densities and boundary margins:
 ``REGION_DISCRETIZATION`` grids carry the discrete realization of a
 quantile region, ``AREA_MEASUREMENT`` grids are the carriers on which
-region size is counted and region complements are realized.
+region size is counted and region complements are realized. Distance
+queries are exact, via a k-d tree; bit-identical to the difference-based
+brute force of ``bench/oracle.py``.
 """
 
 from __future__ import annotations
@@ -133,41 +135,28 @@ def area(membership, x, grid: Grid) -> int:
 
 
 def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
-    """Exact minimum Euclidean distance from each point to the carrier set.
+    """Minimum Euclidean distance from each point to the carrier set: exact,
+    via a k-d tree; bit-identical to the difference-based brute force of
+    ``bench/oracle.py``."""
+    # Imported here: scipy.spatial takes longer to import than all of qregions.
+    from scipy.spatial import cKDTree
 
-    Brute force over all pairs with difference-based arithmetic, chunked
-    over queries to bound memory.
-    """
-    carrier = np.ascontiguousarray(np.atleast_2d(np.asarray(carrier, dtype=float)))
-    points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+    carrier = np.atleast_2d(np.asarray(carrier, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if carrier.shape[0] == 0:
         raise ValueError("minimum distance to an empty carrier is undefined")
     if points.shape[1] != carrier.shape[1]:
         raise ValueError("queries and carrier disagree on dimension")
-    chunk = max(1, min(2048, 4_000_000 // carrier.shape[0]))
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        sq = ((block[:, None, :] - carrier[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(sq.min(axis=1))
-    return out
+    return cKDTree(carrier).query(points, k=1)[0]
 
 
 def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest *other* point in the set.
+    """Distance from each point to its nearest *other* point in the set:
+    exact, via a k-d tree; bit-identical to the difference-based brute force
+    of ``bench/oracle.py``."""
+    from scipy.spatial import cKDTree
 
-    Same exactness contract as ``min_distances``.
-    """
-    points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-    m = points.shape[0]
-    if m < 2:
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[0] < 2:
         raise ValueError("nearest-neighbor spacing needs at least 2 points")
-    chunk = max(1, min(2048, 4_000_000 // m))
-    out = np.empty(m)
-    for start in range(0, m, chunk):
-        block = points[start : start + chunk]
-        sq = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(start, min(start + chunk, m))
-        sq[rows - start, rows] = np.inf
-        out[start : start + chunk] = np.sqrt(sq.min(axis=1))
-    return out
+    return cKDTree(points).query(points, k=2)[0][:, 1]

@@ -277,3 +277,18 @@ class TestShrink:
             np.argmax(np.linalg.norm(grid.points(), axis=1) >= 2.2 + 3 * rule.complement_threshold)
         ]
         assert not rule.contains(x[0], outside)
+
+    def test_coverage_guarantee_monte_carlo(self, disc_setup):
+        provider, grid, draw, _ = disc_setup
+        trials, n2, n_test, alpha = 100, 99, 100, 0.1
+        coverages = []
+        for _ in range(trials):
+            x_cal, y_cal = draw(n2)
+            rule = calibrate(provider, x_cal, y_cal, alpha, grid)
+            assert rule.mode == SHRINK
+            x_test, y_test = draw(n_test)
+            hits = [rule.contains(x_test[i], y_test[i]) for i in range(n_test)]
+            coverages.append(float(np.mean(hits)))
+        mean_cov = float(np.mean(coverages))
+        se = float(np.std(coverages) / math.sqrt(trials))
+        assert 0.90 - 3 * se <= mean_cov <= 0.91 + 3 * se

@@ -191,9 +191,10 @@ class TestCsv:
         assert np.array_equal(data.x, [[1.0], [4.0]])
         assert np.array_equal(data.y, [[2.0, 3.0], [5.0, 6.0]])
 
-    def test_parse_error_location(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["oops", "nan", "inf", "-inf"])
+    def test_parse_error_location(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n3,oops\n")
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
         with pytest.raises(CsvParseError) as err:
             load_csv(path, ["b"])
         assert err.value.row == 3

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -9,7 +10,8 @@ from qregions.npdqr import NpdqrModel
 from qregions.stdqr import StdqrModel
 
 ROW_KEYS = {"seed", "coverage", "area", "delta_coverage", "per_cluster_coverage",
-            "n_test", "method", "config_digest", "calibration"}
+            "n_test", "method", "config_digest", "calibration",
+            "fit_s", "calibrate_s", "evaluate_s"}
 AGGREGATE_KEYS = {"method", "coverage", "coverage_se", "area", "area_se",
                   "delta_coverage", "delta_coverage_se", "per_cluster_coverage", "seeds"}
 CSV_HEADER = ["method", "seed", "coverage", "area", "delta_coverage",
@@ -44,6 +46,8 @@ class TestRunExperiment:
                  "npdqr": {"directional_level"}, "naive": set()}
         for row in report["rows"]:
             assert set(row) == ROW_KEYS | extra[row["method"]]
+            for phase in ("fit_s", "calibrate_s", "evaluate_s"):
+                assert math.isfinite(row[phase]) and row[phase] >= 0.0
         assert [a["method"] for a in report["aggregate"]] == sorted(experiment.METHODS)
         assert all(set(a) == AGGREGATE_KEYS for a in report["aggregate"])
         with open(out_dir / "report.csv", newline="", encoding="utf-8") as fh:

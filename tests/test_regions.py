@@ -11,6 +11,7 @@ from qregions.regions import (
     area,
     build_grid,
     min_distances,
+    pairwise_nn_distances,
 )
 
 
@@ -108,6 +109,35 @@ class TestArea:
         assert small <= large
 
 
+DUPLICATES = 20
+# Cells per dimension of the lattice carriers, about a thousand points each.
+LATTICE_CELLS = {1: 1000, 2: 32, 3: 10, 4: 6}
+
+
+def carrier_and_queries(kind, d, rng):
+    """Carrier and query sets for the exactness test.
+
+    ``lattice`` keeps half of a unit-cube lattice and queries every lattice
+    point, so many queries sit at exactly equal distances from several
+    carrier points.  ``duplicates`` repeats carrier points at the end of
+    both sets.  ``pair`` is the smallest carrier a spacing query accepts.
+    """
+    queries = rng.uniform(-3, 3, size=(500, d))
+    if kind == "random":
+        return rng.uniform(-3, 3, size=(800, d)), queries
+    if kind == "lattice":
+        lattice = Grid(dim=d, lows=(0.0,) * d, highs=(1.0,) * d,
+                       cells_per_dim=LATTICE_CELLS[d],
+                       purpose=REGION_DISCRETIZATION).points()
+        keep = rng.uniform(size=len(lattice)) < 0.5
+        return lattice[keep], lattice
+    if kind == "duplicates":
+        base = rng.uniform(-3, 3, size=(400, d))
+        twins = base[:DUPLICATES]
+        return np.concatenate([base, twins]), np.concatenate([queries, twins])
+    return rng.uniform(-3, 3, size=(2, d)), queries
+
+
 class TestMinDistance:
     def test_zero_for_member(self):
         carrier = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -120,19 +150,29 @@ class TestMinDistance:
         with pytest.raises(ValueError):
             min_distances(np.array([[0.0]]), np.zeros((0, 1)))
 
-    def test_matches_full_pairwise_oracle_bitwise(self):
-        rng = Rng(77)
-        queries = rng.uniform(-3, 3, size=(1000, 3))
-        carrier = rng.uniform(-3, 3, size=(1000, 3))
-        # Oracle: one full pairwise matrix, no chunking.
-        oracle = np.sqrt(
-            ((queries[:, None, :] - carrier[None, :, :]) ** 2).sum(axis=2)
-        ).min(axis=1)
-        got = min_distances(queries, carrier)
+    @pytest.mark.parametrize("function", [min_distances, pairwise_nn_distances])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "pair"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_full_pairwise_oracle_bitwise(self, d, kind, function):
+        carrier, queries = carrier_and_queries(kind, d, Rng(77 + d))
+        spacing = function is pairwise_nn_distances
+        if spacing:
+            queries = carrier
+        # Oracle: one full pairwise matrix, no tree; a point is not its own
+        # neighbour in a spacing query.
+        sq = ((queries[:, None, :] - carrier[None, :, :]) ** 2).sum(axis=2)
+        if spacing:
+            np.fill_diagonal(sq, np.inf)
+        oracle = np.sqrt(sq).min(axis=1)
+        got = function(carrier) if spacing else function(queries, carrier)
         assert np.array_equal(got, oracle)
+        if kind == "duplicates":
+            # The last rows repeat carrier points, so their distance is 0.
+            assert np.all(got[-DUPLICATES:] == 0.0)
         # Scalar spot check through an unrelated code path.
-        for i in range(10):
-            best = min(math.dist(queries[i], c) for c in carrier)
+        for i in range(min(10, len(queries))):
+            best = min(math.dist(queries[i], c)
+                       for j, c in enumerate(carrier) if not (spacing and j == i))
             assert got[i] == pytest.approx(best, rel=1e-12)
 
     def test_lipschitz_in_query(self):
