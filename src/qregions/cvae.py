@@ -19,6 +19,7 @@ import numpy as np
 from .nn import (
     MlpModel,
     TrainConfig,
+    TrainHistory,
     backward,
     forward_batch,
     forward_cached,
@@ -45,9 +46,14 @@ def default_hidden(p: int) -> tuple:
 
 
 class CvaeModel:
-    """Encoder/decoder pair with latent dimension r and KL weight lam."""
+    """Encoder/decoder pair with latent dimension r and KL weight lam.
 
-    def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int, lam: float):
+    ``histories`` holds the joint training history of encoder and decoder
+    under ``cvae``; it is empty for a pair not trained here.
+    """
+
+    def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int, lam: float,
+                 histories: dict | None = None):
         if encoder.out_width != 2 * r:
             raise ValueError(f"encoder must emit 2r = {2 * r} values, emits {encoder.out_width}")
         if lam < 0:
@@ -56,6 +62,7 @@ class CvaeModel:
         self.decoder = decoder
         self.r = int(r)
         self.lam = float(lam)
+        self.histories = dict(histories or {})
 
     @property
     def p(self) -> int:
@@ -78,7 +85,8 @@ class CvaeModel:
         self.encoder.save(directory / "encoder.json")
         self.decoder.save(directory / "decoder.json")
         (directory / "cvae_meta.json").write_text(
-            json.dumps({"r": self.r, "lam": self.lam}))
+            json.dumps({"r": self.r, "lam": self.lam,
+                        "histories": {net: h.to_dict() for net, h in self.histories.items()}}))
 
     @staticmethod
     def load(directory) -> "CvaeModel":
@@ -88,6 +96,8 @@ class CvaeModel:
             encoder=MlpModel.load(directory / "encoder.json"),
             decoder=MlpModel.load(directory / "decoder.json"),
             r=meta["r"], lam=meta["lam"],
+            histories={net: TrainHistory.from_dict(h)
+                       for net, h in meta.get("histories", {}).items()},
         )
 
 
@@ -111,6 +121,13 @@ def decode_batch(model: CvaeModel, x_rows, z_rows) -> np.ndarray:
     return forward_batch(model.decoder, np.concatenate([x_rows, z_rows], axis=1))
 
 
+def gaussian_kl_rows(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """KL divergence of N(mu, exp(logvar)) from N(0, I), one value per row."""
+    if mu.shape != logvar.shape:
+        raise ValueError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
+    return -0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar), axis=1)
+
+
 def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
                              lam: float, r: int, train_mode: bool = True,
                              drop_rng: Rng | None = None):
@@ -130,8 +147,7 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
         decoder, np.concatenate([x, z], axis=1), train_mode=train_mode, rng=drop_rng)
     residual = dec_out - y
     recon = float(np.mean(np.sum(residual**2, axis=1)))
-    kl_terms = -0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar), axis=1)
-    kl = float(np.mean(kl_terms))
+    kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
     loss = recon + lam * kl
 
     dec_grads, dec_grad_in = backward(decoder, dec_cache, 2.0 * residual / n)
@@ -178,11 +194,11 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
         mu, logvar = model.posterior(x_val, y_val)
         reconstructed = decode_batch(model, x_val, mu)
         recon = float(np.mean(np.sum((reconstructed - y_val) ** 2, axis=1)))
-        kl = float(np.mean(-0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar), axis=1)))
+        kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
         return recon + lam * kl
 
-    train_minibatches(encoder.parameters() + decoder.parameters(), n, step, val_loss,
-                      config, rng)
+    model.histories["cvae"] = train_minibatches(
+        encoder.parameters() + decoder.parameters(), n, step, val_loss, config, rng)
     return model
 
 

@@ -144,9 +144,6 @@ class ColumnStats:
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def denormalize(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
@@ -249,14 +246,3 @@ def load_csv(path, response_columns) -> Dataset:
         feature_names=[header[j] for j in feature_idx],
         response_names=[header[j] for j in response_idx],
     )
-
-
-def write_csv(dataset: Dataset, path) -> None:
-    """Write features then responses with a header row; floats use repr so
-    a read-back is bit-exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + list(dataset.response_names))
-        for xi, yi in zip(dataset.x, dataset.y):
-            writer.writerow([repr(float(v)) for v in xi]
-                            + [repr(float(v)) for v in yi])

@@ -286,6 +286,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             model.save(save_dir / "model")
         rule = RectangleRule(model)
         info["calibration"] = rule.report()
+        info["training"] = _training_report(model)
         return rule, area_grid, info
 
     dqr_cfg = config.training.dqr
@@ -333,9 +334,16 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted)
     adapter = DistanceRule(rule)
     info["calibration"] = adapter.report()
+    info["training"] = _training_report(model)
     if save_dir is not None:
         (save_dir / "calibration.json").write_text(json.dumps(info["calibration"]))
     return adapter, area_grid, info
+
+
+def _training_report(model) -> list:
+    """One entry per trained net of a fitted model: epochs run, best epoch,
+    best validation loss and whether training hit its epoch cap."""
+    return [history.summary(net) for net, history in model.histories.items()]
 
 
 def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,
@@ -378,6 +386,7 @@ def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int,
                 "fit_s": info["fit_s"], "calibrate_s": info["calibrate_s"],
                 "evaluate_s": perf_counter() - evaluating})
     row["calibration"] = info.get("calibration")
+    row["training"] = info["training"]
     if "directional_level" in info:
         row["directional_level"] = info["directional_level"]
     if "reconstruction_mse" in info:

@@ -80,15 +80,6 @@ def membership_flags(rule, x_rows, y_rows) -> np.ndarray:
                     dtype=bool)
 
 
-def coverage(rule, x_rows, y_rows, flags=None) -> float:
-    """Fraction of test pairs whose response falls in the region."""
-    if flags is None:
-        flags = membership_flags(rule, x_rows, y_rows)
-    if len(flags) == 0:
-        raise ValueError("coverage over an empty test set is undefined")
-    return float(np.mean(flags))
-
-
 def _kmeans_once(x: np.ndarray, k: int, rng: Rng, max_iters: int):
     n = x.shape[0]
     # Seeding: spread initial centroids with distance-weighted sampling.

@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationSetTooSmallError
-from .nn import MlpModel, PinballLoss, TrainConfig, forward_batch, init_mlp, train
+from .nn import (
+    MlpModel,
+    PinballLoss,
+    TrainConfig,
+    TrainHistory,
+    forward_batch,
+    init_mlp,
+    train,
+)
 from .numerics import Rng, empirical_quantile
 from .regions import Grid
 
@@ -61,9 +69,13 @@ def quantile_levels(alpha: float, d: int, scheme: str = LEVELS_CENTERED):
 
 class NaiveModel:
     """2d pinball nets (lower and upper per response dimension) plus the
-    conformal widening offset once calibrated."""
+    conformal widening offset once calibrated.
 
-    def __init__(self, nets_lo, nets_hi, alpha, scheme, offset=None):
+    ``histories`` maps net names (``lower_j``, ``upper_j``) to the
+    training history of each net; it is empty for nets not trained here.
+    """
+
+    def __init__(self, nets_lo, nets_hi, alpha, scheme, offset=None, histories=None):
         if len(nets_lo) != len(nets_hi):
             raise ValueError("need one lower and one upper net per dimension")
         self.nets_lo = nets_lo
@@ -71,6 +83,7 @@ class NaiveModel:
         self.alpha = float(alpha)
         self.scheme = scheme
         self.offset = offset  # None until calibrated
+        self.histories = dict(histories or {})
 
     @property
     def d(self) -> int:
@@ -94,7 +107,8 @@ class NaiveModel:
             lo.save(directory / f"net_lo_{j}.json")
             hi.save(directory / f"net_hi_{j}.json")
         meta = {"alpha": self.alpha, "scheme": self.scheme, "d": self.d,
-                "offset": self.offset}
+                "offset": self.offset,
+                "histories": {net: h.to_dict() for net, h in self.histories.items()}}
         (directory / "naive_meta.json").write_text(json.dumps(meta))
 
     @staticmethod
@@ -103,7 +117,10 @@ class NaiveModel:
         meta = json.loads((directory / "naive_meta.json").read_text())
         nets_lo = [MlpModel.load(directory / f"net_lo_{j}.json") for j in range(meta["d"])]
         nets_hi = [MlpModel.load(directory / f"net_hi_{j}.json") for j in range(meta["d"])]
-        return NaiveModel(nets_lo, nets_hi, meta["alpha"], meta["scheme"], meta["offset"])
+        histories = {net: TrainHistory.from_dict(h)
+                     for net, h in meta.get("histories", {}).items()}
+        return NaiveModel(nets_lo, nets_hi, meta["alpha"], meta["scheme"], meta["offset"],
+                          histories)
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
@@ -117,19 +134,21 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
     level_lo, level_hi = quantile_levels(alpha, d, scheme)
     widths = (x_train.shape[1], *hidden, 1)
     seed_rng = Rng(config.seed)
-    nets_lo, nets_hi = [], []
+    nets_lo, nets_hi, histories = [], [], {}
     for j in range(d):
-        for level, bucket in ((level_lo, nets_lo), (level_hi, nets_hi)):
+        for side, level, bucket in (("lower", level_lo, nets_lo),
+                                    ("upper", level_hi, nets_hi)):
             net = init_mlp(widths, seed_rng.spawn(len(nets_lo) + len(nets_hi)))
             net_config = TrainConfig(
                 learning_rate=config.learning_rate, batch_size=config.batch_size,
                 max_epochs=config.max_epochs, patience=config.patience,
                 seed=seed_rng.spawn(1000 + len(nets_lo) + len(nets_hi)).seed,
             )
-            net, _ = train(net, (x_train, y_train[:, j]), PinballLoss(level),
-                           net_config, (x_val, y_val[:, j]))
+            net, histories[f"{side}_{j}"] = train(
+                net, (x_train, y_train[:, j]), PinballLoss(level), net_config,
+                (x_val, y_val[:, j]))
             bucket.append(net)
-    return NaiveModel(nets_lo, nets_hi, alpha, scheme)
+    return NaiveModel(nets_lo, nets_hi, alpha, scheme, histories=histories)
 
 
 def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
@@ -154,7 +173,7 @@ def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)
     return NaiveModel(model.nets_lo, model.nets_hi, model.alpha, model.scheme,
-                      offset=offset)
+                      offset=offset, histories=model.histories)
 
 
 def region(model: NaiveModel, x) -> Rectangle:

@@ -7,12 +7,19 @@ with the best validation loss is what training returns.
 
 Everything is numpy and deterministic under a fixed seed, which makes
 seeded training bit-reproducible on a given platform.
+
+The training step avoids temporary arrays where it can. For a slope s in
+[0, 1], a hidden layer's activation is max(z, s*z) and its derivative is
+max(z > 0, s), computed in place; both equal where(z > 0, z, s*z) and
+where(z > 0, 1, s) bit for bit, signed zeros and NaN included. Adam keeps
+one flat moment vector each for m and v and updates every parameter in
+one pass, with the same per-element operations in the same order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,6 +60,7 @@ class MlpModel:
         self.widths = tuple(int(w) for w in widths)
         self.weights = weights
         self.biases = biases
+        _check_slope_and_dropout(leaky_slope, dropout)
         self.leaky_slope = float(leaky_slope)
         self.dropout = float(dropout)
         if len(self.weights) != len(self.widths) - 1:
@@ -114,11 +122,20 @@ class MlpModel:
             return MlpModel.from_dict(json.load(fh))
 
 
+def _check_slope_and_dropout(leaky_slope, dropout) -> None:
+    # The in-place activation and its derivative assume a slope in [0, 1].
+    if not 0.0 <= leaky_slope <= 1.0:
+        raise ValueError(f"leaky slope must lie in [0, 1], got {leaky_slope}")
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout rate must lie in [0, 1), got {dropout}")
+
+
 def init_mlp(widths, rng: Rng, leaky_slope=0.2, dropout=0.0) -> MlpModel:
     """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero biases."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"need at least input and output widths >= 1, got {widths}")
+    _check_slope_and_dropout(leaky_slope, dropout)
     gain2 = 2.0 / (1.0 + leaky_slope**2)
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -151,20 +168,25 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False,
         raise ValueError("dropout in train mode needs an rng")
     n_layers = len(model.weights)
     cache = {"inputs": [], "pre_act": [], "drop_mask": []} if keep_cache else None
+    slope = model.leaky_slope
     a = x
     for k in range(n_layers):
         if keep_cache:
             cache["inputs"].append(a)
-        z = a @ model.weights[k] + model.biases[k]
+        z = a @ model.weights[k]
+        z += model.biases[k]
         if k == n_layers - 1:
             a = z
             break
         if keep_cache:
             cache["pre_act"].append(z)
-        a = np.where(z > 0, z, model.leaky_slope * z)
+            a = np.multiply(z, slope)
+            np.maximum(z, a, out=a)
+        else:
+            a = np.maximum(z, np.multiply(z, slope), out=z)
         if use_dropout:
             mask = (rng.uniform(size=a.shape) >= model.dropout) / (1.0 - model.dropout)
-            a = a * mask
+            a *= mask
             if keep_cache:
                 cache["drop_mask"].append(mask)
         elif keep_cache:
@@ -184,12 +206,16 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     delta = np.asarray(grad_out, dtype=float)
     for k in reversed(range(n_layers)):
         if k != n_layers - 1:
-            # Through dropout, then the activation.
+            # Through dropout, then the activation. At a hidden layer delta
+            # is the fresh product of the layer above, so it is updated in
+            # place; max(z > 0, slope) is the activation's derivative.
             mask = cache["drop_mask"][k]
             if mask is not None:
-                delta = delta * mask
+                delta *= mask
             z = cache["pre_act"][k]
-            delta = delta * np.where(z > 0, 1.0, model.leaky_slope)
+            derivative = np.greater(z, 0.0, out=np.empty_like(z))
+            np.maximum(derivative, model.leaky_slope, out=derivative)
+            delta *= derivative
         w_grads[k] = cache["inputs"][k].T @ delta
         b_grads[k] = delta.sum(axis=0)
         delta = delta @ model.weights[k].T
@@ -203,15 +229,6 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
 def pinball_values(y: np.ndarray, yhat: np.ndarray, alpha: float) -> np.ndarray:
     diff = y - yhat
     return np.where(diff > 0, alpha * diff, (alpha - 1.0) * diff)
-
-
-def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """KL divergence of N(mu, exp(logvar)) from N(0, I), per sample."""
-    mu = np.asarray(mu, dtype=float)
-    logvar = np.asarray(logvar, dtype=float)
-    if mu.shape != logvar.shape:
-        raise ValueError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
-    return float(-0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar)))
 
 
 class MseLoss:
@@ -251,8 +268,14 @@ class PinballLoss:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring a parameter list."""
+    """First/second moment accumulators mirroring a parameter list.
 
+    ``m`` and ``v`` hold one view per parameter into the flat ``m_flat``
+    and ``v_flat``, so each update runs once over every parameter.
+    """
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: list
     v: list
     t: int = 0
@@ -262,21 +285,39 @@ class AdamState:
 
     @staticmethod
     def for_params(params) -> "AdamState":
-        return AdamState(m=[np.zeros_like(p) for p in params],
-                         v=[np.zeros_like(p) for p in params])
+        total = sum(p.size for p in params)
+        m_flat, v_flat = np.zeros(total), np.zeros(total)
+        return AdamState(m_flat, v_flat, _views(m_flat, params), _views(v_flat, params))
+
+
+def _views(flat: np.ndarray, params) -> list:
+    """Consecutive slices of ``flat`` shaped like each parameter."""
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return views
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One in-place Adam update of every parameter array."""
+    """One in-place Adam update of every parameter array.
+
+    The update runs on the concatenated gradients with the per-element
+    operations of Kingma & Ba in their usual order, so every parameter
+    gets the bits a per-array update would give it.
+    """
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    g = np.concatenate([np.ravel(grad) for grad in grads])
+    m, v = state.m_flat, state.v_flat
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    for p, step in zip(params, _views(update, params)):
+        p -= step
 
 
 @dataclass
@@ -285,10 +326,28 @@ class TrainHistory:
     val_losses: list = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = float("inf")
+    max_epochs: int = 0
 
     @property
     def epochs_run(self) -> int:
         return len(self.train_losses)
+
+    @property
+    def hit_cap(self) -> bool:
+        """Whether training ran to its epoch cap rather than stopping early."""
+        return self.epochs_run >= self.max_epochs
+
+    def summary(self, net: str) -> dict:
+        """The report entry of one trained net."""
+        return {"net": net, "epochs_run": self.epochs_run, "best_epoch": self.best_epoch,
+                "best_val_loss": float(self.best_val_loss), "hit_cap": self.hit_cap}
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @staticmethod
+    def from_dict(d: dict) -> "TrainHistory":
+        return TrainHistory(**d)
 
 
 def run_training_loop(params, run_epoch, val_loss, max_epochs: int,
@@ -301,7 +360,7 @@ def run_training_loop(params, run_epoch, val_loss, max_epochs: int,
     validation improvement reach ``patience``, then restores the best
     snapshot into ``params``.
     """
-    history = TrainHistory()
+    history = TrainHistory(max_epochs=max_epochs)
     best_snapshot = [p.copy() for p in params]
     since_improvement = 0
     for epoch in range(1, max_epochs + 1):

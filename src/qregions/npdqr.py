@@ -25,6 +25,7 @@ from .nn import (
     MlpModel,
     PinballLoss,
     TrainConfig,
+    TrainHistory,
     backward,
     forward_batch,
     forward_cached,
@@ -66,15 +67,21 @@ def sample_direction_pool(d: int, count: int, rng: Rng) -> DirectionPool:
 
 
 class NpdqrModel:
-    """Threshold net plus its direction pool and frozen membership subset."""
+    """Threshold net plus its direction pool and frozen membership subset.
+
+    ``histories`` holds the threshold net's training history under
+    ``threshold``; it is empty for a net not trained here.
+    """
 
     def __init__(self, net: MlpModel, pool: DirectionPool, alpha: float,
-                 membership_indices: np.ndarray, train_dir_count: int):
+                 membership_indices: np.ndarray, train_dir_count: int,
+                 histories: dict | None = None):
         self.net = net
         self.pool = pool
         self.alpha = float(alpha)
         self.membership_indices = np.asarray(membership_indices, dtype=int)
         self.train_dir_count = int(train_dir_count)
+        self.histories = dict(histories or {})
 
     @property
     def d(self) -> int:
@@ -118,6 +125,7 @@ class NpdqrModel:
             "dim": self.pool.dim,
             "membership_indices": self.membership_indices.tolist(),
             "train_dir_count": self.train_dir_count,
+            "histories": {net: h.to_dict() for net, h in self.histories.items()},
         }
         (directory / "npdqr_meta.json").write_text(json.dumps(meta))
 
@@ -132,6 +140,8 @@ class NpdqrModel:
             alpha=meta["alpha"],
             membership_indices=np.array(meta["membership_indices"], dtype=int),
             train_dir_count=meta["train_dir_count"],
+            histories={net: TrainHistory.from_dict(h)
+                       for net, h in meta.get("histories", {}).items()},
         )
 
 
@@ -187,10 +197,11 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     def val_loss() -> float:
         return loss.value(val_targets, forward_batch(net, val_stack))
 
-    train_minibatches(net.parameters(), n, step, val_loss, config, rng)
+    history = train_minibatches(net.parameters(), n, step, val_loss, config, rng)
     return NpdqrModel(net=net, pool=pool, alpha=alpha,
                       membership_indices=membership_indices,
-                      train_dir_count=train_dir_count)
+                      train_dir_count=train_dir_count,
+                      histories={"threshold": history})
 
 
 def contains(model: NpdqrModel, x, y, directions=None) -> bool:

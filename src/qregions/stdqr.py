@@ -86,6 +86,12 @@ class StdqrModel:
     def r(self) -> int:
         return self.cvae.r
 
+    @property
+    def histories(self) -> dict:
+        """Training histories of the CVAE and of the latent threshold net."""
+        latent = {f"latent_{net}": h for net, h in self.latent_model.histories.items()}
+        return {**self.cvae.histories, **latent}
+
     def latent_region(self, x) -> DiscreteRegion:
         return self._extractor.extract(x, space="latent")
 

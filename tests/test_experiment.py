@@ -11,7 +11,9 @@ from qregions.stdqr import StdqrModel
 
 ROW_KEYS = {"seed", "coverage", "area", "delta_coverage", "per_cluster_coverage",
             "n_test", "method", "config_digest", "calibration",
-            "fit_s", "calibrate_s", "evaluate_s"}
+            "fit_s", "calibrate_s", "evaluate_s", "training"}
+TRAINED_NETS = {"naive": ["lower_0", "upper_0", "lower_1", "upper_1"],
+                "npdqr": ["threshold"], "stdqr": ["cvae", "latent_threshold"]}
 AGGREGATE_KEYS = {"method", "coverage", "coverage_se", "area", "area_se",
                   "delta_coverage", "delta_coverage_se", "per_cluster_coverage", "seeds"}
 CSV_HEADER = ["method", "seed", "coverage", "area", "delta_coverage",
@@ -55,14 +57,30 @@ class TestRunExperiment:
         assert table[0] == CSV_HEADER
         assert len(table) == 1 + len(experiment.METHODS)
 
+    def test_rows_carry_training_history(self, smoke_run):
+        result, _ = smoke_run
+        for row in result["rows"]:
+            assert [net["net"] for net in row["training"]] == TRAINED_NETS[row["method"]]
+            for net in row["training"]:
+                # Patience equals the 60-epoch cap, so every net runs to it.
+                assert net["epochs_run"] == 60 and net["hit_cap"] is True
+                assert 1 <= net["best_epoch"] <= 60
+                assert math.isfinite(net["best_val_loss"])
+
     def test_saved_bundles_reload(self, smoke_run):
-        _, out_dir = smoke_run
+        result, out_dir = smoke_run
         naive = NaiveModel.load(out_dir / "naive" / "0" / "model")
         assert naive.is_calibrated
         npdqr = NpdqrModel.load(out_dir / "npdqr" / "0" / "model")
         assert npdqr.d == 2
         stdqr = StdqrModel.load(out_dir / "stdqr" / "0" / "model")
         assert stdqr.r == 3
+        rows = {row["method"]: row for row in result["rows"]}
+        for method, model in (("naive", naive), ("npdqr", npdqr), ("stdqr", stdqr)):
+            reloaded = [h.summary(net) for net, h in model.histories.items()]
+            assert reloaded == rows[method]["training"]
+            assert all(h.epochs_run == len(h.val_losses) == 60
+                       for h in model.histories.values())
 
     def test_failed_cell_keeps_its_traceback(self, tmp_path, monkeypatch):
         def broken_fit(*args, **kwargs):

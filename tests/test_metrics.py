@@ -6,7 +6,6 @@ from qregions.metrics import (
     ConstraintUnsatisfiedError,
     EvaluationReport,
     cluster_coverages,
-    coverage,
     delta_coverage,
     kmeans,
     membership_flags,
@@ -31,6 +30,14 @@ class BallRule:
 
     def contains(self, x, y):
         return bool(np.linalg.norm(np.asarray(y)) <= self.radius)
+
+
+def coverage(rule, x_rows, y_rows) -> float:
+    """Fraction of test pairs whose response falls in the region."""
+    flags = membership_flags(rule, x_rows, y_rows)
+    if len(flags) == 0:
+        raise ValueError("coverage over an empty test set is undefined")
+    return float(np.mean(flags))
 
 
 class TestCoverage:

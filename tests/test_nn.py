@@ -16,11 +16,11 @@ from qregions.nn import (
     backward,
     forward_batch,
     forward_cached,
-    gaussian_kl,
     init_mlp,
     train,
     train_minibatches,
 )
+from qregions.cvae import gaussian_kl_rows
 from qregions.numerics import Rng
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -83,11 +83,15 @@ class TestPinball:
 
 
 class TestGaussianKl:
+    """``cvae.gaussian_kl_rows``, the KL term of the CVAE objective, on
+    one-row batches."""
+
     def test_standard_normal_is_zero(self):
-        assert gaussian_kl(np.zeros(3), np.zeros(3)) == pytest.approx(0.0)
+        assert gaussian_kl_rows(np.zeros((1, 3)), np.zeros((1, 3)))[0] == pytest.approx(0.0)
 
     def test_mean_shift_closed_form(self):
-        assert gaussian_kl(np.array([1.0, 0.0]), np.zeros(2)) == pytest.approx(0.5)
+        assert gaussian_kl_rows(np.array([[1.0, 0.0]]), np.zeros((1, 2)))[0] == \
+            pytest.approx(0.5)
 
     def test_matches_numeric_kl_integral(self):
         # KL(N(0, 4) || N(0, 1)) by quadrature over the density ratio.
@@ -96,7 +100,7 @@ class TestGaussianKl:
         p = np.exp(-0.5 * t * t / var) / math.sqrt(2 * math.pi * var)
         log_ratio = (-0.5 * t * t / var - 0.5 * math.log(var)) - (-0.5 * t * t)
         oracle = np.trapezoid(p * log_ratio, t)
-        got = gaussian_kl(np.zeros(1), np.array([math.log(4.0)]))
+        got = gaussian_kl_rows(np.zeros((1, 1)), np.array([[math.log(4.0)]]))[0]
         assert got == pytest.approx(oracle, abs=1e-6)
         assert got == pytest.approx(0.5 * (4 - 1 - math.log(4)), abs=1e-12)
 
@@ -104,11 +108,11 @@ class TestGaussianKl:
            st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=6))
     def test_nonnegative(self, mu, logvar):
         k = min(len(mu), len(logvar))
-        assert gaussian_kl(np.array(mu[:k]), np.array(logvar[:k])) >= -1e-12
+        assert gaussian_kl_rows(np.array([mu[:k]]), np.array([logvar[:k]]))[0] >= -1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            gaussian_kl(np.zeros(2), np.zeros(3))
+            gaussian_kl_rows(np.zeros((1, 2)), np.zeros((1, 3)))
 
 
 class TestAdam:
@@ -124,6 +128,126 @@ class TestAdam:
         adam_step([p], [np.array([0.04])], state, lr=0.001)
         # With bias correction the first step is lr * g/|g| up to eps.
         assert p[0] == pytest.approx(1.0 - 0.001, rel=1e-3)
+
+
+def _reference_forward(model, x, train_mode=False, rng=None, keep_cache=True):
+    """The np.where forward pass that the in-place one must match bit for bit."""
+    cache = {"inputs": [], "pre_act": [], "drop_mask": []}
+    a = np.asarray(x, dtype=float)
+    n_layers = len(model.weights)
+    for k in range(n_layers):
+        cache["inputs"].append(a)
+        z = a @ model.weights[k] + model.biases[k]
+        if k == n_layers - 1:
+            return z, (cache if keep_cache else None)
+        cache["pre_act"].append(z)
+        a = np.where(z > 0, z, model.leaky_slope * z)
+        mask = None
+        if train_mode and model.dropout > 0.0:
+            mask = (rng.uniform(size=a.shape) >= model.dropout) / (1.0 - model.dropout)
+            a = a * mask
+        cache["drop_mask"].append(mask)
+
+
+def _reference_backward(model, cache, grad_out):
+    n_layers = len(model.weights)
+    w_grads, b_grads = [None] * n_layers, [None] * n_layers
+    delta = grad_out
+    for k in reversed(range(n_layers)):
+        if k != n_layers - 1:
+            if cache["drop_mask"][k] is not None:
+                delta = delta * cache["drop_mask"][k]
+            delta = delta * np.where(cache["pre_act"][k] > 0, 1.0, model.leaky_slope)
+        w_grads[k] = cache["inputs"][k].T @ delta
+        b_grads[k] = delta.sum(axis=0)
+        delta = delta @ model.weights[k].T
+    return w_grads + b_grads, delta
+
+
+def _reference_adam(params, grads, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-array Adam; ``moments`` is a list of (m, v) pairs updated in place."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, (m, v) in zip(params, grads, moments):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def _assert_same_bits(got, want):
+    """Equal shapes and identical float64 bit patterns (so -0 != +0)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBitwiseOracle:
+    """The in-place forward, backward and flat Adam against the np.where
+    and per-array code they replaced, over 15 training steps."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("widths", [(1, 64, 64, 64, 1), (4, 64, 64, 64, 1),
+                                        (3, 8, 8, 2), (2, 1)])
+    def test_training_steps_match_reference(self, widths, slope, dropout, rows):
+        model = init_mlp(widths, Rng(rows), leaky_slope=slope, dropout=dropout)
+        reference = model.copy()
+        adam = AdamState.for_params(model.parameters())
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference.parameters()]
+        data_rng, drop_rng, ref_drop_rng = Rng(1), Rng(2), Rng(2)
+        loss = MseLoss()
+        for t in range(1, 16):
+            x = data_rng.uniform(-1, 1, size=(rows, widths[0]))
+            x[0, 0] = -0.0
+            if rows > 1:
+                x[1] = 0.0
+            y = data_rng.uniform(-1, 1, size=(rows, widths[-1]))
+
+            out, cache = forward_cached(model, x, train_mode=True, rng=drop_rng)
+            ref_out, ref_cache = _reference_forward(reference, x, train_mode=True,
+                                                    rng=ref_drop_rng)
+            _assert_same_bits(out, ref_out)
+            for z, ref_z in zip(cache["pre_act"], ref_cache["pre_act"], strict=True):
+                _assert_same_bits(z, ref_z)
+
+            _, grad_out = loss.value_and_grad(y, out)
+            grads, grad_input = backward(model, cache, grad_out)
+            ref_grads, ref_grad_input = _reference_backward(reference, ref_cache,
+                                                            grad_out.copy())
+            for g, ref_g in zip(grads, ref_grads, strict=True):
+                _assert_same_bits(g, ref_g)
+            _assert_same_bits(grad_input, ref_grad_input)
+
+            adam_step(model.parameters(), grads, adam, lr=1e-2)
+            _reference_adam(reference.parameters(), ref_grads, moments, t, lr=1e-2)
+            for p, ref_p in zip(model.parameters(), reference.parameters(), strict=True):
+                _assert_same_bits(p, ref_p)
+
+            ref_eval, _ = _reference_forward(reference, x, keep_cache=False)
+            _assert_same_bits(forward_batch(model, x), ref_eval)
+
+    def test_activation_keeps_signed_zeros_and_nan(self):
+        special = np.array([[-0.0], [0.0], [np.nan], [-2.0], [3.0], [-1e-320]])
+        for slope in (0.0, 0.2, 1.0):
+            model = init_mlp((1, 1, 1), Rng(0), leaky_slope=slope)
+            model.weights[0][...] = 1.0
+            out, cache = forward_cached(model, special)
+            ref_out, ref_cache = _reference_forward(model, special)
+            _assert_same_bits(cache["pre_act"][0], ref_cache["pre_act"][0])
+            _assert_same_bits(out, ref_out)
+            # A matmul never yields -0 here, so put the special values
+            # into the cached pre-activations directly.
+            cache["pre_act"][0] = special.copy()
+            ref_cache["pre_act"][0] = special.copy()
+            grad_out = np.ones_like(out)
+            grads, grad_input = backward(model, cache, grad_out)
+            ref_grads, ref_grad_input = _reference_backward(model, ref_cache, grad_out)
+            for g, ref_g in zip(grads, ref_grads, strict=True):
+                _assert_same_bits(g, ref_g)
+            _assert_same_bits(grad_input, ref_grad_input)
 
 
 def _clean_regression_setup(widths, seed, margin_guard=None):
@@ -299,6 +423,17 @@ class TestSerialization:
         assert loaded.dropout == model.dropout
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("via", ["init_mlp", "from_dict"])
+    @pytest.mark.parametrize("setting, value", [
+        ("leaky_slope", -0.1), ("leaky_slope", 1.5), ("leaky_slope", math.nan),
+        ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5)])
+    def test_out_of_range_slope_or_dropout_is_rejected(self, setting, value, via):
+        with pytest.raises(ValueError, match=setting.split("_")[-1]):
+            if via == "init_mlp":
+                init_mlp((2, 5, 1), Rng(1), **{setting: value})
+            else:
+                MlpModel.from_dict({**init_mlp((2, 5, 1), Rng(1)).to_dict(), setting: value})
 
     def test_batch_norm_bundle_is_rejected(self):
         bundle = init_mlp((2, 5, 1), Rng(1)).to_dict()
