@@ -129,8 +129,7 @@ def gaussian_kl_rows(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
 
 
 def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
-                             lam: float, r: int, train_mode: bool = True,
-                             drop_rng: Rng | None = None):
+                             lam: float, r: int):
     """Loss and parameter gradients of the reconstruction + KL objective
     for one batch with the reparameterization noise held fixed.
 
@@ -139,12 +138,12 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
     """
     n = x.shape[0]
     enc_out, enc_cache = forward_cached(
-        encoder, np.concatenate([x, y], axis=1), train_mode=train_mode, rng=drop_rng)
+        encoder, np.concatenate([x, y], axis=1), train_mode=True)
     mu, logvar = enc_out[:, :r], enc_out[:, r:]
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
     dec_out, dec_cache = forward_cached(
-        decoder, np.concatenate([x, z], axis=1), train_mode=train_mode, rng=drop_rng)
+        decoder, np.concatenate([x, z], axis=1), train_mode=True)
     residual = dec_out - y
     recon = float(np.mean(np.sum(residual**2, axis=1)))
     kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
@@ -160,7 +159,7 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
 
 
 def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
-        hidden=None, dropout: float = 0.0) -> CvaeModel:
+        hidden=None) -> CvaeModel:
     """Train encoder and decoder jointly with Adam and early stopping.
 
     The validation loss scores the posterior mean (no sampling noise), so
@@ -179,16 +178,15 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     if hidden is None:
         hidden = default_hidden(p)
     rng = Rng(config.seed)
-    encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10), dropout=dropout)
-    decoder = init_mlp((p + r, *hidden, d), rng.spawn(11), dropout=dropout)
+    encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10))
+    decoder = init_mlp((p + r, *hidden, d), rng.spawn(11))
     eps_rng = rng.spawn(12)
-    drop_rng = rng.spawn(13)
     model = CvaeModel(encoder, decoder, r, lam)
 
     def step(idx):
         eps = eps_rng.standard_normal(size=(len(idx), r))
         return composite_loss_and_grads(encoder, decoder, x_train[idx], y_train[idx],
-                                        eps, lam, r, drop_rng=drop_rng)
+                                        eps, lam, r)
 
     def val_loss() -> float:
         mu, logvar = model.posterior(x_val, y_val)

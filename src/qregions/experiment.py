@@ -74,7 +74,7 @@ class TrainingProfile:
 
     cvae: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 512, "max_epochs": 10_000,
-        "patience": 200, "hidden": None, "dropout": 0.1,
+        "patience": 200, "hidden": None,
     })
     dqr: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
@@ -110,7 +110,7 @@ def desk_scale_profile() -> TrainingProfile:
     of one method runs in minutes on one core."""
     return TrainingProfile().merged({
         "cvae": {"learning_rate": 2e-3, "batch_size": 256, "max_epochs": 600,
-                 "patience": 100, "hidden": (64, 64, 64), "dropout": 0.0},
+                 "patience": 100, "hidden": (64, 64, 64)},
         "dqr": {"learning_rate": 2e-3, "max_epochs": 120, "patience": 25},
         "naive": {"learning_rate": 2e-3, "max_epochs": 200, "patience": 40},
     })
@@ -140,23 +140,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        profile = TrainingProfile().merged(raw.get("training"))
-        return ExperimentConfig(
-            dataset=raw["dataset"],
-            methods=tuple(raw.get("methods", METHODS)),
-            alpha=raw.get("alpha", 0.1),
-            latent_dim=raw.get("latent_dim", 3),
-            kl_weight=raw.get("kl_weight", 0.01),
-            directional_levels=raw.get("directional_levels"),
-            seeds=tuple(raw.get("seeds", (0,))),
-            out_dir=raw.get("out_dir"),
-            area_eval_count=raw.get("area_eval_count", 64),
-            cluster_count=raw.get("cluster_count", 3),
-            training=profile,
-        )
 
     def digest(self) -> str:
         payload = {
@@ -196,9 +179,6 @@ def load_dataset(spec: dict) -> Dataset:
 class PreparedData:
     x: dict
     y: dict
-    parts: object
-    x_stats: object
-    y_stats: object
 
 
 def prepare(dataset: Dataset, seed: int, pca_components: int | None = None) -> PreparedData:
@@ -212,13 +192,12 @@ def prepare(dataset: Dataset, seed: int, pca_components: int | None = None) -> P
         _, basis, _ = pca_reduce(train_x, pca_components)
         x = (x - mean) @ basis
         dataset = Dataset(x=x, y=dataset.y)
-    normalized, x_stats, y_stats = zscore_fit_apply(dataset, parts.train)
+    normalized, _, _ = zscore_fit_apply(dataset, parts.train)
     splits_x = {name: normalized.x[getattr(parts, name)]
                 for name in ("train", "calibration", "validation", "test")}
     splits_y = {name: normalized.y[getattr(parts, name)]
                 for name in ("train", "calibration", "validation", "test")}
-    return PreparedData(x=splits_x, y=splits_y, parts=parts,
-                        x_stats=x_stats, y_stats=y_stats)
+    return PreparedData(x=splits_x, y=splits_y)
 
 
 def _train_config(section: dict, seed: int) -> TrainConfig:
@@ -316,7 +295,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             lam=config.kl_weight,
             cvae_config=_train_config(cvae_cfg, seed),
             dqr_config=_train_config(dqr_cfg, seed + 1),
-            cvae_hidden=cvae_cfg["hidden"], cvae_dropout=cvae_cfg["dropout"],
+            cvae_hidden=cvae_cfg["hidden"],
             dqr_hidden=tuple(dqr_cfg["hidden"]),
             pool_size=dqr_cfg["pool_size"],
             train_dir_count=dqr_cfg["train_directions"],

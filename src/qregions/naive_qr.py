@@ -30,15 +30,6 @@ from .nn import (
 from .numerics import Rng, empirical_quantile
 from .regions import Grid
 
-# Per-dimension quantile levels for a target miscoverage alpha, with
-# beta = alpha / d the per-dimension budget:
-#   centered: (beta/2, 1 - beta/2), so each interval is a centered
-#             1 - beta interval (the default),
-#   tail:     (beta, 1 - beta), a wider per-dimension coverage variant;
-#             the conformal offset absorbs the difference.
-LEVELS_CENTERED = "centered"
-LEVELS_TAIL = "tail"
-
 DEFAULT_HIDDEN = (64, 64, 64)
 
 
@@ -58,13 +49,11 @@ class Rectangle:
         return count
 
 
-def quantile_levels(alpha: float, d: int, scheme: str = LEVELS_CENTERED):
+def quantile_levels(alpha: float, d: int):
+    """Per-dimension levels (beta/2, 1 - beta/2) with beta = alpha / d, so
+    each interval is a centered 1 - beta interval."""
     beta = alpha / d
-    if scheme == LEVELS_CENTERED:
-        return beta / 2.0, 1.0 - beta / 2.0
-    if scheme == LEVELS_TAIL:
-        return beta, 1.0 - beta
-    raise ValueError(f"unknown level scheme {scheme!r}")
+    return beta / 2.0, 1.0 - beta / 2.0
 
 
 class NaiveModel:
@@ -75,23 +64,18 @@ class NaiveModel:
     training history of each net; it is empty for nets not trained here.
     """
 
-    def __init__(self, nets_lo, nets_hi, alpha, scheme, offset=None, histories=None):
+    def __init__(self, nets_lo, nets_hi, alpha, offset=None, histories=None):
         if len(nets_lo) != len(nets_hi):
             raise ValueError("need one lower and one upper net per dimension")
         self.nets_lo = nets_lo
         self.nets_hi = nets_hi
         self.alpha = float(alpha)
-        self.scheme = scheme
         self.offset = offset  # None until calibrated
         self.histories = dict(histories or {})
 
     @property
     def d(self) -> int:
         return len(self.nets_lo)
-
-    @property
-    def is_calibrated(self) -> bool:
-        return self.offset is not None
 
     def bounds(self, x_rows: np.ndarray):
         """Per-dimension (lower, upper) quantile estimates, each (n, d)."""
@@ -106,8 +90,7 @@ class NaiveModel:
         for j, (lo, hi) in enumerate(zip(self.nets_lo, self.nets_hi)):
             lo.save(directory / f"net_lo_{j}.json")
             hi.save(directory / f"net_hi_{j}.json")
-        meta = {"alpha": self.alpha, "scheme": self.scheme, "d": self.d,
-                "offset": self.offset,
+        meta = {"alpha": self.alpha, "d": self.d, "offset": self.offset,
                 "histories": {net: h.to_dict() for net, h in self.histories.items()}}
         (directory / "naive_meta.json").write_text(json.dumps(meta))
 
@@ -119,19 +102,19 @@ class NaiveModel:
         nets_hi = [MlpModel.load(directory / f"net_hi_{j}.json") for j in range(meta["d"])]
         histories = {net: TrainHistory.from_dict(h)
                      for net, h in meta.get("histories", {}).items()}
-        return NaiveModel(nets_lo, nets_hi, meta["alpha"], meta["scheme"], meta["offset"],
-                          histories)
+        # An older bundle's "scheme" is ignored: levels matter only at fit time.
+        return NaiveModel(nets_lo, nets_hi, meta["alpha"], meta["offset"], histories)
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
-        scheme: str = LEVELS_CENTERED, hidden=DEFAULT_HIDDEN) -> NaiveModel:
+        hidden=DEFAULT_HIDDEN) -> NaiveModel:
     """Train the 2d per-dimension pinball regressors."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     d = y_train.shape[1]
-    level_lo, level_hi = quantile_levels(alpha, d, scheme)
+    level_lo, level_hi = quantile_levels(alpha, d)
     widths = (x_train.shape[1], *hidden, 1)
     seed_rng = Rng(config.seed)
     nets_lo, nets_hi, histories = [], [], {}
@@ -148,7 +131,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
                 net, (x_train, y_train[:, j]), PinballLoss(level), net_config,
                 (x_val, y_val[:, j]))
             bucket.append(net)
-    return NaiveModel(nets_lo, nets_hi, alpha, scheme, histories=histories)
+    return NaiveModel(nets_lo, nets_hi, alpha, histories=histories)
 
 
 def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
@@ -172,7 +155,7 @@ def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
             f"need ceil((1-alpha)(n2+1)) = {k} <= n2 = {n2}")
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)
-    return NaiveModel(model.nets_lo, model.nets_hi, model.alpha, model.scheme,
+    return NaiveModel(model.nets_lo, model.nets_hi, model.alpha,
                       offset=offset, histories=model.histories)
 
 

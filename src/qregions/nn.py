@@ -1,9 +1,9 @@
 """Minimal feed-forward network with manual backpropagation.
 
 One fixed topology: dense layers, leaky-ReLU hidden activations, linear
-output, optional inverted dropout on hidden layers. Optimization is
-minibatch Adam with early stopping on a validation loss; the snapshot
-with the best validation loss is what training returns.
+output. Optimization is minibatch Adam with early stopping on a
+validation loss; the snapshot with the best validation loss is what
+training returns.
 
 Everything is numpy and deterministic under a fixed seed, which makes
 seeded training bit-reproducible on a given platform.
@@ -50,19 +50,18 @@ class TrainConfig:
 
 
 class MlpModel:
-    """Dense network parameters plus the flags that shape its forward pass.
+    """Dense network parameters and the slope of its leaky ReLUs.
 
     ``widths`` lists every layer width including input and output, so a
     net with widths (3, 64, 64, 1) has two hidden layers.
     """
 
-    def __init__(self, widths, weights, biases, leaky_slope=0.2, dropout=0.0):
+    def __init__(self, widths, weights, biases, leaky_slope=0.2):
         self.widths = tuple(int(w) for w in widths)
         self.weights = weights
         self.biases = biases
-        _check_slope_and_dropout(leaky_slope, dropout)
+        _check_slope(leaky_slope)
         self.leaky_slope = float(leaky_slope)
-        self.dropout = float(dropout)
         if len(self.weights) != len(self.widths) - 1:
             raise ValueError("one weight matrix per layer transition expected")
         for k, w in enumerate(self.weights):
@@ -88,14 +87,12 @@ class MlpModel:
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
             self.leaky_slope,
-            self.dropout,
         )
 
     def to_dict(self) -> dict:
         return {
             "widths": list(self.widths),
             "leaky_slope": self.leaky_slope,
-            "dropout": self.dropout,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -104,12 +101,13 @@ class MlpModel:
     def from_dict(d: dict) -> "MlpModel":
         if d.get("batch_norm", False):
             raise ValueError("batch-normalized networks are not supported")
+        # An older bundle's "dropout" is ignored: inverted dropout never
+        # touches inference.
         return MlpModel(
             d["widths"],
             [np.array(w, dtype=float) for w in d["weights"]],
             [np.array(b, dtype=float) for b in d["biases"]],
             d.get("leaky_slope", 0.2),
-            d.get("dropout", 0.0),
         )
 
     def save(self, path) -> None:
@@ -122,75 +120,59 @@ class MlpModel:
             return MlpModel.from_dict(json.load(fh))
 
 
-def _check_slope_and_dropout(leaky_slope, dropout) -> None:
+def _check_slope(leaky_slope) -> None:
     # The in-place activation and its derivative assume a slope in [0, 1].
     if not 0.0 <= leaky_slope <= 1.0:
         raise ValueError(f"leaky slope must lie in [0, 1], got {leaky_slope}")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {dropout}")
 
 
-def init_mlp(widths, rng: Rng, leaky_slope=0.2, dropout=0.0) -> MlpModel:
+def init_mlp(widths, rng: Rng, leaky_slope=0.2) -> MlpModel:
     """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero biases."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"need at least input and output widths >= 1, got {widths}")
-    _check_slope_and_dropout(leaky_slope, dropout)
+    _check_slope(leaky_slope)
     gain2 = 2.0 / (1.0 + leaky_slope**2)
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = np.sqrt(3.0 * gain2 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(widths, weights, biases, leaky_slope, dropout)
+    return MlpModel(widths, weights, biases, leaky_slope)
 
 
-def forward_batch(model: MlpModel, x: np.ndarray, train_mode: bool = False,
-                  rng: Rng | None = None) -> np.ndarray:
+def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Forward pass over a batch, without caching intermediates."""
-    out, _ = forward_cached(model, x, train_mode=train_mode, rng=rng,
-                            keep_cache=False)
+    out, _ = forward_cached(model, x, train_mode=False)
     return out
 
 
-def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False,
-                   rng: Rng | None = None, keep_cache: bool = True):
-    """Forward pass that (optionally) records what backward needs.
+def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False):
+    """Forward pass that, in train mode, records what backward needs.
 
-    Returns (output, cache). Dropout is active only in train mode and
-    needs an rng.
+    Returns (output, cache); the cache is None unless ``train_mode``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
-    use_dropout = train_mode and model.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("dropout in train mode needs an rng")
     n_layers = len(model.weights)
-    cache = {"inputs": [], "pre_act": [], "drop_mask": []} if keep_cache else None
+    cache = {"inputs": [], "pre_act": []} if train_mode else None
     slope = model.leaky_slope
     a = x
     for k in range(n_layers):
-        if keep_cache:
+        if train_mode:
             cache["inputs"].append(a)
         z = a @ model.weights[k]
         z += model.biases[k]
         if k == n_layers - 1:
             a = z
             break
-        if keep_cache:
+        if train_mode:
             cache["pre_act"].append(z)
             a = np.multiply(z, slope)
             np.maximum(z, a, out=a)
         else:
             a = np.maximum(z, np.multiply(z, slope), out=z)
-        if use_dropout:
-            mask = (rng.uniform(size=a.shape) >= model.dropout) / (1.0 - model.dropout)
-            a *= mask
-            if keep_cache:
-                cache["drop_mask"].append(mask)
-        elif keep_cache:
-            cache["drop_mask"].append(None)
     return a, cache
 
 
@@ -206,12 +188,9 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     delta = np.asarray(grad_out, dtype=float)
     for k in reversed(range(n_layers)):
         if k != n_layers - 1:
-            # Through dropout, then the activation. At a hidden layer delta
-            # is the fresh product of the layer above, so it is updated in
-            # place; max(z > 0, slope) is the activation's derivative.
-            mask = cache["drop_mask"][k]
-            if mask is not None:
-                delta *= mask
+            # At a hidden layer delta is the fresh product of the layer
+            # above, so it is updated in place; max(z > 0, slope) is the
+            # activation's derivative.
             z = cache["pre_act"][k]
             derivative = np.greater(z, 0.0, out=np.empty_like(z))
             np.maximum(derivative, model.leaky_slope, out=derivative)
@@ -427,10 +406,9 @@ def train(model: MlpModel, train_xy, loss, config: TrainConfig, val_xy):
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("training and validation sets must be nonempty")
     rng = Rng(config.seed)
-    drop_rng = rng.spawn(1)
 
     def step(idx):
-        out, cache = forward_cached(model, x_train[idx], train_mode=True, rng=drop_rng)
+        out, cache = forward_cached(model, x_train[idx], train_mode=True)
         batch_loss, grad_out = loss.value_and_grad(y_train[idx], out)
         grads, _ = backward(model, cache, grad_out)
         return batch_loss, grads

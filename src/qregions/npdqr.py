@@ -38,6 +38,7 @@ DEFAULT_POOL_SIZE = 2048
 DEFAULT_TRAIN_DIRECTIONS = 32
 DEFAULT_MEMBERSHIP_DIRECTIONS = 256
 DEFAULT_HIDDEN = (64, 64, 64)
+PREFILTER_DIRECTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     Each gradient step pairs one batch of rows with a fresh sample of
     ``train_dir_count`` pool directions; the target for (row i,
     direction u) is the projection u . y_i and the loss level is alpha,
-    so the net estimates the lower directional quantile. The net trains
-    without dropout.
+    so the net estimates the lower directional quantile.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
@@ -219,20 +219,20 @@ class RegionExtractor:
     """Caches a lattice's direction projections for repeated extraction.
 
     Membership of a lattice point is a conjunction over directions, so a
-    cheap subset of directions prunes most points before the full check;
-    the result is identical to testing every direction. ``points``
-    restricts extraction to a subset of the lattice (default: all of it).
+    cheap subset of ``PREFILTER_DIRECTIONS`` directions prunes most points
+    before the full check; the result is identical to testing every
+    direction. ``points`` restricts extraction to a subset of the lattice
+    (default: all of it).
     """
 
-    def __init__(self, model: NpdqrModel, grid, prefilter: int = 16,
-                 points: np.ndarray | None = None):
+    def __init__(self, model: NpdqrModel, grid, points: np.ndarray | None = None):
         self.model = model
         self.grid = grid
         if grid.dim != model.d:
             raise ValueError(f"grid dimension {grid.dim} != response dimension {model.d}")
         self.points = grid.points() if points is None else points
         dirs = model.membership_directions
-        self.prefilter = min(prefilter, dirs.shape[0])
+        self.prefilter = min(PREFILTER_DIRECTIONS, dirs.shape[0])
         self.projections_head = self.points @ dirs[: self.prefilter].T
         self.projections_tail = self.points @ dirs[self.prefilter :].T
 

@@ -1,15 +1,13 @@
 """Quantile regions with arbitrary shape: directional quantile regression
 run in a learned latent space.
 
-Training fits a conditional VAE (no dropout by default: dropout noise
-spoils the reconstruction the decoded region relies on), transforms
-every training response to its latent posterior mean, and fits the
-directional threshold net on those latent codes, where the distribution
-is approximately spherical and an intersection of half-spaces is an
-appropriate region. At query time the latent region is extracted on a
-latent lattice and pushed through the decoder pointwise, which can
-produce non-convex response regions the directional method alone cannot
-represent.
+Training fits a conditional VAE, transforms every training response to
+its latent posterior mean, and fits the directional threshold net on
+those latent codes, where the distribution is approximately spherical
+and an intersection of half-spaces is an appropriate region. At query
+time the latent region is extracted on a latent lattice and pushed
+through the decoder pointwise, which can produce non-convex response
+regions the directional method alone cannot represent.
 
 A latent unit is inactive when its posterior means barely vary over the
 training rows (Burda et al. 2016); the decoder ignores such a unit, so
@@ -149,29 +147,28 @@ def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         cvae_config: TrainConfig, dqr_config: TrainConfig,
-        cvae_hidden=None, cvae_dropout: float = 0.0,
+        cvae_hidden=None,
         dqr_hidden=(64, 64, 64), pool: DirectionPool | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
         train_dir_count: int = DEFAULT_TRAIN_DIRECTIONS,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
-    The CVAE trains without dropout unless ``cvae_dropout`` says
-    otherwise. Responses are transformed to latent space with the
-    deterministic posterior mean. The latent lattice spans the 1%/99%
-    quantiles of the encoded training latents, widened like any region
-    lattice. A unit whose posterior means vary by at most
-    ``ACTIVE_UNIT_VARIANCE`` over the training rows is inactive, and its
-    regions are realized on the single lattice layer nearest its mean
-    code. Raises InactiveLatentError, before the threshold net is
-    trained, when every unit is inactive.
+    Responses are transformed to latent space with the deterministic
+    posterior mean. The latent lattice spans the 1%/99% quantiles of the
+    encoded training latents, widened like any region lattice. A unit
+    whose posterior means vary by at most ``ACTIVE_UNIT_VARIANCE`` over
+    the training rows is inactive, and its regions are realized on the
+    single lattice layer nearest its mean code. Raises
+    InactiveLatentError, before the threshold net is trained, when every
+    unit is inactive.
     """
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
     y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     cvae = fit_cvae(x_train, y_train, x_val, y_val, r=r, lam=lam,
-                    config=cvae_config, hidden=cvae_hidden, dropout=cvae_dropout)
+                    config=cvae_config, hidden=cvae_hidden)
     z_train = encode_batch(cvae, x_train, y_train)
     z_val = encode_batch(cvae, x_val, y_val)
     latent_grid = build_grid(z_train, r, REGION_DISCRETIZATION)

@@ -108,11 +108,11 @@ class TestReparameterizationGradients:
 
         def loss_value():
             loss, _ = composite_loss_and_grads(
-                encoder, decoder, x, y, eps, 0.01, 2, train_mode=False)
+                encoder, decoder, x, y, eps, 0.01, 2)
             return loss
 
         _, analytic = composite_loss_and_grads(
-            encoder, decoder, x, y, eps, 0.01, 2, train_mode=False)
+            encoder, decoder, x, y, eps, 0.01, 2)
         params = encoder.parameters() + decoder.parameters()
         probes = sample_probes(params, 40, Rng(5))
         numeric = central_difference(loss_value, params, probes)
@@ -131,7 +131,7 @@ def nonlinear_cvae():
     config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1000,
                          patience=150, seed=0)
     model = fit(x_tr, y_tr, x_v, y_v, r=3, lam=0.01, config=config,
-                hidden=(64, 64, 64), dropout=0.1)
+                hidden=(64, 64, 64))
     x_cal, y_cal = normalized.x[parts.calibration], normalized.y[parts.calibration]
     return model, (x_tr, y_tr), (x_cal, y_cal)
 
@@ -145,7 +145,7 @@ class TestFit:
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=150,
                              patience=150, seed=2)
         model = fit(x[:1600], y[:1600], x[1600:], y[1600:], r=2, lam=0.0,
-                    config=config, hidden=(32, 32), dropout=0.0)
+                    config=config, hidden=(32, 32))
         assert reconstruction_mse(model, x[1600:], y[1600:]) <= 0.01
 
     def test_huge_kl_weight_collapses_posterior(self):
@@ -155,7 +155,7 @@ class TestFit:
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
                              patience=120, seed=4)
         model = fit(x[:1000], y[:1000], x[1000:], y[1000:], r=2, lam=1e3,
-                    config=config, hidden=(16, 16), dropout=0.0)
+                    config=config, hidden=(16, 16))
         mu, logvar = model.posterior(x[1000:], y[1000:])
         # Posterior pinned to the prior: means near 0, variances near 1,
         # far below the response scale (~0.58 for uniform(-1, 1) data).

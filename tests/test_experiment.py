@@ -70,7 +70,7 @@ class TestRunExperiment:
     def test_saved_bundles_reload(self, smoke_run):
         result, out_dir = smoke_run
         naive = NaiveModel.load(out_dir / "naive" / "0" / "model")
-        assert naive.is_calibrated
+        assert naive.offset is not None
         npdqr = NpdqrModel.load(out_dir / "npdqr" / "0" / "model")
         assert npdqr.d == 2
         stdqr = StdqrModel.load(out_dir / "stdqr" / "0" / "model")
@@ -98,7 +98,6 @@ class TestRunExperiment:
 class TestTrainingProfile:
     def test_desk_scale_profile_merges(self):
         profile = experiment.desk_scale_profile()
-        assert profile.cvae["dropout"] == 0.0
         assert profile.dqr["max_epochs"] == 120
 
     def test_unknown_section_raises(self):
@@ -106,5 +105,6 @@ class TestTrainingProfile:
             experiment.TrainingProfile().merged({"decoder": {"max_epochs": 5}})
 
     def test_unknown_key_raises(self):
-        with pytest.raises(ValueError, match="batch_norm"):
-            experiment.TrainingProfile().merged({"cvae": {"batch_norm": True}})
+        for key, value in (("batch_norm", True), ("dropout", 0.1)):
+            with pytest.raises(ValueError, match=key):
+                experiment.TrainingProfile().merged({"cvae": {key: value}})

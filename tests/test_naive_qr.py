@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,6 @@ import pytest
 
 from qregions.calibration import CalibrationSetTooSmallError
 from qregions.naive_qr import (
-    LEVELS_CENTERED,
-    LEVELS_TAIL,
     NaiveModel,
     Rectangle,
     calibrate,
@@ -32,7 +31,7 @@ def box_model(lo_values, hi_values, alpha=0.1, offset=None):
     p = 1
     nets_lo = [constant_net(p, v) for v in lo_values]
     nets_hi = [constant_net(p, v) for v in hi_values]
-    return NaiveModel(nets_lo, nets_hi, alpha, LEVELS_CENTERED, offset=offset)
+    return NaiveModel(nets_lo, nets_hi, alpha, offset=offset)
 
 
 def box_volume(box):
@@ -43,13 +42,6 @@ class TestLevels:
     def test_centered_levels(self):
         assert quantile_levels(0.1, 2) == (0.025, 0.975)
         assert quantile_levels(0.1, 4) == pytest.approx((0.0125, 0.9875))
-
-    def test_tail_variant(self):
-        assert quantile_levels(0.1, 2, LEVELS_TAIL) == (0.05, 0.95)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            quantile_levels(0.1, 2, "median")
 
 
 class TestCqrScore:
@@ -195,9 +187,20 @@ class TestSerialization:
         model.save(tmp_path / "naive")
         loaded = NaiveModel.load(tmp_path / "naive")
         assert loaded.offset == model.offset
-        assert loaded.scheme == model.scheme
         x = Rng(0).uniform(size=(5, 1))
         lo_a, hi_a = model.bounds(x)
         lo_b, hi_b = loaded.bounds(x)
         assert np.array_equal(lo_a, lo_b)
         assert np.array_equal(hi_a, hi_b)
+
+    def test_bundle_with_level_scheme_loads(self, tmp_path):
+        model = box_model([0.0, -1.0], [1.0, 2.0], offset=0.35)
+        model.save(tmp_path / "naive")
+        meta_path = tmp_path / "naive" / "naive_meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                         "scheme": "centered"}))
+        loaded = NaiveModel.load(tmp_path / "naive")
+        assert loaded.offset == model.offset
+        x = Rng(0).uniform(size=(5, 1))
+        for a, b in zip(loaded.bounds(x), model.bounds(x)):
+            assert np.array_equal(a, b)

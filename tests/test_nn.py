@@ -41,19 +41,9 @@ class TestForward:
         assert np.allclose(forward_batch(model, v[None, :])[0], v)
 
     def test_eval_mode_is_deterministic(self):
-        model = init_mlp((4, 8, 8, 2), Rng(3), dropout=0.3)
+        model = init_mlp((4, 8, 8, 2), Rng(3))
         v = Rng(1).uniform(size=(1, 4))
         assert np.array_equal(forward_batch(model, v), forward_batch(model, v))
-
-    def test_dropout_changes_train_mode_output(self):
-        model = init_mlp((4, 32, 32, 2), Rng(3), dropout=0.5)
-        v = Rng(1).uniform(size=(1, 4))
-        out1 = forward_batch(model, v, train_mode=True, rng=Rng(10))
-        out2 = forward_batch(model, v, train_mode=True, rng=Rng(11))
-        assert not np.array_equal(out1, out2)
-        # Same dropout rng stream means identical output.
-        out3 = forward_batch(model, v, train_mode=True, rng=Rng(10))
-        assert np.array_equal(out1, out3)
 
     def test_shape_mismatch_raises(self):
         model = init_mlp((3, 2), Rng(0))
@@ -130,9 +120,9 @@ class TestAdam:
         assert p[0] == pytest.approx(1.0 - 0.001, rel=1e-3)
 
 
-def _reference_forward(model, x, train_mode=False, rng=None, keep_cache=True):
+def _reference_forward(model, x, keep_cache=True):
     """The np.where forward pass that the in-place one must match bit for bit."""
-    cache = {"inputs": [], "pre_act": [], "drop_mask": []}
+    cache = {"inputs": [], "pre_act": []}
     a = np.asarray(x, dtype=float)
     n_layers = len(model.weights)
     for k in range(n_layers):
@@ -142,11 +132,6 @@ def _reference_forward(model, x, train_mode=False, rng=None, keep_cache=True):
             return z, (cache if keep_cache else None)
         cache["pre_act"].append(z)
         a = np.where(z > 0, z, model.leaky_slope * z)
-        mask = None
-        if train_mode and model.dropout > 0.0:
-            mask = (rng.uniform(size=a.shape) >= model.dropout) / (1.0 - model.dropout)
-            a = a * mask
-        cache["drop_mask"].append(mask)
 
 
 def _reference_backward(model, cache, grad_out):
@@ -155,8 +140,6 @@ def _reference_backward(model, cache, grad_out):
     delta = grad_out
     for k in reversed(range(n_layers)):
         if k != n_layers - 1:
-            if cache["drop_mask"][k] is not None:
-                delta = delta * cache["drop_mask"][k]
             delta = delta * np.where(cache["pre_act"][k] > 0, 1.0, model.leaky_slope)
         w_grads[k] = cache["inputs"][k].T @ delta
         b_grads[k] = delta.sum(axis=0)
@@ -188,16 +171,15 @@ class TestBitwiseOracle:
     and per-array code they replaced, over 15 training steps."""
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
     @pytest.mark.parametrize("widths", [(1, 64, 64, 64, 1), (4, 64, 64, 64, 1),
                                         (3, 8, 8, 2), (2, 1)])
-    def test_training_steps_match_reference(self, widths, slope, dropout, rows):
-        model = init_mlp(widths, Rng(rows), leaky_slope=slope, dropout=dropout)
+    def test_training_steps_match_reference(self, widths, slope, rows):
+        model = init_mlp(widths, Rng(rows), leaky_slope=slope)
         reference = model.copy()
         adam = AdamState.for_params(model.parameters())
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference.parameters()]
-        data_rng, drop_rng, ref_drop_rng = Rng(1), Rng(2), Rng(2)
+        data_rng = Rng(1)
         loss = MseLoss()
         for t in range(1, 16):
             x = data_rng.uniform(-1, 1, size=(rows, widths[0]))
@@ -206,9 +188,8 @@ class TestBitwiseOracle:
                 x[1] = 0.0
             y = data_rng.uniform(-1, 1, size=(rows, widths[-1]))
 
-            out, cache = forward_cached(model, x, train_mode=True, rng=drop_rng)
-            ref_out, ref_cache = _reference_forward(reference, x, train_mode=True,
-                                                    rng=ref_drop_rng)
+            out, cache = forward_cached(model, x, train_mode=True)
+            ref_out, ref_cache = _reference_forward(reference, x)
             _assert_same_bits(out, ref_out)
             for z, ref_z in zip(cache["pre_act"], ref_cache["pre_act"], strict=True):
                 _assert_same_bits(z, ref_z)
@@ -234,7 +215,7 @@ class TestBitwiseOracle:
         for slope in (0.0, 0.2, 1.0):
             model = init_mlp((1, 1, 1), Rng(0), leaky_slope=slope)
             model.weights[0][...] = 1.0
-            out, cache = forward_cached(model, special)
+            out, cache = forward_cached(model, special, train_mode=True)
             ref_out, ref_cache = _reference_forward(model, special)
             _assert_same_bits(cache["pre_act"][0], ref_cache["pre_act"][0])
             _assert_same_bits(out, ref_out)
@@ -258,7 +239,7 @@ def _clean_regression_setup(widths, seed, margin_guard=None):
         model = init_mlp(widths, rng)
         x = rng.uniform(-1, 1, size=(16, widths[0]))
         y = rng.uniform(-1, 1, size=(16, widths[-1]))
-        out, cache = forward_cached(model, x)
+        out, cache = forward_cached(model, x, train_mode=True)
         if min(np.abs(z).min() for z in cache["pre_act"]) < 1e-3:
             continue
         if margin_guard is not None and not margin_guard(y, out):
@@ -276,7 +257,7 @@ class TestGradients:
         def loss_value():
             return loss.value(y, forward_batch(model, x))
 
-        out, cache = forward_cached(model, x)
+        out, cache = forward_cached(model, x, train_mode=True)
         _, grad_out = loss.value_and_grad(y, out)
         analytic, _ = backward(model, cache, grad_out)
         params = model.parameters()
@@ -293,7 +274,7 @@ class TestGradients:
         def loss_value():
             return loss.value(y, forward_batch(model, x))
 
-        out, cache = forward_cached(model, x)
+        out, cache = forward_cached(model, x, train_mode=True)
         _, grad_out = loss.value_and_grad(y, out)
         analytic, _ = backward(model, cache, grad_out)
         params = model.parameters()
@@ -305,7 +286,7 @@ class TestGradients:
     def test_input_gradient(self):
         model, x, y = _clean_regression_setup((3, 5, 2), seed=17)
         loss = MseLoss()
-        out, cache = forward_cached(model, x)
+        out, cache = forward_cached(model, x, train_mode=True)
         _, grad_out = loss.value_and_grad(y, out)
         _, grad_input = backward(model, cache, grad_out)
         h = 1e-6
@@ -384,9 +365,9 @@ class TestTraining:
         y = x[:, :1] - 0.5 * x[:, 1:]
         config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=20,
                              patience=20, seed=77)
-        m1, _ = train(init_mlp((2, 8, 1), Rng(4), dropout=0.1), (x, y),
+        m1, _ = train(init_mlp((2, 8, 1), Rng(4)), (x, y),
                       MseLoss(), config, (x, y))
-        m2, _ = train(init_mlp((2, 8, 1), Rng(4), dropout=0.1), (x, y),
+        m2, _ = train(init_mlp((2, 8, 1), Rng(4)), (x, y),
                       MseLoss(), config, (x, y))
         for a, b in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(a, b)
@@ -415,25 +396,30 @@ class TestTrainMinibatches:
 
 class TestSerialization:
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        model = init_mlp((3, 7, 7, 2), Rng(12), dropout=0.1)
+        model = init_mlp((3, 7, 7, 2), Rng(12), leaky_slope=0.1)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = MlpModel.load(path)
         assert loaded.widths == model.widths
-        assert loaded.dropout == model.dropout
+        assert loaded.leaky_slope == model.leaky_slope
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("via", ["init_mlp", "from_dict"])
     @pytest.mark.parametrize("setting, value", [
-        ("leaky_slope", -0.1), ("leaky_slope", 1.5), ("leaky_slope", math.nan),
-        ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5)])
+        ("leaky_slope", -0.1), ("leaky_slope", 1.5), ("leaky_slope", math.nan)])
     def test_out_of_range_slope_or_dropout_is_rejected(self, setting, value, via):
         with pytest.raises(ValueError, match=setting.split("_")[-1]):
             if via == "init_mlp":
                 init_mlp((2, 5, 1), Rng(1), **{setting: value})
             else:
                 MlpModel.from_dict({**init_mlp((2, 5, 1), Rng(1)).to_dict(), setting: value})
+
+    def test_bundle_with_dropout_loads_as_the_same_net(self):
+        model = init_mlp((3, 7, 7, 2), Rng(12))
+        loaded = MlpModel.from_dict({**model.to_dict(), "dropout": 0.1})
+        x = Rng(2).uniform(-1, 1, size=(9, 3))
+        _assert_same_bits(forward_batch(loaded, x), forward_batch(model, x))
 
     def test_batch_norm_bundle_is_rejected(self):
         bundle = init_mlp((2, 5, 1), Rng(1)).to_dict()

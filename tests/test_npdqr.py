@@ -102,7 +102,7 @@ class TestExtractRegion:
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
                            membership_indices=np.arange(128), train_dir_count=8)
-        extractor = RegionExtractor(model, grid, prefilter=16)
+        extractor = RegionExtractor(model, grid)
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
         mask_full = np.all(grid.points() @ model.membership_directions.T >= f, axis=1)
