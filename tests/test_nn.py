@@ -168,21 +168,24 @@ def _assert_same_bits(got, want):
 
 class TestBitwiseOracle:
     """The in-place forward, backward and flat Adam against the np.where
-    and per-array code they replaced, over 15 training steps."""
+    and per-array code they replaced, over 15 training steps.  `zeros` is
+    the share of input entries replaced by a zero of the same sign."""
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
+    @pytest.mark.parametrize("zeros", [0.0, 0.3])
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
     @pytest.mark.parametrize("widths", [(1, 64, 64, 64, 1), (4, 64, 64, 64, 1),
                                         (3, 8, 8, 2), (2, 1)])
-    def test_training_steps_match_reference(self, widths, slope, rows):
+    def test_training_steps_match_reference(self, widths, slope, zeros, rows):
         model = init_mlp(widths, Rng(rows), leaky_slope=slope)
         reference = model.copy()
         adam = AdamState.for_params(model.parameters())
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference.parameters()]
-        data_rng = Rng(1)
+        data_rng, zero_rng = Rng(1), Rng(2)
         loss = MseLoss()
         for t in range(1, 16):
             x = data_rng.uniform(-1, 1, size=(rows, widths[0]))
+            x = np.where(zero_rng.uniform(size=x.shape) < zeros, np.copysign(0.0, x), x)
             x[0, 0] = -0.0
             if rows > 1:
                 x[1] = 0.0
