@@ -39,8 +39,6 @@ class DiscreteRegion:
     """Finite point set realizing a quantile region for one input."""
 
     points: np.ndarray
-    space: str = "response"
-    x: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -55,6 +53,29 @@ class DiscreteRegion:
     @property
     def is_empty(self) -> bool:
         return len(self) == 0
+
+
+def conformal_rank(n2: int, alpha: float) -> int:
+    """ceil((n2+1)(1-alpha)): the rank of the calibration score whose
+    threshold guarantees 1 - alpha marginal coverage.
+
+    Raises CalibrationSetTooSmallError when the rank exceeds n2.
+    """
+    if n2 == 0:
+        raise CalibrationSetTooSmallError("calibration set is empty")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    k = int(np.ceil((n2 + 1) * (1.0 - alpha)))
+    if k > n2:
+        raise CalibrationSetTooSmallError(
+            f"need ceil((n2+1)(1-alpha)) = {k} <= n2 = {n2}")
+    return k
+
+
+def _grow_carrier(region: DiscreteRegion, anchor: np.ndarray) -> np.ndarray:
+    """Point set grow-mode distances are measured against: the region, or
+    the anchor point when the region is empty."""
+    return anchor[None, :] if region.is_empty else region.points
 
 
 def gamma_init(region: DiscreteRegion) -> float:
@@ -102,6 +123,7 @@ class CalibratedRule:
     n2: int
     c_init: float
     gamma_init_values: np.ndarray
+    region_sizes: np.ndarray
     anchor: np.ndarray
     complement_threshold: float | None = None
     complement_grid: Grid | None = None
@@ -110,10 +132,7 @@ class CalibratedRule:
     def region_carrier(self, x) -> np.ndarray:
         """Point set distances are measured against under Grow; empty
         regions fall back to the anchor point."""
-        region = self.provider(x)
-        if region.is_empty:
-            return self.anchor[None, :]
-        return region.points
+        return _grow_carrier(self.provider(x), self.anchor)
 
     def complement_carrier(self, x) -> np.ndarray:
         """Grid points farther than the complement threshold from the
@@ -145,6 +164,7 @@ class CalibratedRule:
 
     def to_report(self) -> dict:
         g = np.asarray(self.gamma_init_values, dtype=float)
+        sizes = np.asarray(self.region_sizes)
         return {
             "mode": self.mode,
             "alpha": self.alpha,
@@ -155,57 +175,52 @@ class CalibratedRule:
             "gamma_init_min": float(g.min()) if g.size else None,
             "gamma_init_max": float(g.max()) if g.size else None,
             "complement_threshold": self.complement_threshold,
+            "empty_regions": int((sizes == 0).sum()),
+            "fallback_rows": int((sizes < 2).sum()),
+            "region_size_min": int(sizes.min()) if sizes.size else None,
+            "region_size_median": float(np.median(sizes)) if sizes.size else None,
+            "region_size_max": int(sizes.max()) if sizes.size else None,
         }
 
 
-def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid,
-              fallback_gamma: float = 0.0, anchor=None) -> CalibratedRule:
+def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> CalibratedRule:
     """Choose grow or shrink from the providers' initial coverage on the
     calibration set and fix the distance threshold at the conformity
     quantile that guarantees 1 - alpha marginal coverage.
 
-    Regions with fewer than 2 points use ``fallback_gamma`` as their
-    spacing threshold; empty regions score distances against ``anchor``
-    (default: the area grid's center).
+    Regions with fewer than 2 points have spacing threshold 0; empty
+    regions cover nothing initially and score distances against the area
+    grid's center, the rule's anchor.
     """
     x_cal = np.asarray(x_cal, dtype=float)
     y_cal = np.asarray(y_cal, dtype=float)
     n2 = y_cal.shape[0]
-    if n2 == 0:
-        raise CalibrationSetTooSmallError("calibration set is empty")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    k_grow = int(np.ceil((n2 + 1) * (1.0 - alpha)))
-    if k_grow > n2:
-        raise CalibrationSetTooSmallError(
-            f"need ceil((n2+1)(1-alpha)) = {k_grow} <= n2 = {n2}")
-    if anchor is None:
-        anchor = 0.5 * (np.asarray(area_grid.lows) + np.asarray(area_grid.highs))
-    anchor = np.asarray(anchor, dtype=float)
+    k_grow = conformal_rank(n2, alpha)
+    anchor = 0.5 * (np.asarray(area_grid.lows) + np.asarray(area_grid.highs))
 
-    gammas = np.empty(n2)
-    covered = np.empty(n2, dtype=bool)
+    gammas = np.zeros(n2)
+    sizes = np.empty(n2, dtype=int)
+    covered = np.zeros(n2, dtype=bool)
     grow_scores = np.empty(n2)
     for i in range(n2):
         region = provider(x_cal[i])
-        try:
+        sizes[i] = len(region)
+        if sizes[i] >= 2:
             gammas[i] = gamma_init(region)
-        except DegenerateRegionError:
-            gammas[i] = fallback_gamma
-        if region.is_empty:
-            covered[i] = False
-            grow_scores[i] = float(np.linalg.norm(anchor - y_cal[i]))
-        else:
-            dist = float(min_distances(y_cal[i][None, :], region.points)[0])
-            covered[i] = dist <= gammas[i]
-            grow_scores[i] = dist
+        # Scored on the carrier membership measures, so the scores and
+        # membership agree to the last bit.
+        carrier = _grow_carrier(region, anchor)
+        grow_scores[i] = float(min_distances(y_cal[i][None, :], carrier)[0])
+        if not region.is_empty:
+            covered[i] = grow_scores[i] <= gammas[i]
     c_init = float(covered.mean())
 
     if c_init <= 1.0 - alpha:
         gamma_cal = empirical_quantile(grow_scores, k_grow)
         return CalibratedRule(
             mode=GROW, gamma_cal=gamma_cal, provider=provider, alpha=alpha,
-            n2=n2, c_init=c_init, gamma_init_values=gammas, anchor=anchor,
+            n2=n2, c_init=c_init, gamma_init_values=gammas, region_sizes=sizes,
+            anchor=anchor,
         )
 
     k_shrink = int(np.floor((n2 + 1) * alpha))
@@ -215,8 +230,8 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid,
     threshold = empirical_quantile(gammas, int(np.ceil(0.5 * n2)))
     rule = CalibratedRule(
         mode=SHRINK, gamma_cal=0.0, provider=provider, alpha=alpha,
-        n2=n2, c_init=c_init, gamma_init_values=gammas, anchor=anchor,
-        complement_threshold=threshold, complement_grid=area_grid,
+        n2=n2, c_init=c_init, gamma_init_values=gammas, region_sizes=sizes,
+        anchor=anchor, complement_threshold=threshold, complement_grid=area_grid,
     )
     # Score against the rule's own complement carrier, as membership does.
     shrink_scores = np.empty(n2)

@@ -144,14 +144,6 @@ class ColumnStats:
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ColumnStats":
-        return ColumnStats(np.array(d["mean"], dtype=float),
-                           np.array(d["std"], dtype=float))
-
 
 def _fit_stats(values: np.ndarray, names) -> ColumnStats:
     mean = values.mean(axis=0)

@@ -66,10 +66,11 @@ def default_directional_levels(setting: str, d: int, p: int) -> dict:
 class TrainingProfile:
     """Training budgets for the three model families.
 
-    Defaults follow the published protocol (3x64 nets, Adam 1e-3, batch
-    256 with 512 for the auto-encoder, patience 100/200); the max-epoch
-    caps and the auto-encoder stack are desk-scale knobs every entry
-    point exposes.
+    Defaults follow the published protocol (Adam 1e-3, batch 256 with
+    512 for the auto-encoder, patience 100/200); the max-epoch caps and
+    the auto-encoder stack are desk-scale knobs every entry point
+    exposes. The threshold and interval nets keep their fit functions'
+    3x64 stack and direction counts.
     """
 
     cvae: dict = field(default_factory=lambda: {
@@ -78,12 +79,11 @@ class TrainingProfile:
     })
     dqr: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
-        "patience": 100, "hidden": (64, 64, 64), "pool_size": 2048,
-        "train_directions": 32, "membership_directions": 256,
+        "patience": 100,
     })
     naive: dict = field(default_factory=lambda: {
         "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
-        "patience": 100, "hidden": (64, 64, 64),
+        "patience": 100,
     })
 
     def merged(self, overrides: dict | None) -> "TrainingProfile":
@@ -256,8 +256,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     if method == "naive":
         model = naive_qr.fit(
             x_tr, y_tr, x_v, y_v, alpha=config.alpha,
-            config=_train_config(config.training.naive, seed),
-            hidden=tuple(config.training.naive["hidden"]))
+            config=_train_config(config.training.naive, seed))
         fitted = perf_counter()
         model = naive_qr.calibrate(model, x_cal, y_cal, config.alpha)
         info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted)
@@ -271,14 +270,10 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     dqr_cfg = config.training.dqr
     if method == "npdqr":
         alpha_dir = 1.0 - levels["npdqr"]
-        pool = npdqr.sample_direction_pool(d, dqr_cfg["pool_size"],
+        pool = npdqr.sample_direction_pool(d, npdqr.DEFAULT_POOL_SIZE,
                                            Rng(seed).spawn(41))
-        model = npdqr.fit(
-            x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
-            config=_train_config(dqr_cfg, seed),
-            train_dir_count=dqr_cfg["train_directions"],
-            membership_count=dqr_cfg["membership_directions"],
-            hidden=tuple(dqr_cfg["hidden"]))
+        model = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
+                          config=_train_config(dqr_cfg, seed))
         region_grid = build_grid(y_tr, d, REGION_DISCRETIZATION)
         extractor = npdqr.RegionExtractor(model, region_grid)
         provider = extractor.extract
@@ -295,11 +290,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             lam=config.kl_weight,
             cvae_config=_train_config(cvae_cfg, seed),
             dqr_config=_train_config(dqr_cfg, seed + 1),
-            cvae_hidden=cvae_cfg["hidden"],
-            dqr_hidden=tuple(dqr_cfg["hidden"]),
-            pool_size=dqr_cfg["pool_size"],
-            train_dir_count=dqr_cfg["train_directions"],
-            membership_count=dqr_cfg["membership_directions"])
+            cvae_hidden=cvae_cfg["hidden"])
         provider = model.region
         if save_dir is not None:
             model.save(save_dir / "model")

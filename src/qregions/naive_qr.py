@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationSetTooSmallError
+from .calibration import conformal_rank
 from .nn import (
     MlpModel,
     PinballLoss,
@@ -146,13 +146,7 @@ def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
 def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
     """Set the widening offset to the conformity-score quantile."""
     y_cal = np.atleast_2d(np.asarray(y_cal, dtype=float))
-    n2 = y_cal.shape[0]
-    if n2 == 0:
-        raise CalibrationSetTooSmallError("calibration set is empty")
-    k = int(np.ceil((1.0 - alpha) * (n2 + 1)))
-    if k > n2:
-        raise CalibrationSetTooSmallError(
-            f"need ceil((1-alpha)(n2+1)) = {k} <= n2 = {n2}")
+    k = conformal_rank(y_cal.shape[0], alpha)
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)
     return NaiveModel(model.nets_lo, model.nets_hi, model.alpha,

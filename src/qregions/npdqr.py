@@ -67,6 +67,14 @@ def sample_direction_pool(d: int, count: int, rng: Rng) -> DirectionPool:
     return DirectionPool(dim=d, directions=raw / norms, seed=rng.seed)
 
 
+def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Threshold-net inputs for every (row, direction) pair, row-major:
+    each row repeated once per direction, beside the directions."""
+    return np.concatenate(
+        [np.repeat(x_rows, len(directions), axis=0),
+         np.tile(directions, (x_rows.shape[0], 1))], axis=1)
+
+
 class NpdqrModel:
     """Threshold net plus its direction pool and frozen membership subset.
 
@@ -106,12 +114,8 @@ class NpdqrModel:
         rows_per_chunk = max(1, 262_144 // m)
         for start in range(0, n, rows_per_chunk):
             block = x_rows[start : start + rows_per_chunk]
-            stacked = np.concatenate(
-                [np.repeat(block, m, axis=0), np.tile(directions, (block.shape[0], 1))],
-                axis=1,
-            )
             out[start : start + rows_per_chunk] = forward_batch(
-                self.net, stacked
+                self.net, _pair_inputs(block, directions)
             ).reshape(block.shape[0], m)
         return out
 
@@ -178,18 +182,13 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     loss = PinballLoss(alpha)
 
     # Validation inputs are fixed, so assemble them once.
-    val_stack = np.concatenate(
-        [np.repeat(x_val, len(val_dirs), axis=0),
-         np.tile(val_dirs, (x_val.shape[0], 1))], axis=1)
+    val_stack = _pair_inputs(x_val, val_dirs)
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
     def step(idx):
         dirs = pool.directions[rng.subset(len(pool), train_dir_count)]
-        stacked = np.concatenate(
-            [np.repeat(x_train[idx], len(dirs), axis=0),
-             np.tile(dirs, (len(idx), 1))], axis=1)
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-        out, cache = forward_cached(net, stacked, train_mode=True)
+        out, cache = forward_cached(net, _pair_inputs(x_train[idx], dirs), train_mode=True)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
         grads, _ = backward(net, cache, grad_out)
         return batch_loss, grads
@@ -245,6 +244,5 @@ class RegionExtractor:
             candidate[idx] = keep
         return candidate
 
-    def extract(self, x, space: str = "response") -> DiscreteRegion:
-        return DiscreteRegion(points=self.points[self.mask(x)], space=space,
-                              x=np.asarray(x, dtype=float))
+    def extract(self, x) -> DiscreteRegion:
+        return DiscreteRegion(points=self.points[self.mask(x)])

@@ -1,6 +1,6 @@
 """Deterministic numeric substrate: seeded RNG, order statistics, and the
-special functions behind the analytic coverage formula for directional
-quantile regions of a standard normal vector.
+analytic coverage formula for directional quantile regions of a standard
+normal vector, on scipy's normal and incomplete gamma functions.
 
 All functions are pure. ``Rng`` instances are single-owner: parallel code
 must create independently seeded instances (see ``Rng.spawn``).
@@ -99,128 +99,33 @@ def empirical_quantile(values, k: int) -> float:
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    """Standard normal CDF (``scipy.special.ndtr``)."""
+    # Imported here, as in ``regions``: scipy costs more to import than
+    # all of qregions, and only the analytic coverage formula needs it.
+    from scipy.special import ndtr
 
-
-# Rational approximation coefficients for the inverse normal CDF
-# (Acklam's method; relative error ~1e-9 before refinement).
-_ICDF_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ICDF_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ICDF_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ICDF_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e00, 3.754408661907416e00,
-)
-_ICDF_P_LOW = 0.02425
+    return float(ndtr(x))
 
 
 def std_normal_inv_cdf(p: float) -> float:
-    """Inverse standard normal CDF, |Phi(z) - p| <= 1e-8.
+    """Inverse standard normal CDF (``scipy.special.ndtri``)."""
+    from scipy.special import ndtri
 
-    Rational approximation refined by one Newton step against the
-    erf-based CDF.
-    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"inverse normal CDF requires p in (0,1), got {p}")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - _ICDF_P_LOW:
-        q = p - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    # One Newton step: z' = z - (Phi(z) - p) / phi(z).
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= (std_normal_cdf(z) - p) / pdf
-    return z
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a,x) by series, for x < a+1."""
-    term = 1.0 / a
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-        if n > 10_000:
-            raise RuntimeError("incomplete gamma series failed to converge")
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a,x) by continued fraction
-    (modified Lentz), for x >= a+1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    i = 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-        if i > 10_000:
-            raise RuntimeError("incomplete gamma continued fraction failed to converge")
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a), absolute error <= 1e-8."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"gamma argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_contfrac(a, x)
+    return float(ndtri(p))
 
 
 def chi_squared_cdf(x: float, r: int) -> float:
-    """CDF of the chi-squared distribution with r degrees of freedom."""
+    """CDF of the chi-squared distribution with r degrees of freedom: the
+    regularized lower incomplete gamma P(r/2, x/2) (``scipy.special.gammainc``)."""
+    from scipy.special import gammainc
+
     if r < 1 or int(r) != r:
         raise ValueError(f"degrees of freedom must be a positive integer, got {r}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"chi-squared CDF argument must be nonnegative, got {x}")
-    return regularized_lower_gamma(r / 2.0, x / 2.0)
+    return float(gammainc(r / 2.0, x / 2.0))
 
 
 def dqr_theoretical_coverage(alpha: float, r: int) -> float:

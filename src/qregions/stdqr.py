@@ -91,17 +91,15 @@ class StdqrModel:
         return {**self.cvae.histories, **latent}
 
     def latent_region(self, x) -> DiscreteRegion:
-        return self._extractor.extract(x, space="latent")
+        return self._extractor.extract(x)
 
     def region(self, x) -> DiscreteRegion:
         """Decoded latent region: one response point per latent point."""
         x = np.asarray(x, dtype=float)
-        latent = self._extractor.extract(x, space="latent")
+        latent = self._extractor.extract(x)
         if latent.is_empty:
-            return DiscreteRegion(points=np.zeros((0, self.cvae.d)),
-                                  space="response", x=x)
-        decoded = decode_batch(self.cvae, x[None, :], latent.points)
-        return DiscreteRegion(points=decoded, space="response", x=x)
+            return DiscreteRegion(points=np.zeros((0, self.cvae.d)))
+        return DiscreteRegion(points=decode_batch(self.cvae, x[None, :], latent.points))
 
     def save(self, directory) -> None:
         directory = Path(directory)

@@ -92,7 +92,7 @@ def ring_provider(center_fn, radii=(0.3, 0.6), count=12):
     offsets = np.concatenate([o if o.ndim == 2 else o[None, :] for o in offsets])
 
     def provider(x):
-        return DiscreteRegion(points=center_fn(x) + offsets, x=x)
+        return DiscreteRegion(points=center_fn(x) + offsets)
 
     return provider
 
@@ -150,7 +150,8 @@ class TestCalibrate:
         wider = CalibratedRule(
             mode=GROW, gamma_cal=rule.gamma_cal * 2, provider=rule.provider,
             alpha=rule.alpha, n2=rule.n2, c_init=rule.c_init,
-            gamma_init_values=rule.gamma_init_values, anchor=rule.anchor,
+            gamma_init_values=rule.gamma_init_values,
+            region_sizes=rule.region_sizes, anchor=rule.anchor,
         ).membership(x[0], pts)
         assert np.all(wider[inner])
 
@@ -161,7 +162,7 @@ class TestCalibrate:
         rule = CalibratedRule(
             mode=GROW, gamma_cal=0.0, provider=provider, alpha=0.1, n2=0,
             c_init=0.0, gamma_init_values=np.zeros(0),
-            anchor=np.zeros(2),
+            region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2),
         )
         assert np.all(rule.membership(x[0], region.points))
         off_points = region.points + np.array([1e-6, 0.0])
@@ -176,6 +177,23 @@ class TestCalibrate:
         assert np.isfinite(rule.gamma_cal)
         # Scores were measured from the anchor, so the anchor is covered.
         assert rule.contains(x[0], rule.anchor)
+
+    def test_empty_region_scores_use_membership_distance(self):
+        # np.linalg.norm and the k-d tree round some distances differently;
+        # scores from the former let the row that sets gamma_cal fall
+        # outside its own rule at several of these seeds.
+        empty = lambda _x: DiscreteRegion(points=np.zeros((0, 2)))
+        k = math.ceil(100 * 0.9)
+        for seed in range(40):
+            rng = Rng(seed)
+            x, y = rng.uniform(size=(99, 1)), rng.standard_normal(size=(99, 2))
+            rule = calibrate(empty, x, y, alpha=0.1,
+                             area_grid=build_grid(y, 2, AREA_MEASUREMENT))
+            scores = min_distances(y, rule.anchor[None, :])
+            order = np.argsort(scores, kind="stable")
+            assert rule.gamma_cal == scores[order[k - 1]]
+            row = order[k - 1]
+            assert rule.membership(x[row], y[row][None, :])[0]
 
     def test_coverage_guarantee_monte_carlo(self, gaussian_setup):
         draw, provider, grid = gaussian_setup

@@ -1,12 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qregions
 from qregions import experiment
 from qregions.naive_qr import NaiveModel
-from qregions.npdqr import NpdqrModel
+from qregions.npdqr import NpdqrModel, RegionExtractor
+from qregions.regions import Grid
 from qregions.stdqr import StdqrModel
 
 ROW_KEYS = {"seed", "coverage", "area", "delta_coverage", "per_cluster_coverage",
@@ -82,6 +89,27 @@ class TestRunExperiment:
             assert all(h.epochs_run == len(h.val_losses) == 60
                        for h in model.histories.values())
 
+    def test_rows_carry_calibration_counts(self, smoke_run):
+        result, out_dir = smoke_run
+        config = smoke_config(experiment.METHODS, out_dir)
+        prep = experiment.prepare(experiment.load_dataset(config.dataset), 0)
+        model_dir = out_dir / "npdqr" / "0" / "model"
+        grid = Grid.from_dict(json.loads((model_dir / "region_grid.json").read_text()))
+        providers = {
+            "npdqr": RegionExtractor(NpdqrModel.load(model_dir), grid).extract,
+            "stdqr": StdqrModel.load(out_dir / "stdqr" / "0" / "model").region,
+        }
+        rows = {row["method"]: row for row in result["rows"]}
+        for method, provider in providers.items():
+            sizes = np.array([len(provider(x)) for x in prep.x["calibration"]])
+            report = rows[method]["calibration"]
+            assert report["n2"] == len(sizes)
+            assert report["empty_regions"] == int((sizes == 0).sum())
+            assert report["fallback_rows"] == int((sizes < 2).sum())
+            assert report["region_size_min"] == int(sizes.min())
+            assert report["region_size_median"] == float(np.median(sizes))
+            assert report["region_size_max"] == int(sizes.max())
+
     def test_failed_cell_keeps_its_traceback(self, tmp_path, monkeypatch):
         def broken_fit(*args, **kwargs):
             raise RuntimeError("broken naive fit")
@@ -108,3 +136,15 @@ class TestTrainingProfile:
         for key, value in (("batch_norm", True), ("dropout", 0.1)):
             with pytest.raises(ValueError, match=key):
                 experiment.TrainingProfile().merged({"cvae": {key: value}})
+
+
+def test_import_loads_no_scipy():
+    # regions and numerics import scipy inside the functions that need it,
+    # so loading the driver stays cheap.
+    src = str(Path(qregions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, qregions.experiment; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "[]"

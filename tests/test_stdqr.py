@@ -87,7 +87,7 @@ class TestRegionComposition:
         model._extractor = type(model._extractor)(model.latent_model, model.latent_grid)
         result = model.region([0.0])
         assert result.is_empty
-        assert result.space == "response"
+        assert result.points.shape == (0, model.cvae.d)
 
 
 @pytest.fixture(scope="module")
