@@ -4,14 +4,16 @@ A region provider maps an input x to a finite point set in response
 space. Calibration measures how often the provider's dilated point sets
 capture held-out responses, then either grows the dilation radius or
 shrinks the region via its complement until the empirical rule hits the
-requested coverage. Membership afterwards is a pure distance query, so
-the calibrated rule works for any provider, any dimension, and any
-response distribution.
+requested coverage. Each mode has one conformity score, a distance that
+``CalibratedRule.scores`` computes: calibration ranks it, and membership
+and area compare it with the calibrated threshold. So the calibrated
+rule works for any provider, any dimension, and any response
+distribution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +26,6 @@ SHRINK = "shrink"
 
 class DegenerateRegionError(ValueError):
     """Region with fewer than 2 points has no neighbor spacing."""
-
-
-class DegenerateComplementError(ValueError):
-    """Shrink calibration found no carrier points outside a region."""
 
 
 class CalibrationSetTooSmallError(ValueError):
@@ -107,13 +105,14 @@ class CalibratedRule:
     Grow mode covers y when its distance to the region point set is at
     most gamma_cal. Shrink mode covers y when its distance to the
     complement carrier (grid points farther than complement_threshold
-    from the region) is at least gamma_cal.
+    from the region) is at least gamma_cal; with no complement carrier
+    that distance is +inf, so every y is covered.
 
-    Membership is by construction the same distance rule the conformity
-    scores were computed with, which is what the coverage guarantee
-    needs. One consequence of the finite complement carrier: a shrink
-    rule queried far outside its carrier grid reports membership
-    vacuously, so shrink rules are meaningful on and near that grid.
+    Membership compares the same score calibration ranked, which is what
+    the coverage guarantee needs. One consequence of the finite
+    complement carrier: a shrink rule queried far outside its carrier
+    grid reports membership vacuously, so shrink rules are meaningful on
+    and near that grid.
     """
 
     mode: str
@@ -126,8 +125,7 @@ class CalibratedRule:
     region_sizes: np.ndarray
     anchor: np.ndarray
     complement_threshold: float | None = None
-    complement_grid: Grid | None = None
-    _complement_points: np.ndarray | None = field(default=None, repr=False)
+    complement_points: np.ndarray | None = None
 
     def region_carrier(self, x) -> np.ndarray:
         """Point set distances are measured against under Grow; empty
@@ -138,29 +136,29 @@ class CalibratedRule:
         """Grid points farther than the complement threshold from the
         region (may be empty when the region blankets the grid)."""
         region = self.provider(x)
-        pts = self._complement_grid_points()
         if region.is_empty:
-            return pts
-        dist = min_distances(pts, region.points)
-        return pts[dist > self.complement_threshold]
+            return self.complement_points
+        dist = min_distances(self.complement_points, region.points)
+        return self.complement_points[dist > self.complement_threshold]
 
-    def _complement_grid_points(self) -> np.ndarray:
-        if self._complement_points is None:
-            self._complement_points = self.complement_grid.points()
-        return self._complement_points
+    def scores(self, x, points) -> np.ndarray:
+        """Conformity score of each candidate point for one input: the
+        distance to the region carrier (grow), or to the complement
+        carrier, +inf when there is none (shrink)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.mode == GROW:
+            return min_distances(points, self.region_carrier(x))
+        complement = self.complement_carrier(x)
+        if complement.shape[0] == 0:
+            return np.full(points.shape[0], np.inf)
+        return min_distances(points, complement)
 
     def membership(self, x, points) -> np.ndarray:
         """Vectorized membership of many candidate points for one input."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        scores = self.scores(x, points)
         if self.mode == GROW:
-            return min_distances(points, self.region_carrier(x)) <= self.gamma_cal
-        complement = self.complement_carrier(x)
-        if complement.shape[0] == 0:
-            return np.ones(points.shape[0], dtype=bool)
-        return min_distances(points, complement) >= self.gamma_cal
-
-    def contains(self, x, y) -> bool:
-        return bool(self.membership(x, np.atleast_2d(np.asarray(y, dtype=float)))[0])
+            return scores <= self.gamma_cal
+        return scores >= self.gamma_cal
 
     def to_report(self) -> dict:
         g = np.asarray(self.gamma_init_values, dtype=float)
@@ -170,7 +168,8 @@ class CalibratedRule:
             "alpha": self.alpha,
             "n2": self.n2,
             "c_init": self.c_init,
-            "gamma_cal": self.gamma_cal,
+            # Infinite when too few rows leave a complement; null keeps JSON valid.
+            "gamma_cal": self.gamma_cal if np.isfinite(self.gamma_cal) else None,
             "gamma_init_median": float(np.median(g)) if g.size else None,
             "gamma_init_min": float(g.min()) if g.size else None,
             "gamma_init_max": float(g.max()) if g.size else None,
@@ -190,7 +189,8 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
 
     Regions with fewer than 2 points have spacing threshold 0; empty
     regions cover nothing initially and score distances against the area
-    grid's center, the rule's anchor.
+    grid's center, the rule's anchor. In shrink mode a region that leaves
+    no complement carrier scores +inf, as membership treats it.
     """
     x_cal = np.asarray(x_cal, dtype=float)
     y_cal = np.asarray(y_cal, dtype=float)
@@ -207,39 +207,29 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
         sizes[i] = len(region)
         if sizes[i] >= 2:
             gammas[i] = gamma_init(region)
-        # Scored on the carrier membership measures, so the scores and
-        # membership agree to the last bit.
+        # The grow score of ``CalibratedRule.scores``, from the region
+        # already in hand, so the scores and membership agree to the last bit.
         carrier = _grow_carrier(region, anchor)
         grow_scores[i] = float(min_distances(y_cal[i][None, :], carrier)[0])
         if not region.is_empty:
             covered[i] = grow_scores[i] <= gammas[i]
     c_init = float(covered.mean())
 
-    if c_init <= 1.0 - alpha:
-        gamma_cal = empirical_quantile(grow_scores, k_grow)
-        return CalibratedRule(
-            mode=GROW, gamma_cal=gamma_cal, provider=provider, alpha=alpha,
-            n2=n2, c_init=c_init, gamma_init_values=gammas, region_sizes=sizes,
-            anchor=anchor,
-        )
+    rule = CalibratedRule(
+        mode=GROW if c_init <= 1.0 - alpha else SHRINK, gamma_cal=0.0,
+        provider=provider, alpha=alpha, n2=n2, c_init=c_init,
+        gamma_init_values=gammas, region_sizes=sizes, anchor=anchor,
+    )
+    if rule.mode == GROW:
+        rule.gamma_cal = empirical_quantile(grow_scores, k_grow)
+        return rule
 
     k_shrink = int(np.floor((n2 + 1) * alpha))
     if k_shrink < 1:
         raise CalibrationSetTooSmallError(
             f"need floor((n2+1) alpha) >= 1, got {k_shrink}")
-    threshold = empirical_quantile(gammas, int(np.ceil(0.5 * n2)))
-    rule = CalibratedRule(
-        mode=SHRINK, gamma_cal=0.0, provider=provider, alpha=alpha,
-        n2=n2, c_init=c_init, gamma_init_values=gammas, region_sizes=sizes,
-        anchor=anchor, complement_threshold=threshold, complement_grid=area_grid,
-    )
-    # Score against the rule's own complement carrier, as membership does.
-    shrink_scores = np.empty(n2)
-    for i in range(n2):
-        complement = rule.complement_carrier(x_cal[i])
-        if complement.shape[0] == 0:
-            raise DegenerateComplementError(
-                f"region at calibration row {i} leaves no complement carrier")
-        shrink_scores[i] = float(min_distances(y_cal[i][None, :], complement)[0])
+    rule.complement_threshold = empirical_quantile(gammas, int(np.ceil(0.5 * n2)))
+    rule.complement_points = area_grid.points()
+    shrink_scores = [rule.scores(x_cal[i], y_cal[i])[0] for i in range(n2)]
     rule.gamma_cal = empirical_quantile(shrink_scores, k_shrink)
     return rule

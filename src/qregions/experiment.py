@@ -14,6 +14,7 @@ import hashlib
 import json
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -35,7 +36,6 @@ from .metrics import (
     cluster_coverages,
     delta_coverage,
     kmeans,
-    membership_flags,
 )
 from .nn import TrainConfig
 from .numerics import Rng
@@ -214,7 +214,10 @@ class DistanceRule:
         self.rule = rule
 
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
-        return membership_flags(self.rule, x_rows, y_rows)
+        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+        y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
+        return np.array([self.rule.membership(x, y[None])[0]
+                         for x, y in zip(x_rows, y_rows)], dtype=bool)
 
     def area_cells(self, x, area_grid) -> int:
         return area(self.rule.membership, x, area_grid)
@@ -233,7 +236,7 @@ class RectangleRule:
         return naive_qr.membership_flags(self.model, x_rows, y_rows)
 
     def area_cells(self, x, area_grid) -> int:
-        return naive_qr.region(self.model, x).grid_cell_count(area_grid)
+        return area(partial(naive_qr.membership_flags, self.model), x, area_grid)
 
     def report(self) -> dict:
         return {"mode": "interval-widening", "offset": self.model.offset,

@@ -68,18 +68,6 @@ class EvaluationReport:
         }
 
 
-def membership_flags(rule, x_rows, y_rows) -> np.ndarray:
-    """Per-row membership of each response in its input's region.
-
-    ``rule`` must expose ``contains(x, y)``, as ``CalibratedRule`` does;
-    ``experiment.DistanceRule.membership_rows`` answers through this.
-    """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
-    return np.array([rule.contains(x_rows[i], y_rows[i]) for i in range(len(y_rows))],
-                    dtype=bool)
-
-
 def _kmeans_once(x: np.ndarray, k: int, rng: Rng, max_iters: int):
     n = x.shape[0]
     # Seeding: spread initial centroids with distance-weighted sampling.
@@ -167,9 +155,13 @@ def cluster_coverages(flags: np.ndarray, labels: np.ndarray, k: int) -> list:
 
 def delta_coverage(rule, x_rows, y_rows, clusters: ClusterAssignment,
                    alpha: float, flags=None) -> float:
-    """Mean absolute deviation of per-cluster coverage from 1 - alpha."""
+    """Mean absolute deviation of per-cluster coverage from 1 - alpha.
+
+    ``flags`` defaults to ``rule.membership_rows(x_rows, y_rows)``, as
+    either rule adapter of ``experiment`` answers it.
+    """
     if flags is None:
-        flags = membership_flags(rule, x_rows, y_rows)
+        flags = rule.membership_rows(x_rows, y_rows)
     flags = np.asarray(flags, dtype=bool)
     per_cluster = cluster_coverages(flags, clusters.labels, clusters.k)
     return float(np.mean([abs(c - (1.0 - alpha)) for c in per_cluster]))

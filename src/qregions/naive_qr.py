@@ -3,16 +3,16 @@ regions, with conformal widening of all faces by a single offset.
 
 Each response dimension gets an independent lower and upper pinball
 regressor so that the product of the per-dimension intervals reaches the
-target coverage by a union bound. Calibration computes the classic
-interval conformity score per dimension, takes the worst dimension, and
-widens (or shrinks, when negative) every interval by the empirical
-quantile of those scores.
+target coverage by a union bound. The conformity score of a response
+is its worst per-dimension interval violation. Calibration sets the
+offset to the empirical quantile of those scores, and a response is in
+the region when its score is at most the offset: every interval widened
+(or shrunk, when negative) by it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,25 +28,8 @@ from .nn import (
     train,
 )
 from .numerics import Rng, empirical_quantile
-from .regions import Grid
 
 DEFAULT_HIDDEN = (64, 64, 64)
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned box; empty when any interval is crossed."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def grid_cell_count(self, grid: Grid) -> int:
-        """Number of grid cell centers inside; decomposes per dimension."""
-        count = 1
-        for j in range(grid.dim):
-            centers = grid.axis_centers(j)
-            count *= int(((centers >= self.lower[j]) & (centers <= self.upper[j])).sum())
-        return count
 
 
 def quantile_levels(alpha: float, d: int):
@@ -153,16 +136,8 @@ def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
                       offset=offset, histories=model.histories)
 
 
-def region(model: NaiveModel, x) -> Rectangle:
-    """Per-dimension intervals widened by the calibration offset."""
-    offset = model.offset if model.offset is not None else 0.0
-    lo, hi = model.bounds(np.atleast_2d(np.asarray(x, dtype=float)))
-    return Rectangle(lower=lo[0] - offset, upper=hi[0] + offset)
-
-
 def membership_flags(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
-    """Vectorized rectangle membership of each (x, y) pair."""
+    """Whether each response's conformity score is at most the offset; one
+    x row broadcasts against many y rows."""
     offset = model.offset if model.offset is not None else 0.0
-    y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
-    lo, hi = model.bounds(x_rows)
-    return np.all((y_rows >= lo - offset) & (y_rows <= hi + offset), axis=1)
+    return cqr_scores(model, x_rows, y_rows) <= offset

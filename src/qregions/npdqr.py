@@ -83,13 +83,11 @@ class NpdqrModel:
     """
 
     def __init__(self, net: MlpModel, pool: DirectionPool, alpha: float,
-                 membership_indices: np.ndarray, train_dir_count: int,
-                 histories: dict | None = None):
+                 membership_indices: np.ndarray, histories: dict | None = None):
         self.net = net
         self.pool = pool
         self.alpha = float(alpha)
         self.membership_indices = np.asarray(membership_indices, dtype=int)
-        self.train_dir_count = int(train_dir_count)
         self.histories = dict(histories or {})
 
     @property
@@ -129,7 +127,6 @@ class NpdqrModel:
             "pool_size": len(self.pool),
             "dim": self.pool.dim,
             "membership_indices": self.membership_indices.tolist(),
-            "train_dir_count": self.train_dir_count,
             "histories": {net: h.to_dict() for net, h in self.histories.items()},
         }
         (directory / "npdqr_meta.json").write_text(json.dumps(meta))
@@ -144,20 +141,19 @@ class NpdqrModel:
             pool=pool,
             alpha=meta["alpha"],
             membership_indices=np.array(meta["membership_indices"], dtype=int),
-            train_dir_count=meta["train_dir_count"],
             histories={net: TrainHistory.from_dict(h)
                        for net, h in meta.get("histories", {}).items()},
         )
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
-        config: TrainConfig, train_dir_count: int = DEFAULT_TRAIN_DIRECTIONS,
+        config: TrainConfig, train_directions: int = DEFAULT_TRAIN_DIRECTIONS,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS,
         hidden=DEFAULT_HIDDEN) -> NpdqrModel:
     """Pinball-train the threshold net on direction projections.
 
     Each gradient step pairs one batch of rows with a fresh sample of
-    ``train_dir_count`` pool directions; the target for (row i,
+    ``train_directions`` pool directions; the target for (row i,
     direction u) is the projection u . y_i and the loss level is alpha,
     so the net estimates the lower directional quantile.
     """
@@ -169,14 +165,14 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     if y_train.shape[1] != pool.dim:
         raise ValueError(f"responses have {y_train.shape[1]} dims, pool has {pool.dim}")
-    if not 1 <= train_dir_count <= len(pool):
+    if not 1 <= train_directions <= len(pool):
         raise ValueError("train direction count must fit in the pool")
     if not 1 <= membership_count <= len(pool):
         raise ValueError("membership direction count must fit in the pool")
     n, p = x_train.shape
     rng = Rng(config.seed)
     membership_indices = rng.spawn(2).subset(len(pool), membership_count)
-    val_dirs = pool.directions[rng.spawn(3).subset(len(pool), train_dir_count)]
+    val_dirs = pool.directions[rng.spawn(3).subset(len(pool), train_directions)]
 
     net = init_mlp((p + pool.dim, *hidden, 1), rng.spawn(4))
     loss = PinballLoss(alpha)
@@ -186,7 +182,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
     def step(idx):
-        dirs = pool.directions[rng.subset(len(pool), train_dir_count)]
+        dirs = pool.directions[rng.subset(len(pool), train_directions)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
         out, cache = forward_cached(net, _pair_inputs(x_train[idx], dirs), train_mode=True)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
@@ -197,9 +193,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
         return loss.value(val_targets, forward_batch(net, val_stack))
 
     history = train_minibatches(net.parameters(), n, step, val_loss, config, rng)
-    return NpdqrModel(net=net, pool=pool, alpha=alpha,
-                      membership_indices=membership_indices,
-                      train_dir_count=train_dir_count,
+    return NpdqrModel(net=net, pool=pool, alpha=alpha, membership_indices=membership_indices,
                       histories={"threshold": history})
 
 

@@ -30,7 +30,6 @@ from .nn import TrainConfig
 from .npdqr import (
     DEFAULT_MEMBERSHIP_DIRECTIONS,
     DEFAULT_POOL_SIZE,
-    DEFAULT_TRAIN_DIRECTIONS,
     DirectionPool,
     NpdqrModel,
     RegionExtractor,
@@ -148,7 +147,6 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         cvae_hidden=None,
         dqr_hidden=(64, 64, 64), pool: DirectionPool | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
-        train_dir_count: int = DEFAULT_TRAIN_DIRECTIONS,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
@@ -175,7 +173,6 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         pool = sample_direction_pool(r, pool_size, Rng(dqr_config.seed).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
                              pool=pool, config=dqr_config,
-                             train_dir_count=train_dir_count,
                              membership_count=membership_count,
                              hidden=dqr_hidden)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=latent_grid,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from qregions.calibration import (
     SHRINK,
     CalibratedRule,
     CalibrationSetTooSmallError,
-    DegenerateComplementError,
     DegenerateRegionError,
     DiscreteRegion,
     base_contains,
@@ -176,7 +176,7 @@ class TestCalibrate:
         assert rule.mode == GROW
         assert np.isfinite(rule.gamma_cal)
         # Scores were measured from the anchor, so the anchor is covered.
-        assert rule.contains(x[0], rule.anchor)
+        assert rule.membership(x[0], rule.anchor[None])[0]
 
     def test_empty_region_scores_use_membership_distance(self):
         # np.linalg.norm and the k-d tree round some distances differently;
@@ -203,7 +203,7 @@ class TestCalibrate:
             x_cal, y_cal = draw(n2)
             rule = calibrate(provider, x_cal, y_cal, alpha, grid)
             x_test, y_test = draw(n_test)
-            hits = [rule.contains(x_test[i], y_test[i]) for i in range(n_test)]
+            hits = [rule.membership(x_test[i], y_test[i][None])[0] for i in range(n_test)]
             coverages.append(float(np.mean(hits)))
         mean_cov = float(np.mean(coverages))
         se = float(np.std(coverages) / math.sqrt(trials))
@@ -278,23 +278,45 @@ class TestShrink:
         scores = np.sort(min_distances(y, complement))
         assert rule.gamma_cal == pytest.approx(scores[9])  # floor(100 * 0.1) = 10th
 
-    def test_blanket_region_has_no_complement(self, disc_setup):
+    def test_blanket_region_calibrates_with_infinite_threshold(self, disc_setup):
+        # No grid point lies outside the region, so every calibration row
+        # scores +inf (infinitely inside) and the threshold is +inf.
         _, grid, draw, _ = disc_setup
         blanket = lambda _x: DiscreteRegion(points=grid.points())
         x, y = draw(99)
-        with pytest.raises(DegenerateComplementError):
-            calibrate(blanket, x, y, alpha=0.1, area_grid=grid)
+        rule = calibrate(blanket, x, y, alpha=0.1, area_grid=grid)
+        assert rule.mode == SHRINK
+        assert rule.gamma_cal == math.inf
+        assert np.all(rule.membership(x[0], grid.points()))
+        report = json.loads(json.dumps(rule.to_report(), allow_nan=False))
+        assert report["gamma_cal"] is None
 
-    def test_calibrated_contains_helper(self, disc_setup):
+    def test_blanketed_rows_score_infinitely_inside(self, disc_setup):
+        # Rows whose region blankets the grid score +inf and are covered;
+        # the others are scored against their complement as usual.
+        provider, grid, draw, _ = disc_setup
+        x, y = draw(99)
+        x[::3] = 2.0  # every third input gets the blanket
+        blanket_or_disc = lambda xi: (DiscreteRegion(points=grid.points())
+                                      if xi[0] == 2.0 else provider(xi))
+        rule = calibrate(blanket_or_disc, x, y, alpha=0.1, area_grid=grid)
+        assert rule.mode == SHRINK and np.isfinite(rule.gamma_cal)
+        assert np.all(rule.scores(x[0], y) == math.inf)
+        assert np.all(rule.membership(x[0], grid.points()))
+        scores = np.array([rule.scores(x[i], y[i])[0] for i in range(99)])
+        assert np.all(np.isinf(scores[::3]))
+        assert rule.gamma_cal == np.sort(scores)[9]
+
+    def test_calibrated_membership_inside_and_outside(self, disc_setup):
         provider, grid, draw, region_pts = disc_setup
         x, y = draw(99)
         rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
-        assert rule.contains(x[0], np.zeros(2))
+        assert rule.membership(x[0], np.zeros((1, 2)))[0]
         # A grid point just outside the disc sits in the complement.
         outside = grid.points()[
             np.argmax(np.linalg.norm(grid.points(), axis=1) >= 2.2 + 3 * rule.complement_threshold)
         ]
-        assert not rule.contains(x[0], outside)
+        assert not rule.membership(x[0], outside[None])[0]
 
     def test_coverage_guarantee_monte_carlo(self, disc_setup):
         provider, grid, draw, _ = disc_setup
@@ -305,7 +327,7 @@ class TestShrink:
             rule = calibrate(provider, x_cal, y_cal, alpha, grid)
             assert rule.mode == SHRINK
             x_test, y_test = draw(n_test)
-            hits = [rule.contains(x_test[i], y_test[i]) for i in range(n_test)]
+            hits = [rule.membership(x_test[i], y_test[i][None])[0] for i in range(n_test)]
             coverages.append(float(np.mean(hits)))
         mean_cov = float(np.mean(coverages))
         se = float(np.std(coverages) / math.sqrt(trials))

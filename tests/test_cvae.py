@@ -128,7 +128,7 @@ def nonlinear_cvae():
     normalized, _, _ = zscore_fit_apply(data, parts.train)
     x_tr, y_tr = normalized.x[parts.train], normalized.y[parts.train]
     x_v, y_v = normalized.x[parts.validation], normalized.y[parts.validation]
-    config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1000,
+    config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1100,
                          patience=150, seed=0)
     model = fit(x_tr, y_tr, x_v, y_v, r=3, lam=0.01, config=config,
                 hidden=(64, 64, 64))
@@ -161,6 +161,11 @@ class TestFit:
         # far below the response scale (~0.58 for uniform(-1, 1) data).
         assert np.max(np.abs(mu)) <= 0.15
         assert np.max(np.abs(logvar)) <= 0.15
+
+    def test_nonlinear_fixture_stops_before_its_cap(self, nonlinear_cvae):
+        # The assertions that share the fixture see a converged net.
+        model, _, _ = nonlinear_cvae
+        assert not model.histories["cvae"].hit_cap
 
     def test_nonlinear_reconstruction_quality(self, nonlinear_cvae):
         model, _, (x_cal, y_cal) = nonlinear_cvae

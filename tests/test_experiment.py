@@ -123,6 +123,21 @@ class TestRunExperiment:
         assert [a["method"] for a in result["aggregate"]] == ["npdqr"]
 
 
+def test_cell_whose_region_blankets_the_grid_finishes():
+    # At directional level 0.995 some calibration regions leave no
+    # complement carrier; they score +inf and the cell still calibrates.
+    config = experiment.ExperimentConfig(
+        dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
+                 "n": 600, "seed": 0},
+        methods=("npdqr",), directional_levels={"npdqr": 0.995}, seeds=(0,),
+        training=experiment.desk_scale_profile())
+    (row,) = experiment.run_experiment(config)["rows"]
+    assert "error" not in row, row.get("traceback")
+    assert row["calibration"]["mode"] == "shrink"
+    assert 0.0 <= row["coverage"] <= 1.0 and row["area"] > 0.0
+    json.dumps(row, allow_nan=False)
+
+
 class TestTrainingProfile:
     def test_desk_scale_profile_merges(self):
         profile = experiment.desk_scale_profile()

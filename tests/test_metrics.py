@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qregions.calibration import GROW, CalibratedRule, DiscreteRegion
+from qregions.experiment import DistanceRule, RectangleRule
 from qregions.metrics import (
     ClusterAssignment,
     ConstraintUnsatisfiedError,
@@ -8,33 +10,41 @@ from qregions.metrics import (
     cluster_coverages,
     delta_coverage,
     kmeans,
-    membership_flags,
     within_cluster_ss,
 )
+from qregions.naive_qr import NaiveModel
+from qregions.nn import init_mlp
 from qregions.numerics import Rng
 
 
-class AllRule:
-    def contains(self, x, y):
-        return True
+def ball_rule(radius):
+    """Grow rule around the origin: covers y when |y| <= radius."""
+    return DistanceRule(CalibratedRule(
+        mode=GROW, gamma_cal=radius,
+        provider=lambda _x: DiscreteRegion(points=np.zeros((1, 2))),
+        alpha=0.1, n2=0, c_init=0.0, gamma_init_values=np.zeros(0),
+        region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2)))
 
 
-class NoneRule:
-    def contains(self, x, y):
-        return False
+def constant_net(value):
+    net = init_mlp((1, 1), Rng(0))
+    net.weights[0][...] = 0.0
+    net.biases[0][...] = value
+    return net
 
 
-class BallRule:
-    def __init__(self, radius):
-        self.radius = radius
+def always_rule():
+    return ball_rule(np.inf)
 
-    def contains(self, x, y):
-        return bool(np.linalg.norm(np.asarray(y)) <= self.radius)
+
+def never_rule():
+    # A distance is never negative.
+    return ball_rule(-1.0)
 
 
 def coverage(rule, x_rows, y_rows) -> float:
     """Fraction of test pairs whose response falls in the region."""
-    flags = membership_flags(rule, x_rows, y_rows)
+    flags = rule.membership_rows(x_rows, y_rows)
     if len(flags) == 0:
         raise ValueError("coverage over an empty test set is undefined")
     return float(np.mean(flags))
@@ -44,20 +54,20 @@ class TestCoverage:
     def test_extremes(self):
         x = np.zeros((10, 1))
         y = Rng(0).uniform(size=(10, 2))
-        assert coverage(AllRule(), x, y) == 1.0
-        assert coverage(NoneRule(), x, y) == 0.0
+        assert coverage(always_rule(), x, y) == 1.0
+        assert coverage(never_rule(), x, y) == 0.0
 
     def test_matches_flag_mean(self):
         rng = Rng(1)
         x = np.zeros((200, 1))
         y = rng.standard_normal(size=(200, 2))
-        rule = BallRule(1.2)
-        flags = membership_flags(rule, x, y)
+        rule = ball_rule(1.2)
+        flags = rule.membership_rows(x, y)
         assert coverage(rule, x, y) == pytest.approx(flags.mean())
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            coverage(AllRule(), np.zeros((0, 1)), np.zeros((0, 2)))
+            coverage(always_rule(), np.zeros((0, 1)), np.zeros((0, 2)))
 
 
 class TestKmeans:
@@ -147,6 +157,19 @@ class TestDeltaCoverage:
         sizes = clusters.sizes()
         weighted = float(np.dot(per_cluster, sizes) / sizes.sum())
         assert weighted == pytest.approx(float(flags.mean()))
+
+    def test_flags_default_to_the_rules_membership_rows(self):
+        rng = Rng(6)
+        x = rng.uniform(size=(120, 1))
+        y = rng.standard_normal(size=(120, 2))
+        clusters = kmeans(x, k=3, seed=0)
+        box = NaiveModel([constant_net(-1.0)] * 2, [constant_net(1.0)] * 2,
+                         alpha=0.1, offset=0.0)
+        for rule in (ball_rule(1.2), RectangleRule(box)):
+            flags = rule.membership_rows(x, y)
+            assert 0 < flags.sum() < len(flags)
+            assert delta_coverage(rule, x, y, clusters, alpha=0.1) == \
+                delta_coverage(rule, x, y, clusters, alpha=0.1, flags=flags)
 
 
 class TestEvaluationReport:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,15 +6,14 @@ import numpy as np
 import pytest
 
 from qregions.calibration import CalibrationSetTooSmallError
+from qregions.experiment import RectangleRule
 from qregions.naive_qr import (
     NaiveModel,
-    Rectangle,
     calibrate,
     cqr_scores,
     fit,
     membership_flags,
     quantile_levels,
-    region,
 )
 from qregions.nn import MlpModel, TrainConfig, init_mlp
 from qregions.numerics import Rng
@@ -34,8 +34,25 @@ def box_model(lo_values, hi_values, alpha=0.1, offset=None):
     return NaiveModel(nets_lo, nets_hi, alpha, offset=offset)
 
 
-def box_volume(box):
-    return float(np.prod(np.maximum(box.upper - box.lower, 0.0)))
+def box_volume(lower, upper):
+    return float(np.prod(np.maximum(np.asarray(upper) - np.asarray(lower), 0.0)))
+
+
+def corners(lower, upper):
+    """Every corner of the box [lower, upper], one per row."""
+    return np.array(list(itertools.product(*zip(lower, upper))))
+
+
+def just_outside(lower, upper, step=1e-9):
+    """Points a step outside each face, at the middle of that face."""
+    center = 0.5 * (np.asarray(lower) + np.asarray(upper))
+    points = []
+    for j in range(len(lower)):
+        for end in (lower[j] - step, upper[j] + step):
+            point = center.copy()
+            point[j] = end
+            points.append(point)
+    return np.array(points)
 
 
 class TestLevels:
@@ -75,8 +92,22 @@ class TestCalibrate:
         y = rng.uniform(-1.0, 1.0, size=(99, 1))
         calibrated = calibrate(model, x, y, alpha=0.1)
         assert calibrated.offset < 0.0
-        box = region(calibrated, [0.0])
-        assert box.lower[0] > -10.0 and box.upper[0] < 10.0
+        # The base box's own faces now lie outside the calibrated box.
+        assert not membership_flags(calibrated, [[0.0]], [[-10.0], [10.0]]).any()
+
+    def test_offset_row_is_covered(self):
+        # The row whose score sets the offset must lie inside its own
+        # calibrated box, to the last bit.
+        k = math.ceil(100 * 0.9)
+        for seed in range(200):
+            rng = Rng(seed)
+            model = box_model(rng.uniform(-1.0, 0.0, size=2), rng.uniform(0.0, 1.0, size=2))
+            x, y = rng.uniform(size=(99, 1)), rng.standard_normal(size=(99, 2))
+            calibrated = calibrate(model, x, y, alpha=0.1)
+            scores = cqr_scores(model, x, y)
+            row = np.argsort(scores, kind="stable")[k - 1]
+            assert calibrated.offset == scores[row]
+            assert membership_flags(calibrated, x[row], y[row])[0], seed
 
     def test_too_small_calibration_set(self):
         model = box_model([0.0], [1.0])
@@ -87,29 +118,34 @@ class TestCalibrate:
 class TestRegion:
     def test_zero_offset_degenerate_point(self):
         model = box_model([0.7, -0.2], [0.7, -0.2], offset=0.0)
-        box = region(model, [0.0])
-        assert np.allclose(box.lower, box.upper)
         assert membership_flags(model, [[0.0]], [[0.7, -0.2]])[0]
-        assert box_volume(box) == 0.0
+        # Zero width: a step off the point along any axis leaves the box.
+        off = just_outside([0.7, -0.2], [0.7, -0.2])
+        assert not membership_flags(model, [[0.0]], off).any()
+        assert box_volume([0.7, -0.2], [0.7, -0.2]) == 0.0
 
     def test_unit_square_widened_by_one(self):
         model = box_model([0.0, 0.0], [1.0, 1.0], offset=1.0)
-        box = region(model, [0.0])
-        assert np.allclose(box.lower, [-1.0, -1.0])
-        assert np.allclose(box.upper, [2.0, 2.0])
-        assert box_volume(box) == pytest.approx(9.0)
+        lower, upper = [-1.0, -1.0], [2.0, 2.0]
+        assert membership_flags(model, [[0.0]], corners(lower, upper)).all()
+        assert not membership_flags(model, [[0.0]], just_outside(lower, upper)).any()
+        assert box_volume(lower, upper) == pytest.approx(9.0)
 
     def test_grid_count_matches_volume(self):
         responses = Rng(3).uniform(-2.0, 2.0, size=(400, 2))
         grid = build_grid(responses, 2, AREA_MEASUREMENT)
         model = box_model([-1.0, -0.5], [1.0, 1.5], offset=0.0)
-        box = region(model, [0.0])
-        count = box.grid_cell_count(grid)
+        lower, upper = np.array([-1.0, -0.5]), np.array([1.0, 1.5])
+        count = RectangleRule(model).area_cells([0.0], grid)
+        # The count decomposes per dimension.
+        centers = [grid.axis_centers(j) for j in range(2)]
+        per_axis = [((c >= lo) & (c <= hi)).sum() for c, lo, hi in zip(centers, lower, upper)]
+        assert count == int(np.prod(per_axis))
         cell_area = float(np.prod(grid.cell_widths))
         # One cell layer per face of slack.
-        per_face = 2 * (box.upper[0] - box.lower[0]) / grid.cell_widths[1] \
-            + 2 * (box.upper[1] - box.lower[1]) / grid.cell_widths[0]
-        assert abs(count - box_volume(box) / cell_area) <= per_face + 4
+        per_face = 2 * (upper[0] - lower[0]) / grid.cell_widths[1] \
+            + 2 * (upper[1] - lower[1]) / grid.cell_widths[0]
+        assert abs(count - box_volume(lower, upper) / cell_area) <= per_face + 4
 
     def test_widening_monotonicity(self):
         narrow = box_model([0.0, 0.0], [1.0, 1.0], offset=0.1)
@@ -119,14 +155,16 @@ class TestRegion:
 
     def test_membership_decomposes_per_coordinate(self):
         model = box_model([0.0, -1.0], [1.0, 1.0], offset=0.0)
-        box = region(model, [0.0])
+        lower, upper = [0.0, -1.0], [1.0, 1.0]
         pts = Rng(5).uniform(-2, 2, size=(200, 2))
         expected = np.array([
-            all(box.lower[j] <= pt[j] <= box.upper[j] for j in range(2))
+            all(lower[j] <= pt[j] <= upper[j] for j in range(2))
             for pt in pts
         ])
         assert np.array_equal(
             membership_flags(model, np.zeros((200, 1)), pts), expected)
+        # One input row broadcasts against all the responses.
+        assert np.array_equal(membership_flags(model, [[0.0]], pts), expected)
 
 
 class TestOracleCoverage:

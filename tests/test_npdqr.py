@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,7 @@ def constant_threshold_model(d, value, pool_size=64, membership=32):
     net.weights[0][...] = 0.0
     net.biases[0][...] = value
     return NpdqrModel(net=net, pool=pool, alpha=0.1,
-                      membership_indices=np.arange(membership),
-                      train_dir_count=8)
+                      membership_indices=np.arange(membership))
 
 
 class TestDirectionPool:
@@ -91,7 +92,7 @@ class TestExtractRegion:
         pool = sample_direction_pool(2, 256, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                           membership_indices=np.arange(64), train_dir_count=8)
+                           membership_indices=np.arange(64))
         region = RegionExtractor(model, grid).extract([0.4])
         for pt in region.points[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
@@ -101,7 +102,7 @@ class TestExtractRegion:
         pool = sample_direction_pool(2, 512, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                           membership_indices=np.arange(128), train_dir_count=8)
+                           membership_indices=np.arange(128))
         extractor = RegionExtractor(model, grid)
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
@@ -135,7 +136,7 @@ def noise_fit():
     pool = sample_direction_pool(2, 512, Rng(1))
     config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=150,
                          patience=150, seed=5)
-    kwargs = dict(pool=pool, config=config, train_dir_count=32,
+    kwargs = dict(pool=pool, config=config, train_directions=32,
                   membership_count=128, hidden=(32, 32))
     model_10 = fit(x, y, xv, yv, alpha=0.10, **kwargs)
     model_05 = fit(x, y, xv, yv, alpha=0.05, **kwargs)
@@ -170,7 +171,7 @@ class TestFit:
         config = TrainConfig(learning_rate=1e-2, batch_size=256, max_epochs=400,
                              patience=400, seed=3)
         model = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config,
-                    train_dir_count=16, membership_count=64, hidden=(16,))
+                    train_directions=16, membership_count=64, hidden=(16,))
         dirs = model.membership_directions
         f = model.thresholds(np.array([[0.5]]))[0]
         assert np.max(np.abs(f - dirs @ c)) <= 0.05
@@ -196,7 +197,7 @@ class TestUndercoverage:
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
                              patience=120, seed=6)
         model = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config,
-                    train_dir_count=32, membership_count=256, hidden=(32, 32))
+                    train_directions=32, membership_count=256, hidden=(32, 32))
         x_test = rng.uniform(size=(1500, 1))
         y_test = rng.standard_normal(size=(1500, 3))
         f = model.thresholds(x_test)
@@ -215,5 +216,17 @@ class TestSerialization:
         assert loaded.alpha == model.alpha
         assert np.array_equal(loaded.membership_indices, model.membership_indices)
         assert np.array_equal(loaded.pool.directions, model.pool.directions)
+        probe = Rng(0).uniform(size=(3, 1))
+        assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
+
+    def test_loads_bundle_with_training_direction_count(self, tmp_path, noise_fit):
+        # Older bundles also stored the training direction count.
+        _, _, model, _ = noise_fit
+        model.save(tmp_path / "npdqr")
+        meta_path = tmp_path / "npdqr" / "npdqr_meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "train_dir_count": 32}))
+        loaded = NpdqrModel.load(tmp_path / "npdqr")
+        assert np.array_equal(loaded.membership_indices, model.membership_indices)
         probe = Rng(0).uniform(size=(3, 1))
         assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))

@@ -31,7 +31,7 @@ def identity_pipeline():
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
     latent_model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                              membership_indices=np.arange(64), train_dir_count=8)
+                              membership_indices=np.arange(64))
     grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid)
@@ -52,7 +52,7 @@ def ignored_unit_pipeline():
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
     latent_model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                              membership_indices=np.arange(64), train_dir_count=8)
+                              membership_indices=np.arange(64))
     grid = Grid(dim=r, lows=(-2.0,) * r, highs=(2.0,) * r, cells_per_dim=12,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
