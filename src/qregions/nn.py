@@ -147,40 +147,50 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False):
+def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cache=None):
     """Forward pass that, in train mode, records what backward needs.
 
-    Returns (output, cache); the cache is None unless ``train_mode``.
+    Returns (output, cache); the cache is None unless ``train_mode``. A
+    train-mode ``cache`` returned by an earlier step of the same model has
+    its hidden-layer buffers reused: this step writes into their first n
+    rows, and a cache with fewer rows than the batch is replaced.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
-    n_layers = len(model.weights)
-    cache = {"inputs": [], "pre_act": []} if train_mode else None
+    n, n_layers = x.shape[0], len(model.weights)
+    if train_mode:
+        if cache is None or any(pre.shape[0] < n for pre, _ in cache["buffers"]):
+            cache = {"buffers": [(np.empty((n, w)), np.empty((n, w)))
+                                 for w in model.widths[1:-1]]}
+        cache["inputs"], cache["pre_act"] = [x], []
     slope = model.leaky_slope
     a = x
-    for k in range(n_layers):
+    for k in range(n_layers - 1):
         if train_mode:
-            cache["inputs"].append(a)
-        z = a @ model.weights[k]
-        z += model.biases[k]
-        if k == n_layers - 1:
-            a = z
-            break
-        if train_mode:
+            pre, act = (buf[:n] for buf in cache["buffers"][k])
+            z = np.matmul(a, model.weights[k], out=pre)
+            z += model.biases[k]
+            a = np.maximum(z, np.multiply(z, slope, out=act), out=act)
             cache["pre_act"].append(z)
-            a = np.multiply(z, slope)
-            np.maximum(z, a, out=a)
+            cache["inputs"].append(a)
         else:
+            z = a @ model.weights[k]
+            z += model.biases[k]
             a = np.maximum(z, np.multiply(z, slope), out=z)
-    return a, cache
+    out = a @ model.weights[-1]
+    out += model.biases[-1]
+    return out, cache
 
 
 def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns (grads, grad_input) where grads matches model.parameters()
-    ordering.
+    ordering. The cache is consumed: each hidden layer's ``pre_act``
+    takes the activation's derivative, max(z > 0, slope), and each
+    ``inputs[k]`` for k >= 1 takes ``delta @ W[k].T``, so the cache is
+    fit only to go back to ``forward_cached`` for the next step.
     """
     n_layers = len(model.weights)
     w_grads = [None] * n_layers
@@ -188,16 +198,14 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     delta = np.asarray(grad_out, dtype=float)
     for k in reversed(range(n_layers)):
         if k != n_layers - 1:
-            # At a hidden layer delta is the fresh product of the layer
-            # above, so it is updated in place; max(z > 0, slope) is the
-            # activation's derivative.
-            z = cache["pre_act"][k]
-            derivative = np.greater(z, 0.0, out=np.empty_like(z))
+            # At a hidden layer delta is the layer above's product in a
+            # dead cache buffer, so it is updated in place.
+            derivative = np.greater(cache["pre_act"][k], 0.0, out=cache["pre_act"][k])
             np.maximum(derivative, model.leaky_slope, out=derivative)
             delta *= derivative
         w_grads[k] = cache["inputs"][k].T @ delta
         b_grads[k] = delta.sum(axis=0)
-        delta = delta @ model.weights[k].T
+        delta = np.matmul(delta, model.weights[k].T, out=cache["inputs"][k] if k else None)
     return w_grads + b_grads, delta
 
 
@@ -407,8 +415,11 @@ def train(model: MlpModel, train_xy, loss, config: TrainConfig, val_xy):
         raise ValueError("training and validation sets must be nonempty")
     rng = Rng(config.seed)
 
+    cache = None
+
     def step(idx):
-        out, cache = forward_cached(model, x_train[idx], train_mode=True)
+        nonlocal cache
+        out, cache = forward_cached(model, x_train[idx], train_mode=True, cache=cache)
         batch_loss, grad_out = loss.value_and_grad(y_train[idx], out)
         grads, _ = backward(model, cache, grad_out)
         return batch_loss, grads

@@ -181,10 +181,14 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     val_stack = _pair_inputs(x_val, val_dirs)
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
+    cache = None
+
     def step(idx):
+        nonlocal cache
         dirs = pool.directions[rng.subset(len(pool), train_directions)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-        out, cache = forward_cached(net, _pair_inputs(x_train[idx], dirs), train_mode=True)
+        out, cache = forward_cached(net, _pair_inputs(x_train[idx], dirs),
+                                    train_mode=True, cache=cache)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
         grads, _ = backward(net, cache, grad_out)
         return batch_loss, grads
@@ -197,6 +201,21 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
                       histories={"threshold": history})
 
 
+def project(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Projections u . p, shape (directions, points), direction-major.
+
+    Each entry is the elementwise sum ((p0 u0 + p1 u1) + p2 u2) ..., in
+    coordinate order and without BLAS, so a point gets the same bits
+    whichever other points it is projected with.
+    """
+    points, directions = np.atleast_2d(points), np.atleast_2d(directions)
+    out = np.multiply.outer(directions[:, 0], points[:, 0])
+    term = np.empty_like(out)
+    for j in range(1, points.shape[1]):
+        out += np.multiply.outer(directions[:, j], points[:, j], out=term)
+    return out
+
+
 def contains(model: NpdqrModel, x, y, directions=None) -> bool:
     """Whether y satisfies u . y >= f(x, u) for every membership direction."""
     if directions is None:
@@ -205,17 +224,20 @@ def contains(model: NpdqrModel, x, y, directions=None) -> bool:
     if y.shape != (model.d,):
         raise ValueError(f"response has shape {y.shape}, expected ({model.d},)")
     f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)), directions)[0]
-    return bool(np.all(directions @ y >= f))
+    return bool(np.all(project(y, directions)[:, 0] >= f))
 
 
 class RegionExtractor:
-    """Caches a lattice's direction projections for repeated extraction.
+    """The lattice points that satisfy every membership half-space.
 
-    Membership of a lattice point is a conjunction over directions, so a
-    cheap subset of ``PREFILTER_DIRECTIONS`` directions prunes most points
-    before the full check; the result is identical to testing every
-    direction. ``points`` restricts extraction to a subset of the lattice
-    (default: all of it).
+    Membership is a conjunction over directions, tested with ``project``,
+    so a point's answer does not depend on which other points are tested
+    with it. The extractor keeps only ``head``, the projections of every
+    point onto the first ``PREFILTER_DIRECTIONS`` membership directions,
+    which prune most points cheaply. The remaining directions are tested
+    in blocks of that size on the points still in, and each block drops
+    the points that fail it. ``points`` restricts extraction to a subset
+    of the lattice (default: all of it).
     """
 
     def __init__(self, model: NpdqrModel, grid, points: np.ndarray | None = None):
@@ -224,19 +246,20 @@ class RegionExtractor:
         if grid.dim != model.d:
             raise ValueError(f"grid dimension {grid.dim} != response dimension {model.d}")
         self.points = grid.points() if points is None else points
-        dirs = model.membership_directions
-        self.prefilter = min(PREFILTER_DIRECTIONS, dirs.shape[0])
-        self.projections_head = self.points @ dirs[: self.prefilter].T
-        self.projections_tail = self.points @ dirs[self.prefilter :].T
+        self.head = project(self.points, model.membership_directions[:PREFILTER_DIRECTIONS])
 
     def mask(self, x) -> np.ndarray:
         f = self.model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-        candidate = np.all(self.projections_head >= f[: self.prefilter], axis=1)
-        if self.projections_tail.shape[1] and candidate.any():
-            idx = np.nonzero(candidate)[0]
-            keep = np.all(self.projections_tail[idx] >= f[self.prefilter :], axis=1)
-            candidate[idx] = keep
-        return candidate
+        dirs = self.model.membership_directions
+        block = self.head.shape[0]
+        idx = np.flatnonzero(np.all(self.head >= f[:block, None], axis=0))
+        for start in range(block, len(dirs), block):
+            stop = start + block
+            idx = idx[np.all(project(self.points[idx], dirs[start:stop]) >= f[start:stop, None],
+                             axis=0)]
+        mask = np.zeros(len(self.points), dtype=bool)
+        mask[idx] = True
+        return mask
 
     def extract(self, x) -> DiscreteRegion:
         return DiscreteRegion(points=self.points[self.mask(x)])

@@ -213,6 +213,41 @@ class TestBitwiseOracle:
             ref_eval, _ = _reference_forward(reference, x, keep_cache=False)
             _assert_same_bits(forward_batch(model, x), ref_eval)
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
+    @pytest.mark.parametrize("widths", [(4, 64, 64, 64, 1), (3, 8, 8, 2), (2, 1)])
+    def test_reused_cache_matches_fresh_caches(self, widths, slope):
+        # One cache goes back to every step, the short batch included;
+        # a second model takes a fresh cache each step.
+        model = init_mlp(widths, Rng(5), leaky_slope=slope)
+        fresh = model.copy()
+        adam, fresh_adam = (AdamState.for_params(m.parameters()) for m in (model, fresh))
+        data_rng, loss, cache = Rng(6), MseLoss(), None
+        for rows in (64, 64, 17, 64):
+            x = data_rng.uniform(-1, 1, size=(rows, widths[0]))
+            y = data_rng.uniform(-1, 1, size=(rows, widths[-1]))
+            out, cache = forward_cached(model, x, train_mode=True, cache=cache)
+            fresh_out, fresh_cache = forward_cached(fresh, x, train_mode=True)
+            _assert_same_bits(out, fresh_out)
+            _, grad_out = loss.value_and_grad(y, out)
+            grads, grad_input = backward(model, cache, grad_out)
+            fresh_grads, fresh_grad_input = backward(fresh, fresh_cache, grad_out)
+            for g, fresh_g in zip(grads, fresh_grads, strict=True):
+                _assert_same_bits(g, fresh_g)
+            _assert_same_bits(grad_input, fresh_grad_input)
+            adam_step(model.parameters(), grads, adam, lr=1e-2)
+            adam_step(fresh.parameters(), fresh_grads, fresh_adam, lr=1e-2)
+
+    def test_cache_with_too_few_rows_is_replaced(self):
+        model = init_mlp((3, 8, 8, 1), Rng(0))
+        x = Rng(1).uniform(-1, 1, size=(40, 3))
+        _, small = forward_cached(model, x[:17], train_mode=True)
+        out, cache = forward_cached(model, x, train_mode=True, cache=small)
+        assert cache is not small
+        assert [z.shape for z in cache["pre_act"]] == [(40, 8), (40, 8)]
+        _assert_same_bits(out, forward_cached(model, x, train_mode=True)[0])
+        _, again = forward_cached(model, x[:17], train_mode=True, cache=cache)
+        assert again is cache
+
     def test_activation_keeps_signed_zeros_and_nan(self):
         special = np.array([[-0.0], [0.0], [np.nan], [-2.0], [3.0], [-1e-320]])
         for slope in (0.0, 0.2, 1.0):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qregions.npdqr import (
     RegionExtractor,
     contains,
     fit,
+    project,
     sample_direction_pool,
 )
 from qregions.numerics import Rng, dqr_theoretical_coverage, std_normal_inv_cdf
@@ -121,6 +123,94 @@ class TestExtractRegion:
             mid = a + b
             if mid[0] % 2 == 0 and mid[1] % 2 == 0:
                 assert mask2d[mid[0] // 2, mid[1] // 2]
+
+
+def tied_threshold_model(d, grid, x, seed, ties=24):
+    """Random-net model whose thresholds are fixed: the net's own at ``x``,
+    shifted so that the region holds the ball of radius 0.5, then ``ties``
+    of them, one after another, set to the ``project`` value of the lattice
+    point at the 2% quantile of the region's projections on that
+    direction.  The last tied point stays in the region; later ties may
+    cut earlier ones out.  Returns (model, thresholds, tied
+    point indices)."""
+    rng = Rng(seed)
+    pool = sample_direction_pool(d, 512, rng)
+    model = NpdqrModel(net=init_mlp((1 + d, 8, 1), rng), pool=pool, alpha=0.1,
+                       membership_indices=rng.subset(512, 256))
+    dirs = model.membership_directions
+    f = model.thresholds(np.atleast_2d(x))[0]
+    f -= f.max() + 0.5
+    points = grid.points()
+    tied = []
+    for i in rng.subset(len(dirs), ties):
+        inside = np.flatnonzero(np.all(project(points, dirs) >= f[:, None], axis=0))
+        j = inside[np.argsort(project(points[inside], dirs[i])[0])[len(inside) // 50]]
+        f[i] = project(points[j], dirs[i])[0, 0]
+        tied.append(j)
+    model.thresholds = lambda x_rows, directions=None: f[None, :].copy()
+    return model, f, np.array(tied)
+
+
+class TestExactExtraction:
+    """Membership is decided by ``project``, whose bits do not depend on
+    which other points are projected with a point."""
+
+    @pytest.mark.parametrize("d, cells", [(1, 101), (2, 40), (3, 15), (4, 8)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_subset_and_per_point_masks_match_full_lattice(self, d, cells, seed):
+        grid = Grid(dim=d, lows=(-2.0,) * d, highs=(2.0,) * d, cells_per_dim=cells,
+                    purpose=REGION_DISCRETIZATION)
+        x = np.array([0.3])
+        model, f, tied = tied_threshold_model(d, grid, x, seed)
+        points, dirs = grid.points(), model.membership_directions
+        full = RegionExtractor(model, grid).mask(x)
+        assert 0 < full.sum() < len(points)
+        assert full[tied[-1]]
+
+        per_point = np.array([np.all(project(p, dirs)[:, 0] >= f) for p in points])
+        assert np.array_equal(full, per_point)
+        for j in tied:
+            assert contains(model, x, points[j]) == full[j]
+
+        subset = np.union1d(Rng(seed + 7).subset(len(points), min(200, len(points))), tied)
+        mask = RegionExtractor(model, grid, points=points[subset]).mask(x)
+        assert np.array_equal(mask, full[subset])
+
+
+class TestExtractorMemory:
+    """The extractor keeps no per-direction cache beyond its prefilter head."""
+
+    @pytest.fixture(scope="class")
+    def cube(self):
+        return Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=35,
+                    purpose=REGION_DISCRETIZATION)
+
+    def test_holds_only_points_and_head(self, cube):
+        model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
+        extractor = RegionExtractor(model, cube)
+        arrays = {name: v for name, v in vars(extractor).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"points", "head"}
+        assert arrays["head"].shape == (16, cube.total_cells)
+
+    def test_whole_lattice_region_peak(self, cube):
+        model = constant_threshold_model(3, -10.0, pool_size=2048, membership=256)
+        extractor = RegionExtractor(model, cube)
+        tracemalloc.start()
+        try:
+            region = extractor.extract([0.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(region) == cube.total_cells
+        assert peak < 3 * cube.total_cells * 16 * 8
+
+    def test_four_dimensional_lattice(self):
+        grid = Grid(dim=4, lows=(-2.0,) * 4, highs=(2.0,) * 4, cells_per_dim=18,
+                    purpose=REGION_DISCRETIZATION)
+        model = constant_threshold_model(4, -1.0, pool_size=2048, membership=256)
+        region = RegionExtractor(model, grid).extract([0.0])
+        assert 0 < len(region) < grid.total_cells
+        assert np.all(np.linalg.norm(region.points, axis=1) <= 1.0 / np.cos(np.pi / 4))
 
 
 @pytest.fixture(scope="module")
