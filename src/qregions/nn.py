@@ -9,11 +9,17 @@ Everything is numpy and deterministic under a fixed seed, which makes
 seeded training bit-reproducible on a given platform.
 
 The training step avoids temporary arrays where it can. For a slope s in
-[0, 1], a hidden layer's activation is max(z, s*z) and its derivative is
-max(z > 0, s), computed in place; both equal where(z > 0, z, s*z) and
-where(z > 0, 1, s) bit for bit, signed zeros and NaN included. Adam keeps
-one flat moment vector each for m and v and updates every parameter in
-one pass, with the same per-element operations in the same order.
+[0, 1], a hidden layer's activation is a = max(z, s*z) and its derivative
+max(a > 0, s), computed in place; they equal where(z > 0, z, s*z) and
+where(z > 0, 1, s) bit for bit, signed zeros and NaN included (a > 0
+exactly where z > 0), so a step keeps only the activations, as In-Place
+Activated BatchNorm does (Rota Bulo et al. 2018). Adam keeps one flat
+moment vector each for m and v and updates every parameter in one pass,
+with the same per-element operations in the same order.
+
+Inference runs in blocks of ``INFERENCE_ROWS`` rows. OpenBLAS picks its
+kernel by row count, so a block can differ in the last bit from one pass
+over all rows (seen for one-row tails and passes over ~7,000 rows).
 """
 
 from __future__ import annotations
@@ -141,43 +147,49 @@ def init_mlp(widths, rng: Rng, leaky_slope=0.2) -> MlpModel:
     return MlpModel(widths, weights, biases, leaky_slope)
 
 
+INFERENCE_ROWS = 1024
+
+
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass over a batch, without caching intermediates."""
-    out, _ = forward_cached(model, x, train_mode=False)
+    """Forward pass without a cache, in blocks of ``INFERENCE_ROWS`` rows."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((len(x), model.out_width))
+    # An empty batch still makes one call, which checks its shape.
+    for start in range(0, max(len(x), 1), INFERENCE_ROWS):
+        stop = start + INFERENCE_ROWS
+        out[start:stop] = forward_cached(model, x[start:stop], train_mode=False)[0]
     return out
 
 
 def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cache=None):
     """Forward pass that, in train mode, records what backward needs.
 
-    Returns (output, cache); the cache is None unless ``train_mode``. A
-    train-mode ``cache`` returned by an earlier step of the same model has
-    its hidden-layer buffers reused: this step writes into their first n
-    rows, and a cache with fewer rows than the batch is replaced.
+    Returns (output, cache); the cache is None unless ``train_mode``. Its
+    ``inputs`` are the batch and each hidden layer's activation, one
+    buffer per hidden layer; ``scratch``, as wide as the widest, takes
+    s*z here and the derivatives in ``backward``. A cache from an earlier
+    step of the same model is reused: this step writes into the first n
+    rows of its buffers, and a cache with fewer rows is replaced.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
     n, n_layers = x.shape[0], len(model.weights)
     if train_mode:
-        if cache is None or any(pre.shape[0] < n for pre, _ in cache["buffers"]):
-            cache = {"buffers": [(np.empty((n, w)), np.empty((n, w)))
-                                 for w in model.widths[1:-1]]}
-        cache["inputs"], cache["pre_act"] = [x], []
+        hidden = model.widths[1:-1]
+        if cache is None or cache["scratch"].shape[0] < n:
+            cache = {"buffers": [np.empty((n, w)) for w in hidden],
+                     "scratch": np.empty((n, max(hidden, default=0)))}
+        cache["inputs"] = [x]
     slope = model.leaky_slope
     a = x
     for k in range(n_layers - 1):
+        z = np.matmul(a, model.weights[k], out=cache["buffers"][k][:n] if train_mode else None)
+        z += model.biases[k]
+        slope_z = cache["scratch"][:n, : z.shape[1]] if train_mode else None
+        a = np.maximum(z, np.multiply(z, slope, out=slope_z), out=z)
         if train_mode:
-            pre, act = (buf[:n] for buf in cache["buffers"][k])
-            z = np.matmul(a, model.weights[k], out=pre)
-            z += model.biases[k]
-            a = np.maximum(z, np.multiply(z, slope, out=act), out=act)
-            cache["pre_act"].append(z)
             cache["inputs"].append(a)
-        else:
-            z = a @ model.weights[k]
-            z += model.biases[k]
-            a = np.maximum(z, np.multiply(z, slope), out=z)
     out = a @ model.weights[-1]
     out += model.biases[-1]
     return out, cache
@@ -187,26 +199,25 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns (grads, grad_input) where grads matches model.parameters()
-    ordering. The cache is consumed: each hidden layer's ``pre_act``
-    takes the activation's derivative, max(z > 0, slope), and each
-    ``inputs[k]`` for k >= 1 takes ``delta @ W[k].T``, so the cache is
-    fit only to go back to ``forward_cached`` for the next step.
+    ordering. The cache is consumed: for k >= 1 the derivative of the
+    activation a = ``inputs[k]``, max(a > 0, slope), goes into ``scratch``
+    before ``delta @ W[k].T`` overwrites a, so the cache is fit only to go
+    back to ``forward_cached`` for the next step.
     """
     n_layers = len(model.weights)
     w_grads = [None] * n_layers
     b_grads = [None] * n_layers
     delta = np.asarray(grad_out, dtype=float)
     for k in reversed(range(n_layers)):
-        if k != n_layers - 1:
-            # At a hidden layer delta is the layer above's product in a
-            # dead cache buffer, so it is updated in place.
-            derivative = np.greater(cache["pre_act"][k], 0.0, out=cache["pre_act"][k])
-            np.maximum(derivative, model.leaky_slope, out=derivative)
-            delta *= derivative
-        w_grads[k] = cache["inputs"][k].T @ delta
+        a = cache["inputs"][k]
+        w_grads[k] = a.T @ delta
         b_grads[k] = delta.sum(axis=0)
-        delta = np.matmul(delta, model.weights[k].T, out=cache["inputs"][k] if k else None)
-    return w_grads + b_grads, delta
+        if k == 0:
+            return w_grads + b_grads, delta @ model.weights[0].T
+        derivative = np.greater(a, 0.0, out=cache["scratch"][: a.shape[0], : a.shape[1]])
+        np.maximum(derivative, model.leaky_slope, out=derivative)
+        delta = np.matmul(delta, model.weights[k].T, out=a)
+        delta *= derivative
 
 
 # ---------------------------------------------------------------------------

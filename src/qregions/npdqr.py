@@ -22,6 +22,7 @@ import numpy as np
 
 from .calibration import DiscreteRegion
 from .nn import (
+    INFERENCE_ROWS,
     MlpModel,
     PinballLoss,
     TrainConfig,
@@ -103,13 +104,14 @@ class NpdqrModel:
         return self.pool.directions[self.membership_indices]
 
     def thresholds(self, x_rows: np.ndarray, directions=None) -> np.ndarray:
-        """f(x, u) for each row and direction, shape (n, m)."""
+        """f(x, u) for each row and direction, shape (n, m); the rows go
+        in chunks whose pair inputs fill one inference block of the net."""
         if directions is None:
             directions = self.membership_directions
         x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
         n, m = x_rows.shape[0], directions.shape[0]
         out = np.empty((n, m))
-        rows_per_chunk = max(1, 262_144 // m)
+        rows_per_chunk = max(1, INFERENCE_ROWS // m)
         for start in range(0, n, rows_per_chunk):
             block = x_rows[start : start + rows_per_chunk]
             out[start : start + rows_per_chunk] = forward_batch(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from gradcheck import central_difference, relative_errors, sample_probes
 from qregions.nn import (
+    INFERENCE_ROWS,
     AdamState,
     MlpModel,
     MseLoss,
@@ -51,6 +53,9 @@ class TestForward:
             forward_batch(model, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             forward_batch(model, np.zeros((5, 4)))
+        with pytest.raises(ValueError):
+            forward_batch(model, np.zeros((0, 4)))
+        assert forward_batch(model, np.zeros((0, 3))).shape == (0, 2)
 
 
 class TestPinball:
@@ -194,8 +199,8 @@ class TestBitwiseOracle:
             out, cache = forward_cached(model, x, train_mode=True)
             ref_out, ref_cache = _reference_forward(reference, x)
             _assert_same_bits(out, ref_out)
-            for z, ref_z in zip(cache["pre_act"], ref_cache["pre_act"], strict=True):
-                _assert_same_bits(z, ref_z)
+            for a, ref_a in zip(cache["inputs"], ref_cache["inputs"], strict=True):
+                _assert_same_bits(a, ref_a)
 
             _, grad_out = loss.value_and_grad(y, out)
             grads, grad_input = backward(model, cache, grad_out)
@@ -243,7 +248,7 @@ class TestBitwiseOracle:
         _, small = forward_cached(model, x[:17], train_mode=True)
         out, cache = forward_cached(model, x, train_mode=True, cache=small)
         assert cache is not small
-        assert [z.shape for z in cache["pre_act"]] == [(40, 8), (40, 8)]
+        assert [a.shape for a in cache["inputs"][1:]] == [(40, 8), (40, 8)]
         _assert_same_bits(out, forward_cached(model, x, train_mode=True)[0])
         _, again = forward_cached(model, x[:17], train_mode=True, cache=cache)
         assert again is cache
@@ -255,18 +260,85 @@ class TestBitwiseOracle:
             model.weights[0][...] = 1.0
             out, cache = forward_cached(model, special, train_mode=True)
             ref_out, ref_cache = _reference_forward(model, special)
-            _assert_same_bits(cache["pre_act"][0], ref_cache["pre_act"][0])
+            _assert_same_bits(cache["inputs"][1], ref_cache["inputs"][1])
             _assert_same_bits(out, ref_out)
             # A matmul never yields -0 here, so put the special values
-            # into the cached pre-activations directly.
-            cache["pre_act"][0] = special.copy()
+            # into the reference pre-activations directly, and their
+            # activations into both caches.
             ref_cache["pre_act"][0] = special.copy()
+            ref_cache["inputs"][1] = np.where(special > 0, special, slope * special)
+            cache["inputs"][1][...] = ref_cache["inputs"][1]
             grad_out = np.ones_like(out)
             grads, grad_input = backward(model, cache, grad_out)
             ref_grads, ref_grad_input = _reference_backward(model, ref_cache, grad_out)
             for g, ref_g in zip(grads, ref_grads, strict=True):
                 _assert_same_bits(g, ref_g)
             _assert_same_bits(grad_input, ref_grad_input)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+    @given(z=st.floats(allow_nan=True, allow_infinity=False, allow_subnormal=True))
+    def test_derivative_from_activation_matches_pre_activation(self, slope, z):
+        tiny = np.finfo(float).smallest_subnormal
+        specials = [-0.0, 0.0, -tiny, tiny, -1e-310, 1e-310, -1.0, 1.0, np.nan]
+        if slope > 0:
+            specials += [-np.inf, np.inf]
+        z = np.array(specials + [z])
+        activation = np.maximum(z, np.multiply(z, slope))
+        _assert_same_bits(np.maximum(activation > 0, slope), np.maximum(z > 0, slope))
+
+
+class TestInferenceBlocks:
+    """``forward_batch`` against one unblocked eval-mode pass.  Up to
+    INFERENCE_ROWS rows they agree bit for bit.  Above it, the blocks are
+    separate passes, and OpenBLAS picks its kernel by row count, so the
+    unblocked pass can differ in the last bits (a one-row tail at 1,025
+    rows; single passes of ~7,000 rows and more)."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 256, 1000, 1024, 1025, 3000, 7862])
+    @pytest.mark.parametrize("widths", [(1, 64, 64, 64, 1), (4, 64, 64, 64, 2), (3, 8, 8, 2)])
+    def test_blocks_match_unblocked_pass(self, widths, rows):
+        model = init_mlp(widths, Rng(rows), leaky_slope=0.2)
+        x = Rng(3).uniform(-1, 1, size=(rows, widths[0]))
+        blocked = forward_batch(model, x)
+        single, _ = forward_cached(model, x, train_mode=False)
+        if rows <= INFERENCE_ROWS:
+            _assert_same_bits(blocked, single)
+            return
+        per_block = np.concatenate([forward_cached(model, x[i : i + INFERENCE_ROWS])[0]
+                                    for i in range(0, rows, INFERENCE_ROWS)])
+        _assert_same_bits(blocked, per_block)
+        # Outputs near zero are sums that cancel, so the tolerance is
+        # relative to the largest output as well as to each one.
+        np.testing.assert_allclose(blocked, single, rtol=1e-12,
+                                   atol=1e-12 * np.abs(single).max())
+
+
+class TestActivationMemory:
+    def test_inference_peak_is_a_few_blocks(self):
+        model = init_mlp((4, 64, 64, 64, 1), Rng(0))
+        x = Rng(1).uniform(-1, 1, size=(50_000, 4))
+        tracemalloc.start()
+        try:
+            out = forward_batch(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * INFERENCE_ROWS * 64 * 8 + out.nbytes
+
+    def test_training_step_keeps_one_buffer_per_hidden_layer_and_scratch(self):
+        widths, rows = (4, 64, 64, 64, 1), 6144
+        model = init_mlp(widths, Rng(0))
+        x = Rng(1).uniform(-1, 1, size=(rows, widths[0]))
+        out, cache = forward_cached(model, x, train_mode=True)
+        backward(model, cache, np.ones_like(out) / rows)
+        owners = {}
+        for array in [*cache["buffers"], cache["scratch"], *cache["inputs"]]:
+            while array.base is not None:
+                array = array.base
+            owners[id(array)] = array
+        big = [a for a in owners.values() if a.shape == (rows, 64)]
+        assert len(big) == len(widths[1:-1]) + 1
+        assert sum(a.nbytes for a in owners.values()) == len(big) * rows * 64 * 8 + x.nbytes
 
 
 def _clean_regression_setup(widths, seed, margin_guard=None):
@@ -277,7 +349,7 @@ def _clean_regression_setup(widths, seed, margin_guard=None):
         model = init_mlp(widths, rng)
         x = rng.uniform(-1, 1, size=(16, widths[0]))
         y = rng.uniform(-1, 1, size=(16, widths[-1]))
-        out, cache = forward_cached(model, x, train_mode=True)
+        out, cache = _reference_forward(model, x)
         if min(np.abs(z).min() for z in cache["pre_act"]) < 1e-3:
             continue
         if margin_guard is not None and not margin_guard(y, out):

@@ -108,7 +108,8 @@ class TestExtractRegion:
         extractor = RegionExtractor(model, grid)
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
-        mask_full = np.all(grid.points() @ model.membership_directions.T >= f, axis=1)
+        mask_full = np.all(project(grid.points(), model.membership_directions) >= f[:, None],
+                           axis=0)
         assert np.array_equal(mask_fast, mask_full)
 
     def test_convexity_at_grid_resolution(self, grid):
