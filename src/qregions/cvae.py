@@ -65,10 +65,6 @@ class CvaeModel:
         self.histories = dict(histories or {})
 
     @property
-    def p(self) -> int:
-        return self.decoder.in_width - self.r
-
-    @property
     def d(self) -> int:
         return self.decoder.out_width
 
@@ -101,16 +97,9 @@ class CvaeModel:
         )
 
 
-def encode_batch(model: CvaeModel, x_rows, y_rows, rng: Rng | None = None,
-                 stochastic: bool = False) -> np.ndarray:
-    """Latent codes: posterior mean, or a reparameterized sample."""
-    mu, logvar = model.posterior(x_rows, y_rows)
-    if not stochastic:
-        return mu
-    if rng is None:
-        raise ValueError("stochastic encoding needs an rng")
-    eps = rng.standard_normal(size=mu.shape)
-    return mu + np.exp(0.5 * logvar) * eps
+def encode_batch(model: CvaeModel, x_rows, y_rows) -> np.ndarray:
+    """Latent codes: the posterior means."""
+    return model.posterior(x_rows, y_rows)[0]
 
 
 def decode_batch(model: CvaeModel, x_rows, z_rows) -> np.ndarray:

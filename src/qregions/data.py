@@ -54,14 +54,6 @@ class Dataset:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.y.shape[1]
-
 
 @dataclass(frozen=True)
 class SplitIndices:
@@ -69,7 +61,6 @@ class SplitIndices:
     calibration: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
     def sizes(self):
         return (len(self.train), len(self.calibration),
@@ -130,7 +121,6 @@ def split(n: int, seed: int) -> SplitIndices:
         calibration=perm[bounds[0] : bounds[1]],
         validation=perm[bounds[1] : bounds[2]],
         test=perm[bounds[2] :],
-        seed=seed,
     )
 
 
@@ -199,13 +189,25 @@ def pca_reduce(x: np.ndarray, k: int):
 
 def load_csv(path, response_columns) -> Dataset:
     """Read a headed CSV, routing the named columns to the response matrix
-    and everything else to the features."""
+    and everything else to the features.
+
+    Raises CsvParseError when no response column is named, a name is
+    given twice, or the header repeats a column name.
+    """
+    if not response_columns:
+        raise CsvParseError("no response columns named", 1, "-")
+    for j, name in enumerate(response_columns):
+        if name in response_columns[:j]:
+            raise CsvParseError(f"response column {name!r} named twice", 1, name)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CsvParseError("empty file", 1, "-") from None
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise CsvParseError(f"duplicate column name {name!r}", 1, name)
         for name in response_columns:
             if name not in header:
                 raise CsvParseError(f"missing response column {name!r}", 1, name)

@@ -31,17 +31,17 @@ from .data import (
     split,
     zscore_fit_apply,
 )
-from .metrics import (
-    EvaluationReport,
-    cluster_coverages,
-    delta_coverage,
-    kmeans,
-)
+from .metrics import cluster_coverages, delta_coverage, kmeans
 from .nn import TrainConfig
 from .numerics import Rng
 from .regions import AREA_MEASUREMENT, REGION_DISCRETIZATION, area, build_grid
 
 METHODS = ("stdqr", "npdqr", "naive")
+
+# Test inputs whose region size is averaged, and k-means clusters of the
+# test features for the coverage deviation.
+AREA_EVAL_COUNT = 64
+CLUSTER_COUNT = 3
 
 # Pre-calibration directional coverage levels by (setting, d, p>=10):
 # the threshold nets aim above the nominal 90% because intersecting
@@ -54,12 +54,6 @@ _DIRECTIONAL_LEVELS = {
     ("nonlinear", 4, "wide"): {"npdqr": 0.98, "stdqr": 0.95},
 }
 _DEFAULT_LEVELS = {"npdqr": 0.95, "stdqr": 0.93}
-
-
-def default_directional_levels(setting: str, d: int, p: int) -> dict:
-    if setting == "nonlinear" and d == 4 and p >= 10:
-        return dict(_DIRECTIONAL_LEVELS[("nonlinear", 4, "wide")])
-    return dict(_DIRECTIONAL_LEVELS.get((setting, d), _DEFAULT_LEVELS))
 
 
 @dataclass
@@ -126,8 +120,6 @@ class ExperimentConfig:
     directional_levels: dict | None = None
     seeds: tuple = (0,)
     out_dir: str | None = None
-    area_eval_count: int = 64
-    cluster_count: int = 3
     training: TrainingProfile = field(default_factory=TrainingProfile)
 
     def __post_init__(self):
@@ -140,6 +132,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        unknown = set(self.directional_levels or {}) - set(_DEFAULT_LEVELS)
+        if unknown:
+            raise ValueError(f"unknown directional level methods: {sorted(unknown)}")
 
     def digest(self) -> str:
         payload = {
@@ -147,8 +142,6 @@ class ExperimentConfig:
             "alpha": self.alpha, "latent_dim": self.latent_dim,
             "kl_weight": self.kl_weight,
             "directional_levels": self.directional_levels,
-            "area_eval_count": self.area_eval_count,
-            "cluster_count": self.cluster_count,
             "training": {"cvae": self.training.cvae, "dqr": self.training.dqr,
                          "naive": self.training.naive},
         }
@@ -156,12 +149,16 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def resolve_levels(self) -> dict:
-        if self.directional_levels:
-            return dict(self.directional_levels)
+        """Directional level of each DQR method: the dataset's defaults,
+        with ``directional_levels`` merged over them."""
+        levels = _DEFAULT_LEVELS
         spec = self.dataset
         if spec.get("kind") == "synthetic":
-            return default_directional_levels(spec["setting"], spec["d"], spec["p"])
-        return dict(_DEFAULT_LEVELS)
+            key = (spec["setting"], spec["d"])
+            if key == ("nonlinear", 4) and spec["p"] >= 10:
+                key += ("wide",)
+            levels = _DIRECTIONAL_LEVELS.get(key, _DEFAULT_LEVELS)
+        return {**levels, **(self.directional_levels or {})}
 
 
 def load_dataset(spec: dict) -> Dataset:
@@ -170,8 +167,7 @@ def load_dataset(spec: dict) -> Dataset:
         return gen_synthetic(spec["setting"], spec["d"], spec["p"], spec["n"],
                              spec.get("seed", 0))
     if kind == "csv":
-        data = load_csv(spec["path"], spec["response_columns"])
-        return data
+        return load_csv(spec["path"], spec["response_columns"])
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
@@ -260,28 +256,16 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
         model = naive_qr.fit(
             x_tr, y_tr, x_v, y_v, alpha=config.alpha,
             config=_train_config(config.training.naive, seed))
-        fitted = perf_counter()
-        model = naive_qr.calibrate(model, x_cal, y_cal, config.alpha)
-        info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted)
-        if save_dir is not None:
-            model.save(save_dir / "model")
-        rule = RectangleRule(model)
-        info["calibration"] = rule.report()
-        info["training"] = _training_report(model)
-        return rule, area_grid, info
-
-    dqr_cfg = config.training.dqr
-    if method == "npdqr":
+    elif method == "npdqr":
         alpha_dir = 1.0 - levels["npdqr"]
         pool = npdqr.sample_direction_pool(d, npdqr.DEFAULT_POOL_SIZE,
                                            Rng(seed).spawn(41))
         model = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
-                          config=_train_config(dqr_cfg, seed))
+                          config=_train_config(config.training.dqr, seed))
         region_grid = build_grid(y_tr, d, REGION_DISCRETIZATION)
-        extractor = npdqr.RegionExtractor(model, region_grid)
-        provider = extractor.extract
+        provider = npdqr.RegionExtractor(model, region_grid.points()).extract
         if save_dir is not None:
-            model.save(save_dir / "model")
+            (save_dir / "model").mkdir(parents=True, exist_ok=True)
             (save_dir / "model" / "region_grid.json").write_text(
                 json.dumps(region_grid.to_dict()))
         info["directional_level"] = levels["npdqr"]
@@ -292,25 +276,26 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             x_tr, y_tr, x_v, y_v, alpha=alpha_dir, r=config.latent_dim,
             lam=config.kl_weight,
             cvae_config=_train_config(cvae_cfg, seed),
-            dqr_config=_train_config(dqr_cfg, seed + 1),
+            dqr_config=_train_config(config.training.dqr, seed + 1),
             cvae_hidden=cvae_cfg["hidden"])
         provider = model.region
-        if save_dir is not None:
-            model.save(save_dir / "model")
         info["directional_level"] = levels["stdqr"]
         info["reconstruction_mse"] = reconstruction_mse(model.cvae, x_cal, y_cal)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     fitted = perf_counter()
-    rule = calibrate(provider, x_cal, y_cal, config.alpha, area_grid)
-    info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted)
-    adapter = DistanceRule(rule)
-    info["calibration"] = adapter.report()
-    info["training"] = _training_report(model)
+    if method == "naive":
+        model = naive_qr.calibrate(model, x_cal, y_cal, config.alpha)
+        rule = RectangleRule(model)
+    else:
+        rule = DistanceRule(calibrate(provider, x_cal, y_cal, config.alpha, area_grid))
+    info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted,
+                calibration=rule.report(), training=_training_report(model))
     if save_dir is not None:
+        model.save(save_dir / "model")
         (save_dir / "calibration.json").write_text(json.dumps(info["calibration"]))
-    return adapter, area_grid, info
+    return rule, area_grid, info
 
 
 def _training_report(model) -> list:
@@ -326,12 +311,12 @@ def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,
     flags = rule.membership_rows(x_te, y_te)
     cov = float(flags.mean())
 
-    eval_count = min(config.area_eval_count, len(x_te))
+    eval_count = min(AREA_EVAL_COUNT, len(x_te))
     stride = max(1, len(x_te) // eval_count)
     eval_idx = np.arange(0, len(x_te), stride)[:eval_count]
     areas = [rule.area_cells(x_te[i], area_grid) for i in eval_idx]
 
-    clusters = kmeans(x_te, k=config.cluster_count, seed=seed)
+    clusters = kmeans(x_te, k=CLUSTER_COUNT, seed=seed)
     delta = delta_coverage(rule, x_te, y_te, clusters, config.alpha, flags=flags)
     per_cluster = cluster_coverages(flags, clusters.labels, clusters.k)
     return {
@@ -355,40 +340,28 @@ def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int,
     rule, area_grid, info = fit_and_calibrate(method, config, prep, seed, save_dir)
     evaluating = perf_counter()
     row = evaluate_cell(rule, area_grid, config, prep, seed)
-    row.update({"method": method, "config_digest": config.digest(),
-                "fit_s": info["fit_s"], "calibrate_s": info["calibrate_s"],
-                "evaluate_s": perf_counter() - evaluating})
-    row["calibration"] = info.get("calibration")
-    row["training"] = info["training"]
-    if "directional_level" in info:
-        row["directional_level"] = info["directional_level"]
-    if "reconstruction_mse" in info:
-        row["reconstruction_mse"] = info["reconstruction_mse"]
+    row.update(info, config_digest=config.digest(), evaluate_s=perf_counter() - evaluating)
     if save_dir is not None:
         (save_dir / "report.json").write_text(json.dumps(row, indent=2))
     return row
 
 
 def aggregate(rows: list) -> list:
-    """Cross-seed means and standard errors, one report per method."""
+    """Cross-seed means and standard errors, one dict per method."""
     reports = []
     for method in sorted({row["method"] for row in rows}):
         cells = [r for r in rows if r["method"] == method and "error" not in r]
         if not cells:
             continue
-        coverages = np.array([r["coverage"] for r in cells])
-        areas = np.array([r["area"] for r in cells])
-        deltas = np.array([r["delta_coverage"] for r in cells])
         n = len(cells)
-        se = lambda v: float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        reports.append(EvaluationReport(
-            method=method,
-            coverage=float(coverages.mean()), coverage_se=se(coverages),
-            area=float(areas.mean()), area_se=se(areas),
-            delta_coverage=float(deltas.mean()), delta_coverage_se=se(deltas),
-            per_cluster_coverage=[r["per_cluster_coverage"] for r in cells],
-            seeds=[r["seed"] for r in cells],
-        ))
+        report = {"method": method}
+        for metric in ("coverage", "area", "delta_coverage"):
+            values = np.array([r[metric] for r in cells])
+            report[metric] = float(values.mean())
+            report[f"{metric}_se"] = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        report["per_cluster_coverage"] = [r["per_cluster_coverage"] for r in cells]
+        report["seeds"] = [r["seed"] for r in cells]
+        reports.append(report)
     return reports
 
 
@@ -411,12 +384,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> dict:
                              "error": f"{type(exc).__name__}: {exc}",
                              "traceback": traceback.format_exc(),
                              "config_digest": config.digest()})
-    reports = aggregate(rows)
-    result = {
-        "config_digest": config.digest(),
-        "rows": rows,
-        "aggregate": [r.to_dict() for r in reports],
-    }
+    result = {"config_digest": config.digest(), "rows": rows, "aggregate": aggregate(rows)}
     if out_dir is not None:
         (out_dir / "report.json").write_text(json.dumps(result, indent=2))
         _write_csv_table(out_dir / "report.csv", rows)

@@ -3,22 +3,22 @@ deviation, and the k-means clustering that defines the clusters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Rng
 
 
+# Lloyd iterations per attempt, the smallest cluster as a fraction of
+# the rows, and the attempts allowed before kmeans gives up.
+MAX_ITERS = 100
+MIN_FRACTION = 0.2
+RESTARTS = 50
+
+
 class ConstraintUnsatisfiedError(RuntimeError):
-    """K-means restarts exhausted without meeting the cluster-size floor.
-
-    Carries the best attempt so callers can inspect or accept it.
-    """
-
-    def __init__(self, message: str, best_attempt):
-        super().__init__(message)
-        self.best_attempt = best_attempt
+    """K-means restarts exhausted without meeting the cluster-size floor."""
 
 
 @dataclass
@@ -34,41 +34,7 @@ class ClusterAssignment:
         return np.bincount(self.labels, minlength=self.k)
 
 
-@dataclass
-class EvaluationReport:
-    """One method's metrics on one dataset, aggregated across seeds."""
-
-    method: str
-    coverage: float
-    coverage_se: float
-    area: float
-    area_se: float
-    delta_coverage: float | None = None
-    delta_coverage_se: float | None = None
-    per_cluster_coverage: list = field(default_factory=list)
-    seeds: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 0.0 <= self.coverage <= 1.0:
-            raise ValueError(f"coverage must lie in [0,1], got {self.coverage}")
-        if self.coverage_se < 0 or self.area_se < 0:
-            raise ValueError("standard errors must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "coverage": self.coverage,
-            "coverage_se": self.coverage_se,
-            "area": self.area,
-            "area_se": self.area_se,
-            "delta_coverage": self.delta_coverage,
-            "delta_coverage_se": self.delta_coverage_se,
-            "per_cluster_coverage": self.per_cluster_coverage,
-            "seeds": self.seeds,
-        }
-
-
-def _kmeans_once(x: np.ndarray, k: int, rng: Rng, max_iters: int):
+def _kmeans_once(x: np.ndarray, k: int, rng: Rng):
     n = x.shape[0]
     # Seeding: spread initial centroids with distance-weighted sampling.
     centroids = [x[int(rng.integers(0, n))]]
@@ -86,7 +52,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: Rng, max_iters: int):
     centroids = np.asarray(centroids, dtype=float)
 
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         dist_sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist_sq.argmin(axis=1)
         live = np.unique(new_labels)
@@ -104,20 +70,13 @@ def _kmeans_once(x: np.ndarray, k: int, rng: Rng, max_iters: int):
     return ClusterAssignment(centroids=centroids, labels=labels)
 
 
-def within_cluster_ss(x: np.ndarray, assignment: ClusterAssignment) -> float:
-    return float(((x - assignment.centroids[assignment.labels]) ** 2).sum())
-
-
-def kmeans(x, k: int = 3, seed: int = 0, max_iters: int = 100,
-           min_fraction: float = 0.2, restarts: int = 50) -> ClusterAssignment:
+def kmeans(x, k: int = 3, seed: int = 0) -> ClusterAssignment:
     """Lloyd iterations to an assignment fixpoint, restarted until every
-    cluster holds at least ``min_fraction`` of the rows.
+    cluster holds at least ``MIN_FRACTION`` of the rows.
 
     Data with fewer than k distinct rows collapses to the feasible number
-    of clusters instead of failing. If the restart budget runs out, the
-    attempt with the best (lowest) within-cluster sum of squares among
-    those with the fewest undersized clusters is raised inside a
-    ConstraintUnsatisfiedError.
+    of clusters instead of failing. Raises ConstraintUnsatisfiedError
+    when ``RESTARTS`` attempts leave a cluster undersized.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -126,21 +85,13 @@ def kmeans(x, k: int = 3, seed: int = 0, max_iters: int = 100,
     distinct = np.unique(x, axis=0).shape[0]
     target_k = min(k, distinct)
     rng = Rng(seed)
-    best = None
-    best_key = None
-    for _ in range(restarts):
-        attempt = _kmeans_once(x, target_k, rng, max_iters)
-        sizes = attempt.sizes()
-        undersized = int((sizes < min_fraction * n).sum())
-        ok = attempt.k == target_k and undersized == 0
-        key = (undersized, within_cluster_ss(x, attempt))
-        if best is None or key < best_key:
-            best, best_key = attempt, key
-        if ok:
+    for _ in range(RESTARTS):
+        attempt = _kmeans_once(x, target_k, rng)
+        if attempt.k == target_k and np.all(attempt.sizes() >= MIN_FRACTION * n):
             return attempt
     raise ConstraintUnsatisfiedError(
-        f"no clustering with every cluster >= {min_fraction:.0%} of rows "
-        f"in {restarts} restarts", best)
+        f"no clustering with every cluster >= {MIN_FRACTION:.0%} of rows "
+        f"in {RESTARTS} restarts")
 
 
 def cluster_coverages(flags: np.ndarray, labels: np.ndarray, k: int) -> list:

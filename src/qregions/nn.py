@@ -264,28 +264,25 @@ class PinballLoss:
 # Optimization
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring a parameter list.
+    """Step count and the first/second moment accumulators of a parameter
+    list, each one flat vector over every element in parameter order, so
+    each update runs once over every parameter."""
 
-    ``m`` and ``v`` hold one view per parameter into the flat ``m_flat``
-    and ``v_flat``, so each update runs once over every parameter.
-    """
-
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params) -> "AdamState":
         total = sum(p.size for p in params)
-        m_flat, v_flat = np.zeros(total), np.zeros(total)
-        return AdamState(m_flat, v_flat, _views(m_flat, params), _views(v_flat, params))
+        return AdamState(np.zeros(total), np.zeros(total))
 
 
 def _views(flat: np.ndarray, params) -> list:
@@ -305,15 +302,15 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     gets the bits a per-array update would give it.
     """
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     g = np.concatenate([np.ravel(grad) for grad in grads])
-    m, v = state.m_flat, state.v_flat
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     for p, step in zip(params, _views(update, params)):
         p -= step
 

@@ -96,18 +96,14 @@ class NpdqrModel:
         return self.pool.dim
 
     @property
-    def p(self) -> int:
-        return self.net.in_width - self.pool.dim
-
-    @property
     def membership_directions(self) -> np.ndarray:
         return self.pool.directions[self.membership_indices]
 
-    def thresholds(self, x_rows: np.ndarray, directions=None) -> np.ndarray:
-        """f(x, u) for each row and direction, shape (n, m); the rows go
-        in chunks whose pair inputs fill one inference block of the net."""
-        if directions is None:
-            directions = self.membership_directions
+    def thresholds(self, x_rows: np.ndarray) -> np.ndarray:
+        """f(x, u) for each row and membership direction, shape (n, m); the
+        rows go in chunks whose pair inputs fill one inference block of the
+        net."""
+        directions = self.membership_directions
         x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
         n, m = x_rows.shape[0], directions.shape[0]
         out = np.empty((n, m))
@@ -218,19 +214,18 @@ def project(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return out
 
 
-def contains(model: NpdqrModel, x, y, directions=None) -> bool:
+def contains(model: NpdqrModel, x, y) -> bool:
     """Whether y satisfies u . y >= f(x, u) for every membership direction."""
-    if directions is None:
-        directions = model.membership_directions
     y = np.asarray(y, dtype=float)
     if y.shape != (model.d,):
         raise ValueError(f"response has shape {y.shape}, expected ({model.d},)")
-    f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)), directions)[0]
-    return bool(np.all(project(y, directions)[:, 0] >= f))
+    f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    return bool(np.all(project(y, model.membership_directions)[:, 0] >= f))
 
 
 class RegionExtractor:
-    """The lattice points that satisfy every membership half-space.
+    """The points, of a lattice or a subset of one, that satisfy every
+    membership half-space.
 
     Membership is a conjunction over directions, tested with ``project``,
     so a point's answer does not depend on which other points are tested
@@ -238,16 +233,14 @@ class RegionExtractor:
     point onto the first ``PREFILTER_DIRECTIONS`` membership directions,
     which prune most points cheaply. The remaining directions are tested
     in blocks of that size on the points still in, and each block drops
-    the points that fail it. ``points`` restricts extraction to a subset
-    of the lattice (default: all of it).
+    the points that fail it.
     """
 
-    def __init__(self, model: NpdqrModel, grid, points: np.ndarray | None = None):
+    def __init__(self, model: NpdqrModel, points: np.ndarray):
+        if points.ndim != 2 or points.shape[1] != model.d:
+            raise ValueError(f"points have shape {points.shape}, expected (m, {model.d})")
         self.model = model
-        self.grid = grid
-        if grid.dim != model.d:
-            raise ValueError(f"grid dimension {grid.dim} != response dimension {model.d}")
-        self.points = grid.points() if points is None else points
+        self.points = points
         self.head = project(self.points, model.membership_directions[:PREFILTER_DIRECTIONS])
 
     def mask(self, x) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Deterministic numeric substrate: seeded RNG, order statistics, and the
 analytic coverage formula for directional quantile regions of a standard
-normal vector, on scipy's normal and incomplete gamma functions.
+normal vector, on scipy's inverse normal and incomplete gamma functions.
 
 All functions are pure. ``Rng`` instances are single-owner: parallel code
 must create independently seeded instances (see ``Rng.spawn``).
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "Rng",
     "empirical_quantile",
-    "std_normal_cdf",
     "std_normal_inv_cdf",
     "chi_squared_cdf",
     "dqr_theoretical_coverage",
@@ -98,17 +97,10 @@ def empirical_quantile(values, k: int) -> float:
     return float(np.sort(arr, kind="stable")[k - 1])
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF (``scipy.special.ndtr``)."""
-    # Imported here, as in ``regions``: scipy costs more to import than
-    # all of qregions, and only the analytic coverage formula needs it.
-    from scipy.special import ndtr
-
-    return float(ndtr(x))
-
-
 def std_normal_inv_cdf(p: float) -> float:
     """Inverse standard normal CDF (``scipy.special.ndtri``)."""
+    # Imported here, as in ``regions``: scipy costs more to import than
+    # all of qregions, and only the analytic coverage formula needs it.
     from scipy.special import ndtri
 
     if not 0.0 < p < 1.0:

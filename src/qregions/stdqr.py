@@ -30,7 +30,6 @@ from .nn import TrainConfig
 from .npdqr import (
     DEFAULT_MEMBERSHIP_DIRECTIONS,
     DEFAULT_POOL_SIZE,
-    DirectionPool,
     NpdqrModel,
     RegionExtractor,
     sample_direction_pool,
@@ -77,7 +76,7 @@ class StdqrModel:
         keep = np.ones(points.shape[0], dtype=bool)
         for unit, layer in inactive_layers.items():
             keep &= points[:, unit] == latent_grid.axis_centers(unit)[layer]
-        self._extractor = RegionExtractor(latent_model, latent_grid, points=points[keep])
+        self._extractor = RegionExtractor(latent_model, points[keep])
 
     @property
     def r(self) -> int:
@@ -145,8 +144,7 @@ def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:
 def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         cvae_config: TrainConfig, dqr_config: TrainConfig,
         cvae_hidden=None,
-        dqr_hidden=(64, 64, 64), pool: DirectionPool | None = None,
-        pool_size: int = DEFAULT_POOL_SIZE,
+        dqr_hidden=(64, 64, 64), pool_size: int = DEFAULT_POOL_SIZE,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
@@ -169,8 +167,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     z_val = encode_batch(cvae, x_val, y_val)
     latent_grid = build_grid(z_train, r, REGION_DISCRETIZATION)
     inactive_layers = inactive_unit_layers(z_train, latent_grid)
-    if pool is None:
-        pool = sample_direction_pool(r, pool_size, Rng(dqr_config.seed).spawn(100))
+    pool = sample_direction_pool(r, pool_size, Rng(dqr_config.seed).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
                              pool=pool, config=dqr_config,
                              membership_count=membership_count,

@@ -17,6 +17,12 @@ from qregions.nn import MlpModel, TrainConfig, init_mlp
 from qregions.numerics import Rng
 
 
+def posterior_sample(model, x, y, rng):
+    """A reparameterized latent draw mu + exp(logvar / 2) * eps."""
+    mu, logvar = model.posterior(x, y)
+    return mu + np.exp(0.5 * logvar) * rng.standard_normal(size=mu.shape)
+
+
 def zeroed_cvae(p=1, d=2, r=2):
     encoder = init_mlp((p + d, 4, 2 * r), Rng(0))
     decoder = init_mlp((p + r, 4, d), Rng(1))
@@ -42,7 +48,7 @@ class TestEncodeDecode:
         model = zeroed_cvae()
         x, y = np.zeros((1, 1)), np.zeros((1, 2))
         assert np.array_equal(encode_batch(model, x, y), np.zeros((1, 2)))
-        z = encode_batch(model, x, y, rng=Rng(3), stochastic=True)
+        z = posterior_sample(model, x, y, Rng(3))
         # mu = 0, logvar = 0, so z is exactly the standard normal draw.
         assert np.array_equal(z, Rng(3).standard_normal(size=(1, 2)))
 
@@ -177,7 +183,7 @@ class TestFit:
         # target. (The posterior means alone would have near-zero
         # variance in any latent coordinate the decoder does not use.)
         model, _, (x_cal, y_cal) = nonlinear_cvae
-        z = encode_batch(model, x_cal, y_cal, rng=Rng(77), stochastic=True)
+        z = posterior_sample(model, x_cal, y_cal, Rng(77))
         means = z.mean(axis=0)
         variances = z.var(axis=0)
         assert np.max(np.abs(means)) <= 0.25

@@ -223,6 +223,20 @@ class TestCsv:
         with pytest.raises(CsvParseError):
             load_csv(path, ["z"])
 
+    @pytest.mark.parametrize("header, responses, column", [
+        ("a,b,c", ["c", "c"], "c"),
+        ("a,b,c", [], "-"),
+        ("a,b,a", ["b"], "a"),
+        ("a,b,a", ["a"], "a"),
+    ])
+    def test_ambiguous_columns_raise(self, tmp_path, header, responses, column):
+        path = tmp_path / "ambiguous.csv"
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(path, responses)
+        assert err.value.row == 1
+        assert err.value.column == column
+
     def test_write_read_round_trip_bit_exact(self, tmp_path):
         rng = Rng(17)
         data = Dataset(x=rng.standard_normal(size=(25, 3)),

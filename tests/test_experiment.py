@@ -11,6 +11,7 @@ import pytest
 
 import qregions
 from qregions import experiment
+from qregions.data import Dataset, gen_synthetic, split
 from qregions.naive_qr import NaiveModel
 from qregions.npdqr import NpdqrModel, RegionExtractor
 from qregions.regions import Grid
@@ -96,7 +97,7 @@ class TestRunExperiment:
         model_dir = out_dir / "npdqr" / "0" / "model"
         grid = Grid.from_dict(json.loads((model_dir / "region_grid.json").read_text()))
         providers = {
-            "npdqr": RegionExtractor(NpdqrModel.load(model_dir), grid).extract,
+            "npdqr": RegionExtractor(NpdqrModel.load(model_dir), grid.points()).extract,
             "stdqr": StdqrModel.load(out_dir / "stdqr" / "0" / "model").region,
         }
         rows = {row["method"]: row for row in result["rows"]}
@@ -136,6 +137,72 @@ def test_cell_whose_region_blankets_the_grid_finishes():
     assert row["calibration"]["mode"] == "shrink"
     assert 0.0 <= row["coverage"] <= 1.0 and row["area"] > 0.0
     json.dumps(row, allow_nan=False)
+
+
+class TestDirectionalLevels:
+    @staticmethod
+    def config(**kwargs):
+        return experiment.ExperimentConfig(
+            dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
+                     "n": 200, "seed": 0},
+            methods=("stdqr", "npdqr"), **kwargs)
+
+    def test_defaults_follow_the_dataset(self):
+        assert self.config().resolve_levels() == {"npdqr": 0.95, "stdqr": 0.93}
+
+    def test_partial_override_keeps_the_other_default(self):
+        levels = self.config(directional_levels={"npdqr": 0.995}).resolve_levels()
+        assert levels == {"npdqr": 0.995, "stdqr": 0.93}
+
+    def test_unknown_method_key_raises(self):
+        with pytest.raises(ValueError, match="npqdr"):
+            self.config(directional_levels={"npqdr": 0.99})
+
+
+class TestAggregate:
+    def test_means_and_standard_errors_skip_failed_cells(self):
+        rows = [
+            {"method": "npdqr", "seed": 0, "coverage": 0.9, "area": 100.0,
+             "delta_coverage": 0.02, "per_cluster_coverage": [0.9]},
+            {"method": "npdqr", "seed": 1, "coverage": 0.8, "area": 300.0,
+             "delta_coverage": 0.04, "per_cluster_coverage": [0.8]},
+            {"method": "npdqr", "seed": 2, "error": "RuntimeError: x"},
+            {"method": "naive", "seed": 0, "error": "RuntimeError: x"},
+        ]
+        (report,) = experiment.aggregate(rows)
+        assert set(report) == AGGREGATE_KEYS
+        assert report["method"] == "npdqr" and report["seeds"] == [0, 1]
+        assert report["coverage"] == pytest.approx(0.85)
+        assert report["coverage_se"] == pytest.approx(0.05)
+        assert report["area"] == pytest.approx(200.0)
+        assert report["area_se"] == pytest.approx(100.0)
+        assert report["delta_coverage"] == pytest.approx(0.03)
+        assert report["per_cluster_coverage"] == [[0.9], [0.8]]
+
+    def test_one_cell_has_zero_standard_error(self):
+        (report,) = experiment.aggregate([
+            {"method": "naive", "seed": 4, "coverage": 0.9, "area": 1.0,
+             "delta_coverage": 0.0, "per_cluster_coverage": [0.9]}])
+        assert report["coverage_se"] == report["area_se"] == report["delta_coverage_se"] == 0.0
+
+
+class TestPrepare:
+    def test_pca_and_zscore_fit_on_train_rows_only(self):
+        dataset = gen_synthetic("nonlinear", 2, 6, 300, seed=3)
+        prep = experiment.prepare(dataset, seed=1, pca_components=2)
+        assert prep.x["train"].shape == (len(prep.y["train"]), 2)
+        # Prepared train features have mean 0 and population std 1.
+        assert np.allclose(prep.x["train"].mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(prep.x["train"].std(axis=0), 1.0)
+
+        held_out = np.setdiff1d(np.arange(dataset.n), split(dataset.n, 1).train)
+        x, y = dataset.x.copy(), dataset.y.copy()
+        x[held_out] = 40.0 * x[held_out][:, ::-1] + 7.0
+        y[held_out] *= -5.0
+        moved = experiment.prepare(Dataset(x=x, y=y), seed=1, pca_components=2)
+        assert np.array_equal(moved.x["train"], prep.x["train"])
+        assert np.array_equal(moved.y["train"], prep.y["train"])
+        assert not np.allclose(moved.x["test"], prep.x["test"])
 
 
 class TestTrainingProfile:

@@ -73,7 +73,7 @@ class TestExtractRegion:
 
     def test_ball_region_matches_exact_membership(self, grid):
         model = constant_threshold_model(2, -1.0, pool_size=2048, membership=256)
-        region = RegionExtractor(model, grid).extract([0.0])
+        region = RegionExtractor(model, grid.points()).extract([0.0])
         pts = grid.points()
         radii = np.linalg.norm(pts, axis=1)
         cell_diagonal = float(np.linalg.norm(grid.cell_widths))
@@ -86,7 +86,7 @@ class TestExtractRegion:
 
     def test_infeasible_thresholds_give_empty_region(self, grid):
         model = constant_threshold_model(2, 50.0)
-        region = RegionExtractor(model, grid).extract([0.0])
+        region = RegionExtractor(model, grid.points()).extract([0.0])
         assert region.is_empty
 
     def test_extracted_points_pass_contains(self, grid):
@@ -95,7 +95,7 @@ class TestExtractRegion:
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
                            membership_indices=np.arange(64))
-        region = RegionExtractor(model, grid).extract([0.4])
+        region = RegionExtractor(model, grid.points()).extract([0.4])
         for pt in region.points[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
 
@@ -105,7 +105,7 @@ class TestExtractRegion:
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
                            membership_indices=np.arange(128))
-        extractor = RegionExtractor(model, grid)
+        extractor = RegionExtractor(model, grid.points())
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
         mask_full = np.all(project(grid.points(), model.membership_directions) >= f[:, None],
@@ -114,7 +114,7 @@ class TestExtractRegion:
 
     def test_convexity_at_grid_resolution(self, grid):
         model = constant_threshold_model(2, -1.0, pool_size=2048, membership=256)
-        mask = RegionExtractor(model, grid).mask([0.0])
+        mask = RegionExtractor(model, grid.points()).mask([0.0])
         cells = grid.cells_per_dim
         mask2d = mask.reshape(cells, cells)
         occupied = np.argwhere(mask2d)
@@ -148,7 +148,7 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
         j = inside[np.argsort(project(points[inside], dirs[i])[0])[len(inside) // 50]]
         f[i] = project(points[j], dirs[i])[0, 0]
         tied.append(j)
-    model.thresholds = lambda x_rows, directions=None: f[None, :].copy()
+    model.thresholds = lambda x_rows: f[None, :].copy()
     return model, f, np.array(tied)
 
 
@@ -164,7 +164,7 @@ class TestExactExtraction:
         x = np.array([0.3])
         model, f, tied = tied_threshold_model(d, grid, x, seed)
         points, dirs = grid.points(), model.membership_directions
-        full = RegionExtractor(model, grid).mask(x)
+        full = RegionExtractor(model, points).mask(x)
         assert 0 < full.sum() < len(points)
         assert full[tied[-1]]
 
@@ -174,7 +174,7 @@ class TestExactExtraction:
             assert contains(model, x, points[j]) == full[j]
 
         subset = np.union1d(Rng(seed + 7).subset(len(points), min(200, len(points))), tied)
-        mask = RegionExtractor(model, grid, points=points[subset]).mask(x)
+        mask = RegionExtractor(model, points[subset]).mask(x)
         assert np.array_equal(mask, full[subset])
 
 
@@ -188,14 +188,14 @@ class TestExtractorMemory:
 
     def test_holds_only_points_and_head(self, cube):
         model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
-        extractor = RegionExtractor(model, cube)
+        extractor = RegionExtractor(model, cube.points())
         arrays = {name: v for name, v in vars(extractor).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {"points", "head"}
         assert arrays["head"].shape == (16, cube.total_cells)
 
     def test_whole_lattice_region_peak(self, cube):
         model = constant_threshold_model(3, -10.0, pool_size=2048, membership=256)
-        extractor = RegionExtractor(model, cube)
+        extractor = RegionExtractor(model, cube.points())
         tracemalloc.start()
         try:
             region = extractor.extract([0.0])
@@ -209,7 +209,7 @@ class TestExtractorMemory:
         grid = Grid(dim=4, lows=(-2.0,) * 4, highs=(2.0,) * 4, cells_per_dim=18,
                     purpose=REGION_DISCRETIZATION)
         model = constant_threshold_model(4, -1.0, pool_size=2048, membership=256)
-        region = RegionExtractor(model, grid).extract([0.0])
+        region = RegionExtractor(model, grid.points()).extract([0.0])
         assert 0 < len(region) < grid.total_cells
         assert np.all(np.linalg.norm(region.points, axis=1) <= 1.0 / np.cos(np.pi / 4))
 
@@ -245,8 +245,8 @@ class TestFit:
     def test_nested_regions_across_levels(self, noise_fit):
         _, y, model_10, model_05 = noise_fit
         grid = build_grid(y, 2, REGION_DISCRETIZATION)
-        mask_10 = RegionExtractor(model_10, grid).mask([0.5])
-        mask_05 = RegionExtractor(model_05, grid).mask([0.5])
+        mask_10 = RegionExtractor(model_10, grid.points()).mask([0.5])
+        mask_05 = RegionExtractor(model_05, grid.points()).mask([0.5])
         # Stricter directional level (alpha = 0.05) gives the larger region;
         # tolerate 1% training-noise violations.
         violations = int(np.count_nonzero(mask_10 & ~mask_05))

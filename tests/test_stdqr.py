@@ -84,7 +84,7 @@ class TestRegionComposition:
     def test_empty_latent_region_gives_empty_response_region(self):
         model = identity_pipeline()
         model.latent_model.net.biases[0][...] = 50.0  # infeasible thresholds
-        model._extractor = type(model._extractor)(model.latent_model, model.latent_grid)
+        model._extractor = type(model._extractor)(model.latent_model, model.latent_grid.points())
         result = model.region([0.0])
         assert result.is_empty
         assert result.points.shape == (0, model.cvae.d)
