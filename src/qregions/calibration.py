@@ -1,10 +1,13 @@
 """Distribution-free calibration of point-set region providers.
 
 A region provider maps an input x to a finite point set in response
-space. Calibration measures how often the provider's dilated point sets
-capture held-out responses, then either grows the dilation radius or
-shrinks the region via its complement until the empirical rule hits the
-requested coverage. Each mode has one conformity score, a distance that
+space: an (m, d) array of finite points, with d the area grid's
+dimension and m >= 0, so a region may be empty. Each answer is checked
+against that contract, and a broken one raises ValueError before any
+distance is taken from it. Calibration measures how often the
+provider's dilated point sets capture held-out responses, then either
+grows the dilation radius or shrinks the region via its complement
+until the empirical rule hits the requested coverage. Each mode has one conformity score, a distance that
 ``CalibratedRule.scores`` computes: calibration ranks it, and membership
 and area compare it with the calibrated threshold. So the calibrated
 rule works for any provider, any dimension, and any response
@@ -32,27 +35,6 @@ class CalibrationSetTooSmallError(ValueError):
     """The conformity quantile index falls outside the score list."""
 
 
-@dataclass
-class DiscreteRegion:
-    """Finite point set realizing a quantile region for one input."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim == 1:
-            self.points = self.points.reshape(0, 1) if self.points.size == 0 else self.points[None, :]
-        if not np.isfinite(self.points).all():
-            raise ValueError("region points must be finite")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-
 def conformal_rank(n2: int, alpha: float) -> int:
     """ceil((n2+1)(1-alpha)): the rank of the calibration score whose
     threshold guarantees 1 - alpha marginal coverage.
@@ -70,13 +52,23 @@ def conformal_rank(n2: int, alpha: float) -> int:
     return k
 
 
-def _grow_carrier(region: DiscreteRegion, anchor: np.ndarray) -> np.ndarray:
+def _region(provider, x, dim: int) -> np.ndarray:
+    """The provider's point set for x, checked: shape (m, dim), finite."""
+    points = np.asarray(provider(x), dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"region has shape {points.shape}, expected (m, {dim})")
+    if not np.isfinite(points).all():
+        raise ValueError("region points must be finite")
+    return points
+
+
+def _grow_carrier(region: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Point set grow-mode distances are measured against: the region, or
     the anchor point when the region is empty."""
-    return anchor[None, :] if region.is_empty else region.points
+    return anchor[None, :] if len(region) == 0 else region
 
 
-def gamma_init(region: DiscreteRegion) -> float:
+def gamma_init(region: np.ndarray) -> float:
     """Nearest-neighbor spacing threshold of a discrete region: the
     ceil(0.9 m)-th smallest distance from a region point to its closest
     other region point."""
@@ -84,18 +76,17 @@ def gamma_init(region: DiscreteRegion) -> float:
     if m < 2:
         raise DegenerateRegionError(
             f"need at least 2 region points for a spacing threshold, got {m}")
-    spacings = pairwise_nn_distances(region.points)
+    spacings = pairwise_nn_distances(region)
     return empirical_quantile(spacings, int(np.ceil(0.9 * m)))
 
 
-def base_contains(region: DiscreteRegion, y, gamma: float) -> bool:
+def base_contains(region: np.ndarray, y, gamma: float) -> bool:
     """Whether y lies within distance gamma of the region's point set."""
     if gamma < 0:
         raise ValueError(f"dilation radius must be nonnegative, got {gamma}")
-    if region.is_empty:
+    if len(region) == 0:
         return False
-    return bool(min_distances(np.atleast_2d(np.asarray(y, dtype=float)),
-                              region.points)[0] <= gamma)
+    return bool(min_distances(np.atleast_2d(np.asarray(y, dtype=float)), region)[0] <= gamma)
 
 
 @dataclass
@@ -130,15 +121,15 @@ class CalibratedRule:
     def region_carrier(self, x) -> np.ndarray:
         """Point set distances are measured against under Grow; empty
         regions fall back to the anchor point."""
-        return _grow_carrier(self.provider(x), self.anchor)
+        return _grow_carrier(_region(self.provider, x, len(self.anchor)), self.anchor)
 
     def complement_carrier(self, x) -> np.ndarray:
         """Grid points farther than the complement threshold from the
         region (may be empty when the region blankets the grid)."""
-        region = self.provider(x)
-        if region.is_empty:
+        region = _region(self.provider, x, len(self.anchor))
+        if len(region) == 0:
             return self.complement_points
-        dist = min_distances(self.complement_points, region.points)
+        dist = min_distances(self.complement_points, region)
         return self.complement_points[dist > self.complement_threshold]
 
     def scores(self, x, points) -> np.ndarray:
@@ -203,7 +194,7 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
     covered = np.zeros(n2, dtype=bool)
     grow_scores = np.empty(n2)
     for i in range(n2):
-        region = provider(x_cal[i])
+        region = _region(provider, x_cal[i], area_grid.dim)
         sizes[i] = len(region)
         if sizes[i] >= 2:
             gammas[i] = gamma_init(region)
@@ -211,7 +202,7 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
         # already in hand, so the scores and membership agree to the last bit.
         carrier = _grow_carrier(region, anchor)
         grow_scores[i] = float(min_distances(y_cal[i][None, :], carrier)[0])
-        if not region.is_empty:
+        if sizes[i] > 0:
             covered[i] = grow_scores[i] <= gammas[i]
     c_init = float(covered.mean())
 

@@ -62,10 +62,6 @@ class SplitIndices:
     validation: np.ndarray
     test: np.ndarray
 
-    def sizes(self):
-        return (len(self.train), len(self.calibration),
-                len(self.validation), len(self.test))
-
 
 def gen_synthetic(setting: str, d: int, p: int, n: int, seed: int) -> Dataset:
     """Synthetic regression data whose conditional response traces a
@@ -192,7 +188,8 @@ def load_csv(path, response_columns) -> Dataset:
     and everything else to the features.
 
     Raises CsvParseError when no response column is named, a name is
-    given twice, or the header repeats a column name.
+    given twice, the header repeats a column name, or every column is a
+    response.
     """
     if not response_columns:
         raise CsvParseError("no response columns named", 1, "-")
@@ -213,6 +210,8 @@ def load_csv(path, response_columns) -> Dataset:
                 raise CsvParseError(f"missing response column {name!r}", 1, name)
         response_idx = [header.index(name) for name in response_columns]
         feature_idx = [j for j in range(len(header)) if j not in response_idx]
+        if not feature_idx:
+            raise CsvParseError("no feature columns", 1, "-")
         x_rows, y_rows = [], []
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):

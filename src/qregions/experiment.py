@@ -153,7 +153,7 @@ class ExperimentConfig:
         with ``directional_levels`` merged over them."""
         levels = _DEFAULT_LEVELS
         spec = self.dataset
-        if spec.get("kind") == "synthetic":
+        if spec.get("kind", "synthetic") == "synthetic":
             key = (spec["setting"], spec["d"])
             if key == ("nonlinear", 4) and spec["p"] >= 10:
                 key += ("wide",)

@@ -13,6 +13,7 @@ the region when its score is at most the offset: every interval widened
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,11 +106,8 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
         for side, level, bucket in (("lower", level_lo, nets_lo),
                                     ("upper", level_hi, nets_hi)):
             net = init_mlp(widths, seed_rng.spawn(len(nets_lo) + len(nets_hi)))
-            net_config = TrainConfig(
-                learning_rate=config.learning_rate, batch_size=config.batch_size,
-                max_epochs=config.max_epochs, patience=config.patience,
-                seed=seed_rng.spawn(1000 + len(nets_lo) + len(nets_hi)).seed,
-            )
+            net_config = replace(
+                config, seed=seed_rng.spawn(1000 + len(nets_lo) + len(nets_hi)).seed)
             net, histories[f"{side}_{j}"] = train(
                 net, (x_train, y_train[:, j]), PinballLoss(level), net_config,
                 (x_val, y_val[:, j]))

@@ -87,14 +87,6 @@ class MlpModel:
         """Trainable arrays, in a fixed order shared with gradients."""
         return list(self.weights) + list(self.biases)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.widths,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.leaky_slope,
-        )
-
     def to_dict(self) -> dict:
         return {
             "widths": list(self.widths),

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import DiscreteRegion
 from .nn import (
     INFERENCE_ROWS,
     MlpModel,
@@ -256,5 +255,5 @@ class RegionExtractor:
         mask[idx] = True
         return mask
 
-    def extract(self, x) -> DiscreteRegion:
-        return DiscreteRegion(points=self.points[self.mask(x)])
+    def extract(self, x) -> np.ndarray:
+        return self.points[self.mask(x)]

@@ -46,22 +46,12 @@ class Grid:
         if any(lo >= hi for lo, hi in zip(self.lows, self.highs)):
             raise ValueError("grid bounds must satisfy low < high per dimension")
 
-    @property
-    def total_cells(self) -> int:
-        return self.cells_per_dim ** self.dim
-
-    @property
-    def cell_widths(self) -> np.ndarray:
-        lows = np.asarray(self.lows)
-        highs = np.asarray(self.highs)
-        return (highs - lows) / self.cells_per_dim
-
     def axis_centers(self, axis: int) -> np.ndarray:
         width = (self.highs[axis] - self.lows[axis]) / self.cells_per_dim
         return self.lows[axis] + width * (np.arange(self.cells_per_dim) + 0.5)
 
     def points(self) -> np.ndarray:
-        """All cell centers, shape (total_cells, dim), row-major order
+        """All cell centers, shape (cells_per_dim ** dim, dim), row-major order
         (last axis fastest)."""
         axes = [self.axis_centers(k) for k in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")

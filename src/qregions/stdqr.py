@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import DiscreteRegion
 from .cvae import CvaeModel, decode_batch, encode_batch
 from .cvae import fit as fit_cvae
 from .nn import TrainConfig
 from .npdqr import (
+    DEFAULT_HIDDEN,
     DEFAULT_MEMBERSHIP_DIRECTIONS,
     DEFAULT_POOL_SIZE,
     NpdqrModel,
@@ -76,7 +76,7 @@ class StdqrModel:
         keep = np.ones(points.shape[0], dtype=bool)
         for unit, layer in inactive_layers.items():
             keep &= points[:, unit] == latent_grid.axis_centers(unit)[layer]
-        self._extractor = RegionExtractor(latent_model, points[keep])
+        self.extractor = RegionExtractor(latent_model, points[keep])
 
     @property
     def r(self) -> int:
@@ -88,16 +88,13 @@ class StdqrModel:
         latent = {f"latent_{net}": h for net, h in self.latent_model.histories.items()}
         return {**self.cvae.histories, **latent}
 
-    def latent_region(self, x) -> DiscreteRegion:
-        return self._extractor.extract(x)
-
-    def region(self, x) -> DiscreteRegion:
+    def region(self, x) -> np.ndarray:
         """Decoded latent region: one response point per latent point."""
         x = np.asarray(x, dtype=float)
-        latent = self._extractor.extract(x)
-        if latent.is_empty:
-            return DiscreteRegion(points=np.zeros((0, self.cvae.d)))
-        return DiscreteRegion(points=decode_batch(self.cvae, x[None, :], latent.points))
+        latent = self.extractor.extract(x)
+        if len(latent) == 0:
+            return np.zeros((0, self.cvae.d))
+        return decode_batch(self.cvae, x[None, :], latent)
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -144,7 +141,7 @@ def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:
 def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         cvae_config: TrainConfig, dqr_config: TrainConfig,
         cvae_hidden=None,
-        dqr_hidden=(64, 64, 64), pool_size: int = DEFAULT_POOL_SIZE,
+        dqr_hidden=DEFAULT_HIDDEN, pool_size: int = DEFAULT_POOL_SIZE,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
@@ -157,10 +154,6 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     InactiveLatentError, before the threshold net is trained, when every
     unit is inactive.
     """
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
-    x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
-    y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     cvae = fit_cvae(x_train, y_train, x_val, y_val, r=r, lam=lam,
                     config=cvae_config, hidden=cvae_hidden)
     z_train = encode_batch(cvae, x_train, y_train)

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from qregions import calibration
 from qregions.calibration import (
     GROW,
     SHRINK,
     CalibratedRule,
     CalibrationSetTooSmallError,
     DegenerateRegionError,
-    DiscreteRegion,
     base_contains,
     calibrate,
     gamma_init,
@@ -19,18 +19,14 @@ from qregions.numerics import Rng
 from qregions.regions import AREA_MEASUREMENT, build_grid, min_distances
 
 
-def region_of(points):
-    return DiscreteRegion(points=np.asarray(points, dtype=float))
-
-
 class TestGammaInit:
     def test_collinear_unit_spacing(self):
         pts = np.stack([np.arange(10.0), np.zeros(10)], axis=1)
-        assert gamma_init(region_of(pts)) == pytest.approx(1.0)
+        assert gamma_init(pts) == pytest.approx(1.0)
 
     def test_unit_square_corners(self):
-        pts = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-        assert gamma_init(region_of(pts)) == pytest.approx(1.0)
+        pts = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+        assert gamma_init(pts) == pytest.approx(1.0)
 
     def test_matches_brute_force_oracle(self):
         pts = Rng(40).uniform(-1, 1, size=(200, 2))
@@ -44,27 +40,27 @@ class TestGammaInit:
             spacings.append(best)
         k = math.ceil(0.9 * 200)
         oracle = sorted(spacings)[k - 1]
-        assert gamma_init(region_of(pts)) == pytest.approx(oracle, rel=1e-12)
+        assert gamma_init(pts) == pytest.approx(oracle, rel=1e-12)
 
     def test_degenerate_region(self):
         with pytest.raises(DegenerateRegionError):
-            gamma_init(region_of(np.zeros((1, 2))))
+            gamma_init(np.zeros((1, 2)))
         with pytest.raises(DegenerateRegionError):
-            gamma_init(DiscreteRegion(points=np.zeros((0, 2))))
+            gamma_init(np.zeros((0, 2)))
 
 
 class TestBaseContains:
     def test_three_four_five(self):
-        region = region_of([(0.0, 0.0)])
+        region = np.array([(0.0, 0.0)])
         assert base_contains(region, (3.0, 4.0), 5.0)
         assert not base_contains(region, (3.0, 4.0), 4.99)
 
     def test_member_point_always_inside(self):
-        region = region_of([(1.0, 2.0), (3.0, 4.0)])
+        region = np.array([(1.0, 2.0), (3.0, 4.0)])
         assert base_contains(region, (3.0, 4.0), 0.0)
 
     def test_empty_region_contains_nothing(self):
-        empty = DiscreteRegion(points=np.zeros((0, 2)))
+        empty = np.zeros((0, 2))
         assert not base_contains(empty, (0.0, 0.0), 100.0)
 
 
@@ -75,10 +71,10 @@ class TestInitialCoverage:
         grid = build_grid(y, 2, AREA_MEASUREMENT)
 
         def cover_all(_x):
-            return region_of(y)  # every response is one of the points
+            return y  # every response is one of the points
 
         def cover_none(_x):
-            return DiscreteRegion(points=np.zeros((0, 2)))
+            return np.zeros((0, 2))
 
         assert calibrate(cover_all, x, y, alpha=0.1, area_grid=grid).c_init == 1.0
         assert calibrate(cover_none, x, y, alpha=0.1, area_grid=grid).c_init == 0.0
@@ -92,7 +88,7 @@ def ring_provider(center_fn, radii=(0.3, 0.6), count=12):
     offsets = np.concatenate([o if o.ndim == 2 else o[None, :] for o in offsets])
 
     def provider(x):
-        return DiscreteRegion(points=center_fn(x) + offsets)
+        return center_fn(x) + offsets
 
     return provider
 
@@ -120,7 +116,7 @@ class TestCalibrate:
         rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == GROW
         scores = np.array([
-            float(min_distances(y[i][None, :], provider(x[i]).points)[0])
+            float(min_distances(y[i][None, :], provider(x[i]))[0])
             for i in range(99)
         ])
         assert rule.gamma_cal == pytest.approx(np.sort(scores)[89])
@@ -164,14 +160,14 @@ class TestCalibrate:
             c_init=0.0, gamma_init_values=np.zeros(0),
             region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2),
         )
-        assert np.all(rule.membership(x[0], region.points))
-        off_points = region.points + np.array([1e-6, 0.0])
+        assert np.all(rule.membership(x[0], region))
+        off_points = region + np.array([1e-6, 0.0])
         assert not np.any(rule.membership(x[0], off_points))
 
     def test_empty_regions_still_calibrate(self, gaussian_setup):
         draw, _, grid = gaussian_setup
         x, y = draw(99)
-        empty = lambda _x: DiscreteRegion(points=np.zeros((0, 2)))
+        empty = lambda _x: np.zeros((0, 2))
         rule = calibrate(empty, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == GROW
         assert np.isfinite(rule.gamma_cal)
@@ -182,7 +178,7 @@ class TestCalibrate:
         # np.linalg.norm and the k-d tree round some distances differently;
         # scores from the former let the row that sets gamma_cal fall
         # outside its own rule at several of these seeds.
-        empty = lambda _x: DiscreteRegion(points=np.zeros((0, 2)))
+        empty = lambda _x: np.zeros((0, 2))
         k = math.ceil(100 * 0.9)
         for seed in range(40):
             rng = Rng(seed)
@@ -208,6 +204,45 @@ class TestCalibrate:
         mean_cov = float(np.mean(coverages))
         se = float(np.std(coverages) / math.sqrt(trials))
         assert 0.90 - 3 * se <= mean_cov <= 0.91 + 3 * se
+
+
+class TestProviderContract:
+    """A provider answers with an (m, d) array of finite points; any other
+    answer raises ValueError before a distance is taken from it."""
+
+    @pytest.fixture
+    def no_scores(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a score was taken from a malformed region")
+
+        monkeypatch.setattr(calibration, "min_distances", refuse)
+        monkeypatch.setattr(calibration, "pairwise_nn_distances", refuse)
+
+    @pytest.mark.parametrize("answer", [
+        np.array([[0.0, 0.0], [np.nan, 1.0]]),
+        np.array([[0.0, 0.0], [np.inf, 1.0]]),
+        np.array([0.0, 1.0]),
+        np.zeros((3, 3)),
+        np.zeros((0, 1)),
+    ], ids=["nan", "inf", "one-dimensional", "wrong-dimension", "empty-wrong-dimension"])
+    def test_malformed_region_raises_before_scoring(self, gaussian_setup, no_scores,
+                                                    answer):
+        draw, _, grid = gaussian_setup
+        x, y = draw(99)
+        with pytest.raises(ValueError, match="region"):
+            calibrate(lambda _x: answer, x, y, alpha=0.1, area_grid=grid)
+
+    def test_rule_checks_the_provider_again(self, gaussian_setup):
+        draw, provider, grid = gaussian_setup
+        x, y = draw(99)
+        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule.provider = lambda _x: np.array([[np.nan, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            rule.membership(x[0], y[:1])
+        rule.mode, rule.complement_threshold = SHRINK, 0.1
+        rule.complement_points = grid.points()
+        with pytest.raises(ValueError, match="finite"):
+            rule.membership(x[0], y[:1])
 
 
 def flood_fill_components(mask2d):
@@ -241,7 +276,7 @@ class TestShrink:
         region_pts = grid.points()[np.linalg.norm(grid.points(), axis=1) <= 2.2]
 
         def provider(_x):
-            return DiscreteRegion(points=region_pts)
+            return region_pts
 
         def draw(n):
             x = rng.uniform(size=(n, 1))
@@ -282,7 +317,7 @@ class TestShrink:
         # No grid point lies outside the region, so every calibration row
         # scores +inf (infinitely inside) and the threshold is +inf.
         _, grid, draw, _ = disc_setup
-        blanket = lambda _x: DiscreteRegion(points=grid.points())
+        blanket = lambda _x: grid.points()
         x, y = draw(99)
         rule = calibrate(blanket, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == SHRINK
@@ -297,8 +332,7 @@ class TestShrink:
         provider, grid, draw, _ = disc_setup
         x, y = draw(99)
         x[::3] = 2.0  # every third input gets the blanket
-        blanket_or_disc = lambda xi: (DiscreteRegion(points=grid.points())
-                                      if xi[0] == 2.0 else provider(xi))
+        blanket_or_disc = lambda xi: grid.points() if xi[0] == 2.0 else provider(xi)
         rule = calibrate(blanket_or_disc, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == SHRINK and np.isfinite(rule.gamma_cal)
         assert np.all(rule.scores(x[0], y) == math.inf)

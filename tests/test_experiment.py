@@ -158,6 +158,15 @@ class TestDirectionalLevels:
         with pytest.raises(ValueError, match="npqdr"):
             self.config(directional_levels={"npqdr": 0.99})
 
+    def test_spec_without_kind_is_synthetic(self):
+        # load_dataset reads a spec without "kind" as synthetic; so must
+        # the levels.
+        spec = {"setting": "linear", "d": 2, "p": 1, "n": 200}
+        bare = experiment.ExperimentConfig(dataset=spec).resolve_levels()
+        tagged = experiment.ExperimentConfig(
+            dataset={**spec, "kind": "synthetic"}).resolve_levels()
+        assert bare == tagged == {"npdqr": 0.95, "stdqr": 0.95}
+
 
 class TestAggregate:
     def test_means_and_standard_errors_skip_failed_cells(self):

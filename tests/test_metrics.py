@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qregions.calibration import GROW, CalibratedRule, DiscreteRegion
+from qregions.calibration import GROW, CalibratedRule
 from qregions.experiment import DistanceRule, RectangleRule
 from qregions.metrics import (
     ClusterAssignment,
@@ -19,7 +19,7 @@ def ball_rule(radius):
     """Grow rule around the origin: covers y when |y| <= radius."""
     return DistanceRule(CalibratedRule(
         mode=GROW, gamma_cal=radius,
-        provider=lambda _x: DiscreteRegion(points=np.zeros((1, 2))),
+        provider=lambda _x: np.zeros((1, 2)),
         alpha=0.1, n2=0, c_init=0.0, gamma_init_values=np.zeros(0),
         region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2)))
 

@@ -141,10 +141,11 @@ class TestRegion:
         centers = [grid.axis_centers(j) for j in range(2)]
         per_axis = [((c >= lo) & (c <= hi)).sum() for c, lo, hi in zip(centers, lower, upper)]
         assert count == int(np.prod(per_axis))
-        cell_area = float(np.prod(grid.cell_widths))
+        widths = (np.asarray(grid.highs) - grid.lows) / grid.cells_per_dim
+        cell_area = float(np.prod(widths))
         # One cell layer per face of slack.
-        per_face = 2 * (upper[0] - lower[0]) / grid.cell_widths[1] \
-            + 2 * (upper[1] - lower[1]) / grid.cell_widths[0]
+        per_face = 2 * (upper[0] - lower[0]) / widths[1] \
+            + 2 * (upper[1] - lower[1]) / widths[0]
         assert abs(count - box_volume(lower, upper) / cell_area) <= per_face + 4
 
     def test_widening_monotonicity(self):

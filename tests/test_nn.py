@@ -187,7 +187,7 @@ class TestBitwiseOracle:
                                         (3, 8, 8, 2), (2, 1)])
     def test_training_steps_match_reference(self, widths, slope, zeros, rows):
         model = init_mlp(widths, Rng(rows), leaky_slope=slope)
-        reference = model.copy()
+        reference = MlpModel.from_dict(model.to_dict())
         adam = AdamState.for_params(model.parameters())
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference.parameters()]
         data_rng, zero_rng = Rng(1), Rng(2)
@@ -228,7 +228,7 @@ class TestBitwiseOracle:
         # One cache goes back to every step, the short batch included;
         # a second model takes a fresh cache each step.
         model = init_mlp(widths, Rng(5), leaky_slope=slope)
-        fresh = model.copy()
+        fresh = MlpModel.from_dict(model.to_dict())
         adam, fresh_adam = (AdamState.for_params(m.parameters()) for m in (model, fresh))
         data_rng, loss, cache = Rng(6), MseLoss(), None
         for rows in (64, 64, 17, 64):

@@ -76,8 +76,9 @@ class TestExtractRegion:
         region = RegionExtractor(model, grid.points()).extract([0.0])
         pts = grid.points()
         radii = np.linalg.norm(pts, axis=1)
-        cell_diagonal = float(np.linalg.norm(grid.cell_widths))
-        inside = set(map(tuple, region.points))
+        cell_diagonal = float(np.linalg.norm(
+            (np.asarray(grid.highs) - grid.lows) / grid.cells_per_dim))
+        inside = set(map(tuple, region))
         for pt, r in zip(pts, radii):
             if r <= 1.0 - cell_diagonal:
                 assert tuple(pt) in inside
@@ -87,7 +88,7 @@ class TestExtractRegion:
     def test_infeasible_thresholds_give_empty_region(self, grid):
         model = constant_threshold_model(2, 50.0)
         region = RegionExtractor(model, grid.points()).extract([0.0])
-        assert region.is_empty
+        assert region.shape == (0, model.d)
 
     def test_extracted_points_pass_contains(self, grid):
         rng = Rng(11)
@@ -96,7 +97,7 @@ class TestExtractRegion:
         model = NpdqrModel(net=net, pool=pool, alpha=0.1,
                            membership_indices=np.arange(64))
         region = RegionExtractor(model, grid.points()).extract([0.4])
-        for pt in region.points[:: max(1, len(region) // 25)]:
+        for pt in region[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
 
     def test_prefilter_matches_full_check(self, grid):
@@ -191,7 +192,7 @@ class TestExtractorMemory:
         extractor = RegionExtractor(model, cube.points())
         arrays = {name: v for name, v in vars(extractor).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {"points", "head"}
-        assert arrays["head"].shape == (16, cube.total_cells)
+        assert arrays["head"].shape == (16, cube.cells_per_dim ** cube.dim)
 
     def test_whole_lattice_region_peak(self, cube):
         model = constant_threshold_model(3, -10.0, pool_size=2048, membership=256)
@@ -202,16 +203,16 @@ class TestExtractorMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(region) == cube.total_cells
-        assert peak < 3 * cube.total_cells * 16 * 8
+        assert len(region) == cube.cells_per_dim ** cube.dim
+        assert peak < 3 * len(region) * 16 * 8
 
     def test_four_dimensional_lattice(self):
         grid = Grid(dim=4, lows=(-2.0,) * 4, highs=(2.0,) * 4, cells_per_dim=18,
                     purpose=REGION_DISCRETIZATION)
         model = constant_threshold_model(4, -1.0, pool_size=2048, membership=256)
         region = RegionExtractor(model, grid.points()).extract([0.0])
-        assert 0 < len(region) < grid.total_cells
-        assert np.all(np.linalg.norm(region.points, axis=1) <= 1.0 / np.cos(np.pi / 4))
+        assert 0 < len(region) < grid.cells_per_dim ** grid.dim
+        assert np.all(np.linalg.norm(region, axis=1) <= 1.0 / np.cos(np.pi / 4))
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +251,7 @@ class TestFit:
         # Stricter directional level (alpha = 0.05) gives the larger region;
         # tolerate 1% training-noise violations.
         violations = int(np.count_nonzero(mask_10 & ~mask_05))
-        assert violations <= 0.01 * grid.total_cells
+        assert violations <= 0.01 * grid.cells_per_dim ** grid.dim
         assert mask_05.sum() > mask_10.sum()
 
     def test_constant_response_learns_projection(self):

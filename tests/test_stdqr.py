@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qregions.calibration import DiscreteRegion, base_contains, gamma_init
+from qregions.calibration import base_contains, gamma_init
 from qregions.cvae import CvaeModel, encode_batch
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
 from qregions.nn import TrainConfig, init_mlp
-from qregions.npdqr import NpdqrModel, sample_direction_pool
+from qregions.npdqr import NpdqrModel, RegionExtractor, sample_direction_pool
 from qregions.numerics import Rng
 from qregions.regions import (
     REGION_DISCRETIZATION,
@@ -62,32 +62,31 @@ def ignored_unit_pipeline():
 class TestRegionComposition:
     def test_identity_decoder_passes_latent_points_through(self):
         model = identity_pipeline()
-        latent = model.latent_region([0.5])
+        latent = model.extractor.extract([0.5])
         decoded = model.region([0.5])
-        assert not latent.is_empty
-        assert np.allclose(np.sort(decoded.points, axis=0),
-                           np.sort(latent.points, axis=0))
+        assert len(latent) > 0
+        assert np.allclose(np.sort(decoded, axis=0), np.sort(latent, axis=0))
 
     def test_cardinality_preserved(self):
         model = identity_pipeline()
-        assert len(model.region([0.2])) == len(model.latent_region([0.2]))
+        assert len(model.region([0.2])) == len(model.extractor.extract([0.2]))
 
     def test_matches_manual_decode(self):
         model = identity_pipeline()
         x = np.array([0.7])
-        latent = model.latent_region(x)
+        latent = model.extractor.extract(x)
         from qregions.cvae import decode_batch
 
-        manual = decode_batch(model.cvae, x[None, :], latent.points)
-        assert np.array_equal(model.region(x).points, manual)
+        manual = decode_batch(model.cvae, x[None, :], latent)
+        assert np.array_equal(model.region(x), manual)
 
     def test_empty_latent_region_gives_empty_response_region(self):
         model = identity_pipeline()
         model.latent_model.net.biases[0][...] = 50.0  # infeasible thresholds
-        model._extractor = type(model._extractor)(model.latent_model, model.latent_grid.points())
+        model.extractor = RegionExtractor(model.latent_model, model.latent_grid.points())
         result = model.region([0.0])
-        assert result.is_empty
-        assert result.points.shape == (0, model.cvae.d)
+        assert len(result) == 0
+        assert result.shape == (0, model.cvae.d)
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +111,12 @@ def nonlinear_fit():
 class TestInactiveUnits:
     def test_ignored_unit_takes_one_layer(self):
         model = ignored_unit_pipeline()
-        latent = model.latent_region([0.3])
+        latent = model.extractor.extract([0.3])
         assert len(latent) > 2
-        assert np.unique(latent.points[:, 0]).tolist() == [
+        assert np.unique(latent[:, 0]).tolist() == [
             model.latent_grid.axis_centers(0)[6]]
         decoded = model.region([0.3])
-        assert np.all(pairwise_nn_distances(decoded.points) > 0.0)
+        assert np.all(pairwise_nn_distances(decoded) > 0.0)
 
     def test_fit_raises_when_every_unit_is_inactive(self):
         # A huge KL weight pins every posterior to the prior, so no
@@ -142,7 +141,7 @@ class TestFittedPipeline:
         model, _, _, _ = nonlinear_fit
         assert model.latent_grid.dim == 3
         assert model.latent_grid.cells_per_dim == 35
-        assert model.latent_grid.total_cells == 42_875
+        assert model.latent_grid.cells_per_dim ** model.latent_grid.dim == 42_875
 
     def test_region_is_nonempty_at_central_inputs(self, nonlinear_fit):
         model, _, _, x_stats = nonlinear_fit
@@ -155,11 +154,11 @@ class TestFittedPipeline:
         # two arm tips falls in the empty valley, far from region points.
         model, _, _, x_stats = nonlinear_fit
         x = x_stats.normalize(np.array([1.5]))
-        pts = model.region(x).points
+        pts = model.region(x)
         tip_lo = pts[np.argmin(pts[:, 0])]
         tip_hi = pts[np.argmax(pts[:, 0])]
         midpoint = 0.5 * (tip_lo + tip_hi)
-        spacing = gamma_init(DiscreteRegion(points=pts))
+        spacing = gamma_init(pts)
         assert float(min_distances(midpoint[None, :], pts)[0]) > spacing
 
     def test_decoded_points_stay_on_data_manifold(self, nonlinear_fit):
@@ -170,7 +169,7 @@ class TestFittedPipeline:
         fractions = []
         for raw in (1.5, 2.0, 2.5):
             x = x_stats.normalize(np.array([raw]))
-            pts = model.region(x).points
+            pts = model.region(x)
             near = min_distances(pts, y_tr) <= spacing
             fractions.append(float(near.mean()))
         assert min(fractions) >= 0.95
@@ -184,9 +183,9 @@ class TestFittedPipeline:
         idx = np.arange(0, len(y_cal), 6)
         hits_latent, hits_response = [], []
         for i in idx:
-            latent = model.latent_region(x_cal[i])
+            latent = model.extractor.extract(x_cal[i])
             decoded = model.region(x_cal[i])
-            if latent.is_empty:
+            if len(latent) == 0:
                 hits_latent.append(False)
                 hits_response.append(False)
                 continue
@@ -237,9 +236,9 @@ class TestOneDimensionalLatent:
             cvae_hidden=(32, 32), dqr_hidden=(16, 16), pool_size=64,
             membership_count=32,
         )
-        latent = model.latent_region(normalized.x[parts.test[0]])
+        latent = model.extractor.extract(normalized.x[parts.test[0]])
         centers = model.latent_grid.axis_centers(0)
-        member = np.isin(centers, latent.points[:, 0])
+        member = np.isin(centers, latent[:, 0])
         if member.any():
             first, last = np.argmax(member), len(member) - np.argmax(member[::-1]) - 1
             assert member[first : last + 1].all()  # contiguous run
@@ -254,4 +253,4 @@ class TestSerialization:
             assert loaded.latent_grid == model.latent_grid
             assert loaded.inactive_layers == model.inactive_layers
             x = np.array([0.4])
-            assert np.array_equal(loaded.region(x).points, model.region(x).points)
+            assert np.array_equal(loaded.region(x), model.region(x))
