@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -43,13 +43,15 @@ METHODS = ("stdqr", "npdqr", "naive")
 AREA_EVAL_COUNT = 64
 CLUSTER_COUNT = 3
 
-# Pre-calibration directional coverage levels by (setting, d, p>=10):
-# the threshold nets aim above the nominal 90% because intersecting
-# half-spaces undercovers, and calibration then shrinks or grows.
+# Latent dimension and KL weight of the ST-DQR auto-encoder.
+LATENT_DIM = 3
+KL_WEIGHT = 0.01
+
+# Pre-calibration directional coverage levels of each (setting, d, p>=10)
+# that departs from the default: the threshold nets aim above the nominal
+# 90% because intersecting half-spaces undercover; calibration corrects.
 _DIRECTIONAL_LEVELS = {
     ("linear", 2): {"npdqr": 0.95, "stdqr": 0.95},
-    ("nonlinear", 2): {"npdqr": 0.95, "stdqr": 0.93},
-    ("nonlinear", 3): {"npdqr": 0.95, "stdqr": 0.93},
     ("nonlinear", 4): {"npdqr": 0.98, "stdqr": 0.93},
     ("nonlinear", 4, "wide"): {"npdqr": 0.98, "stdqr": 0.95},
 }
@@ -58,56 +60,47 @@ _DEFAULT_LEVELS = {"npdqr": 0.95, "stdqr": 0.93}
 
 @dataclass
 class TrainingProfile:
-    """Training budgets for the three model families.
+    """Training settings of the three model families and the auto-encoder
+    stack ``cvae_hidden`` (None keeps ``cvae.fit``'s default).
 
-    Defaults follow the published protocol (Adam 1e-3, batch 256 with
-    512 for the auto-encoder, patience 100/200); the max-epoch caps and
-    the auto-encoder stack are desk-scale knobs every entry point
-    exposes. The threshold and interval nets keep their fit functions'
-    3x64 stack and direction counts.
+    Defaults follow the published protocol: ``TrainConfig``'s Adam 1e-3,
+    batch 256 and patience 100, with batch 512 and patience 200 for the
+    auto-encoder. Each cell sets the seeds. The threshold and interval
+    nets keep their fit functions' 3x64 stack and direction counts.
     """
 
-    cvae: dict = field(default_factory=lambda: {
-        "learning_rate": 1e-3, "batch_size": 512, "max_epochs": 10_000,
-        "patience": 200, "hidden": None,
-    })
-    dqr: dict = field(default_factory=lambda: {
-        "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
-        "patience": 100,
-    })
-    naive: dict = field(default_factory=lambda: {
-        "learning_rate": 1e-3, "batch_size": 256, "max_epochs": 10_000,
-        "patience": 100,
-    })
+    cvae: TrainConfig = field(
+        default_factory=lambda: TrainConfig(batch_size=512, patience=200))
+    dqr: TrainConfig = field(default_factory=TrainConfig)
+    naive: TrainConfig = field(default_factory=TrainConfig)
+    cvae_hidden: tuple | None = None
 
     def merged(self, overrides: dict | None) -> "TrainingProfile":
         """Copy with ``overrides`` ({section: {key: value}}) applied.
 
-        Raises ValueError on a section or key the profile does not have.
+        Raises ValueError on a section or key the profile does not have
+        (``seed`` included) and on a value ``TrainConfig`` rejects.
         """
-        profile = TrainingProfile(
-            cvae=dict(self.cvae), dqr=dict(self.dqr), naive=dict(self.naive))
+        sections = {name: getattr(self, name) for name in ("cvae", "dqr", "naive")}
         for section, values in (overrides or {}).items():
-            if section not in ("cvae", "dqr", "naive"):
+            if section not in sections:
                 raise ValueError(f"unknown training section {section!r}")
-            target = getattr(profile, section)
-            unknown = sorted(set(values) - set(target))
+            unknown = sorted(set(values) - (set(asdict(sections[section])) - {"seed"}))
             if unknown:
                 raise ValueError(f"unknown {section} training keys {unknown}")
-            target.update(values)
-        return profile
+            sections[section] = replace(sections[section], **values)
+        return TrainingProfile(**sections, cvae_hidden=self.cvae_hidden)
 
 
 def desk_scale_profile() -> TrainingProfile:
     """Reduced-budget profile: same architectures and optimizer, capped
     epochs/patience and a lighter auto-encoder stack, sized so one seed
     of one method runs in minutes on one core."""
-    return TrainingProfile().merged({
-        "cvae": {"learning_rate": 2e-3, "batch_size": 256, "max_epochs": 600,
-                 "patience": 100, "hidden": (64, 64, 64)},
-        "dqr": {"learning_rate": 2e-3, "max_epochs": 120, "patience": 25},
-        "naive": {"learning_rate": 2e-3, "max_epochs": 200, "patience": 40},
-    })
+    return TrainingProfile(
+        cvae=TrainConfig(learning_rate=2e-3, max_epochs=600),
+        dqr=TrainConfig(learning_rate=2e-3, max_epochs=120, patience=25),
+        naive=TrainConfig(learning_rate=2e-3, max_epochs=200, patience=40),
+        cvae_hidden=(64, 64, 64))
 
 
 @dataclass
@@ -115,8 +108,6 @@ class ExperimentConfig:
     dataset: dict
     methods: tuple = METHODS
     alpha: float = 0.1
-    latent_dim: int = 3
-    kl_weight: float = 0.01
     directional_levels: dict | None = None
     seeds: tuple = (0,)
     out_dir: str | None = None
@@ -139,11 +130,8 @@ class ExperimentConfig:
     def digest(self) -> str:
         payload = {
             "dataset": self.dataset, "methods": list(self.methods),
-            "alpha": self.alpha, "latent_dim": self.latent_dim,
-            "kl_weight": self.kl_weight,
-            "directional_levels": self.directional_levels,
-            "training": {"cvae": self.training.cvae, "dqr": self.training.dqr,
-                         "naive": self.training.naive},
+            "alpha": self.alpha, "directional_levels": self.directional_levels,
+            "training": asdict(self.training),
         }
         text = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -196,13 +184,6 @@ def prepare(dataset: Dataset, seed: int, pca_components: int | None = None) -> P
     return PreparedData(x=splits_x, y=splits_y)
 
 
-def _train_config(section: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=section["learning_rate"], batch_size=section["batch_size"],
-        max_epochs=section["max_epochs"], patience=section["patience"], seed=seed,
-    )
-
-
 class DistanceRule:
     """Adapter for grow/shrink-calibrated point-set providers."""
 
@@ -248,21 +229,20 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     x_tr, y_tr = prep.x["train"], prep.y["train"]
     x_v, y_v = prep.x["validation"], prep.y["validation"]
     x_cal, y_cal = prep.x["calibration"], prep.y["calibration"]
-    d = y_tr.shape[1]
-    area_grid = build_grid(y_tr, d, AREA_MEASUREMENT)
+    area_grid = build_grid(y_tr, AREA_MEASUREMENT)
     info = {"method": method, "seed": seed}
 
     if method == "naive":
         model = naive_qr.fit(
             x_tr, y_tr, x_v, y_v, alpha=config.alpha,
-            config=_train_config(config.training.naive, seed))
+            config=replace(config.training.naive, seed=seed))
     elif method == "npdqr":
         alpha_dir = 1.0 - levels["npdqr"]
-        pool = npdqr.sample_direction_pool(d, npdqr.DEFAULT_POOL_SIZE,
+        pool = npdqr.sample_direction_pool(y_tr.shape[1], npdqr.DEFAULT_POOL_SIZE,
                                            Rng(seed).spawn(41))
         model = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
-                          config=_train_config(config.training.dqr, seed))
-        region_grid = build_grid(y_tr, d, REGION_DISCRETIZATION)
+                          config=replace(config.training.dqr, seed=seed))
+        region_grid = build_grid(y_tr, REGION_DISCRETIZATION)
         provider = npdqr.RegionExtractor(model, region_grid.points()).extract
         if save_dir is not None:
             (save_dir / "model").mkdir(parents=True, exist_ok=True)
@@ -271,13 +251,11 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
         info["directional_level"] = levels["npdqr"]
     elif method == "stdqr":
         alpha_dir = 1.0 - levels["stdqr"]
-        cvae_cfg = config.training.cvae
         model = stdqr.fit(
-            x_tr, y_tr, x_v, y_v, alpha=alpha_dir, r=config.latent_dim,
-            lam=config.kl_weight,
-            cvae_config=_train_config(cvae_cfg, seed),
-            dqr_config=_train_config(config.training.dqr, seed + 1),
-            cvae_hidden=cvae_cfg["hidden"])
+            x_tr, y_tr, x_v, y_v, alpha=alpha_dir, r=LATENT_DIM, lam=KL_WEIGHT,
+            cvae_config=replace(config.training.cvae, seed=seed),
+            dqr_config=replace(config.training.dqr, seed=seed + 1),
+            cvae_hidden=config.training.cvae_hidden)
         provider = model.region
         info["directional_level"] = levels["stdqr"]
         info["reconstruction_mse"] = reconstruction_mse(model.cvae, x_cal, y_cal)
@@ -365,7 +343,7 @@ def aggregate(rows: list) -> list:
     return reports
 
 
-def run_experiment(config: ExperimentConfig, progress=None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Every (method, seed) cell; a failure in one cell is recorded and
     does not stop the others."""
     dataset = load_dataset(config.dataset)
@@ -375,8 +353,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> dict:
     rows = []
     for seed in config.seeds:
         for method in config.methods:
-            if progress:
-                progress(f"method={method} seed={seed}")
             try:
                 rows.append(run_cell(method, config, dataset, seed, out_dir))
             except Exception as exc:  # cell isolation

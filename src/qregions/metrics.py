@@ -70,7 +70,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: Rng):
     return ClusterAssignment(centroids=centroids, labels=labels)
 
 
-def kmeans(x, k: int = 3, seed: int = 0) -> ClusterAssignment:
+def kmeans(x, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations to an assignment fixpoint, restarted until every
     cluster holds at least ``MIN_FRACTION`` of the rows.
 

@@ -31,11 +31,13 @@ import numpy as np
 
 from .numerics import Rng
 
+LEAKY_SLOPE = 0.2  # slope of the hidden layers' leaky ReLUs
+
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training or validation loss stops being finite."""
 
-    def __init__(self, epoch: int, kind: str = "loss"):
+    def __init__(self, epoch: int, kind: str):
         self.epoch = epoch
         super().__init__(f"non-finite {kind} at epoch {epoch}")
 
@@ -49,8 +51,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
-            raise ValueError("learning rate, batch size and max epochs must be positive")
+        sizes = (self.batch_size, self.max_epochs, self.patience)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
+            raise ValueError("batch size, max epochs and patience must be integers")
+        if not 0 < self.learning_rate < np.inf or min(self.batch_size, self.max_epochs) <= 0:
+            raise ValueError("need a finite positive learning rate, batch size and max epochs")
         if not 0 <= self.patience <= self.max_epochs:
             raise ValueError("patience must lie in [0, max_epochs]")
 
@@ -62,18 +67,19 @@ class MlpModel:
     net with widths (3, 64, 64, 1) has two hidden layers.
     """
 
-    def __init__(self, widths, weights, biases, leaky_slope=0.2):
+    def __init__(self, widths, weights, biases, leaky_slope=LEAKY_SLOPE):
         self.widths = tuple(int(w) for w in widths)
         self.weights = weights
         self.biases = biases
         _check_slope(leaky_slope)
         self.leaky_slope = float(leaky_slope)
-        if len(self.weights) != len(self.widths) - 1:
-            raise ValueError("one weight matrix per layer transition expected")
-        for k, w in enumerate(self.weights):
-            if w.shape != (self.widths[k], self.widths[k + 1]):
-                raise ValueError(f"weight {k} has shape {w.shape}, expected "
-                                 f"{(self.widths[k], self.widths[k + 1])}")
+        if not len(self.weights) == len(self.biases) == len(self.widths) - 1:
+            raise ValueError("one weight matrix and bias per layer transition expected")
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            expected = (self.widths[k], self.widths[k + 1])
+            if w.shape != expected or b.shape != expected[1:]:
+                raise ValueError(f"layer {k} has weight {w.shape} and bias {b.shape}, "
+                                 f"expected {expected} and {expected[1:]}")
 
     @property
     def in_width(self) -> int:
@@ -105,7 +111,7 @@ class MlpModel:
             d["widths"],
             [np.array(w, dtype=float) for w in d["weights"]],
             [np.array(b, dtype=float) for b in d["biases"]],
-            d.get("leaky_slope", 0.2),
+            d.get("leaky_slope", LEAKY_SLOPE),
         )
 
     def save(self, path) -> None:
@@ -124,7 +130,7 @@ def _check_slope(leaky_slope) -> None:
         raise ValueError(f"leaky slope must lie in [0, 1], got {leaky_slope}")
 
 
-def init_mlp(widths, rng: Rng, leaky_slope=0.2) -> MlpModel:
+def init_mlp(widths, rng: Rng, leaky_slope=LEAKY_SLOPE) -> MlpModel:
     """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero biases."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):

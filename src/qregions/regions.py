@@ -77,24 +77,21 @@ class Grid:
         )
 
 
-def build_grid(train_responses: np.ndarray, dimension: int, purpose: str) -> Grid:
-    """Grid whose bounds are the per-dimension 1%/99% empirical quantiles
-    of the training responses, widened by 1.0 (region discretization) or
-    0.2 (area measurement)."""
+def build_grid(train_responses: np.ndarray, purpose: str) -> Grid:
+    """Grid over as many dimensions as the training responses have columns
+    (a 1-D array is one column), bounded per dimension by the 1%/99%
+    empirical quantiles widened by 1.0 (region discretization) or 0.2
+    (area measurement)."""
     if purpose not in _CELLS_PER_DIM:
         raise ValueError(f"unknown grid purpose {purpose!r}")
-    if dimension not in _CELLS_PER_DIM[purpose]:
-        raise ValueError(f"unsupported grid dimension {dimension} (need 1-4)")
     responses = np.asarray(train_responses, dtype=float)
     if responses.ndim == 1:
         responses = responses[:, None]
-    n = responses.shape[0]
+    n, dimension = responses.shape
+    if dimension not in _CELLS_PER_DIM[purpose]:
+        raise ValueError(f"unsupported grid dimension {dimension} (need 1-4)")
     if n < 2:
         raise ValueError("grid bounds need at least 2 training rows")
-    if responses.shape[1] != dimension:
-        raise ValueError(
-            f"training responses have {responses.shape[1]} columns, expected {dimension}"
-        )
     margin = _MARGIN[purpose]
     k_lo = max(1, int(np.ceil(0.01 * n)))
     k_hi = max(1, int(np.ceil(0.99 * n)))

@@ -158,7 +158,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
                     config=cvae_config, hidden=cvae_hidden)
     z_train = encode_batch(cvae, x_train, y_train)
     z_val = encode_batch(cvae, x_val, y_val)
-    latent_grid = build_grid(z_train, r, REGION_DISCRETIZATION)
+    latent_grid = build_grid(z_train, REGION_DISCRETIZATION)
     inactive_layers = inactive_unit_layers(z_train, latent_grid)
     pool = sample_direction_pool(r, pool_size, Rng(dqr_config.seed).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,

@@ -68,7 +68,7 @@ class TestInitialCoverage:
     def test_full_and_zero(self):
         x = np.zeros((20, 1))
         y = Rng(0).uniform(size=(20, 2))
-        grid = build_grid(y, 2, AREA_MEASUREMENT)
+        grid = build_grid(y, AREA_MEASUREMENT)
 
         def cover_all(_x):
             return y  # every response is one of the points
@@ -105,7 +105,7 @@ def gaussian_setup():
 
     provider = ring_provider(lambda x: np.array([x[0], -x[0]]))
     x_ref, y_ref = draw(400)
-    grid = build_grid(y_ref, 2, AREA_MEASUREMENT)
+    grid = build_grid(y_ref, AREA_MEASUREMENT)
     return draw, provider, grid
 
 
@@ -184,7 +184,7 @@ class TestCalibrate:
             rng = Rng(seed)
             x, y = rng.uniform(size=(99, 1)), rng.standard_normal(size=(99, 2))
             rule = calibrate(empty, x, y, alpha=0.1,
-                             area_grid=build_grid(y, 2, AREA_MEASUREMENT))
+                             area_grid=build_grid(y, AREA_MEASUREMENT))
             scores = min_distances(y, rule.anchor[None, :])
             order = np.argsort(scores, kind="stable")
             assert rule.gamma_cal == scores[order[k - 1]]
@@ -272,7 +272,7 @@ class TestShrink:
     def disc_setup(self):
         rng = Rng(515)
         y_ref = rng.standard_normal(size=(400, 2))
-        grid = build_grid(y_ref, 2, AREA_MEASUREMENT)
+        grid = build_grid(y_ref, AREA_MEASUREMENT)
         region_pts = grid.points()[np.linalg.norm(grid.points(), axis=1) <= 2.2]
 
         def provider(_x):

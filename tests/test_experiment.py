@@ -217,14 +217,42 @@ class TestPrepare:
 class TestTrainingProfile:
     def test_desk_scale_profile_merges(self):
         profile = experiment.desk_scale_profile()
-        assert profile.dqr["max_epochs"] == 120
+        assert profile.dqr.max_epochs == 120
+        merged = profile.merged({"dqr": {"patience": 7}})
+        assert (merged.dqr.patience, merged.dqr.max_epochs) == (7, 120)
+        assert merged.cvae == profile.cvae and profile.dqr.patience == 25
+
+    @pytest.mark.parametrize("make_profile, expected", [
+        (experiment.desk_scale_profile,
+         {"cvae": (2e-3, 256, 600, 100), "dqr": (2e-3, 256, 120, 25),
+          "naive": (2e-3, 256, 200, 40), "cvae_hidden": (64, 64, 64)}),
+        (experiment.TrainingProfile,
+         {"cvae": (1e-3, 512, 10_000, 200), "dqr": (1e-3, 256, 10_000, 100),
+          "naive": (1e-3, 256, 10_000, 100), "cvae_hidden": None}),
+    ])
+    def test_profiles_are_pinned(self, make_profile, expected):
+        profile = make_profile()
+        for section in ("cvae", "dqr", "naive"):
+            config = getattr(profile, section)
+            assert (config.learning_rate, config.batch_size, config.max_epochs,
+                    config.patience) == expected[section]
+            assert config.seed == 0
+        assert profile.cvae_hidden == expected["cvae_hidden"]
+
+    def test_bad_override_raises_at_merge(self):
+        # A cap below the profile's patience used to fail inside every DQR cell.
+        with pytest.raises(ValueError, match="patience"):
+            experiment.desk_scale_profile().merged({"dqr": {"max_epochs": 10}})
+        with pytest.raises(ValueError):
+            experiment.TrainingProfile().merged({"naive": {"learning_rate": math.nan}})
 
     def test_unknown_section_raises(self):
         with pytest.raises(ValueError, match="'decoder'"):
             experiment.TrainingProfile().merged({"decoder": {"max_epochs": 5}})
 
     def test_unknown_key_raises(self):
-        for key, value in (("batch_norm", True), ("dropout", 0.1)):
+        for key, value in (("batch_norm", True), ("dropout", 0.1), ("hidden", (8,)),
+                           ("seed", 3)):
             with pytest.raises(ValueError, match=key):
                 experiment.TrainingProfile().merged({"cvae": {key: value}})
 

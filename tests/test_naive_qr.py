@@ -133,7 +133,7 @@ class TestRegion:
 
     def test_grid_count_matches_volume(self):
         responses = Rng(3).uniform(-2.0, 2.0, size=(400, 2))
-        grid = build_grid(responses, 2, AREA_MEASUREMENT)
+        grid = build_grid(responses, AREA_MEASUREMENT)
         model = box_model([-1.0, -0.5], [1.0, 1.5], offset=0.0)
         lower, upper = np.array([-1.0, -0.5]), np.array([1.0, 1.5])
         count = RectangleRule(model).area_cells([0.0], grid)

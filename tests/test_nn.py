@@ -487,6 +487,16 @@ class TestTraining:
             assert np.array_equal(a, b)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("setting, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+        ("batch_size", 2.5), ("max_epochs", 3.5), ("patience", 1.5),
+        ("batch_size", True), ("max_epochs", 0)])
+    def test_bad_setting_is_rejected(self, setting, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{"max_epochs": 10, "patience": 2, setting: value})
+
+
 class TestTrainMinibatches:
     def test_ragged_last_batch(self):
         # 10 rows in batches of 4: two full batches and one of 2 rows.
@@ -534,6 +544,14 @@ class TestSerialization:
         loaded = MlpModel.from_dict({**model.to_dict(), "dropout": 0.1})
         x = Rng(2).uniform(-1, 1, size=(9, 3))
         _assert_same_bits(forward_batch(loaded, x), forward_batch(model, x))
+
+    @pytest.mark.parametrize("biases", [
+        [np.array([0.5]), np.zeros(1)], [np.zeros(3)], [np.zeros(3), np.zeros(2)]])
+    def test_mis_shaped_biases_are_rejected(self, biases):
+        bundle = init_mlp((2, 3, 1), Rng(1)).to_dict()
+        bundle["biases"] = [b.tolist() for b in biases]
+        with pytest.raises(ValueError, match="bias"):
+            MlpModel.from_dict(bundle)
 
     def test_batch_norm_bundle_is_rejected(self):
         bundle = init_mlp((2, 5, 1), Rng(1)).to_dict()

@@ -245,7 +245,7 @@ class TestFit:
 
     def test_nested_regions_across_levels(self, noise_fit):
         _, y, model_10, model_05 = noise_fit
-        grid = build_grid(y, 2, REGION_DISCRETIZATION)
+        grid = build_grid(y, REGION_DISCRETIZATION)
         mask_10 = RegionExtractor(model_10, grid.points()).mask([0.5])
         mask_05 = RegionExtractor(model_05, grid.points()).mask([0.5])
         # Stricter directional level (alpha = 0.05) gives the larger region;

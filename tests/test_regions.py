@@ -34,30 +34,30 @@ class TestBuildGrid:
     )
     def test_cell_totals(self, dim, purpose, total):
         responses = Rng(1).uniform(size=(100, dim))
-        grid = build_grid(responses, dim, purpose)
+        grid = build_grid(responses, purpose)
         assert grid.cells_per_dim ** grid.dim == total
 
     def test_bounds_are_widened_quantiles(self, train_responses):
-        grid = build_grid(train_responses, 2, REGION_DISCRETIZATION)
+        grid = build_grid(train_responses, REGION_DISCRETIZATION)
         n = train_responses.shape[0]
         for j in range(2):
             col = np.sort(train_responses[:, j])
             assert grid.lows[j] == pytest.approx(col[math.ceil(0.01 * n) - 1] - 1.0)
             assert grid.highs[j] == pytest.approx(col[math.ceil(0.99 * n) - 1] + 1.0)
-        area_grid = build_grid(train_responses, 2, AREA_MEASUREMENT)
+        area_grid = build_grid(train_responses, AREA_MEASUREMENT)
         for j in range(2):
             assert area_grid.lows[j] == pytest.approx(grid.lows[j] + 0.8)
             assert area_grid.highs[j] == pytest.approx(grid.highs[j] - 0.8)
 
     def test_rejects_unsupported_dimension(self, train_responses):
         with pytest.raises(ValueError):
-            build_grid(np.zeros((10, 5)), 5, AREA_MEASUREMENT)
+            build_grid(np.zeros((10, 5)), AREA_MEASUREMENT)
         with pytest.raises(ValueError):
-            build_grid(train_responses, 2, "volume")
+            build_grid(train_responses, "volume")
 
     def test_deterministic_enumeration(self, train_responses):
-        g1 = build_grid(train_responses, 2, AREA_MEASUREMENT)
-        g2 = build_grid(train_responses.copy(), 2, AREA_MEASUREMENT)
+        g1 = build_grid(train_responses, AREA_MEASUREMENT)
+        g2 = build_grid(train_responses.copy(), AREA_MEASUREMENT)
         assert g1 == g2
         assert np.array_equal(g1.points(), g2.points())
 
@@ -71,23 +71,23 @@ class TestBuildGrid:
         assert np.allclose(pts, expected)
 
     def test_roundtrip_dict(self, train_responses):
-        grid = build_grid(train_responses, 2, AREA_MEASUREMENT)
+        grid = build_grid(train_responses, AREA_MEASUREMENT)
         assert Grid.from_dict(grid.to_dict()) == grid
 
 
 class TestArea:
     def test_constant_predicates(self, train_responses):
-        grid = build_grid(train_responses, 2, AREA_MEASUREMENT)
+        grid = build_grid(train_responses, AREA_MEASUREMENT)
         assert area(lambda x, pts: np.zeros(len(pts), dtype=bool), None, grid) == 0
         assert area(lambda x, pts: np.ones(len(pts), dtype=bool), None, grid) == 3025
 
     def test_requires_area_grid(self, train_responses):
-        grid = build_grid(train_responses, 2, REGION_DISCRETIZATION)
+        grid = build_grid(train_responses, REGION_DISCRETIZATION)
         with pytest.raises(ValueError):
             area(lambda x, pts: np.ones(len(pts), dtype=bool), None, grid)
 
     def test_disc_count_matches_analytic_area(self, train_responses):
-        grid = build_grid(train_responses, 2, AREA_MEASUREMENT)
+        grid = build_grid(train_responses, AREA_MEASUREMENT)
         center = np.array([
             0.5 * (grid.lows[0] + grid.highs[0]),
             0.5 * (grid.lows[1] + grid.highs[1]),
@@ -103,7 +103,7 @@ class TestArea:
         assert abs(count - analytic_cells) <= 4 * perimeter_cells
 
     def test_monotone_in_predicate(self, train_responses):
-        grid = build_grid(train_responses, 2, AREA_MEASUREMENT)
+        grid = build_grid(train_responses, AREA_MEASUREMENT)
         center = np.zeros(2)
         small = area(lambda x, p: np.linalg.norm(p - center, axis=1) <= 0.5, None, grid)
         large = area(lambda x, p: np.linalg.norm(p - center, axis=1) <= 1.0, None, grid)
