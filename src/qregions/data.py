@@ -15,7 +15,8 @@ from .numerics import Rng
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
 
-_SPLIT_FRACTIONS = (0.384, 0.256, 0.16, 0.2)  # train, calibration, validation, test
+_SPLIT_NAMES = ("train", "calibration", "validation", "test")
+_SPLIT_FRACTIONS = (0.384, 0.256, 0.16, 0.2)
 
 
 class CsvParseError(ValueError):
@@ -55,14 +56,6 @@ class Dataset:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    train: np.ndarray
-    calibration: np.ndarray
-    validation: np.ndarray
-    test: np.ndarray
-
-
 def gen_synthetic(setting: str, d: int, p: int, n: int, seed: int) -> Dataset:
     """Synthetic regression data whose conditional response traces a
     v-shaped curve that sharpens and shifts with the features.
@@ -96,8 +89,9 @@ def gen_synthetic(setting: str, d: int, p: int, n: int, seed: int) -> Dataset:
     return Dataset(x=x, y=np.stack(columns, axis=1))
 
 
-def split(n: int, seed: int) -> SplitIndices:
-    """Seeded permutation split into train/calibration/validation/test.
+def split(n: int, seed: int) -> dict:
+    """Seeded permutation split: the row indices of train, calibration,
+    validation and test, keyed by those names in that order.
 
     Sizes are the floors of the split fractions, with leftover rows
     assigned by largest fractional part (ties broken in train,
@@ -111,13 +105,8 @@ def split(n: int, seed: int) -> SplitIndices:
     for slot in sorted(range(4), key=lambda j: (-fracs[j], j))[:remainder]:
         floors[slot] += 1
     perm = Rng(seed).permutation(n)
-    bounds = np.cumsum(floors)
-    return SplitIndices(
-        train=perm[: bounds[0]],
-        calibration=perm[bounds[0] : bounds[1]],
-        validation=perm[bounds[1] : bounds[2]],
-        test=perm[bounds[2] :],
-    )
+    bounds = np.cumsum([0, *floors])
+    return {name: perm[lo:hi] for name, lo, hi in zip(_SPLIT_NAMES, bounds, bounds[1:])}
 
 
 @dataclass(frozen=True)

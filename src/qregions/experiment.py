@@ -116,16 +116,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.methods:
-            raise ValueError("need at least one method")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"need distinct methods, got {list(self.methods)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if len(self.seeds) == 0:
-            raise ValueError("need at least one seed")
+        if (not self.seeds
+                or not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)
+                or len(set(self.seeds)) < len(self.seeds)):
+            raise ValueError(f"need distinct integer seeds, got {list(self.seeds)}")
         unknown = set(self.directional_levels or {}) - set(_DEFAULT_LEVELS)
         if unknown:
             raise ValueError(f"unknown directional level methods: {sorted(unknown)}")
+        for method, level in (self.directional_levels or {}).items():
+            if not 0.5 < level < 1.0:
+                raise ValueError(f"{method} directional level must lie in (0.5, 1), got {level}")
 
     def digest(self) -> str:
         payload = {
@@ -171,17 +176,14 @@ def prepare(dataset: Dataset, seed: int, pca_components: int | None = None) -> P
     parts = split(dataset.n, seed)
     x = dataset.x
     if pca_components is not None:
-        train_x = x[parts.train]
+        train_x = x[parts["train"]]
         mean = train_x.mean(axis=0)
         _, basis, _ = pca_reduce(train_x, pca_components)
         x = (x - mean) @ basis
         dataset = Dataset(x=x, y=dataset.y)
-    normalized, _, _ = zscore_fit_apply(dataset, parts.train)
-    splits_x = {name: normalized.x[getattr(parts, name)]
-                for name in ("train", "calibration", "validation", "test")}
-    splits_y = {name: normalized.y[getattr(parts, name)]
-                for name in ("train", "calibration", "validation", "test")}
-    return PreparedData(x=splits_x, y=splits_y)
+    normalized, _, _ = zscore_fit_apply(dataset, parts["train"])
+    return PreparedData(x={name: normalized.x[rows] for name, rows in parts.items()},
+                        y={name: normalized.y[rows] for name, rows in parts.items()})
 
 
 class DistanceRule:
@@ -363,17 +365,4 @@ def run_experiment(config: ExperimentConfig) -> dict:
     result = {"config_digest": config.digest(), "rows": rows, "aggregate": aggregate(rows)}
     if out_dir is not None:
         (out_dir / "report.json").write_text(json.dumps(result, indent=2))
-        _write_csv_table(out_dir / "report.csv", rows)
     return result
-
-
-def _write_csv_table(path: Path, rows: list) -> None:
-    import csv as csv_module
-
-    fields = ["method", "seed", "coverage", "area", "delta_coverage",
-              "config_digest", "error"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_module.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

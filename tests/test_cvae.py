@@ -131,14 +131,14 @@ def nonlinear_cvae():
     """CVAE trained on normalized nonlinear synthetic data, shared."""
     data = gen_synthetic(NONLINEAR, d=2, p=1, n=4000, seed=3)
     parts = split(data.n, seed=3)
-    normalized, _, _ = zscore_fit_apply(data, parts.train)
-    x_tr, y_tr = normalized.x[parts.train], normalized.y[parts.train]
-    x_v, y_v = normalized.x[parts.validation], normalized.y[parts.validation]
+    normalized, _, _ = zscore_fit_apply(data, parts["train"])
+    x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
+    x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
     config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1100,
                          patience=150, seed=0)
     model = fit(x_tr, y_tr, x_v, y_v, r=3, lam=0.01, config=config,
                 hidden=(64, 64, 64))
-    x_cal, y_cal = normalized.x[parts.calibration], normalized.y[parts.calibration]
+    x_cal, y_cal = normalized.x[parts["calibration"]], normalized.y[parts["calibration"]]
     return model, (x_tr, y_tr), (x_cal, y_cal)
 
 

@@ -98,12 +98,13 @@ class TestGenSynthetic:
 
 
 def split_sizes(s):
-    return (len(s.train), len(s.calibration), len(s.validation), len(s.test))
+    return (len(s["train"]), len(s["calibration"]), len(s["validation"]), len(s["test"]))
 
 
 class TestSplit:
     def test_thousand_rows(self):
         s = split(1000, seed=0)
+        assert list(s) == ["train", "calibration", "validation", "test"]
         assert split_sizes(s) == (384, 256, 160, 200)
 
     def test_ten_rows(self):
@@ -112,14 +113,14 @@ class TestSplit:
     def test_partition_property(self):
         for n in (10, 37, 1000, 12345):
             s = split(n, seed=1)
-            merged = np.concatenate([s.train, s.calibration, s.validation, s.test])
+            merged = np.concatenate([s["train"], s["calibration"], s["validation"], s["test"]])
             assert sorted(merged.tolist()) == list(range(n))
 
     def test_deterministic(self):
         a, b = split(500, seed=9), split(500, seed=9)
-        assert np.array_equal(a.train, b.train)
-        assert np.array_equal(a.test, b.test)
-        assert not np.array_equal(split(500, 1).train, split(500, 2).train)
+        assert np.array_equal(a["train"], b["train"])
+        assert np.array_equal(a["test"], b["test"])
+        assert not np.array_equal(split(500, 1)["train"], split(500, 2)["train"])
 
 
 class TestZscore:

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -24,8 +23,6 @@ TRAINED_NETS = {"naive": ["lower_0", "upper_0", "lower_1", "upper_1"],
                 "npdqr": ["threshold"], "stdqr": ["cvae", "latent_threshold"]}
 AGGREGATE_KEYS = {"method", "coverage", "coverage_se", "area", "area_se",
                   "delta_coverage", "delta_coverage_se", "per_cluster_coverage", "seeds"}
-CSV_HEADER = ["method", "seed", "coverage", "area", "delta_coverage",
-              "config_digest", "error"]
 
 
 def smoke_config(methods, out_dir):
@@ -60,10 +57,14 @@ class TestRunExperiment:
                 assert math.isfinite(row[phase]) and row[phase] >= 0.0
         assert [a["method"] for a in report["aggregate"]] == sorted(experiment.METHODS)
         assert all(set(a) == AGGREGATE_KEYS for a in report["aggregate"])
-        with open(out_dir / "report.csv", newline="", encoding="utf-8") as fh:
-            table = list(csv.reader(fh))
-        assert table[0] == CSV_HEADER
-        assert len(table) == 1 + len(experiment.METHODS)
+
+    def test_run_directory_holds_one_table(self, smoke_run):
+        _, out_dir = smoke_run
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+            ["report.json", *experiment.METHODS])
+        for method in experiment.METHODS:
+            assert [path.name for path in (out_dir / method).iterdir()] == ["0"]
+            assert (out_dir / method / "0").is_dir()
 
     def test_rows_carry_training_history(self, smoke_run):
         result, _ = smoke_run
@@ -158,6 +159,14 @@ class TestDirectionalLevels:
         with pytest.raises(ValueError, match="npqdr"):
             self.config(directional_levels={"npqdr": 0.99})
 
+    @pytest.mark.parametrize("method, level", [
+        ("npdqr", 1.5), ("npdqr", 0.3), ("npdqr", 1.0), ("stdqr", 0.5),
+        ("stdqr", -0.1), ("stdqr", math.nan)])
+    def test_out_of_range_level_raises(self, method, level):
+        # Accepted levels used to fail every DQR cell of the run.
+        with pytest.raises(ValueError, match=method):
+            self.config(directional_levels={method: level})
+
     def test_spec_without_kind_is_synthetic(self):
         # load_dataset reads a spec without "kind" as synthetic; so must
         # the levels.
@@ -166,6 +175,20 @@ class TestDirectionalLevels:
         tagged = experiment.ExperimentConfig(
             dataset={**spec, "kind": "synthetic"}).resolve_levels()
         assert bare == tagged == {"npdqr": 0.95, "stdqr": 0.95}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"methods": ("naive", "naive")}, {"methods": ()}, {"seeds": (0, 0)},
+    {"seeds": (0.5,)}, {"seeds": (True,)}, {"seeds": ("0",)}, {"seeds": ()}],
+    ids=["repeated-method", "no-method", "repeated-seed", "fractional-seed",
+         "bool-seed", "string-seed", "no-seed"])
+def test_repeated_or_non_integer_cells_raise(kwargs):
+    # Repeated cells used to run as copies of one cell, and a seed of 0.5
+    # ran seed 0 while reporting 0.5.
+    with pytest.raises(ValueError):
+        experiment.ExperimentConfig(
+            dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
+                     "n": 200, "seed": 0}, **kwargs)
 
 
 class TestAggregate:
@@ -204,7 +227,7 @@ class TestPrepare:
         assert np.allclose(prep.x["train"].mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(prep.x["train"].std(axis=0), 1.0)
 
-        held_out = np.setdiff1d(np.arange(dataset.n), split(dataset.n, 1).train)
+        held_out = np.setdiff1d(np.arange(dataset.n), split(dataset.n, 1)["train"])
         x, y = dataset.x.copy(), dataset.y.copy()
         x[held_out] = 40.0 * x[held_out][:, ::-1] + 7.0
         y[held_out] *= -5.0

@@ -94,9 +94,9 @@ def nonlinear_fit():
     """Full pipeline fit on nonlinear v-shaped data, shared across tests."""
     data = gen_synthetic(NONLINEAR, d=2, p=1, n=6000, seed=12)
     parts = split(data.n, seed=12)
-    normalized, x_stats, y_stats = zscore_fit_apply(data, parts.train)
-    x_tr, y_tr = normalized.x[parts.train], normalized.y[parts.train]
-    x_v, y_v = normalized.x[parts.validation], normalized.y[parts.validation]
+    normalized, x_stats, y_stats = zscore_fit_apply(data, parts["train"])
+    x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
+    x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
     cvae_config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=800,
                               patience=120, seed=1)
     dqr_config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
@@ -104,7 +104,7 @@ def nonlinear_fit():
     model = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, r=3, lam=0.01,
                 cvae_config=cvae_config, dqr_config=dqr_config,
                 cvae_hidden=(64, 64, 64), pool_size=1024, membership_count=256)
-    cal = (normalized.x[parts.calibration], normalized.y[parts.calibration])
+    cal = (normalized.x[parts["calibration"]], normalized.y[parts["calibration"]])
     return model, (x_tr, y_tr), cal, x_stats
 
 
@@ -123,10 +123,10 @@ class TestInactiveUnits:
         # posterior mean varies and the region would be one lattice point.
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1000, seed=6)
         parts = split(data.n, seed=6)
-        normalized, _, _ = zscore_fit_apply(data, parts.train)
+        normalized, _, _ = zscore_fit_apply(data, parts["train"])
         with pytest.raises(InactiveLatentError):
-            fit(normalized.x[parts.train], normalized.y[parts.train],
-                normalized.x[parts.validation], normalized.y[parts.validation],
+            fit(normalized.x[parts["train"]], normalized.y[parts["train"]],
+                normalized.x[parts["validation"]], normalized.y[parts["validation"]],
                 alpha=0.07, r=2, lam=1e3,
                 cvae_config=TrainConfig(learning_rate=2e-3, batch_size=128,
                                         max_epochs=150, patience=150, seed=4),
@@ -200,9 +200,9 @@ class TestFittedPipeline:
     def test_same_seed_fits_identically(self):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1200, seed=5)
         parts = split(data.n, seed=5)
-        normalized, _, _ = zscore_fit_apply(data, parts.train)
-        args = (normalized.x[parts.train], normalized.y[parts.train],
-                normalized.x[parts.validation], normalized.y[parts.validation])
+        normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        args = (normalized.x[parts["train"]], normalized.y[parts["train"]],
+                normalized.x[parts["validation"]], normalized.y[parts["validation"]])
         kwargs = dict(alpha=0.07, r=2, lam=0.01,
                       cvae_config=TrainConfig(batch_size=128, max_epochs=10,
                                               patience=10, seed=7),
@@ -226,17 +226,17 @@ class TestOneDimensionalLatent:
     def test_latent_region_is_an_interval(self):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1500, seed=9)
         parts = split(data.n, seed=9)
-        normalized, _, _ = zscore_fit_apply(data, parts.train)
+        normalized, _, _ = zscore_fit_apply(data, parts["train"])
         model = fit(
-            normalized.x[parts.train], normalized.y[parts.train],
-            normalized.x[parts.validation], normalized.y[parts.validation],
+            normalized.x[parts["train"]], normalized.y[parts["train"]],
+            normalized.x[parts["validation"]], normalized.y[parts["validation"]],
             alpha=0.07, r=1, lam=0.01,
             cvae_config=TrainConfig(batch_size=128, max_epochs=60, patience=20, seed=3),
             dqr_config=TrainConfig(batch_size=128, max_epochs=40, patience=15, seed=4),
             cvae_hidden=(32, 32), dqr_hidden=(16, 16), pool_size=64,
             membership_count=32,
         )
-        latent = model.extractor.extract(normalized.x[parts.test[0]])
+        latent = model.extractor.extract(normalized.x[parts["test"][0]])
         centers = model.latent_grid.axis_centers(0)
         member = np.isin(centers, latent[:, 0])
         if member.any():
