@@ -114,6 +114,7 @@ class ExperimentConfig:
     training: TrainingProfile = field(default_factory=TrainingProfile)
 
     def __post_init__(self):
+        _check_dataset_spec(self.dataset)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if not self.methods or len(set(self.methods)) < len(self.methods):
@@ -154,14 +155,27 @@ class ExperimentConfig:
         return {**levels, **(self.directional_levels or {})}
 
 
-def load_dataset(spec: dict) -> Dataset:
+def _check_dataset_spec(spec: dict) -> None:
+    """Reject, naming the key, a spec that ``load_dataset`` would misread."""
     kind = spec.get("kind", "synthetic")
-    if kind == "synthetic":
+    required = {"synthetic": {"setting", "d", "p", "n"}, "csv": {"path", "response_columns"}}
+    if kind not in required:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    optional = {"kind", "pca_components"} | ({"seed"} if kind == "synthetic" else set())
+    missing, unknown = required[kind] - set(spec), set(spec) - required[kind] - optional
+    if missing or unknown:
+        raise ValueError(f"{kind} spec: missing {sorted(missing)}, unknown {sorted(unknown)}")
+    for key in ("seed", "n", "d", "p", "pca_components"):
+        if key in spec and (not isinstance(spec[key], int) or isinstance(spec[key], bool)):
+            raise ValueError(f"dataset {key!r} must be an integer, got {spec[key]!r}")
+
+
+def load_dataset(spec: dict) -> Dataset:
+    _check_dataset_spec(spec)
+    if spec.get("kind", "synthetic") == "synthetic":
         return gen_synthetic(spec["setting"], spec["d"], spec["p"], spec["n"],
                              spec.get("seed", 0))
-    if kind == "csv":
-        return load_csv(spec["path"], spec["response_columns"])
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    return load_csv(spec["path"], spec["response_columns"])
 
 
 @dataclass

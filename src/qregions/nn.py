@@ -13,9 +13,10 @@ The training step avoids temporary arrays where it can. For a slope s in
 max(a > 0, s), computed in place; they equal where(z > 0, z, s*z) and
 where(z > 0, 1, s) bit for bit, signed zeros and NaN included (a > 0
 exactly where z > 0), so a step keeps only the activations, as In-Place
-Activated BatchNorm does (Rota Bulo et al. 2018). Adam keeps one flat
-moment vector each for m and v and updates every parameter in one pass,
-with the same per-element operations in the same order.
+Activated BatchNorm does (Rota Bulo et al. 2018), plus a bool mask of
+a > 0 and a float scratch of at most ``INFERENCE_ROWS`` rows. Adam keeps
+one flat moment vector each for m and v and updates every parameter in
+one pass, with the same per-element operations in the same order.
 
 Inference runs in blocks of ``INFERENCE_ROWS`` rows. OpenBLAS picks its
 kernel by row count, so a block can differ in the last bit from one pass
@@ -51,9 +52,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = (self.batch_size, self.max_epochs, self.patience)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
-            raise ValueError("batch size, max epochs and patience must be integers")
+        integers = (self.batch_size, self.max_epochs, self.patience, self.seed)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
+            raise ValueError("batch size, max epochs, patience and seed must be integers")
         if not 0 < self.learning_rate < np.inf or min(self.batch_size, self.max_epochs) <= 0:
             raise ValueError("need a finite positive learning rate, batch size and max epochs")
         if not 0 <= self.patience <= self.max_epochs:
@@ -163,11 +164,11 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
     """Forward pass that, in train mode, records what backward needs.
 
     Returns (output, cache); the cache is None unless ``train_mode``. Its
-    ``inputs`` are the batch and each hidden layer's activation, one
-    buffer per hidden layer; ``scratch``, as wide as the widest, takes
-    s*z here and the derivatives in ``backward``. A cache from an earlier
-    step of the same model is reused: this step writes into the first n
-    rows of its buffers, and a cache with fewer rows is replaced.
+    ``inputs`` are the batch and one activation buffer per hidden layer;
+    ``positive`` (bool) and ``scratch`` (at most ``INFERENCE_ROWS`` rows),
+    as wide as the widest, serve ``backward``, and ``scratch`` takes s*z
+    here block by block. A cache from an earlier step of the same model is
+    reused: it writes into its first n rows, and one with fewer is replaced.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
@@ -175,17 +176,22 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
     n, n_layers = x.shape[0], len(model.weights)
     if train_mode:
         hidden = model.widths[1:-1]
-        if cache is None or cache["scratch"].shape[0] < n:
+        width = max(hidden, default=0)
+        if cache is None or cache["positive"].shape[0] < n:
             cache = {"buffers": [np.empty((n, w)) for w in hidden],
-                     "scratch": np.empty((n, max(hidden, default=0)))}
+                     "positive": np.empty((n, width), dtype=bool),
+                     "scratch": np.empty((min(n, INFERENCE_ROWS), width))}
         cache["inputs"] = [x]
     slope = model.leaky_slope
     a = x
     for k in range(n_layers - 1):
         z = np.matmul(a, model.weights[k], out=cache["buffers"][k][:n] if train_mode else None)
         z += model.biases[k]
-        slope_z = cache["scratch"][:n, : z.shape[1]] if train_mode else None
-        a = np.maximum(z, np.multiply(z, slope, out=slope_z), out=z)
+        for start in range(0, n, INFERENCE_ROWS):
+            block = z[start : start + INFERENCE_ROWS]
+            slope_z = cache["scratch"][: len(block), : z.shape[1]] if train_mode else None
+            np.maximum(block, np.multiply(block, slope, out=slope_z), out=block)
+        a = z
         if train_mode:
             cache["inputs"].append(a)
     out = a @ model.weights[-1]
@@ -197,10 +203,10 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns (grads, grad_input) where grads matches model.parameters()
-    ordering. The cache is consumed: for k >= 1 the derivative of the
-    activation a = ``inputs[k]``, max(a > 0, slope), goes into ``scratch``
-    before ``delta @ W[k].T`` overwrites a, so the cache is fit only to go
-    back to ``forward_cached`` for the next step.
+    ordering. The cache is consumed: for k >= 1, ``positive`` takes a > 0
+    for the activation a = ``inputs[k]`` before ``delta @ W[k].T``
+    overwrites a, and ``scratch`` then takes max(positive, slope) block by
+    block, so the cache is fit only to go back to ``forward_cached``.
     """
     n_layers = len(model.weights)
     w_grads = [None] * n_layers
@@ -212,10 +218,13 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
         b_grads[k] = delta.sum(axis=0)
         if k == 0:
             return w_grads + b_grads, delta @ model.weights[0].T
-        derivative = np.greater(a, 0.0, out=cache["scratch"][: a.shape[0], : a.shape[1]])
-        np.maximum(derivative, model.leaky_slope, out=derivative)
+        positive = np.greater(a, 0.0, out=cache["positive"][: a.shape[0], : a.shape[1]])
         delta = np.matmul(delta, model.weights[k].T, out=a)
-        delta *= derivative
+        derivative = cache["scratch"][:, : a.shape[1]]
+        for start in range(0, len(delta), INFERENCE_ROWS):
+            rows = slice(start, start + INFERENCE_ROWS)
+            block = delta[rows]
+            block *= np.maximum(positive[rows], model.leaky_slope, out=derivative[: len(block)])
 
 
 # ---------------------------------------------------------------------------

@@ -229,10 +229,10 @@ class RegionExtractor:
     Membership is a conjunction over directions, tested with ``project``,
     so a point's answer does not depend on which other points are tested
     with it. The extractor keeps only ``head``, the projections of every
-    point onto the first ``PREFILTER_DIRECTIONS`` membership directions,
-    which prune most points cheaply. The remaining directions are tested
-    in blocks of that size on the points still in, and each block drops
-    the points that fail it.
+    point onto the first ``PREFILTER_DIRECTIONS`` membership directions
+    (built ``INFERENCE_ROWS`` points at a time), which prune most points
+    cheaply. The remaining directions are tested in blocks of that size
+    on the points still in, and each block drops the points that fail it.
     """
 
     def __init__(self, model: NpdqrModel, points: np.ndarray):
@@ -240,7 +240,11 @@ class RegionExtractor:
             raise ValueError(f"points have shape {points.shape}, expected (m, {model.d})")
         self.model = model
         self.points = points
-        self.head = project(self.points, model.membership_directions[:PREFILTER_DIRECTIONS])
+        head_dirs = model.membership_directions[:PREFILTER_DIRECTIONS]
+        self.head = np.empty((len(head_dirs), len(points)))
+        for start in range(0, len(points), INFERENCE_ROWS):
+            stop = start + INFERENCE_ROWS
+            self.head[:, start:stop] = project(points[start:stop], head_dirs)
 
     def mask(self, x) -> np.ndarray:
         f = self.model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]

@@ -191,6 +191,32 @@ def test_repeated_or_non_integer_cells_raise(kwargs):
                      "n": 200, "seed": 0}, **kwargs)
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"seed": 0.5}, "seed"), ({"seed": True}, "seed"), ({"sed": 3}, "sed"),
+    ({"n": 200.0}, "n"), ({"d": True}, "d"), ({"p": "1"}, "p"),
+    ({"pca_components": True}, "pca_components"), ({"kind": "parquet"}, "parquet"),
+    ({"kind": "csv", "path": "data.csv"}, "response_columns"),
+    ({"kind": "csv", "path": "data.csv", "response_columns": ["y0"], "seed": 1}, "seed")],
+    ids=["fractional-seed", "bool-seed", "misspelt-seed", "float-n", "bool-d", "string-p",
+         "bool-pca", "unknown-kind", "csv-without-responses", "csv-with-seed"])
+def test_misread_dataset_spec_raises_naming_the_key(spec, key):
+    # Each of these used to construct: a seed of 0.5 generated the seed-0
+    # data, "sed" was ignored, and a csv spec failed later with a KeyError.
+    synthetic = {"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1, "n": 200}
+    base = synthetic if spec.get("kind", "synthetic") == "synthetic" else {}
+    with pytest.raises(ValueError, match=key):
+        experiment.ExperimentConfig(dataset={**base, **spec})
+    with pytest.raises(ValueError, match=key):
+        experiment.load_dataset({**base, **spec})
+
+
+def test_complete_dataset_specs_construct():
+    experiment.ExperimentConfig(dataset={"setting": "linear", "d": 2, "p": 1, "n": 200,
+                                         "seed": 3, "pca_components": 1})
+    experiment.ExperimentConfig(dataset={"kind": "csv", "path": "data.csv",
+                                         "response_columns": ["y0", "y1"]})
+
+
 class TestAggregate:
     def test_means_and_standard_errors_skip_failed_cells(self):
         rows = [

@@ -180,7 +180,7 @@ class TestBitwiseOracle:
     and per-array code they replaced, over 15 training steps.  `zeros` is
     the share of input entries replaced by a zero of the same sign."""
 
-    @pytest.mark.parametrize("rows", [1, 7, 256])
+    @pytest.mark.parametrize("rows", [1, 7, 256, 1025, 2100])
     @pytest.mark.parametrize("zeros", [0.0, 0.3])
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
     @pytest.mark.parametrize("widths", [(1, 64, 64, 64, 1), (4, 64, 64, 64, 1),
@@ -219,19 +219,23 @@ class TestBitwiseOracle:
             for p, ref_p in zip(model.parameters(), reference.parameters(), strict=True):
                 _assert_same_bits(p, ref_p)
 
-            ref_eval, _ = _reference_forward(reference, x, keep_cache=False)
+            # Inference runs in blocks, so the reference does too.
+            ref_eval = np.concatenate([
+                _reference_forward(reference, x[i : i + INFERENCE_ROWS], keep_cache=False)[0]
+                for i in range(0, rows, INFERENCE_ROWS)])
             _assert_same_bits(forward_batch(model, x), ref_eval)
 
     @pytest.mark.parametrize("slope", [0.0, 0.2])
     @pytest.mark.parametrize("widths", [(4, 64, 64, 64, 1), (3, 8, 8, 2), (2, 1)])
     def test_reused_cache_matches_fresh_caches(self, widths, slope):
-        # One cache goes back to every step, the short batch included;
-        # a second model takes a fresh cache each step.
+        # One cache goes back to every step, the short batches included;
+        # a second model takes a fresh cache each step. The 1,500-row
+        # cache replaces the first, and 2,100 rows replace it again.
         model = init_mlp(widths, Rng(5), leaky_slope=slope)
         fresh = MlpModel.from_dict(model.to_dict())
         adam, fresh_adam = (AdamState.for_params(m.parameters()) for m in (model, fresh))
         data_rng, loss, cache = Rng(6), MseLoss(), None
-        for rows in (64, 64, 17, 64):
+        for rows in (64, 64, 17, 64, 1500, 700, 2100):
             x = data_rng.uniform(-1, 1, size=(rows, widths[0]))
             y = data_rng.uniform(-1, 1, size=(rows, widths[-1]))
             out, cache = forward_cached(model, x, train_mode=True, cache=cache)
@@ -330,19 +334,25 @@ class TestActivationMemory:
         assert peak < 4 * INFERENCE_ROWS * 64 * 8 + out.nbytes
 
     def test_training_step_keeps_one_buffer_per_hidden_layer_and_scratch(self):
+        # One float buffer per hidden layer, one bool mask as large, one
+        # float scratch of at most an inference block, and nothing else.
         widths, rows = (4, 64, 64, 64, 1), 6144
         model = init_mlp(widths, Rng(0))
         x = Rng(1).uniform(-1, 1, size=(rows, widths[0]))
         out, cache = forward_cached(model, x, train_mode=True)
         backward(model, cache, np.ones_like(out) / rows)
+        assert set(cache) == {"buffers", "positive", "scratch", "inputs"}
         owners = {}
-        for array in [*cache["buffers"], cache["scratch"], *cache["inputs"]]:
+        for array in [*cache["buffers"], cache["positive"], cache["scratch"], *cache["inputs"]]:
             while array.base is not None:
                 array = array.base
             owners[id(array)] = array
-        big = [a for a in owners.values() if a.shape == (rows, 64)]
-        assert len(big) == len(widths[1:-1]) + 1
-        assert sum(a.nbytes for a in owners.values()) == len(big) * rows * 64 * 8 + x.nbytes
+        scratch_rows = min(rows, INFERENCE_ROWS)
+        layout = sorted((a.shape, a.dtype.name) for a in owners.values() if a is not x)
+        assert layout == sorted([((rows, 64), "float64")] * len(widths[1:-1])
+                                + [((rows, 64), "bool"), ((scratch_rows, 64), "float64")])
+        assert sum(a.nbytes for a in owners.values()) == (
+            len(widths[1:-1]) * rows * 64 * 8 + rows * 64 + scratch_rows * 64 * 8 + x.nbytes)
 
 
 def _clean_regression_setup(widths, seed, margin_guard=None):
@@ -491,8 +501,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("setting, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
         ("batch_size", 2.5), ("max_epochs", 3.5), ("patience", 1.5),
-        ("batch_size", True), ("max_epochs", 0)])
+        ("batch_size", True), ("max_epochs", 0), ("seed", 0.5), ("seed", True),
+        ("seed", "0")])
     def test_bad_setting_is_rejected(self, setting, value):
+        # A seed of 0.5 used to train with seed 0, and True with seed 1.
         with pytest.raises(ValueError):
             TrainConfig(**{"max_epochs": 10, "patience": 2, setting: value})
 

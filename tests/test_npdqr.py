@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qregions.nn import TrainConfig, init_mlp
+from qregions.nn import INFERENCE_ROWS, TrainConfig, init_mlp
 from qregions.npdqr import (
     DirectionPool,
     NpdqrModel,
@@ -193,6 +193,30 @@ class TestExtractorMemory:
         arrays = {name: v for name, v in vars(extractor).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {"points", "head"}
         assert arrays["head"].shape == (16, cube.cells_per_dim ** cube.dim)
+
+    @pytest.mark.parametrize("subset", [None, [0, 1, 1023, 1024, 42_874]],
+                             ids=["lattice", "five-points"])
+    def test_head_is_one_projection_of_every_point(self, cube, subset):
+        model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
+        points = cube.points() if subset is None else cube.points()[subset]
+        head = RegionExtractor(model, points).head
+        expected = project(points, model.membership_directions[:16])
+        assert head.shape == expected.shape and head.tobytes() == expected.tobytes()
+
+    def test_building_the_head_peaks_at_its_size_and_two_blocks(self, cube):
+        # The head is projected in blocks of points, so no second array
+        # of its size is made. The slack covers the 8,192-element buffers
+        # in which numpy's ufunc iterator holds the broadcast operands of
+        # the outer products (64 KiB each).
+        model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
+        points = cube.points()
+        tracemalloc.start()
+        try:
+            extractor = RegionExtractor(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < extractor.head.nbytes + 2 * 16 * INFERENCE_ROWS * 8 + 256 * 1024
 
     def test_whole_lattice_region_peak(self, cube):
         model = constant_threshold_model(3, -10.0, pool_size=2048, membership=256)

@@ -188,6 +188,16 @@ class TestRng:
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
+    @pytest.mark.parametrize("seed", [2.9, 0.5, 1.0, True, np.True_, "3", None])
+    def test_non_integer_seed_raises(self, seed):
+        # Rng(2.9) used to run seed 2, and Rng(True) seed 1.
+        with pytest.raises(ValueError, match="seed"):
+            Rng(seed)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        assert Rng(np.int64(7)).seed == 7 and type(Rng(np.uint32(7)).seed) is int
+        assert np.array_equal(Rng(np.int64(7)).uniform(size=8), Rng(7).uniform(size=8))
+
     def test_subset_distinct(self):
         idx = Rng(11).subset(50, 32)
         assert len(set(idx.tolist())) == 32
