@@ -288,7 +288,6 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
                 calibration=rule.report(), training=_training_report(model))
     if save_dir is not None:
         model.save(save_dir / "model")
-        (save_dir / "calibration.json").write_text(json.dumps(info["calibration"]))
     return rule, area_grid, info
 
 

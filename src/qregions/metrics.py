@@ -54,17 +54,12 @@ def _kmeans_once(x: np.ndarray, k: int, rng: Rng):
     labels = np.zeros(n, dtype=int)
     for _ in range(MAX_ITERS):
         dist_sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dist_sq.argmin(axis=1)
-        live = np.unique(new_labels)
         # Empty clusters collapse away (duplicate-heavy data cannot fill k).
-        if len(live) < centroids.shape[0]:
-            remap = {old: new for new, old in enumerate(live)}
-            new_labels = np.array([remap[l] for l in new_labels])
-            centroids = centroids[live]
+        live, new_labels = np.unique(dist_sq.argmin(axis=1), return_inverse=True)
         moved = not np.array_equal(new_labels, labels) or len(live) < dist_sq.shape[1]
         labels = new_labels
         centroids = np.stack([x[labels == j].mean(axis=0)
-                              for j in range(centroids.shape[0])])
+                              for j in range(len(live))])
         if not moved:
             break
     return ClusterAssignment(centroids=centroids, labels=labels)

@@ -55,7 +55,8 @@ class TrainConfig:
         integers = (self.batch_size, self.max_epochs, self.patience, self.seed)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
             raise ValueError("batch size, max epochs, patience and seed must be integers")
-        if not 0 < self.learning_rate < np.inf or min(self.batch_size, self.max_epochs) <= 0:
+        if (isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < np.inf
+                or min(self.batch_size, self.max_epochs) <= 0):
             raise ValueError("need a finite positive learning rate, batch size and max epochs")
         if not 0 <= self.patience <= self.max_epochs:
             raise ValueError("patience must lie in [0, max_epochs]")

@@ -7,15 +7,14 @@ direction. Each direction then carves the half-space
 over a frozen set of membership directions, realized as the subset of a
 lattice where every half-space constraint holds.
 
-Directions are drawn once into a fixed pool; each gradient step samples
-a small batch of pool directions, and membership uses a larger subset
-frozen at fit time so that region queries are deterministic.
+The direction pool is a fit-time input: each gradient step samples a
+small batch of its directions, and a larger subset is frozen as the
+membership directions, which the fitted model holds and saves.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,20 +40,8 @@ DEFAULT_HIDDEN = (64, 64, 64)
 PREFILTER_DIRECTIONS = 16
 
 
-@dataclass(frozen=True)
-class DirectionPool:
-    """Fixed collection of unit vectors on the sphere."""
-
-    dim: int
-    directions: np.ndarray
-    seed: int
-
-    def __len__(self) -> int:
-        return self.directions.shape[0]
-
-
-def sample_direction_pool(d: int, count: int, rng: Rng) -> DirectionPool:
-    """Directions uniform on the sphere: normalized standard normals."""
+def sample_direction_pool(d: int, count: int, rng: Rng) -> np.ndarray:
+    """(count, d) directions uniform on the sphere: normalized standard normals."""
     if d < 1 or count < 1:
         raise ValueError("pool needs a positive dimension and size")
     raw = rng.standard_normal(size=(count, d))
@@ -64,7 +51,7 @@ def sample_direction_pool(d: int, count: int, rng: Rng) -> DirectionPool:
         bad = norms[:, 0] == 0.0
         raw[bad] = rng.standard_normal(size=(int(bad.sum()), d))
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return DirectionPool(dim=d, directions=raw / norms, seed=rng.seed)
+    return raw / norms
 
 
 def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -76,27 +63,27 @@ def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 
 class NpdqrModel:
-    """Threshold net plus its direction pool and frozen membership subset.
+    """Threshold net plus the ``(m, d)`` unit directions whose half-spaces
+    make up its regions.
 
     ``histories`` holds the threshold net's training history under
     ``threshold``; it is empty for a net not trained here.
     """
 
-    def __init__(self, net: MlpModel, pool: DirectionPool, alpha: float,
-                 membership_indices: np.ndarray, histories: dict | None = None):
+    def __init__(self, net: MlpModel, membership_directions: np.ndarray, alpha: float,
+                 histories: dict | None = None):
+        directions = np.asarray(membership_directions, dtype=float)
+        if directions.ndim != 2 or directions.size == 0 or not np.isfinite(directions).all():
+            raise ValueError("membership directions must be a non-empty finite (m, d) "
+                             f"array, got shape {directions.shape}")
         self.net = net
-        self.pool = pool
+        self.membership_directions = directions
         self.alpha = float(alpha)
-        self.membership_indices = np.asarray(membership_indices, dtype=int)
         self.histories = dict(histories or {})
 
     @property
     def d(self) -> int:
-        return self.pool.dim
-
-    @property
-    def membership_directions(self) -> np.ndarray:
-        return self.pool.directions[self.membership_indices]
+        return self.membership_directions.shape[1]
 
     def thresholds(self, x_rows: np.ndarray) -> np.ndarray:
         """f(x, u) for each row and membership direction, shape (n, m); the
@@ -120,10 +107,7 @@ class NpdqrModel:
         self.net.save(directory / "threshold_net.json")
         meta = {
             "alpha": self.alpha,
-            "pool_seed": self.pool.seed,
-            "pool_size": len(self.pool),
-            "dim": self.pool.dim,
-            "membership_indices": self.membership_indices.tolist(),
+            "membership_directions": self.membership_directions.tolist(),
             "histories": {net: h.to_dict() for net, h in self.histories.items()},
         }
         (directory / "npdqr_meta.json").write_text(json.dumps(meta))
@@ -132,27 +116,32 @@ class NpdqrModel:
     def load(directory) -> "NpdqrModel":
         directory = Path(directory)
         meta = json.loads((directory / "npdqr_meta.json").read_text())
-        pool = sample_direction_pool(meta["dim"], meta["pool_size"], Rng(meta["pool_seed"]))
+        if "membership_directions" in meta:
+            directions = meta["membership_directions"]
+        else:
+            # Older bundles stored the pool's seed and shape and the rows kept.
+            pool = sample_direction_pool(meta["dim"], meta["pool_size"], Rng(meta["pool_seed"]))
+            directions = pool[np.array(meta["membership_indices"], dtype=int)]
         return NpdqrModel(
             net=MlpModel.load(directory / "threshold_net.json"),
-            pool=pool,
+            membership_directions=directions,
             alpha=meta["alpha"],
-            membership_indices=np.array(meta["membership_indices"], dtype=int),
             histories={net: TrainHistory.from_dict(h)
                        for net, h in meta.get("histories", {}).items()},
         )
 
 
-def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
+def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
         config: TrainConfig, train_directions: int = DEFAULT_TRAIN_DIRECTIONS,
         membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS,
         hidden=DEFAULT_HIDDEN) -> NpdqrModel:
     """Pinball-train the threshold net on direction projections.
 
     Each gradient step pairs one batch of rows with a fresh sample of
-    ``train_directions`` pool directions; the target for (row i,
-    direction u) is the projection u . y_i and the loss level is alpha,
-    so the net estimates the lower directional quantile.
+    ``train_directions`` rows of ``pool``, a (count, d) array of unit
+    directions; the target for (row i, direction u) is the projection
+    u . y_i and the loss level is alpha, so the net estimates the lower
+    directional quantile. The model keeps ``membership_count`` pool rows.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
@@ -160,18 +149,18 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
     y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
-    if y_train.shape[1] != pool.dim:
-        raise ValueError(f"responses have {y_train.shape[1]} dims, pool has {pool.dim}")
+    if y_train.shape[1] != pool.shape[1]:
+        raise ValueError(f"responses have {y_train.shape[1]} dims, pool has {pool.shape[1]}")
     if not 1 <= train_directions <= len(pool):
         raise ValueError("train direction count must fit in the pool")
     if not 1 <= membership_count <= len(pool):
         raise ValueError("membership direction count must fit in the pool")
     n, p = x_train.shape
     rng = Rng(config.seed)
-    membership_indices = rng.spawn(2).subset(len(pool), membership_count)
-    val_dirs = pool.directions[rng.spawn(3).subset(len(pool), train_directions)]
+    membership_directions = pool[rng.spawn(2).subset(len(pool), membership_count)]
+    val_dirs = pool[rng.spawn(3).subset(len(pool), train_directions)]
 
-    net = init_mlp((p + pool.dim, *hidden, 1), rng.spawn(4))
+    net = init_mlp((p + pool.shape[1], *hidden, 1), rng.spawn(4))
     loss = PinballLoss(alpha)
 
     # Validation inputs are fixed, so assemble them once.
@@ -182,7 +171,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
 
     def step(idx):
         nonlocal cache
-        dirs = pool.directions[rng.subset(len(pool), train_directions)]
+        dirs = pool[rng.subset(len(pool), train_directions)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
         out, cache = forward_cached(net, _pair_inputs(x_train[idx], dirs),
                                     train_mode=True, cache=cache)
@@ -194,7 +183,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: DirectionPool,
         return loss.value(val_targets, forward_batch(net, val_stack))
 
     history = train_minibatches(net.parameters(), n, step, val_loss, config, rng)
-    return NpdqrModel(net=net, pool=pool, alpha=alpha, membership_indices=membership_indices,
+    return NpdqrModel(net=net, membership_directions=membership_directions, alpha=alpha,
                       histories={"threshold": history})
 
 

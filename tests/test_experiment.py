@@ -65,6 +65,9 @@ class TestRunExperiment:
         for method in experiment.METHODS:
             assert [path.name for path in (out_dir / method).iterdir()] == ["0"]
             assert (out_dir / method / "0").is_dir()
+            # The calibration entry lives in report.json only.
+            assert sorted(path.name for path in (out_dir / method / "0").iterdir()) == [
+                "model", "report.json"]
 
     def test_rows_carry_training_history(self, smoke_run):
         result, _ = smoke_run
@@ -294,6 +297,8 @@ class TestTrainingProfile:
             experiment.desk_scale_profile().merged({"dqr": {"max_epochs": 10}})
         with pytest.raises(ValueError):
             experiment.TrainingProfile().merged({"naive": {"learning_rate": math.nan}})
+        with pytest.raises(ValueError):
+            experiment.desk_scale_profile().merged({"dqr": {"learning_rate": True}})
 
     def test_unknown_section_raises(self):
         with pytest.raises(ValueError, match="'decoder'"):

@@ -6,7 +6,6 @@ import pytest
 
 from qregions.nn import INFERENCE_ROWS, TrainConfig, init_mlp
 from qregions.npdqr import (
-    DirectionPool,
     NpdqrModel,
     RegionExtractor,
     contains,
@@ -19,28 +18,30 @@ from qregions.regions import REGION_DISCRETIZATION, Grid, build_grid
 
 
 def constant_threshold_model(d, value, pool_size=64, membership=32):
-    """Model whose net ignores its input and always outputs ``value``."""
+    """Model whose net ignores its input and always outputs ``value``; it
+    tests the first ``membership`` directions of a ``pool_size`` pool."""
     pool = sample_direction_pool(d, pool_size, Rng(0))
     net = init_mlp((1 + d, 1), Rng(1))
     net.weights[0][...] = 0.0
     net.biases[0][...] = value
-    return NpdqrModel(net=net, pool=pool, alpha=0.1,
-                      membership_indices=np.arange(membership))
+    return NpdqrModel(net=net, membership_directions=pool[:membership], alpha=0.1)
 
 
-class TestDirectionPool:
+class TestPoolSampling:
     def test_one_dimension_is_signs(self):
         pool = sample_direction_pool(1, 4, Rng(3))
-        assert set(np.round(pool.directions[:, 0]).tolist()) <= {1.0, -1.0}
+        assert pool.shape == (4, 1)
+        assert set(np.round(pool[:, 0]).tolist()) <= {1.0, -1.0}
 
     def test_unit_norms(self):
         pool = sample_direction_pool(3, 2048, Rng(5))
-        norms = np.linalg.norm(pool.directions, axis=1)
+        assert pool.shape == (2048, 3)
+        norms = np.linalg.norm(pool, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_mean_direction_is_small(self):
         pool = sample_direction_pool(2, 100_000, Rng(7))
-        assert np.linalg.norm(pool.directions.mean(axis=0)) <= 0.02
+        assert np.linalg.norm(pool.mean(axis=0)) <= 0.02
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
@@ -94,8 +95,7 @@ class TestExtractRegion:
         rng = Rng(11)
         pool = sample_direction_pool(2, 256, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                           membership_indices=np.arange(64))
+        model = NpdqrModel(net=net, membership_directions=pool[:64], alpha=0.1)
         region = RegionExtractor(model, grid.points()).extract([0.4])
         for pt in region[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
@@ -104,8 +104,7 @@ class TestExtractRegion:
         rng = Rng(13)
         pool = sample_direction_pool(2, 512, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                           membership_indices=np.arange(128))
+        model = NpdqrModel(net=net, membership_directions=pool[:128], alpha=0.1)
         extractor = RegionExtractor(model, grid.points())
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
@@ -137,8 +136,8 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
     point indices)."""
     rng = Rng(seed)
     pool = sample_direction_pool(d, 512, rng)
-    model = NpdqrModel(net=init_mlp((1 + d, 8, 1), rng), pool=pool, alpha=0.1,
-                       membership_indices=rng.subset(512, 256))
+    net = init_mlp((1 + d, 8, 1), rng)
+    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)], alpha=0.1)
     dirs = model.membership_directions
     f = model.thresholds(np.atleast_2d(x))[0]
     f -= f.max() + 0.5
@@ -295,8 +294,9 @@ class TestFit:
     def test_rejects_bad_alpha(self, noise_fit):
         x, y, model, _ = noise_fit
         config = TrainConfig(max_epochs=1, patience=1)
-        with pytest.raises(ValueError):
-            fit(x, y, x, y, alpha=0.7, pool=model.pool, config=config)
+        with pytest.raises(ValueError, match="miscoverage"):
+            fit(x, y, x, y, alpha=0.7, pool=sample_direction_pool(2, 512, Rng(1)),
+                config=config)
 
 
 class TestUndercoverage:
@@ -328,10 +328,33 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path, noise_fit):
         _, _, model, _ = noise_fit
         model.save(tmp_path / "npdqr")
+        meta = json.loads((tmp_path / "npdqr" / "npdqr_meta.json").read_text())
+        assert set(meta) == {"alpha", "membership_directions", "histories"}
         loaded = NpdqrModel.load(tmp_path / "npdqr")
         assert loaded.alpha == model.alpha
-        assert np.array_equal(loaded.membership_indices, model.membership_indices)
-        assert np.array_equal(loaded.pool.directions, model.pool.directions)
+        assert loaded.membership_directions.shape == model.membership_directions.shape
+        assert (loaded.membership_directions.tobytes()
+                == model.membership_directions.tobytes())
+        probe = Rng(0).uniform(size=(3, 1))
+        assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
+
+    def test_loads_bundle_that_stored_pool_seed_and_indices(self, tmp_path, noise_fit):
+        # Older bundles stored the pool's seed, size and dimension and the
+        # indices of the membership rows; ``noise_fit`` draws its pool from
+        # Rng(1) and its membership rows from fit's Rng(5).spawn(2).
+        _, _, model, _ = noise_fit
+        indices = Rng(5).spawn(2).subset(512, 128)
+        assert np.array_equal(sample_direction_pool(2, 512, Rng(1))[indices],
+                              model.membership_directions)
+        model.save(tmp_path / "npdqr")
+        meta_path = tmp_path / "npdqr" / "npdqr_meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["membership_directions"]
+        meta_path.write_text(json.dumps({**meta, "pool_seed": 1, "pool_size": 512, "dim": 2,
+                                         "membership_indices": indices.tolist()}))
+        loaded = NpdqrModel.load(tmp_path / "npdqr")
+        assert (loaded.membership_directions.tobytes()
+                == model.membership_directions.tobytes())
         probe = Rng(0).uniform(size=(3, 1))
         assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
 
@@ -343,6 +366,15 @@ class TestSerialization:
         meta = json.loads(meta_path.read_text())
         meta_path.write_text(json.dumps({**meta, "train_dir_count": 32}))
         loaded = NpdqrModel.load(tmp_path / "npdqr")
-        assert np.array_equal(loaded.membership_indices, model.membership_indices)
+        assert np.array_equal(loaded.membership_directions, model.membership_directions)
         probe = Rng(0).uniform(size=(3, 1))
         assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
+
+
+@pytest.mark.parametrize("directions", [
+    np.array([1.0, 0.0]), np.zeros((0, 2)), np.array([[1.0, 0.0], [np.nan, 1.0]])],
+    ids=["one-dimensional", "no-rows", "nan"])
+def test_malformed_membership_directions_are_rejected(directions):
+    # A bundle's directions come from outside the program.
+    with pytest.raises(ValueError, match="membership directions"):
+        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions, alpha=0.1)

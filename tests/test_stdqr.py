@@ -30,8 +30,7 @@ def identity_pipeline():
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                              membership_indices=np.arange(64))
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], alpha=0.1)
     grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid)
@@ -51,8 +50,7 @@ def ignored_unit_pipeline():
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, pool=pool, alpha=0.1,
-                              membership_indices=np.arange(64))
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], alpha=0.1)
     grid = Grid(dim=r, lows=(-2.0,) * r, highs=(2.0,) * r, cells_per_dim=12,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
@@ -252,5 +250,7 @@ class TestSerialization:
             loaded = StdqrModel.load(tmp_path / build.__name__)
             assert loaded.latent_grid == model.latent_grid
             assert loaded.inactive_layers == model.inactive_layers
+            assert (loaded.latent_model.membership_directions.tobytes()
+                    == model.latent_model.membership_directions.tobytes())
             x = np.array([0.4])
             assert np.array_equal(loaded.region(x), model.region(x))
