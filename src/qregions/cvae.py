@@ -118,33 +118,35 @@ def gaussian_kl_rows(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
 
 
 def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
-                             lam: float, r: int):
+                             lam: float, r: int, caches):
     """Loss and parameter gradients of the reconstruction + KL objective
     for one batch with the reparameterization noise held fixed.
 
-    Returns (loss, grads) with grads ordered as
-    encoder.parameters() + decoder.parameters().
+    ``caches`` is the (encoder, decoder) pair of training caches that the
+    previous step returned, or (None, None). Returns (loss, grads, caches)
+    with grads ordered as encoder.parameters() + decoder.parameters().
     """
     n = x.shape[0]
+    enc_cache, dec_cache = caches
     enc_out, enc_cache = forward_cached(
-        encoder, np.concatenate([x, y], axis=1), train_mode=True)
+        encoder, np.concatenate([x, y], axis=1), train_mode=True, cache=enc_cache)
     mu, logvar = enc_out[:, :r], enc_out[:, r:]
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
     dec_out, dec_cache = forward_cached(
-        decoder, np.concatenate([x, z], axis=1), train_mode=True)
+        decoder, np.concatenate([x, z], axis=1), train_mode=True, cache=dec_cache)
     residual = dec_out - y
     recon = float(np.mean(np.sum(residual**2, axis=1)))
     kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
     loss = recon + lam * kl
 
-    dec_grads, dec_grad_in = backward(decoder, dec_cache, 2.0 * residual / n)
-    dz = dec_grad_in[:, x.shape[1]:]
+    dec_grads, dec_delta = backward(decoder, dec_cache, 2.0 * residual / n)
+    dz = (dec_delta @ decoder.weights[0].T)[:, x.shape[1]:]
     dmu = dz + (lam / n) * mu
     dlogvar = dz * (0.5 * sigma * eps) + (lam / n) * 0.5 * (np.exp(logvar) - 1.0)
     enc_grads, _ = backward(encoder, enc_cache,
                             np.concatenate([dmu, dlogvar], axis=1))
-    return loss, enc_grads + dec_grads
+    return loss, enc_grads + dec_grads, (enc_cache, dec_cache)
 
 
 def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
@@ -172,10 +174,14 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     eps_rng = rng.spawn(12)
     model = CvaeModel(encoder, decoder, r, lam)
 
+    caches = (None, None)
+
     def step(idx):
+        nonlocal caches
         eps = eps_rng.standard_normal(size=(len(idx), r))
-        return composite_loss_and_grads(encoder, decoder, x_train[idx], y_train[idx],
-                                        eps, lam, r)
+        loss, grads, caches = composite_loss_and_grads(
+            encoder, decoder, x_train[idx], y_train[idx], eps, lam, r, caches)
+        return loss, grads
 
     def val_loss() -> float:
         mu, logvar = model.posterior(x_val, y_val)

@@ -21,6 +21,15 @@ one pass, with the same per-element operations in the same order.
 Inference runs in blocks of ``INFERENCE_ROWS`` rows. OpenBLAS picks its
 kernel by row count, so a block can differ in the last bit from one pass
 over all rows (seen for one-row tails and passes over ~7,000 rows).
+
+A block's temporaries are its matmul outputs and s*z. An inference pass
+may borrow a training cache's per-layer buffers for the former and its
+``scratch`` for the latter, once ``backward`` has consumed that cache and
+before the next training step rewrites it: the validation pass between
+two epochs. It borrows them for each block the cache has rows for and
+allocates them for the others, as it would without a cache; no cache
+grows to fit a block, so a net trained in steps of fewer rows than a
+block keeps its memory.
 """
 
 from __future__ import annotations
@@ -150,26 +159,34 @@ def init_mlp(widths, rng: Rng, leaky_slope=LEAKY_SLOPE) -> MlpModel:
 INFERENCE_ROWS = 1024
 
 
-def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass without a cache, in blocks of ``INFERENCE_ROWS`` rows."""
+def forward_batch(model: MlpModel, x: np.ndarray, cache=None) -> np.ndarray:
+    """Eval-mode forward pass in blocks of ``INFERENCE_ROWS`` rows.
+
+    ``cache`` lends the blocks the buffers of a consumed training cache of
+    this model (see ``forward_cached``); the output bits are the same.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty((len(x), model.out_width))
     # An empty batch still makes one call, which checks its shape.
     for start in range(0, max(len(x), 1), INFERENCE_ROWS):
         stop = start + INFERENCE_ROWS
-        out[start:stop] = forward_cached(model, x[start:stop], train_mode=False)[0]
+        out[start:stop] = forward_cached(model, x[start:stop], train_mode=False,
+                                         cache=cache)[0]
     return out
 
 
 def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cache=None):
     """Forward pass that, in train mode, records what backward needs.
 
-    Returns (output, cache); the cache is None unless ``train_mode``. Its
-    ``inputs`` are the batch and one activation buffer per hidden layer;
-    ``positive`` (bool) and ``scratch`` (at most ``INFERENCE_ROWS`` rows),
-    as wide as the widest, serve ``backward``, and ``scratch`` takes s*z
-    here block by block. A cache from an earlier step of the same model is
-    reused: it writes into its first n rows, and one with fewer is replaced.
+    Returns (output, cache); the cache is None unless ``train_mode`` or
+    passed in. Its ``inputs`` are the batch and one activation buffer per
+    hidden layer; ``positive`` (bool) and ``scratch`` (at most
+    ``INFERENCE_ROWS`` rows), as wide as the widest, serve ``backward``,
+    and ``scratch`` takes s*z here block by block. A cache from an earlier
+    step of the same model is reused: it writes into its first n rows, and
+    one with fewer is replaced. In eval mode a cache that ``backward`` has
+    consumed lends its buffers and scratch if it holds n rows; it is left
+    fit only to go back to ``forward_cached`` in train mode.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
@@ -183,14 +200,15 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
                      "positive": np.empty((n, width), dtype=bool),
                      "scratch": np.empty((min(n, INFERENCE_ROWS), width))}
         cache["inputs"] = [x]
+    lent = cache is not None and cache["positive"].shape[0] >= n
     slope = model.leaky_slope
     a = x
     for k in range(n_layers - 1):
-        z = np.matmul(a, model.weights[k], out=cache["buffers"][k][:n] if train_mode else None)
+        z = np.matmul(a, model.weights[k], out=cache["buffers"][k][:n] if lent else None)
         z += model.biases[k]
         for start in range(0, n, INFERENCE_ROWS):
             block = z[start : start + INFERENCE_ROWS]
-            slope_z = cache["scratch"][: len(block), : z.shape[1]] if train_mode else None
+            slope_z = cache["scratch"][: len(block), : z.shape[1]] if lent else None
             np.maximum(block, np.multiply(block, slope, out=slope_z), out=block)
         a = z
         if train_mode:
@@ -203,11 +221,14 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
 def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns (grads, grad_input) where grads matches model.parameters()
-    ordering. The cache is consumed: for k >= 1, ``positive`` takes a > 0
-    for the activation a = ``inputs[k]`` before ``delta @ W[k].T``
-    overwrites a, and ``scratch`` then takes max(positive, slope) block by
-    block, so the cache is fit only to go back to ``forward_cached``.
+    Returns (grads, delta): grads matches model.parameters() ordering, and
+    delta is d(loss)/d(x @ W[0] + b[0]), so the input gradient is
+    delta @ W[0].T; delta may be a view into the cache, valid until its
+    next forward pass. The cache is consumed: for k >= 1, ``positive``
+    takes a > 0 for the activation a = ``inputs[k]`` before
+    ``delta @ W[k].T`` overwrites a, and ``scratch`` then takes
+    max(positive, slope) block by block, so the cache is fit only to go
+    back to ``forward_cached``.
     """
     n_layers = len(model.weights)
     w_grads = [None] * n_layers
@@ -218,7 +239,7 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
         w_grads[k] = a.T @ delta
         b_grads[k] = delta.sum(axis=0)
         if k == 0:
-            return w_grads + b_grads, delta @ model.weights[0].T
+            return w_grads + b_grads, delta
         positive = np.greater(a, 0.0, out=cache["positive"][: a.shape[0], : a.shape[1]])
         delta = np.matmul(delta, model.weights[k].T, out=a)
         derivative = cache["scratch"][:, : a.shape[1]]
@@ -441,7 +462,8 @@ def train(model: MlpModel, train_xy, loss, config: TrainConfig, val_xy):
         return batch_loss, grads
 
     def val_loss() -> float:
-        return loss.value(y_val, forward_batch(model, x_val))
+        # Between epochs the last step's cache is consumed, so it is lent.
+        return loss.value(y_val, forward_batch(model, x_val, cache))
 
     history = train_minibatches(model.parameters(), x_train.shape[0], step, val_loss,
                                 config, rng)

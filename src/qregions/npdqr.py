@@ -54,12 +54,17 @@ def sample_direction_pool(d: int, count: int, rng: Rng) -> np.ndarray:
     return raw / norms
 
 
-def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
+def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray, out=None) -> np.ndarray:
     """Threshold-net inputs for every (row, direction) pair, row-major:
-    each row repeated once per direction, beside the directions."""
-    return np.concatenate(
-        [np.repeat(x_rows, len(directions), axis=0),
-         np.tile(directions, (x_rows.shape[0], 1))], axis=1)
+    each row repeated once per direction, beside the directions; written
+    into ``out``, a C-contiguous array of that shape, when given."""
+    (n, p), (m, d) = x_rows.shape, directions.shape
+    if out is None:
+        out = np.empty((n * m, p + d))
+    pairs = out.reshape(n, m, p + d)
+    pairs[:, :, :p] = x_rows[:, None, :]
+    pairs[:, :, p:] = directions
+    return out
 
 
 class NpdqrModel:
@@ -167,20 +172,23 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     val_stack = _pair_inputs(x_val, val_dirs)
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
+    # A step's pair inputs and training cache are reused by the next step.
+    pairs = np.empty((min(n, config.batch_size) * train_directions, val_stack.shape[1]))
     cache = None
 
     def step(idx):
         nonlocal cache
         dirs = pool[rng.subset(len(pool), train_directions)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-        out, cache = forward_cached(net, _pair_inputs(x_train[idx], dirs),
-                                    train_mode=True, cache=cache)
+        inputs = _pair_inputs(x_train[idx], dirs, out=pairs[: len(idx) * train_directions])
+        out, cache = forward_cached(net, inputs, train_mode=True, cache=cache)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
         grads, _ = backward(net, cache, grad_out)
         return batch_loss, grads
 
     def val_loss() -> float:
-        return loss.value(val_targets, forward_batch(net, val_stack))
+        # Between epochs the last step's cache is consumed, so it is lent.
+        return loss.value(val_targets, forward_batch(net, val_stack, cache))
 
     history = train_minibatches(net.parameters(), n, step, val_loss, config, rng)
     return NpdqrModel(net=net, membership_directions=membership_directions, alpha=alpha,

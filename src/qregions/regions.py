@@ -134,7 +134,7 @@ def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
         raise ValueError("minimum distance to an empty carrier is undefined")
     if points.shape[1] != carrier.shape[1]:
         raise ValueError("queries and carrier disagree on dimension")
-    return cKDTree(carrier).query(points, k=1)[0]
+    return cKDTree(carrier, balanced_tree=False).query(points, k=1)[0]
 
 
 def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
@@ -146,4 +146,4 @@ def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError("nearest-neighbor spacing needs at least 2 points")
-    return cKDTree(points).query(points, k=2)[0][:, 1]
+    return cKDTree(points, balanced_tree=False).query(points, k=2)[0][:, 1]

@@ -12,6 +12,7 @@ from qregions.cvae import (
     gaussian_kl_rows,
     reconstruction_mse,
 )
+from qregions import cvae
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
 from qregions.nn import MlpModel, TrainConfig, init_mlp
 from qregions.numerics import Rng
@@ -91,8 +92,10 @@ class TestLossDecomposition:
         x = rng.uniform(size=(16, 1))
         y = rng.uniform(size=(16, 2))
         eps = rng.standard_normal(size=(16, 2))
-        loss_l0, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, 0.0, 2)
-        loss_l1, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, 1.0, 2)
+        loss_l0, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, 0.0, 2,
+                                                 (None, None))
+        loss_l1, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, 1.0, 2,
+                                                 (None, None))
         # The lam = 0 loss is the pure reconstruction term; the difference
         # at lam = 1 is the mean per-sample KL, which is nonnegative.
         model = CvaeModel(encoder, decoder, 2, 0.0)
@@ -113,12 +116,12 @@ class TestReparameterizationGradients:
         eps = rng.standard_normal(size=(8, 2))
 
         def loss_value():
-            loss, _ = composite_loss_and_grads(
-                encoder, decoder, x, y, eps, 0.01, 2)
+            loss, _, _ = composite_loss_and_grads(
+                encoder, decoder, x, y, eps, 0.01, 2, (None, None))
             return loss
 
-        _, analytic = composite_loss_and_grads(
-            encoder, decoder, x, y, eps, 0.01, 2)
+        _, analytic, _ = composite_loss_and_grads(
+            encoder, decoder, x, y, eps, 0.01, 2, (None, None))
         params = encoder.parameters() + decoder.parameters()
         probes = sample_probes(params, 40, Rng(5))
         numeric = central_difference(loss_value, params, probes)
@@ -195,6 +198,39 @@ class TestFit:
         back = decode_batch(model, x_cal, z)
         mse = float(np.mean(np.sum((back - y_cal) ** 2, axis=1)))
         assert mse == pytest.approx(reconstruction_mse(model, x_cal, y_cal), rel=1e-9)
+
+
+class TestCacheReuse:
+    def test_reused_caches_give_the_bits_of_fresh_ones(self, monkeypatch):
+        # 600 rows in 256-row steps: the short last step of each epoch
+        # writes into the first rows of the caches the full steps made.
+        rng = Rng(29)
+        x, y = rng.uniform(size=(700, 1)), rng.uniform(-1, 1, size=(700, 2))
+        config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=6,
+                             patience=6, seed=1)
+        original = cvae.composite_loss_and_grads
+        caches_seen = []
+
+        def reusing(*args):
+            caches_seen.append(args[-1])
+            return original(*args)
+
+        def fresh(*args):
+            return original(*args[:-1], (None, None))
+
+        runs = []
+        for wrapper in (reusing, fresh):
+            monkeypatch.setattr(cvae, "composite_loss_and_grads", wrapper)
+            runs.append(fit(x[:600], y[:600], x[600:], y[600:], r=2, lam=0.01,
+                            config=config, hidden=(16, 32)))
+        reused, fresh_model = runs
+        assert caches_seen[0] == (None, None)
+        assert len({tuple(map(id, caches)) for caches in caches_seen[1:]}) == 1
+        for got, want in zip(reused.encoder.parameters() + reused.decoder.parameters(),
+                             fresh_model.encoder.parameters()
+                             + fresh_model.decoder.parameters(), strict=True):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert reused.histories["cvae"].to_dict() == fresh_model.histories["cvae"].to_dict()
 
 
 class TestSerialization:

@@ -168,6 +168,12 @@ def _reference_adam(params, grads, moments, t, lr, beta1=0.9, beta2=0.999, eps=1
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+def _grads_and_input_gradient(model, cache, grad_out):
+    """``backward``'s gradients, and the input gradient from its delta."""
+    grads, delta = backward(model, cache, grad_out)
+    return grads, delta @ model.weights[0].T
+
+
 def _assert_same_bits(got, want):
     """Equal shapes and identical float64 bit patterns (so -0 != +0)."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -207,7 +213,7 @@ class TestBitwiseOracle:
                 _assert_same_bits(a, ref_a)
 
             _, grad_out = loss.value_and_grad(y, out)
-            grads, grad_input = backward(model, cache, grad_out)
+            grads, grad_input = _grads_and_input_gradient(model, cache, grad_out)
             ref_grads, ref_grad_input = _reference_backward(reference, ref_cache,
                                                             grad_out.copy())
             for g, ref_g in zip(grads, ref_grads, strict=True):
@@ -242,8 +248,9 @@ class TestBitwiseOracle:
             fresh_out, fresh_cache = forward_cached(fresh, x, train_mode=True)
             _assert_same_bits(out, fresh_out)
             _, grad_out = loss.value_and_grad(y, out)
-            grads, grad_input = backward(model, cache, grad_out)
-            fresh_grads, fresh_grad_input = backward(fresh, fresh_cache, grad_out)
+            grads, grad_input = _grads_and_input_gradient(model, cache, grad_out)
+            fresh_grads, fresh_grad_input = _grads_and_input_gradient(fresh, fresh_cache,
+                                                                      grad_out)
             for g, fresh_g in zip(grads, fresh_grads, strict=True):
                 _assert_same_bits(g, fresh_g)
             _assert_same_bits(grad_input, fresh_grad_input)
@@ -277,7 +284,7 @@ class TestBitwiseOracle:
             ref_cache["inputs"][1] = np.where(special > 0, special, slope * special)
             cache["inputs"][1][...] = ref_cache["inputs"][1]
             grad_out = np.ones_like(out)
-            grads, grad_input = backward(model, cache, grad_out)
+            grads, grad_input = _grads_and_input_gradient(model, cache, grad_out)
             ref_grads, ref_grad_input = _reference_backward(model, ref_cache, grad_out)
             for g, ref_g in zip(grads, ref_grads, strict=True):
                 _assert_same_bits(g, ref_g)
@@ -319,6 +326,61 @@ class TestInferenceBlocks:
         # relative to the largest output as well as to each one.
         np.testing.assert_allclose(blocked, single, rtol=1e-12,
                                    atol=1e-12 * np.abs(single).max())
+
+
+def _consumed_cache(model, rows):
+    """The cache of one training step over ``rows`` rows, after backward."""
+    x = Rng(11).uniform(-1, 1, size=(rows, model.in_width))
+    out, cache = forward_cached(model, x, train_mode=True)
+    backward(model, cache, np.ones_like(out) / rows)
+    return cache
+
+
+class TestLentBuffers:
+    """An inference pass in the buffers of a consumed training cache
+    against one that allocates its own."""
+
+    @pytest.mark.parametrize("rows", [1, 1024, 1025, 2560, 7862])
+    @pytest.mark.parametrize("widths", [(4, 64, 64, 64, 1), (3, 16, 8, 2)])
+    def test_validation_in_lent_buffers_matches_own_buffers(self, widths, rows):
+        model = init_mlp(widths, Rng(rows))
+        x = Rng(3).uniform(-1, 1, size=(rows, widths[0]))
+        y = Rng(4).uniform(-1, 1, size=(rows, widths[-1]))
+        loss, cache = PinballLoss(0.1), _consumed_cache(model, 6144)
+        lent = forward_batch(model, x, cache)
+        own = forward_batch(model, x)
+        _assert_same_bits(lent, own)
+        _assert_same_bits(loss.value(y, lent), loss.value(y, own))
+        # The lent cache still serves the next training step.
+        step_x = Rng(5).uniform(-1, 1, size=(6144, widths[0]))
+        out, again = forward_cached(model, step_x, train_mode=True, cache=cache)
+        assert again is cache
+        _assert_same_bits(out, forward_cached(model, step_x, train_mode=True)[0])
+
+    def test_cache_smaller_than_a_block_is_not_lent(self):
+        model = init_mlp((4, 64, 64, 64, 1), Rng(0))
+        x = Rng(3).uniform(-1, 1, size=(2560, 4))
+        cache = _consumed_cache(model, 256)
+        before = [b.copy() for b in cache["buffers"]] + [cache["scratch"].copy()]
+        _assert_same_bits(forward_batch(model, x, cache), forward_batch(model, x))
+        for got, want in zip(cache["buffers"] + [cache["scratch"]], before, strict=True):
+            _assert_same_bits(got, want)
+
+    def test_validation_in_lent_buffers_allocates_only_its_output(self):
+        # Without the lent buffers each 1,024-row block allocates its
+        # 512 KiB matmul output and s*z beside the previous layer's output
+        # (1.5 MiB in all). With them, a block allocates its 8 KiB output,
+        # and numpy a 64 KiB buffer for the broadcast bias add.
+        model = init_mlp((4, 64, 64, 64, 1), Rng(0))
+        cache = _consumed_cache(model, 6144)
+        x = Rng(1).uniform(-1, 1, size=(2560, 4))
+        tracemalloc.start()
+        try:
+            out = forward_batch(model, x, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 128 * 1024
 
 
 class TestActivationMemory:
@@ -412,7 +474,8 @@ class TestGradients:
         loss = MseLoss()
         out, cache = forward_cached(model, x, train_mode=True)
         _, grad_out = loss.value_and_grad(y, out)
-        _, grad_input = backward(model, cache, grad_out)
+        _, delta = backward(model, cache, grad_out)
+        grad_input = delta @ model.weights[0].T
         h = 1e-6
         for (i, j) in [(0, 0), (3, 1), (7, 2)]:
             x_up, x_dn = x.copy(), x.copy()

@@ -10,7 +10,7 @@ import pkgutil
 
 import qregions
 
-BUDGET = 52
+BUDGET = 53
 
 
 def settable_values() -> list:
