@@ -52,6 +52,13 @@ def conformal_rank(n2: int, alpha: float) -> int:
     return k
 
 
+def check_paired_rows(x_rows: np.ndarray, y_rows: np.ndarray) -> None:
+    """Raise ValueError unless there is one input row per response row:
+    scores and flags pair row i of one with row i of the other."""
+    if len(x_rows) != len(y_rows):
+        raise ValueError(f"{len(x_rows)} input rows against {len(y_rows)} response rows")
+
+
 def _region(provider, x, dim: int) -> np.ndarray:
     """The provider's point set for x, checked: shape (m, dim), finite."""
     points = np.asarray(provider(x), dtype=float)
@@ -185,6 +192,7 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
     """
     x_cal = np.asarray(x_cal, dtype=float)
     y_cal = np.asarray(y_cal, dtype=float)
+    check_paired_rows(x_cal, y_cal)
     n2 = y_cal.shape[0]
     k_grow = conformal_rank(n2, alpha)
     anchor = 0.5 * (np.asarray(area_grid.lows) + np.asarray(area_grid.highs))

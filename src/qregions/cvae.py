@@ -11,15 +11,11 @@ reparameterization numerically stable.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .nn import (
     MlpModel,
     TrainConfig,
-    TrainHistory,
     backward,
     forward_batch,
     forward_cached,
@@ -74,27 +70,6 @@ class CvaeModel:
         y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
         out = forward_batch(self.encoder, np.concatenate([x_rows, y_rows], axis=1))
         return out[:, : self.r], out[:, self.r :]
-
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.encoder.save(directory / "encoder.json")
-        self.decoder.save(directory / "decoder.json")
-        (directory / "cvae_meta.json").write_text(
-            json.dumps({"r": self.r, "lam": self.lam,
-                        "histories": {net: h.to_dict() for net, h in self.histories.items()}}))
-
-    @staticmethod
-    def load(directory) -> "CvaeModel":
-        directory = Path(directory)
-        meta = json.loads((directory / "cvae_meta.json").read_text())
-        return CvaeModel(
-            encoder=MlpModel.load(directory / "encoder.json"),
-            decoder=MlpModel.load(directory / "decoder.json"),
-            r=meta["r"], lam=meta["lam"],
-            histories={net: TrainHistory.from_dict(h)
-                       for net, h in meta.get("histories", {}).items()},
-        )
 
 
 def encode_batch(model: CvaeModel, x_rows, y_rows) -> np.ndarray:

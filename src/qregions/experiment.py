@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from . import naive_qr, npdqr, stdqr
-from .calibration import CalibratedRule, calibrate
+from .calibration import CalibratedRule, calibrate, check_paired_rows
 from .cvae import reconstruction_mse
 from .data import (
     Dataset,
@@ -209,6 +209,7 @@ class DistanceRule:
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
         x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
         y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
+        check_paired_rows(x_rows, y_rows)
         return np.array([self.rule.membership(x, y[None])[0]
                          for x, y in zip(x_rows, y_rows)], dtype=bool)
 
@@ -226,6 +227,7 @@ class RectangleRule:
         self.model = model
 
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
+        check_paired_rows(np.atleast_2d(x_rows), np.atleast_2d(y_rows))
         return naive_qr.membership_flags(self.model, x_rows, y_rows)
 
     def area_cells(self, x, area_grid) -> int:
@@ -237,7 +239,7 @@ class RectangleRule:
 
 
 def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
-                      seed: int, save_dir: Path | None = None):
+                      seed: int):
     """Train one method and calibrate it; returns (rule adapter, area grid,
     info), with the wall times ``fit_s`` and ``calibrate_s`` in ``info``."""
     start = perf_counter()
@@ -260,10 +262,6 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
                           config=replace(config.training.dqr, seed=seed))
         region_grid = build_grid(y_tr, REGION_DISCRETIZATION)
         provider = npdqr.RegionExtractor(model, region_grid.points()).extract
-        if save_dir is not None:
-            (save_dir / "model").mkdir(parents=True, exist_ok=True)
-            (save_dir / "model" / "region_grid.json").write_text(
-                json.dumps(region_grid.to_dict()))
         info["directional_level"] = levels["npdqr"]
     elif method == "stdqr":
         alpha_dir = 1.0 - levels["stdqr"]
@@ -286,8 +284,6 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
         rule = DistanceRule(calibrate(provider, x_cal, y_cal, config.alpha, area_grid))
     info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted,
                 calibration=rule.report(), training=_training_report(model))
-    if save_dir is not None:
-        model.save(save_dir / "model")
     return rule, area_grid, info
 
 
@@ -322,20 +318,13 @@ def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,
     }
 
 
-def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int,
-             out_dir: Path | None = None) -> dict:
+def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int) -> dict:
     prep = prepare(dataset, seed,
                    pca_components=config.dataset.get("pca_components"))
-    save_dir = None
-    if out_dir is not None:
-        save_dir = out_dir / method / str(seed)
-        save_dir.mkdir(parents=True, exist_ok=True)
-    rule, area_grid, info = fit_and_calibrate(method, config, prep, seed, save_dir)
+    rule, area_grid, info = fit_and_calibrate(method, config, prep, seed)
     evaluating = perf_counter()
     row = evaluate_cell(rule, area_grid, config, prep, seed)
     row.update(info, config_digest=config.digest(), evaluate_s=perf_counter() - evaluating)
-    if save_dir is not None:
-        (save_dir / "report.json").write_text(json.dumps(row, indent=2))
     return row
 
 
@@ -360,7 +349,9 @@ def aggregate(rows: list) -> list:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Every (method, seed) cell; a failure in one cell is recorded and
-    does not stop the others."""
+    does not stop the others. With ``out_dir`` set, each cell's row goes
+    to ``<method>/<seed>/report.json`` as the cell ends, and the whole
+    result to ``report.json``."""
     dataset = load_dataset(config.dataset)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
@@ -369,12 +360,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for seed in config.seeds:
         for method in config.methods:
             try:
-                rows.append(run_cell(method, config, dataset, seed, out_dir))
+                row = run_cell(method, config, dataset, seed)
             except Exception as exc:  # cell isolation
-                rows.append({"method": method, "seed": seed,
-                             "error": f"{type(exc).__name__}: {exc}",
-                             "traceback": traceback.format_exc(),
-                             "config_digest": config.digest()})
+                row = {"method": method, "seed": seed,
+                       "error": f"{type(exc).__name__}: {exc}",
+                       "traceback": traceback.format_exc(),
+                       "config_digest": config.digest()}
+            rows.append(row)
+            if out_dir is not None:
+                cell_dir = out_dir / method / str(seed)
+                cell_dir.mkdir(parents=True, exist_ok=True)
+                (cell_dir / "report.json").write_text(json.dumps(row, indent=2))
     result = {"config_digest": config.digest(), "rows": rows, "aggregate": aggregate(rows)}
     if out_dir is not None:
         (out_dir / "report.json").write_text(json.dumps(result, indent=2))

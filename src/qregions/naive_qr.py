@@ -12,18 +12,14 @@ the region when its score is at most the offset: every interval widened
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .calibration import conformal_rank
+from .calibration import check_paired_rows, conformal_rank
 from .nn import (
-    MlpModel,
     PinballLoss,
     TrainConfig,
-    TrainHistory,
     forward_batch,
     init_mlp,
     train,
@@ -68,27 +64,6 @@ class NaiveModel:
         hi = np.column_stack([forward_batch(net, x_rows)[:, 0] for net in self.nets_hi])
         return lo, hi
 
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for j, (lo, hi) in enumerate(zip(self.nets_lo, self.nets_hi)):
-            lo.save(directory / f"net_lo_{j}.json")
-            hi.save(directory / f"net_hi_{j}.json")
-        meta = {"alpha": self.alpha, "d": self.d, "offset": self.offset,
-                "histories": {net: h.to_dict() for net, h in self.histories.items()}}
-        (directory / "naive_meta.json").write_text(json.dumps(meta))
-
-    @staticmethod
-    def load(directory) -> "NaiveModel":
-        directory = Path(directory)
-        meta = json.loads((directory / "naive_meta.json").read_text())
-        nets_lo = [MlpModel.load(directory / f"net_lo_{j}.json") for j in range(meta["d"])]
-        nets_hi = [MlpModel.load(directory / f"net_hi_{j}.json") for j in range(meta["d"])]
-        histories = {net: TrainHistory.from_dict(h)
-                     for net, h in meta.get("histories", {}).items()}
-        # An older bundle's "scheme" is ignored: levels matter only at fit time.
-        return NaiveModel(nets_lo, nets_hi, meta["alpha"], meta["offset"], histories)
-
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
         hidden=DEFAULT_HIDDEN) -> NaiveModel:
@@ -127,6 +102,7 @@ def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
 def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
     """Set the widening offset to the conformity-score quantile."""
     y_cal = np.atleast_2d(np.asarray(y_cal, dtype=float))
+    check_paired_rows(np.atleast_2d(x_cal), y_cal)
     k = conformal_rank(y_cal.shape[0], alpha)
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)

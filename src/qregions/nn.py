@@ -34,8 +34,7 @@ block keeps its memory.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,36 +102,6 @@ class MlpModel:
     def parameters(self) -> list:
         """Trainable arrays, in a fixed order shared with gradients."""
         return list(self.weights) + list(self.biases)
-
-    def to_dict(self) -> dict:
-        return {
-            "widths": list(self.widths),
-            "leaky_slope": self.leaky_slope,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MlpModel":
-        if d.get("batch_norm", False):
-            raise ValueError("batch-normalized networks are not supported")
-        # An older bundle's "dropout" is ignored: inverted dropout never
-        # touches inference.
-        return MlpModel(
-            d["widths"],
-            [np.array(w, dtype=float) for w in d["weights"]],
-            [np.array(b, dtype=float) for b in d["biases"]],
-            d.get("leaky_slope", LEAKY_SLOPE),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @staticmethod
-    def load(path) -> "MlpModel":
-        with open(path, encoding="utf-8") as fh:
-            return MlpModel.from_dict(json.load(fh))
 
 
 def _check_slope(leaky_slope) -> None:
@@ -365,13 +334,6 @@ class TrainHistory:
         """The report entry of one trained net."""
         return {"net": net, "epochs_run": self.epochs_run, "best_epoch": self.best_epoch,
                 "best_val_loss": float(self.best_val_loss), "hit_cap": self.hit_cap}
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainHistory":
-        return TrainHistory(**d)
 
 
 def run_training_loop(params, run_epoch, val_loss, max_epochs: int,

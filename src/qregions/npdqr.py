@@ -9,13 +9,10 @@ lattice where every half-space constraint holds.
 
 The direction pool is a fit-time input: each gradient step samples a
 small batch of its directions, and a larger subset is frozen as the
-membership directions, which the fitted model holds and saves.
+membership directions, which the fitted model holds.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +21,6 @@ from .nn import (
     MlpModel,
     PinballLoss,
     TrainConfig,
-    TrainHistory,
     backward,
     forward_batch,
     forward_cached,
@@ -105,35 +101,6 @@ class NpdqrModel:
                 self.net, _pair_inputs(block, directions)
             ).reshape(block.shape[0], m)
         return out
-
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.net.save(directory / "threshold_net.json")
-        meta = {
-            "alpha": self.alpha,
-            "membership_directions": self.membership_directions.tolist(),
-            "histories": {net: h.to_dict() for net, h in self.histories.items()},
-        }
-        (directory / "npdqr_meta.json").write_text(json.dumps(meta))
-
-    @staticmethod
-    def load(directory) -> "NpdqrModel":
-        directory = Path(directory)
-        meta = json.loads((directory / "npdqr_meta.json").read_text())
-        if "membership_directions" in meta:
-            directions = meta["membership_directions"]
-        else:
-            # Older bundles stored the pool's seed and shape and the rows kept.
-            pool = sample_direction_pool(meta["dim"], meta["pool_size"], Rng(meta["pool_seed"]))
-            directions = pool[np.array(meta["membership_indices"], dtype=int)]
-        return NpdqrModel(
-            net=MlpModel.load(directory / "threshold_net.json"),
-            membership_directions=directions,
-            alpha=meta["alpha"],
-            histories={net: TrainHistory.from_dict(h)
-                       for net, h in meta.get("histories", {}).items()},
-        )
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,

@@ -57,25 +57,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "lows": list(self.lows),
-            "highs": list(self.highs),
-            "cells_per_dim": self.cells_per_dim,
-            "purpose": self.purpose,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Grid":
-        return Grid(
-            dim=int(d["dim"]),
-            lows=tuple(d["lows"]),
-            highs=tuple(d["highs"]),
-            cells_per_dim=int(d["cells_per_dim"]),
-            purpose=d["purpose"],
-        )
-
 
 def build_grid(train_responses: np.ndarray, purpose: str) -> Grid:
     """Grid over as many dimensions as the training responses have columns

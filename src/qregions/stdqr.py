@@ -18,9 +18,6 @@ nearest that unit's mean training code.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .cvae import CvaeModel, decode_batch, encode_batch
@@ -95,30 +92,6 @@ class StdqrModel:
         if len(latent) == 0:
             return np.zeros((0, self.cvae.d))
         return decode_batch(self.cvae, x[None, :], latent)
-
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.cvae.save(directory / "cvae")
-        self.latent_model.save(directory / "latent_npdqr")
-        (directory / "latent_grid.json").write_text(json.dumps(self.latent_grid.to_dict()))
-        (directory / "manifest.json").write_text(json.dumps({
-            "kind": "stdqr", "r": self.r,
-            "components": ["cvae", "latent_npdqr", "latent_grid.json"],
-            "inactive_layers": sorted(self.inactive_layers.items()),
-        }))
-
-    @staticmethod
-    def load(directory) -> "StdqrModel":
-        directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        return StdqrModel(
-            cvae=CvaeModel.load(directory / "cvae"),
-            latent_model=NpdqrModel.load(directory / "latent_npdqr"),
-            latent_grid=Grid.from_dict(
-                json.loads((directory / "latent_grid.json").read_text())),
-            inactive_layers=dict(manifest.get("inactive_layers", [])),
-        )
 
 
 def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:

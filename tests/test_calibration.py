@@ -245,6 +245,23 @@ class TestProviderContract:
             rule.membership(x[0], y[:1])
 
 
+
+@pytest.mark.parametrize("x_rows, y_rows", [(100, 50), (10, 50), (50, 1)])
+def test_unpaired_rows_raise_before_any_provider_call(gaussian_setup, x_rows, y_rows):
+    # 100 inputs against 50 responses used to calibrate on 50 pairs, and 10
+    # against 50 raised IndexError after ten provider calls.
+    draw, _, grid = gaussian_setup
+    calls = []
+
+    def provider(x):
+        calls.append(x)
+        return np.zeros((1, 2))
+
+    x, y = draw(max(x_rows, y_rows))
+    with pytest.raises(ValueError, match="rows"):
+        calibrate(provider, x[:x_rows], y[:y_rows], alpha=0.1, area_grid=grid)
+    assert calls == []
+
 def flood_fill_components(mask2d):
     """4-connectivity component count, independent of any library."""
     seen = np.zeros_like(mask2d, dtype=bool)

@@ -11,10 +11,6 @@ import pytest
 import qregions
 from qregions import experiment
 from qregions.data import Dataset, gen_synthetic, split
-from qregions.naive_qr import NaiveModel
-from qregions.npdqr import NpdqrModel, RegionExtractor
-from qregions.regions import Grid
-from qregions.stdqr import StdqrModel
 
 ROW_KEYS = {"seed", "coverage", "area", "delta_coverage", "per_cluster_coverage",
             "n_test", "method", "config_digest", "calibration",
@@ -43,6 +39,19 @@ def smoke_run(tmp_path_factory):
     return result, out_dir
 
 
+@pytest.fixture(scope="module")
+def smoke_refit(smoke_run):
+    """Each smoke cell fitted again from its config and seed on the run's
+    own prepared data: (config, prep, {method: (rule, area grid, info)})."""
+    _, out_dir = smoke_run
+    config = smoke_config(experiment.METHODS, out_dir)
+    prep = experiment.prepare(experiment.load_dataset(config.dataset), 0,
+                              pca_components=config.dataset.get("pca_components"))
+    cells = {method: experiment.fit_and_calibrate(method, config, prep, 0)
+             for method in experiment.METHODS}
+    return config, prep, cells
+
+
 class TestRunExperiment:
     def test_report_schema(self, smoke_run):
         result, out_dir = smoke_run
@@ -60,14 +69,14 @@ class TestRunExperiment:
 
     def test_run_directory_holds_one_table(self, smoke_run):
         _, out_dir = smoke_run
+        report = json.loads((out_dir / "report.json").read_text())
         assert sorted(path.name for path in out_dir.iterdir()) == sorted(
             ["report.json", *experiment.METHODS])
-        for method in experiment.METHODS:
+        for method, row in zip(experiment.METHODS, report["rows"]):
             assert [path.name for path in (out_dir / method).iterdir()] == ["0"]
-            assert (out_dir / method / "0").is_dir()
-            # The calibration entry lives in report.json only.
-            assert sorted(path.name for path in (out_dir / method / "0").iterdir()) == [
-                "model", "report.json"]
+            cell_dir = out_dir / method / "0"
+            assert [path.name for path in cell_dir.iterdir()] == ["report.json"]
+            assert json.loads((cell_dir / "report.json").read_text()) == row
 
     def test_rows_carry_training_history(self, smoke_run):
         result, _ = smoke_run
@@ -78,34 +87,29 @@ class TestRunExperiment:
                 assert net["epochs_run"] == 60 and net["hit_cap"] is True
                 assert 1 <= net["best_epoch"] <= 60
                 assert math.isfinite(net["best_val_loss"])
+        naive = next(row for row in result["rows"] if row["method"] == "naive")
+        assert math.isfinite(naive["calibration"]["offset"])
 
-    def test_saved_bundles_reload(self, smoke_run):
-        result, out_dir = smoke_run
-        naive = NaiveModel.load(out_dir / "naive" / "0" / "model")
-        assert naive.offset is not None
-        npdqr = NpdqrModel.load(out_dir / "npdqr" / "0" / "model")
-        assert npdqr.d == 2
-        stdqr = StdqrModel.load(out_dir / "stdqr" / "0" / "model")
-        assert stdqr.r == 3
-        rows = {row["method"]: row for row in result["rows"]}
-        for method, model in (("naive", naive), ("npdqr", npdqr), ("stdqr", stdqr)):
-            reloaded = [h.summary(net) for net, h in model.histories.items()]
-            assert reloaded == rows[method]["training"]
-            assert all(h.epochs_run == len(h.val_losses) == 60
-                       for h in model.histories.values())
+    def test_refit_reproduces_each_row(self, smoke_run, smoke_refit):
+        # A cell rebuilt from its config and seed gives its row bit for
+        # bit, wall times aside: the run keeps no model to reload.
+        result, _ = smoke_run
+        config, prep, cells = smoke_refit
+        timings = {"fit_s", "calibrate_s", "evaluate_s"}
+        for row in result["rows"]:
+            rule, area_grid, info = cells[row["method"]]
+            refit = experiment.evaluate_cell(rule, area_grid, config, prep, 0)
+            refit.update(info, config_digest=config.digest())
+            assert set(refit) == set(row) - {"evaluate_s"}
+            assert {k: v for k, v in refit.items() if k not in timings} == {
+                k: v for k, v in row.items() if k not in timings}
 
-    def test_rows_carry_calibration_counts(self, smoke_run):
-        result, out_dir = smoke_run
-        config = smoke_config(experiment.METHODS, out_dir)
-        prep = experiment.prepare(experiment.load_dataset(config.dataset), 0)
-        model_dir = out_dir / "npdqr" / "0" / "model"
-        grid = Grid.from_dict(json.loads((model_dir / "region_grid.json").read_text()))
-        providers = {
-            "npdqr": RegionExtractor(NpdqrModel.load(model_dir), grid.points()).extract,
-            "stdqr": StdqrModel.load(out_dir / "stdqr" / "0" / "model").region,
-        }
+    def test_rows_carry_calibration_counts(self, smoke_run, smoke_refit):
+        result, _ = smoke_run
+        _, prep, cells = smoke_refit
         rows = {row["method"]: row for row in result["rows"]}
-        for method, provider in providers.items():
+        for method in ("npdqr", "stdqr"):
+            provider = cells[method][0].rule.provider
             sizes = np.array([len(provider(x)) for x in prep.x["calibration"]])
             report = rows[method]["calibration"]
             assert report["n2"] == len(sizes)
@@ -126,6 +130,10 @@ class TestRunExperiment:
         assert "broken_fit" in failed["traceback"]
         assert "error" not in finished and 0.0 <= finished["coverage"] <= 1.0
         assert [a["method"] for a in result["aggregate"]] == ["npdqr"]
+        # The failed cell's directory holds its error row, not nothing.
+        saved = json.loads((tmp_path / "naive" / "0" / "report.json").read_text())
+        assert saved["error"] == failed["error"]
+        assert saved["traceback"] == failed["traceback"]
 
 
 def test_cell_whose_region_blankets_the_grid_finishes():

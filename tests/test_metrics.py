@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qregions import naive_qr
 from qregions.calibration import GROW, CalibratedRule
 from qregions.experiment import DistanceRule, RectangleRule
 from qregions.metrics import (
@@ -168,3 +169,22 @@ class TestDeltaCoverage:
             assert 0 < flags.sum() < len(flags)
             assert delta_coverage(rule, x, y, clusters, alpha=0.1) == \
                 delta_coverage(rule, x, y, clusters, alpha=0.1, flags=flags)
+
+
+@pytest.mark.parametrize("x_rows, y_rows", [(1, 5), (3, 5), (5, 3)])
+@pytest.mark.parametrize("kind", ["distance", "rectangle"])
+def test_unpaired_rows_raise_before_any_membership(monkeypatch, kind, x_rows, y_rows):
+    # A distance rule zipped the extra rows away (1 against 5 gave one
+    # flag), and a rectangle rule broadcast one input against every response.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a region or net was evaluated on unpaired rows")
+
+    if kind == "distance":
+        rule = ball_rule(1.0)
+        rule.rule.provider = refuse
+    else:
+        rule = RectangleRule(NaiveModel([constant_net(-1.0)] * 2, [constant_net(1.0)] * 2,
+                                        alpha=0.1, offset=0.0))
+        monkeypatch.setattr(naive_qr, "forward_batch", refuse)
+    with pytest.raises(ValueError, match="rows"):
+        rule.membership_rows(np.zeros((x_rows, 1)), np.zeros((y_rows, 2)))

@@ -1,11 +1,11 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from qregions.calibration import CalibrationSetTooSmallError
+from qregions import naive_qr
 from qregions.experiment import RectangleRule
 from qregions.naive_qr import (
     NaiveModel,
@@ -32,6 +32,10 @@ def box_model(lo_values, hi_values, alpha=0.1, offset=None):
     nets_lo = [constant_net(p, v) for v in lo_values]
     nets_hi = [constant_net(p, v) for v in hi_values]
     return NaiveModel(nets_lo, nets_hi, alpha, offset=offset)
+
+
+def refuse_net_pass(*_args, **_kwargs):
+    raise AssertionError("a net ran on unpaired rows")
 
 
 def box_volume(lower, upper):
@@ -114,6 +118,15 @@ class TestCalibrate:
         with pytest.raises(CalibrationSetTooSmallError):
             calibrate(model, np.zeros((5, 1)), np.zeros((5, 1)), alpha=0.1)
 
+
+    @pytest.mark.parametrize("x_rows, y_rows", [(1, 50), (3, 50), (50, 3)])
+    def test_unpaired_rows_raise_before_any_net_pass(self, monkeypatch, x_rows, y_rows):
+        # One input against 50 responses used to score every response
+        # against that input's box.
+        model = box_model([0.0], [1.0])
+        monkeypatch.setattr(naive_qr, "forward_batch", refuse_net_pass)
+        with pytest.raises(ValueError, match="rows"):
+            calibrate(model, np.zeros((x_rows, 1)), np.zeros((y_rows, 1)), alpha=0.1)
 
 class TestRegion:
     def test_zero_offset_degenerate_point(self):
@@ -218,28 +231,3 @@ class TestFit:
         xt, yt = draw(4000)
         coverage = float(membership_flags(calibrated, xt, yt).mean())
         assert 0.86 <= coverage <= 0.94
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        model = box_model([0.0, -1.0], [1.0, 2.0], offset=0.35)
-        model.save(tmp_path / "naive")
-        loaded = NaiveModel.load(tmp_path / "naive")
-        assert loaded.offset == model.offset
-        x = Rng(0).uniform(size=(5, 1))
-        lo_a, hi_a = model.bounds(x)
-        lo_b, hi_b = loaded.bounds(x)
-        assert np.array_equal(lo_a, lo_b)
-        assert np.array_equal(hi_a, hi_b)
-
-    def test_bundle_with_level_scheme_loads(self, tmp_path):
-        model = box_model([0.0, -1.0], [1.0, 2.0], offset=0.35)
-        model.save(tmp_path / "naive")
-        meta_path = tmp_path / "naive" / "naive_meta.json"
-        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
-                                         "scheme": "centered"}))
-        loaded = NaiveModel.load(tmp_path / "naive")
-        assert loaded.offset == model.offset
-        x = Rng(0).uniform(size=(5, 1))
-        for a, b in zip(loaded.bounds(x), model.bounds(x)):
-            assert np.array_equal(a, b)

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -324,57 +323,9 @@ class TestUndercoverage:
         assert abs(coverage - analytic) <= 0.10
 
 
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, noise_fit):
-        _, _, model, _ = noise_fit
-        model.save(tmp_path / "npdqr")
-        meta = json.loads((tmp_path / "npdqr" / "npdqr_meta.json").read_text())
-        assert set(meta) == {"alpha", "membership_directions", "histories"}
-        loaded = NpdqrModel.load(tmp_path / "npdqr")
-        assert loaded.alpha == model.alpha
-        assert loaded.membership_directions.shape == model.membership_directions.shape
-        assert (loaded.membership_directions.tobytes()
-                == model.membership_directions.tobytes())
-        probe = Rng(0).uniform(size=(3, 1))
-        assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
-
-    def test_loads_bundle_that_stored_pool_seed_and_indices(self, tmp_path, noise_fit):
-        # Older bundles stored the pool's seed, size and dimension and the
-        # indices of the membership rows; ``noise_fit`` draws its pool from
-        # Rng(1) and its membership rows from fit's Rng(5).spawn(2).
-        _, _, model, _ = noise_fit
-        indices = Rng(5).spawn(2).subset(512, 128)
-        assert np.array_equal(sample_direction_pool(2, 512, Rng(1))[indices],
-                              model.membership_directions)
-        model.save(tmp_path / "npdqr")
-        meta_path = tmp_path / "npdqr" / "npdqr_meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["membership_directions"]
-        meta_path.write_text(json.dumps({**meta, "pool_seed": 1, "pool_size": 512, "dim": 2,
-                                         "membership_indices": indices.tolist()}))
-        loaded = NpdqrModel.load(tmp_path / "npdqr")
-        assert (loaded.membership_directions.tobytes()
-                == model.membership_directions.tobytes())
-        probe = Rng(0).uniform(size=(3, 1))
-        assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
-
-    def test_loads_bundle_with_training_direction_count(self, tmp_path, noise_fit):
-        # Older bundles also stored the training direction count.
-        _, _, model, _ = noise_fit
-        model.save(tmp_path / "npdqr")
-        meta_path = tmp_path / "npdqr" / "npdqr_meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta_path.write_text(json.dumps({**meta, "train_dir_count": 32}))
-        loaded = NpdqrModel.load(tmp_path / "npdqr")
-        assert np.array_equal(loaded.membership_directions, model.membership_directions)
-        probe = Rng(0).uniform(size=(3, 1))
-        assert np.array_equal(loaded.thresholds(probe), model.thresholds(probe))
-
-
 @pytest.mark.parametrize("directions", [
     np.array([1.0, 0.0]), np.zeros((0, 2)), np.array([[1.0, 0.0], [np.nan, 1.0]])],
     ids=["one-dimensional", "no-rows", "nan"])
 def test_malformed_membership_directions_are_rejected(directions):
-    # A bundle's directions come from outside the program.
     with pytest.raises(ValueError, match="membership directions"):
         NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions, alpha=0.1)

@@ -70,10 +70,6 @@ class TestBuildGrid:
         ])
         assert np.allclose(pts, expected)
 
-    def test_roundtrip_dict(self, train_responses):
-        grid = build_grid(train_responses, AREA_MEASUREMENT)
-        assert Grid.from_dict(grid.to_dict()) == grid
-
 
 class TestArea:
     def test_constant_predicates(self, train_responses):

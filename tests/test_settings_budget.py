@@ -10,7 +10,7 @@ import pkgutil
 
 import qregions
 
-BUDGET = 53
+BUDGET = 51
 
 
 def settable_values() -> list:

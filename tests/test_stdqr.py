@@ -240,17 +240,3 @@ class TestOneDimensionalLatent:
         if member.any():
             first, last = np.argmax(member), len(member) - np.argmax(member[::-1]) - 1
             assert member[first : last + 1].all()  # contiguous run
-
-
-class TestSerialization:
-    def test_bundle_roundtrip(self, tmp_path):
-        for build in (identity_pipeline, ignored_unit_pipeline):
-            model = build()
-            model.save(tmp_path / build.__name__)
-            loaded = StdqrModel.load(tmp_path / build.__name__)
-            assert loaded.latent_grid == model.latent_grid
-            assert loaded.inactive_layers == model.inactive_layers
-            assert (loaded.latent_model.membership_directions.tobytes()
-                    == model.latent_model.membership_directions.tobytes())
-            x = np.array([0.4])
-            assert np.array_equal(loaded.region(x), model.region(x))
