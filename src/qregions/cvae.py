@@ -133,8 +133,6 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     """
     if r < 1:
         raise ValueError(f"latent dimension must be >= 1, got {r}")
-    if lam < 0:
-        raise ValueError(f"KL weight must be nonnegative, got {lam}")
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     x_val = np.atleast_2d(np.asarray(x_val, dtype=float))

@@ -1,6 +1,6 @@
 """Data handling: synthetic v-shaped generators, deterministic splits,
-z-score normalization with train-only statistics, PCA reduction, and CSV
-ingestion for user-supplied datasets."""
+z-score normalization with train-only statistics, and CSV ingestion for
+user-supplied datasets."""
 
 from __future__ import annotations
 
@@ -148,30 +148,6 @@ def zscore_fit_apply(dataset: Dataset, train_indices):
     return normalized, x_stats, y_stats
 
 
-def pca_reduce(x: np.ndarray, k: int):
-    """Project onto the top-k eigendirections of the feature covariance.
-
-    Returns (projected n-by-k matrix, basis p-by-k, explained variances in
-    nonincreasing order). The basis sign is fixed so that each column's
-    largest-magnitude entry is positive.
-    """
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    if not 1 <= k <= min(n, p):
-        raise ValueError(f"PCA rank k={k} must lie in [1, min(n, p)={min(n, p)}]")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / n
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:k]
-    basis = eigvecs[:, order]
-    for j in range(k):
-        pivot = np.argmax(np.abs(basis[:, j]))
-        if basis[pivot, j] < 0:
-            basis[:, j] = -basis[:, j]
-    explained = np.maximum(eigvals[order], 0.0)
-    return centered @ basis, basis, explained
-
-
 def load_csv(path, response_columns) -> Dataset:
     """Read a headed CSV, routing the named columns to the response matrix
     and everything else to the features.
@@ -185,7 +161,9 @@ def load_csv(path, response_columns) -> Dataset:
     for j, name in enumerate(response_columns):
         if name in response_columns[:j]:
             raise CsvParseError(f"response column {name!r} named twice", 1, name)
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # stick to the first column name; plain UTF-8 reads the same.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -23,14 +23,7 @@ import numpy as np
 from . import naive_qr, npdqr, stdqr
 from .calibration import CalibratedRule, calibrate, check_paired_rows
 from .cvae import reconstruction_mse
-from .data import (
-    Dataset,
-    gen_synthetic,
-    load_csv,
-    pca_reduce,
-    split,
-    zscore_fit_apply,
-)
+from .data import Dataset, gen_synthetic, load_csv, split, zscore_fit_apply
 from .metrics import cluster_coverages, delta_coverage, kmeans
 from .nn import TrainConfig
 from .numerics import Rng
@@ -161,13 +154,21 @@ def _check_dataset_spec(spec: dict) -> None:
     required = {"synthetic": {"setting", "d", "p", "n"}, "csv": {"path", "response_columns"}}
     if kind not in required:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    optional = {"kind", "pca_components"} | ({"seed"} if kind == "synthetic" else set())
+    optional = {"kind"} | ({"seed"} if kind == "synthetic" else set())
     missing, unknown = required[kind] - set(spec), set(spec) - required[kind] - optional
     if missing or unknown:
         raise ValueError(f"{kind} spec: missing {sorted(missing)}, unknown {sorted(unknown)}")
-    for key in ("seed", "n", "d", "p", "pca_components"):
+    for key in ("seed", "n", "d", "p"):
         if key in spec and (not isinstance(spec[key], int) or isinstance(spec[key], bool)):
             raise ValueError(f"dataset {key!r} must be an integer, got {spec[key]!r}")
+    if kind == "csv":
+        if not isinstance(spec["path"], str):
+            raise ValueError(f"dataset 'path' must be a string, got {spec['path']!r}")
+        columns = spec["response_columns"]
+        if (not isinstance(columns, (list, tuple)) or not columns
+                or not all(isinstance(c, str) for c in columns)):
+            raise ValueError(
+                f"dataset 'response_columns' must be a non-empty list of names, got {columns!r}")
 
 
 def load_dataset(spec: dict) -> Dataset:
@@ -184,17 +185,9 @@ class PreparedData:
     y: dict
 
 
-def prepare(dataset: Dataset, seed: int, pca_components: int | None = None) -> PreparedData:
-    """Split, optionally PCA-reduce the features (basis fit on train
-    rows only), and z-score everything with train statistics."""
+def prepare(dataset: Dataset, seed: int) -> PreparedData:
+    """Split, then z-score every row with the train rows' statistics."""
     parts = split(dataset.n, seed)
-    x = dataset.x
-    if pca_components is not None:
-        train_x = x[parts["train"]]
-        mean = train_x.mean(axis=0)
-        _, basis, _ = pca_reduce(train_x, pca_components)
-        x = (x - mean) @ basis
-        dataset = Dataset(x=x, y=dataset.y)
     normalized, _, _ = zscore_fit_apply(dataset, parts["train"])
     return PreparedData(x={name: normalized.x[rows] for name, rows in parts.items()},
                         y={name: normalized.y[rows] for name, rows in parts.items()})
@@ -319,8 +312,7 @@ def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,
 
 
 def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int) -> dict:
-    prep = prepare(dataset, seed,
-                   pca_components=config.dataset.get("pca_components"))
+    prep = prepare(dataset, seed)
     rule, area_grid, info = fit_and_calibrate(method, config, prep, seed)
     evaluating = perf_counter()
     row = evaluate_cell(rule, area_grid, config, prep, seed)

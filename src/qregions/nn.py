@@ -40,7 +40,7 @@ import numpy as np
 
 from .numerics import Rng
 
-LEAKY_SLOPE = 0.2  # slope of the hidden layers' leaky ReLUs
+LEAKY_SLOPE = 0.2  # slope of the hidden layers' leaky ReLUs; must lie in [0, 1]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -71,18 +71,16 @@ class TrainConfig:
 
 
 class MlpModel:
-    """Dense network parameters and the slope of its leaky ReLUs.
+    """Dense network parameters.
 
     ``widths`` lists every layer width including input and output, so a
     net with widths (3, 64, 64, 1) has two hidden layers.
     """
 
-    def __init__(self, widths, weights, biases, leaky_slope=LEAKY_SLOPE):
+    def __init__(self, widths, weights, biases):
         self.widths = tuple(int(w) for w in widths)
         self.weights = weights
         self.biases = biases
-        _check_slope(leaky_slope)
-        self.leaky_slope = float(leaky_slope)
         if not len(self.weights) == len(self.biases) == len(self.widths) - 1:
             raise ValueError("one weight matrix and bias per layer transition expected")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -104,25 +102,18 @@ class MlpModel:
         return list(self.weights) + list(self.biases)
 
 
-def _check_slope(leaky_slope) -> None:
-    # The in-place activation and its derivative assume a slope in [0, 1].
-    if not 0.0 <= leaky_slope <= 1.0:
-        raise ValueError(f"leaky slope must lie in [0, 1], got {leaky_slope}")
-
-
-def init_mlp(widths, rng: Rng, leaky_slope=LEAKY_SLOPE) -> MlpModel:
+def init_mlp(widths, rng: Rng) -> MlpModel:
     """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero biases."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"need at least input and output widths >= 1, got {widths}")
-    _check_slope(leaky_slope)
-    gain2 = 2.0 / (1.0 + leaky_slope**2)
+    gain2 = 2.0 / (1.0 + LEAKY_SLOPE**2)
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = np.sqrt(3.0 * gain2 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(widths, weights, biases, leaky_slope)
+    return MlpModel(widths, weights, biases)
 
 
 INFERENCE_ROWS = 1024
@@ -170,7 +161,6 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
                      "scratch": np.empty((min(n, INFERENCE_ROWS), width))}
         cache["inputs"] = [x]
     lent = cache is not None and cache["positive"].shape[0] >= n
-    slope = model.leaky_slope
     a = x
     for k in range(n_layers - 1):
         z = np.matmul(a, model.weights[k], out=cache["buffers"][k][:n] if lent else None)
@@ -178,7 +168,7 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
         for start in range(0, n, INFERENCE_ROWS):
             block = z[start : start + INFERENCE_ROWS]
             slope_z = cache["scratch"][: len(block), : z.shape[1]] if lent else None
-            np.maximum(block, np.multiply(block, slope, out=slope_z), out=block)
+            np.maximum(block, np.multiply(block, LEAKY_SLOPE, out=slope_z), out=block)
         a = z
         if train_mode:
             cache["inputs"].append(a)
@@ -215,7 +205,7 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
         for start in range(0, len(delta), INFERENCE_ROWS):
             rows = slice(start, start + INFERENCE_ROWS)
             block = delta[rows]
-            block *= np.maximum(positive[rows], model.leaky_slope, out=derivative[: len(block)])
+            block *= np.maximum(positive[rows], LEAKY_SLOPE, out=derivative[: len(block)])
 
 
 # ---------------------------------------------------------------------------

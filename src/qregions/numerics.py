@@ -58,9 +58,9 @@ class Rng:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size=size)
 
-    def standard_normal(self, size=None):
-        """N(0,1) draws via Box-Muller on uniform pairs."""
-        n = 1 if size is None else int(np.prod(size))
+    def standard_normal(self, size):
+        """N(0,1) draws of shape ``size`` via Box-Muller on uniform pairs."""
+        n = int(np.prod(size))
         m = (n + 1) // 2
         # 1 - U keeps the log argument in (0, 1].
         u1 = 1.0 - self._gen.random(m)
@@ -68,8 +68,6 @@ class Rng:
         radius = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
         z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n]
-        if size is None:
-            return float(z[0])
         return z.reshape(size)
 
     def integers(self, low: int, high: int, size=None):

@@ -76,10 +76,6 @@ class StdqrModel:
         self.extractor = RegionExtractor(latent_model, points[keep])
 
     @property
-    def r(self) -> int:
-        return self.cvae.r
-
-    @property
     def histories(self) -> dict:
         """Training histories of the CVAE and of the latent threshold net."""
         latent = {f"latent_{net}": h for net, h in self.latent_model.histories.items()}

@@ -171,6 +171,16 @@ class TestFit:
         assert np.max(np.abs(mu)) <= 0.15
         assert np.max(np.abs(logvar)) <= 0.15
 
+    def test_negative_kl_weight_raises_before_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cvae, "train_minibatches", no_training)
+        x, y = Rng(3).uniform(size=(20, 1)), Rng(4).uniform(size=(20, 2))
+        with pytest.raises(ValueError, match="KL weight"):
+            fit(x[:16], y[:16], x[16:], y[16:], r=2, lam=-1.0,
+                config=TrainConfig(max_epochs=2, patience=2), hidden=(4,))
+
     def test_nonlinear_fixture_stops_before_its_cap(self, nonlinear_cvae):
         # The assertions that share the fixture see a converged net.
         model, _, _ = nonlinear_cvae

@@ -10,7 +10,6 @@ from qregions.data import (
     Dataset,
     gen_synthetic,
     load_csv,
-    pca_reduce,
     split,
     zscore_fit_apply,
 )
@@ -159,51 +158,6 @@ class TestZscore:
             zscore_fit_apply(data, [0, 1])
 
 
-def power_iteration_top_eigs(cov, k, iters=2000):
-    """Independent PCA oracle: deflated power iteration on the covariance."""
-    rng = Rng(123)
-    values = []
-    work = cov.copy()
-    for _ in range(k):
-        v = rng.uniform(-1, 1, size=cov.shape[0])
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            v = work @ v
-            v /= np.linalg.norm(v)
-        lam = float(v @ work @ v)
-        values.append(lam)
-        work = work - lam * np.outer(v, v)
-    return values
-
-
-class TestPca:
-    def test_rank_one_exact(self):
-        base = np.outer(Rng(0).uniform(size=30), np.array([1.0, 2.0, -1.0]))
-        projected, basis, _ = pca_reduce(base, 1)
-        reconstructed = projected @ basis.T + base.mean(axis=0)
-        assert np.max(np.abs(reconstructed - base)) <= 1e-10
-
-    def test_full_basis_preserves_gram_matrix(self):
-        rng = Rng(7)
-        x = rng.uniform(-1, 1, size=(40, 4))
-        projected, basis, _ = pca_reduce(x, 4)
-        centered = x - x.mean(axis=0)
-        assert np.max(np.abs(projected @ projected.T - centered @ centered.T)) <= 1e-8
-
-    def test_explained_variance_matches_power_iteration(self):
-        x = Rng(21).uniform(-1, 1, size=(200, 20))
-        _, _, explained = pca_reduce(x, 5)
-        centered = x - x.mean(axis=0)
-        cov = centered.T @ centered / 200
-        oracle = power_iteration_top_eigs(cov, 5)
-        assert np.max(np.abs(np.array(oracle) - explained)) <= 1e-6
-        assert all(a >= b for a, b in zip(explained, explained[1:]))
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            pca_reduce(np.zeros((5, 3)), 4)
-
-
 class TestCsv:
     def test_response_column_routing(self, tmp_path):
         path = tmp_path / "three.csv"
@@ -221,6 +175,16 @@ class TestCsv:
             load_csv(path, ["b"])
         assert err.value.row == 3
         assert err.value.column == "b"
+
+    def test_byte_order_mark_leaves_first_column_name(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts with a BOM, which used
+        # to stick to the first name and hide the response column y0.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy0,x0,y1\n1,2,3\n4,5,6\n")
+        data = load_csv(path, ["y0", "y1"])
+        assert data.feature_names == ["x0"] and data.response_names == ["y0", "y1"]
+        assert np.array_equal(data.x, [[2.0], [5.0]])
+        assert np.array_equal(data.y, [[1.0, 3.0], [4.0, 6.0]])
 
     def test_missing_response_column(self, tmp_path):
         path = tmp_path / "cols.csv"

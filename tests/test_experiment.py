@@ -45,8 +45,7 @@ def smoke_refit(smoke_run):
     own prepared data: (config, prep, {method: (rule, area grid, info)})."""
     _, out_dir = smoke_run
     config = smoke_config(experiment.METHODS, out_dir)
-    prep = experiment.prepare(experiment.load_dataset(config.dataset), 0,
-                              pca_components=config.dataset.get("pca_components"))
+    prep = experiment.prepare(experiment.load_dataset(config.dataset), 0)
     cells = {method: experiment.fit_and_calibrate(method, config, prep, 0)
              for method in experiment.METHODS}
     return config, prep, cells
@@ -207,12 +206,16 @@ def test_repeated_or_non_integer_cells_raise(kwargs):
     ({"n": 200.0}, "n"), ({"d": True}, "d"), ({"p": "1"}, "p"),
     ({"pca_components": True}, "pca_components"), ({"kind": "parquet"}, "parquet"),
     ({"kind": "csv", "path": "data.csv"}, "response_columns"),
-    ({"kind": "csv", "path": "data.csv", "response_columns": ["y0"], "seed": 1}, "seed")],
+    ({"kind": "csv", "path": "data.csv", "response_columns": ["y0"], "seed": 1}, "seed"),
+    ({"kind": "csv", "path": "data.csv", "response_columns": "y0"}, "response_columns"),
+    ({"kind": "csv", "path": 3, "response_columns": ["y0"]}, "path")],
     ids=["fractional-seed", "bool-seed", "misspelt-seed", "float-n", "bool-d", "string-p",
-         "bool-pca", "unknown-kind", "csv-without-responses", "csv-with-seed"])
+         "bool-pca", "unknown-kind", "csv-without-responses", "csv-with-seed",
+         "string-responses", "number-path"])
 def test_misread_dataset_spec_raises_naming_the_key(spec, key):
     # Each of these used to construct: a seed of 0.5 generated the seed-0
-    # data, "sed" was ignored, and a csv spec failed later with a KeyError.
+    # data, "sed" was ignored, a csv spec failed later with a KeyError, and
+    # a string of response names was read one character at a time.
     synthetic = {"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1, "n": 200}
     base = synthetic if spec.get("kind", "synthetic") == "synthetic" else {}
     with pytest.raises(ValueError, match=key):
@@ -223,7 +226,7 @@ def test_misread_dataset_spec_raises_naming_the_key(spec, key):
 
 def test_complete_dataset_specs_construct():
     experiment.ExperimentConfig(dataset={"setting": "linear", "d": 2, "p": 1, "n": 200,
-                                         "seed": 3, "pca_components": 1})
+                                         "seed": 3})
     experiment.ExperimentConfig(dataset={"kind": "csv", "path": "data.csv",
                                          "response_columns": ["y0", "y1"]})
 
@@ -256,10 +259,10 @@ class TestAggregate:
 
 
 class TestPrepare:
-    def test_pca_and_zscore_fit_on_train_rows_only(self):
+    def test_zscore_fits_on_train_rows_only(self):
         dataset = gen_synthetic("nonlinear", 2, 6, 300, seed=3)
-        prep = experiment.prepare(dataset, seed=1, pca_components=2)
-        assert prep.x["train"].shape == (len(prep.y["train"]), 2)
+        prep = experiment.prepare(dataset, seed=1)
+        assert prep.x["train"].shape == (len(prep.y["train"]), 6)
         # Prepared train features have mean 0 and population std 1.
         assert np.allclose(prep.x["train"].mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(prep.x["train"].std(axis=0), 1.0)
@@ -268,7 +271,7 @@ class TestPrepare:
         x, y = dataset.x.copy(), dataset.y.copy()
         x[held_out] = 40.0 * x[held_out][:, ::-1] + 7.0
         y[held_out] *= -5.0
-        moved = experiment.prepare(Dataset(x=x, y=y), seed=1, pca_components=2)
+        moved = experiment.prepare(Dataset(x=x, y=y), seed=1)
         assert np.array_equal(moved.x["train"], prep.x["train"])
         assert np.array_equal(moved.y["train"], prep.y["train"])
         assert not np.allclose(moved.x["test"], prep.x["test"])

@@ -1,6 +1,7 @@
 """Import layering of the package: the region models hand calibration plain
-point arrays, so they need not import it, and only the experiment driver
-and the data loader touch files."""
+point arrays, so they need not import it, only the experiment driver and
+the data loader touch files, and every public name of the package has a
+caller in the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,18 @@ from pathlib import Path
 import qregions
 
 PACKAGE = Path(qregions.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Public names that nothing in the package or the benchmark references,
+# each with the reason it stays.
+UNREFERENCED_ON_PURPOSE = {
+    ("experiment", "run_experiment"): "the entry point of a run",
+    ("nn", "MseLoss"): "the loss of the nn tests' reference training steps",
+    ("npdqr", "contains"): "the per-direction membership oracle of the extractor tests",
+    ("calibration", "base_contains"): "the raw-region membership oracle of the tests",
+    ("numerics", "dqr_theoretical_coverage"):
+        "the latent-coverage formula, until ROADMAP item 8 adopts or drops it",
+}
 
 # Standard modules that read or write files.
 FILE_MODULES = {"json", "pathlib", "csv", "pickle"}
@@ -48,6 +61,83 @@ def file_access(path: Path) -> set:
            and node.func.id == "open" for node in syntax_nodes(path)):
         found.add("open")
     return found
+
+
+def public_definitions(path: Path) -> set:
+    """Names of the public module-level functions and classes of one file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def package_references(path: Path, module: str | None, definitions: dict) -> set:
+    """``(module, name)`` of each package definition one file refers to: a
+    name imported from a package module, ``m.name`` on a name bound to a
+    package module, and, in the package module ``module`` itself, a use of
+    its own name outside that name's own definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}  # local name -> package module
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if source != "qregions" and not source.startswith("qregions."):
+                    continue
+                source = source.removeprefix("qregions").lstrip(".")
+            for alias in node.names:
+                if not source and alias.name in definitions:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source in definitions:
+                    found.add((source, alias.name))
+    for statement in tree.body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                found.add((bound[node.value.id], node.attr))
+            elif (isinstance(node, ast.Name) and module is not None
+                    and node.id in definitions[module] and node.id != own):
+                found.add((module, node.id))
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A helper that only tests reach is a second way to do something, so
+    # it goes, or it stays in UNREFERENCED_ON_PURPOSE with its reason.
+    definitions = {path.stem: public_definitions(path) for path in PACKAGE.glob("*.py")}
+    bench_files = sorted(BENCH.glob("*.py"))
+    assert bench_files, f"no benchmark sources under {BENCH}"
+    referenced = set()
+    for path in PACKAGE.glob("*.py"):
+        referenced |= package_references(path, path.stem, definitions)
+    for path in bench_files:
+        referenced |= package_references(path, None, definitions)
+    unreferenced = {(module, name) for module, names in definitions.items()
+                    for name in names} - referenced
+    assert sorted(unreferenced) == sorted(UNREFERENCED_ON_PURPOSE)
+
+
+def test_reference_forms_are_recognized(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from . import npdqr as dqr\n"
+                      "from qregions import experiment\n"
+                      "from .nn import init_mlp\n"
+                      "from qregions.regions import area as count\n"
+                      "def helper():\n"
+                      "    return helper() + dqr.fit + experiment.prepare\n"
+                      "def caller():\n"
+                      "    return Model\n"
+                      "class Model:\n"
+                      "    def copy(self):\n"
+                      "        return Model\n")
+    definitions = {"npdqr": {"fit"}, "experiment": {"prepare"}, "nn": {"init_mlp"},
+                   "regions": {"area"}, "probe": {"helper", "caller", "Model"}}
+    assert public_definitions(source) == {"helper", "caller", "Model"}
+    assert package_references(source, "probe", definitions) == {
+        ("npdqr", "fit"), ("experiment", "prepare"), ("nn", "init_mlp"),
+        ("regions", "area"), ("probe", "Model")}
 
 
 def test_only_experiment_and_naive_qr_import_calibration():
