@@ -9,14 +9,17 @@ provider's dilated point sets capture held-out responses, then either
 grows the dilation radius or shrinks the region via its complement
 until the empirical rule hits the requested coverage. Each mode has one conformity score, a distance that
 ``CalibratedRule.scores`` computes: calibration ranks it, and membership
-and area compare it with the calibrated threshold. So the calibrated
-rule works for any provider, any dimension, and any response
+and area compare it with the calibrated threshold. Both modes take their
+rank k from ``conformal_rank``: grow mode, which covers scores at most
+the threshold, keeps the k-th smallest score, and shrink mode, which
+covers scores at least the threshold, the k-th largest. So the
+calibrated rule works for any provider, any dimension, and any response
 distribution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,17 +30,15 @@ GROW = "grow"
 SHRINK = "shrink"
 
 
-class DegenerateRegionError(ValueError):
-    """Region with fewer than 2 points has no neighbor spacing."""
-
-
 class CalibrationSetTooSmallError(ValueError):
     """The conformity quantile index falls outside the score list."""
 
 
 def conformal_rank(n2: int, alpha: float) -> int:
     """ceil((n2+1)(1-alpha)): the rank of the calibration score whose
-    threshold guarantees 1 - alpha marginal coverage.
+    threshold guarantees 1 - alpha marginal coverage. Both calibration
+    modes take their rank from here: grow mode the k-th smallest score,
+    shrink mode the k-th largest, which is rank n2 + 1 - k.
 
     Raises CalibrationSetTooSmallError when the rank exceeds n2.
     """
@@ -78,11 +79,11 @@ def _grow_carrier(region: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 def gamma_init(region: np.ndarray) -> float:
     """Nearest-neighbor spacing threshold of a discrete region: the
     ceil(0.9 m)-th smallest distance from a region point to its closest
-    other region point."""
+    other region point; 0.0 for a region of fewer than 2 points, which
+    has no spacing."""
     m = len(region)
     if m < 2:
-        raise DegenerateRegionError(
-            f"need at least 2 region points for a spacing threshold, got {m}")
+        return 0.0
     spacings = pairwise_nn_distances(region)
     return empirical_quantile(spacings, int(np.ceil(0.9 * m)))
 
@@ -96,7 +97,7 @@ def base_contains(region: np.ndarray, y, gamma: float) -> bool:
     return bool(min_distances(np.atleast_2d(np.asarray(y, dtype=float)), region)[0] <= gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibratedRule:
     """Frozen output of calibration: one mode, one distance threshold.
 
@@ -122,8 +123,8 @@ class CalibratedRule:
     gamma_init_values: np.ndarray
     region_sizes: np.ndarray
     anchor: np.ndarray
-    complement_threshold: float | None = None
-    complement_points: np.ndarray | None = None
+    complement_threshold: float | None
+    complement_points: np.ndarray | None
 
     def region_carrier(self, x) -> np.ndarray:
         """Point set distances are measured against under Grow; empty
@@ -194,18 +195,17 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
     y_cal = np.asarray(y_cal, dtype=float)
     check_paired_rows(x_cal, y_cal)
     n2 = y_cal.shape[0]
-    k_grow = conformal_rank(n2, alpha)
+    k = conformal_rank(n2, alpha)
     anchor = 0.5 * (np.asarray(area_grid.lows) + np.asarray(area_grid.highs))
 
-    gammas = np.zeros(n2)
+    gammas = np.empty(n2)
     sizes = np.empty(n2, dtype=int)
     covered = np.zeros(n2, dtype=bool)
     grow_scores = np.empty(n2)
     for i in range(n2):
         region = _region(provider, x_cal[i], area_grid.dim)
         sizes[i] = len(region)
-        if sizes[i] >= 2:
-            gammas[i] = gamma_init(region)
+        gammas[i] = gamma_init(region)
         # The grow score of ``CalibratedRule.scores``, from the region
         # already in hand, so the scores and membership agree to the last bit.
         carrier = _grow_carrier(region, anchor)
@@ -213,22 +213,17 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
         if sizes[i] > 0:
             covered[i] = grow_scores[i] <= gammas[i]
     c_init = float(covered.mean())
+    common = dict(provider=provider, alpha=alpha, n2=n2, c_init=c_init,
+                  gamma_init_values=gammas, region_sizes=sizes, anchor=anchor)
 
+    if c_init <= 1.0 - alpha:
+        return CalibratedRule(mode=GROW, gamma_cal=empirical_quantile(grow_scores, k),
+                              complement_threshold=None, complement_points=None, **common)
+    # A shrink score reads the complement fields only; the threshold is
+    # the score of rank n2 + 1 - k, the k-th largest.
     rule = CalibratedRule(
-        mode=GROW if c_init <= 1.0 - alpha else SHRINK, gamma_cal=0.0,
-        provider=provider, alpha=alpha, n2=n2, c_init=c_init,
-        gamma_init_values=gammas, region_sizes=sizes, anchor=anchor,
-    )
-    if rule.mode == GROW:
-        rule.gamma_cal = empirical_quantile(grow_scores, k_grow)
-        return rule
-
-    k_shrink = int(np.floor((n2 + 1) * alpha))
-    if k_shrink < 1:
-        raise CalibrationSetTooSmallError(
-            f"need floor((n2+1) alpha) >= 1, got {k_shrink}")
-    rule.complement_threshold = empirical_quantile(gammas, int(np.ceil(0.5 * n2)))
-    rule.complement_points = area_grid.points()
+        mode=SHRINK, gamma_cal=np.nan,
+        complement_threshold=empirical_quantile(gammas, int(np.ceil(0.5 * n2))),
+        complement_points=area_grid.points(), **common)
     shrink_scores = [rule.scores(x_cal[i], y_cal[i])[0] for i in range(n2)]
-    rule.gamma_cal = empirical_quantile(shrink_scores, k_shrink)
-    return rule
+    return replace(rule, gamma_cal=empirical_quantile(shrink_scores, n2 + 1 - k))

@@ -42,22 +42,19 @@ def default_hidden(p: int) -> tuple:
 
 
 class CvaeModel:
-    """Encoder/decoder pair with latent dimension r and KL weight lam.
+    """Encoder/decoder pair with latent dimension r.
 
     ``histories`` holds the joint training history of encoder and decoder
     under ``cvae``; it is empty for a pair not trained here.
     """
 
-    def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int, lam: float,
+    def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int,
                  histories: dict | None = None):
         if encoder.out_width != 2 * r:
             raise ValueError(f"encoder must emit 2r = {2 * r} values, emits {encoder.out_width}")
-        if lam < 0:
-            raise ValueError(f"KL weight must be nonnegative, got {lam}")
         self.encoder = encoder
         self.decoder = decoder
         self.r = int(r)
-        self.lam = float(lam)
         self.histories = dict(histories or {})
 
     @property
@@ -133,6 +130,8 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     """
     if r < 1:
         raise ValueError(f"latent dimension must be >= 1, got {r}")
+    if lam < 0:
+        raise ValueError(f"KL weight must be nonnegative, got {lam}")
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
@@ -145,7 +144,7 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10))
     decoder = init_mlp((p + r, *hidden, d), rng.spawn(11))
     eps_rng = rng.spawn(12)
-    model = CvaeModel(encoder, decoder, r, lam)
+    model = CvaeModel(encoder, decoder, r)
 
     caches = (None, None)
 

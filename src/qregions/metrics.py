@@ -100,14 +100,10 @@ def cluster_coverages(flags: np.ndarray, labels: np.ndarray, k: int) -> list:
 
 
 def delta_coverage(rule, x_rows, y_rows, clusters: ClusterAssignment,
-                   alpha: float, flags=None) -> float:
-    """Mean absolute deviation of per-cluster coverage from 1 - alpha.
-
-    ``flags`` defaults to ``rule.membership_rows(x_rows, y_rows)``, as
-    either rule adapter of ``experiment`` answers it.
-    """
-    if flags is None:
-        flags = rule.membership_rows(x_rows, y_rows)
+                   alpha: float, *, flags) -> float:
+    """Mean absolute deviation from 1 - alpha of the per-cluster coverage
+    of ``flags``, the test rows' membership flags. ``rule``, ``x_rows``
+    and ``y_rows`` are not read; callers still pass them by position."""
     flags = np.asarray(flags, dtype=bool)
     per_cluster = cluster_coverages(flags, clusters.labels, clusters.k)
     return float(np.mean([abs(c - (1.0 - alpha)) for c in per_cluster]))

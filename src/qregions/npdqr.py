@@ -71,7 +71,7 @@ class NpdqrModel:
     ``threshold``; it is empty for a net not trained here.
     """
 
-    def __init__(self, net: MlpModel, membership_directions: np.ndarray, alpha: float,
+    def __init__(self, net: MlpModel, membership_directions: np.ndarray,
                  histories: dict | None = None):
         directions = np.asarray(membership_directions, dtype=float)
         if directions.ndim != 2 or directions.size == 0 or not np.isfinite(directions).all():
@@ -79,7 +79,6 @@ class NpdqrModel:
                              f"array, got shape {directions.shape}")
         self.net = net
         self.membership_directions = directions
-        self.alpha = float(alpha)
         self.histories = dict(histories or {})
 
     @property
@@ -158,7 +157,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
         return loss.value(val_targets, forward_batch(net, val_stack, cache))
 
     history = train_minibatches(net.parameters(), n, step, val_loss, config, rng)
-    return NpdqrModel(net=net, membership_directions=membership_directions, alpha=alpha,
+    return NpdqrModel(net=net, membership_directions=membership_directions,
                       histories={"threshold": history})
 
 

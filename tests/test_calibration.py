@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,9 +11,9 @@ from qregions.calibration import (
     SHRINK,
     CalibratedRule,
     CalibrationSetTooSmallError,
-    DegenerateRegionError,
     base_contains,
     calibrate,
+    conformal_rank,
     gamma_init,
 )
 from qregions.numerics import Rng
@@ -43,10 +44,9 @@ class TestGammaInit:
         assert gamma_init(pts) == pytest.approx(oracle, rel=1e-12)
 
     def test_degenerate_region(self):
-        with pytest.raises(DegenerateRegionError):
-            gamma_init(np.zeros((1, 2)))
-        with pytest.raises(DegenerateRegionError):
-            gamma_init(np.zeros((0, 2)))
+        # Fewer than 2 points have no neighbor spacing: the threshold is 0.
+        assert gamma_init(np.zeros((1, 2))) == 0.0
+        assert gamma_init(np.zeros((0, 2))) == 0.0
 
 
 class TestBaseContains:
@@ -137,18 +137,30 @@ class TestCalibrate:
         with pytest.raises(CalibrationSetTooSmallError):
             calibrate(provider, x, y, alpha=0.1, area_grid=grid)
 
+    def test_calibrated_rule_is_frozen(self, gaussian_setup):
+        draw, provider, grid = gaussian_setup
+        x, y = draw(99)
+        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.gamma_cal = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.provider = provider
+
+    def test_shrink_rank_is_n2_plus_one_minus_the_grow_rank(self):
+        # ceil(m - t) = m - floor(t) for integer m, so shrink mode's rank
+        # n2 + 1 - k is the floor((n2+1) alpha) of the split conformal
+        # literature; the float products round to the same integers here.
+        for n2 in range(9, 20_001):
+            assert n2 + 1 - conformal_rank(n2, 0.1) == int(np.floor((n2 + 1) * 0.1)), n2
+
     def test_grow_membership_monotone_in_threshold(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
         x, y = draw(99)
         rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         pts = grid.points()
         inner = rule.membership(x[0], pts)
-        wider = CalibratedRule(
-            mode=GROW, gamma_cal=rule.gamma_cal * 2, provider=rule.provider,
-            alpha=rule.alpha, n2=rule.n2, c_init=rule.c_init,
-            gamma_init_values=rule.gamma_init_values,
-            region_sizes=rule.region_sizes, anchor=rule.anchor,
-        ).membership(x[0], pts)
+        wider = dataclasses.replace(
+            rule, mode=GROW, gamma_cal=rule.gamma_cal * 2).membership(x[0], pts)
         assert np.all(wider[inner])
 
     def test_grow_gamma_zero_reduces_to_point_membership(self, gaussian_setup):
@@ -159,6 +171,7 @@ class TestCalibrate:
             mode=GROW, gamma_cal=0.0, provider=provider, alpha=0.1, n2=0,
             c_init=0.0, gamma_init_values=np.zeros(0),
             region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2),
+            complement_threshold=None, complement_points=None,
         )
         assert np.all(rule.membership(x[0], region))
         off_points = region + np.array([1e-6, 0.0])
@@ -236,11 +249,11 @@ class TestProviderContract:
         draw, provider, grid = gaussian_setup
         x, y = draw(99)
         rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
-        rule.provider = lambda _x: np.array([[np.nan, 0.0]])
+        rule = dataclasses.replace(rule, provider=lambda _x: np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError, match="finite"):
             rule.membership(x[0], y[:1])
-        rule.mode, rule.complement_threshold = SHRINK, 0.1
-        rule.complement_points = grid.points()
+        rule = dataclasses.replace(rule, mode=SHRINK, complement_threshold=0.1,
+                                   complement_points=grid.points())
         with pytest.raises(ValueError, match="finite"):
             rule.membership(x[0], y[:1])
 
@@ -329,6 +342,18 @@ class TestShrink:
         complement = pts[min_distances(pts, region_pts) > rule.complement_threshold]
         scores = np.sort(min_distances(y, complement))
         assert rule.gamma_cal == pytest.approx(scores[9])  # floor(100 * 0.1) = 10th
+
+    def test_smallest_rank_calibrates_where_grow_would(self, disc_setup):
+        # At alpha = 1/49 and n2 = 48 the grow rank ceil(49 (1 - alpha)) is
+        # 48, valid, so shrink takes rank 1; floor(49 alpha) rounds to 0.
+        provider, grid, draw, _ = disc_setup
+        x, y = draw(48)
+        alpha = 1 / 49
+        assert conformal_rank(48, alpha) == 48 and np.floor(49 * alpha) == 0
+        rule = calibrate(provider, x, y, alpha=alpha, area_grid=grid)
+        assert rule.mode == SHRINK
+        scores = np.array([rule.scores(x[i], y[i])[0] for i in range(48)])
+        assert rule.gamma_cal == scores.min()
 
     def test_blanket_region_calibrates_with_infinite_threshold(self, disc_setup):
         # No grid point lies outside the region, so every calibration row

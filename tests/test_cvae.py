@@ -32,7 +32,7 @@ def zeroed_cvae(p=1, d=2, r=2):
             w[...] = 0.0
         for b in net.biases:
             b[...] = 0.0
-    return CvaeModel(encoder, decoder, r, lam=0.01)
+    return CvaeModel(encoder, decoder, r)
 
 
 class TestHiddenDefaults:
@@ -98,7 +98,7 @@ class TestLossDecomposition:
                                                  (None, None))
         # The lam = 0 loss is the pure reconstruction term; the difference
         # at lam = 1 is the mean per-sample KL, which is nonnegative.
-        model = CvaeModel(encoder, decoder, 2, 0.0)
+        model = CvaeModel(encoder, decoder, 2)
         mu, logvar = model.posterior(x, y)
         mean_kl = np.mean(gaussian_kl_rows(mu, logvar))
         assert loss_l1 - loss_l0 == pytest.approx(mean_kl, rel=1e-9)

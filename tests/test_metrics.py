@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ def ball_rule(radius):
         mode=GROW, gamma_cal=radius,
         provider=lambda _x: np.zeros((1, 2)),
         alpha=0.1, n2=0, c_init=0.0, gamma_init_values=np.zeros(0),
-        region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2)))
+        region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2),
+        complement_threshold=None, complement_points=None))
 
 
 def constant_net(value):
@@ -157,19 +160,6 @@ class TestDeltaCoverage:
         weighted = float(np.dot(per_cluster, sizes) / sizes.sum())
         assert weighted == pytest.approx(float(flags.mean()))
 
-    def test_flags_default_to_the_rules_membership_rows(self):
-        rng = Rng(6)
-        x = rng.uniform(size=(120, 1))
-        y = rng.standard_normal(size=(120, 2))
-        clusters = kmeans(x, k=3, seed=0)
-        box = NaiveModel([constant_net(-1.0)] * 2, [constant_net(1.0)] * 2,
-                         alpha=0.1, offset=0.0)
-        for rule in (ball_rule(1.2), RectangleRule(box)):
-            flags = rule.membership_rows(x, y)
-            assert 0 < flags.sum() < len(flags)
-            assert delta_coverage(rule, x, y, clusters, alpha=0.1) == \
-                delta_coverage(rule, x, y, clusters, alpha=0.1, flags=flags)
-
 
 @pytest.mark.parametrize("x_rows, y_rows", [(1, 5), (3, 5), (5, 3)])
 @pytest.mark.parametrize("kind", ["distance", "rectangle"])
@@ -181,7 +171,7 @@ def test_unpaired_rows_raise_before_any_membership(monkeypatch, kind, x_rows, y_
 
     if kind == "distance":
         rule = ball_rule(1.0)
-        rule.rule.provider = refuse
+        rule.rule = dataclasses.replace(rule.rule, provider=refuse)
     else:
         rule = RectangleRule(NaiveModel([constant_net(-1.0)] * 2, [constant_net(1.0)] * 2,
                                         alpha=0.1, offset=0.0))

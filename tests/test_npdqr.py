@@ -23,7 +23,7 @@ def constant_threshold_model(d, value, pool_size=64, membership=32):
     net = init_mlp((1 + d, 1), Rng(1))
     net.weights[0][...] = 0.0
     net.biases[0][...] = value
-    return NpdqrModel(net=net, membership_directions=pool[:membership], alpha=0.1)
+    return NpdqrModel(net=net, membership_directions=pool[:membership])
 
 
 class TestPoolSampling:
@@ -94,7 +94,7 @@ class TestExtractRegion:
         rng = Rng(11)
         pool = sample_direction_pool(2, 256, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, membership_directions=pool[:64], alpha=0.1)
+        model = NpdqrModel(net=net, membership_directions=pool[:64])
         region = RegionExtractor(model, grid.points()).extract([0.4])
         for pt in region[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
@@ -103,7 +103,7 @@ class TestExtractRegion:
         rng = Rng(13)
         pool = sample_direction_pool(2, 512, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, membership_directions=pool[:128], alpha=0.1)
+        model = NpdqrModel(net=net, membership_directions=pool[:128])
         extractor = RegionExtractor(model, grid.points())
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
@@ -136,7 +136,7 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
     rng = Rng(seed)
     pool = sample_direction_pool(d, 512, rng)
     net = init_mlp((1 + d, 8, 1), rng)
-    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)], alpha=0.1)
+    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)])
     dirs = model.membership_directions
     f = model.thresholds(np.atleast_2d(x))[0]
     f -= f.max() + 0.5
@@ -328,4 +328,4 @@ class TestUndercoverage:
     ids=["one-dimensional", "no-rows", "nan"])
 def test_malformed_membership_directions_are_rejected(directions):
     with pytest.raises(ValueError, match="membership directions"):
-        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions, alpha=0.1)
+        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions)

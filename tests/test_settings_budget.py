@@ -10,7 +10,7 @@ import pkgutil
 
 import qregions
 
-BUDGET = 47
+BUDGET = 44
 
 
 def settable_values() -> list:

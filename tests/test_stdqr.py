@@ -25,12 +25,12 @@ def identity_pipeline():
     decoder.weights[0][...] = 0.0
     decoder.weights[0][p:, :] = np.eye(r)
     decoder.biases[0][...] = 0.0
-    cvae = CvaeModel(encoder, decoder, r, lam=0.01)
+    cvae = CvaeModel(encoder, decoder, r)
     pool = sample_direction_pool(r, 128, Rng(2))
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], alpha=0.1)
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64])
     grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid)
@@ -45,12 +45,12 @@ def ignored_unit_pipeline():
     decoder.weights[0][...] = 0.0
     decoder.weights[0][p + 1:, :] = np.eye(d)
     decoder.biases[0][...] = 0.0
-    cvae = CvaeModel(encoder, decoder, r, lam=0.01)
+    cvae = CvaeModel(encoder, decoder, r)
     pool = sample_direction_pool(r, 128, Rng(2))
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], alpha=0.1)
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64])
     grid = Grid(dim=r, lows=(-2.0,) * r, highs=(2.0,) * r, cells_per_dim=12,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
