@@ -44,18 +44,16 @@ def default_hidden(p: int) -> tuple:
 class CvaeModel:
     """Encoder/decoder pair with latent dimension r.
 
-    ``histories`` holds the joint training history of encoder and decoder
-    under ``cvae``; it is empty for a pair not trained here.
+    ``fit`` records the pair's joint training history in ``histories``.
     """
 
-    def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int,
-                 histories: dict | None = None):
+    def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int):
         if encoder.out_width != 2 * r:
             raise ValueError(f"encoder must emit 2r = {2 * r} values, emits {encoder.out_width}")
         self.encoder = encoder
         self.decoder = decoder
         self.r = int(r)
-        self.histories = dict(histories or {})
+        self.histories = {}
 
     @property
     def d(self) -> int:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import traceback
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from numbers import Real
 from pathlib import Path
 from time import perf_counter
 
@@ -58,8 +60,8 @@ class TrainingProfile:
 
     Defaults follow the published protocol: ``TrainConfig``'s Adam 1e-3,
     batch 256 and patience 100, with batch 512 and patience 200 for the
-    auto-encoder. Each cell sets the seeds. The threshold and interval
-    nets keep their fit functions' 3x64 stack and direction counts.
+    auto-encoder. Each cell sets the seeds. The other nets' stacks and
+    direction counts are constants of ``npdqr`` and ``naive_qr``.
     """
 
     cvae: TrainConfig = field(
@@ -71,13 +73,16 @@ class TrainingProfile:
     def merged(self, overrides: dict | None) -> "TrainingProfile":
         """Copy with ``overrides`` ({section: {key: value}}) applied.
 
-        Raises ValueError on a section or key the profile does not have
-        (``seed`` included) and on a value ``TrainConfig`` rejects.
+        Raises ValueError on a section that is not a mapping, a section or
+        key the profile does not have (``seed`` included) and a value
+        ``TrainConfig`` rejects.
         """
         sections = {name: getattr(self, name) for name in ("cvae", "dqr", "naive")}
         for section, values in (overrides or {}).items():
             if section not in sections:
                 raise ValueError(f"unknown training section {section!r}")
+            if not isinstance(values, Mapping):
+                raise ValueError(f"training section {section!r} must be a mapping, got {values!r}")
             unknown = sorted(set(values) - (set(asdict(sections[section])) - {"seed"}))
             if unknown:
                 raise ValueError(f"unknown {section} training keys {unknown}")
@@ -108,8 +113,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_dataset_spec(self.dataset)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+        _check_number("alpha", self.alpha, 0.0, 1.0)
         if not self.methods or len(set(self.methods)) < len(self.methods):
             raise ValueError(f"need distinct methods, got {list(self.methods)}")
         unknown = set(self.methods) - set(METHODS)
@@ -119,12 +123,14 @@ class ExperimentConfig:
                 or not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)
                 or len(set(self.seeds)) < len(self.seeds)):
             raise ValueError(f"need distinct integer seeds, got {list(self.seeds)}")
-        unknown = set(self.directional_levels or {}) - set(_DEFAULT_LEVELS)
+        levels = {} if self.directional_levels is None else self.directional_levels
+        if not isinstance(levels, Mapping):
+            raise ValueError(f"directional_levels must be a mapping, got {levels!r}")
+        unknown = set(levels) - set(_DEFAULT_LEVELS)
         if unknown:
             raise ValueError(f"unknown directional level methods: {sorted(unknown)}")
-        for method, level in (self.directional_levels or {}).items():
-            if not 0.5 < level < 1.0:
-                raise ValueError(f"{method} directional level must lie in (0.5, 1), got {level}")
+        for method, level in levels.items():
+            _check_number(f"{method} directional level", level, 0.5, 1.0)
 
     def digest(self) -> str:
         payload = {
@@ -146,6 +152,12 @@ class ExperimentConfig:
                 key += ("wide",)
             levels = _DIRECTIONAL_LEVELS.get(key, _DEFAULT_LEVELS)
         return {**levels, **(self.directional_levels or {})}
+
+
+def _check_number(name: str, value, low: float, high: float) -> None:
+    """Reject, naming it, a bool or any value but a number in (low, high)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not low < value < high:
+        raise ValueError(f"{name} must be a number in ({low}, {high}), got {value!r}")
 
 
 def _check_dataset_spec(spec: dict) -> None:
@@ -249,8 +261,7 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
             config=replace(config.training.naive, seed=seed))
     elif method == "npdqr":
         alpha_dir = 1.0 - levels["npdqr"]
-        pool = npdqr.sample_direction_pool(y_tr.shape[1], npdqr.DEFAULT_POOL_SIZE,
-                                           Rng(seed).spawn(41))
+        pool = npdqr.sample_direction_pool(y_tr.shape[1], npdqr.POOL_SIZE, Rng(seed).spawn(41))
         model = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
                           config=replace(config.training.dqr, seed=seed))
         region_grid = build_grid(y_tr, REGION_DISCRETIZATION)

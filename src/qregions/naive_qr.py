@@ -26,7 +26,7 @@ from .nn import (
 )
 from .numerics import Rng, empirical_quantile
 
-DEFAULT_HIDDEN = (64, 64, 64)
+HIDDEN = (64, 64, 64)  # hidden stack of every interval net
 
 
 def quantile_levels(alpha: float, d: int):
@@ -65,16 +65,16 @@ class NaiveModel:
         return lo, hi
 
 
-def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
-        hidden=DEFAULT_HIDDEN) -> NaiveModel:
-    """Train the 2d per-dimension pinball regressors."""
+def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig) -> NaiveModel:
+    """Train the 2d per-dimension pinball regressors, each with the hidden
+    stack ``HIDDEN`` (read at call time)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     d = y_train.shape[1]
     level_lo, level_hi = quantile_levels(alpha, d)
-    widths = (x_train.shape[1], *hidden, 1)
+    widths = (x_train.shape[1], *HIDDEN, 1)
     seed_rng = Rng(config.seed)
     nets_lo, nets_hi, histories = [], [], {}
     for j in range(d):

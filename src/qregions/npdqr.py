@@ -7,9 +7,10 @@ direction. Each direction then carves the half-space
 over a frozen set of membership directions, realized as the subset of a
 lattice where every half-space constraint holds.
 
-The direction pool is a fit-time input: each gradient step samples a
-small batch of its directions, and a larger subset is frozen as the
-membership directions, which the fitted model holds.
+The direction pool, of ``POOL_SIZE`` directions, is a fit-time input:
+each gradient step samples ``TRAIN_DIRECTIONS`` of them, and
+``MEMBERSHIP_DIRECTIONS`` are frozen as the membership directions, which
+the fitted model holds. The threshold net's hidden stack is ``HIDDEN``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .nn import (
 )
 from .numerics import Rng
 
-DEFAULT_POOL_SIZE = 2048
-DEFAULT_TRAIN_DIRECTIONS = 32
-DEFAULT_MEMBERSHIP_DIRECTIONS = 256
-DEFAULT_HIDDEN = (64, 64, 64)
+POOL_SIZE = 2048
+TRAIN_DIRECTIONS = 32
+MEMBERSHIP_DIRECTIONS = 256
+HIDDEN = (64, 64, 64)
 PREFILTER_DIRECTIONS = 16
 
 
@@ -103,16 +104,15 @@ class NpdqrModel:
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
-        config: TrainConfig, train_directions: int = DEFAULT_TRAIN_DIRECTIONS,
-        membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS,
-        hidden=DEFAULT_HIDDEN) -> NpdqrModel:
+        config: TrainConfig) -> NpdqrModel:
     """Pinball-train the threshold net on direction projections.
 
     Each gradient step pairs one batch of rows with a fresh sample of
-    ``train_directions`` rows of ``pool``, a (count, d) array of unit
+    ``TRAIN_DIRECTIONS`` rows of ``pool``, a (count, d) array of unit
     directions; the target for (row i, direction u) is the projection
     u . y_i and the loss level is alpha, so the net estimates the lower
-    directional quantile. The model keeps ``membership_count`` pool rows.
+    directional quantile. The model keeps ``MEMBERSHIP_DIRECTIONS`` pool
+    rows; the constants are read at call time.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
@@ -122,16 +122,15 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     if y_train.shape[1] != pool.shape[1]:
         raise ValueError(f"responses have {y_train.shape[1]} dims, pool has {pool.shape[1]}")
-    if not 1 <= train_directions <= len(pool):
-        raise ValueError("train direction count must fit in the pool")
-    if not 1 <= membership_count <= len(pool):
-        raise ValueError("membership direction count must fit in the pool")
+    if len(pool) < max(TRAIN_DIRECTIONS, MEMBERSHIP_DIRECTIONS):
+        raise ValueError(f"{TRAIN_DIRECTIONS} train and {MEMBERSHIP_DIRECTIONS} membership "
+                         f"directions must fit in the pool of {len(pool)}")
     n, p = x_train.shape
     rng = Rng(config.seed)
-    membership_directions = pool[rng.spawn(2).subset(len(pool), membership_count)]
-    val_dirs = pool[rng.spawn(3).subset(len(pool), train_directions)]
+    membership_directions = pool[rng.spawn(2).subset(len(pool), MEMBERSHIP_DIRECTIONS)]
+    val_dirs = pool[rng.spawn(3).subset(len(pool), TRAIN_DIRECTIONS)]
 
-    net = init_mlp((p + pool.shape[1], *hidden, 1), rng.spawn(4))
+    net = init_mlp((p + pool.shape[1], *HIDDEN, 1), rng.spawn(4))
     loss = PinballLoss(alpha)
 
     # Validation inputs are fixed, so assemble them once.
@@ -139,14 +138,14 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
     # A step's pair inputs and training cache are reused by the next step.
-    pairs = np.empty((min(n, config.batch_size) * train_directions, val_stack.shape[1]))
+    pairs = np.empty((min(n, config.batch_size) * TRAIN_DIRECTIONS, val_stack.shape[1]))
     cache = None
 
     def step(idx):
         nonlocal cache
-        dirs = pool[rng.subset(len(pool), train_directions)]
+        dirs = pool[rng.subset(len(pool), TRAIN_DIRECTIONS)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-        inputs = _pair_inputs(x_train[idx], dirs, out=pairs[: len(idx) * train_directions])
+        inputs = _pair_inputs(x_train[idx], dirs, out=pairs[: len(idx) * TRAIN_DIRECTIONS])
         out, cache = forward_cached(net, inputs, train_mode=True, cache=cache)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
         grads, _ = backward(net, cache, grad_out)

@@ -70,9 +70,9 @@ class Rng:
         z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n]
         return z.reshape(size)
 
-    def integers(self, low: int, high: int, size=None):
-        """Integers from [low, high)."""
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int):
+        """One integer from [low, high)."""
+        return self._gen.integers(low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

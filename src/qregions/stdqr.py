@@ -13,24 +13,19 @@ A latent unit is inactive when its posterior means barely vary over the
 training rows (Burda et al. 2016); the decoder ignores such a unit, so
 lattice layers along it would decode onto the same responses. The
 lattice is therefore realized on one layer per inactive unit, the layer
-nearest that unit's mean training code.
+nearest that unit's mean training code. The latent net takes its pool
+size, hidden stack and direction counts from ``npdqr.POOL_SIZE``,
+``HIDDEN``, ``TRAIN_DIRECTIONS`` and ``MEMBERSHIP_DIRECTIONS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import npdqr
 from .cvae import CvaeModel, decode_batch, encode_batch
 from .cvae import fit as fit_cvae
 from .nn import TrainConfig
-from .npdqr import (
-    DEFAULT_HIDDEN,
-    DEFAULT_MEMBERSHIP_DIRECTIONS,
-    DEFAULT_POOL_SIZE,
-    NpdqrModel,
-    RegionExtractor,
-    sample_direction_pool,
-)
 from .npdqr import fit as fit_npdqr
 from .numerics import Rng
 from .regions import REGION_DISCRETIZATION, Grid, build_grid
@@ -53,7 +48,7 @@ class StdqrModel:
     on; units not in it are active and span the whole lattice.
     """
 
-    def __init__(self, cvae: CvaeModel, latent_model: NpdqrModel, latent_grid: Grid,
+    def __init__(self, cvae: CvaeModel, latent_model: npdqr.NpdqrModel, latent_grid: Grid,
                  inactive_layers: dict | None = None):
         if latent_model.d != cvae.r:
             raise ValueError(
@@ -73,7 +68,7 @@ class StdqrModel:
         keep = np.ones(points.shape[0], dtype=bool)
         for unit, layer in inactive_layers.items():
             keep &= points[:, unit] == latent_grid.axis_centers(unit)[layer]
-        self.extractor = RegionExtractor(latent_model, points[keep])
+        self.extractor = npdqr.RegionExtractor(latent_model, points[keep])
 
     @property
     def histories(self) -> dict:
@@ -109,9 +104,7 @@ def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         cvae_config: TrainConfig, dqr_config: TrainConfig,
-        cvae_hidden=None,
-        dqr_hidden=DEFAULT_HIDDEN, pool_size: int = DEFAULT_POOL_SIZE,
-        membership_count: int = DEFAULT_MEMBERSHIP_DIRECTIONS) -> StdqrModel:
+        cvae_hidden=None) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
     Responses are transformed to latent space with the deterministic
@@ -121,7 +114,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     the training rows is inactive, and its regions are realized on the
     single lattice layer nearest its mean code. Raises
     InactiveLatentError, before the threshold net is trained, when every
-    unit is inactive.
+    unit is inactive. The latent net's pool has ``npdqr.POOL_SIZE`` directions.
     """
     cvae = fit_cvae(x_train, y_train, x_val, y_val, r=r, lam=lam,
                     config=cvae_config, hidden=cvae_hidden)
@@ -129,10 +122,8 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     z_val = encode_batch(cvae, x_val, y_val)
     latent_grid = build_grid(z_train, REGION_DISCRETIZATION)
     inactive_layers = inactive_unit_layers(z_train, latent_grid)
-    pool = sample_direction_pool(r, pool_size, Rng(dqr_config.seed).spawn(100))
+    pool = npdqr.sample_direction_pool(r, npdqr.POOL_SIZE, Rng(dqr_config.seed).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
-                             pool=pool, config=dqr_config,
-                             membership_count=membership_count,
-                             hidden=dqr_hidden)
+                             pool=pool, config=dqr_config)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=latent_grid,
                       inactive_layers=inactive_layers)

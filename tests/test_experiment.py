@@ -224,6 +224,29 @@ def test_misread_dataset_spec_raises_naming_the_key(spec, key):
         experiment.load_dataset({**base, **spec})
 
 
+@pytest.mark.parametrize("kwargs, overrides, message", [
+    ({}, {"dqr": 5}, "training section 'dqr' must be a mapping"),
+    ({}, {"dqr": None}, "training section 'dqr' must be a mapping"),
+    ({}, {"dqr": ["max_epochs"]}, "training section 'dqr' must be a mapping"),
+    ({}, {"dqr": "max_epochs"}, "training section 'dqr' must be a mapping"),
+    ({"directional_levels": ["npdqr"]}, None, "directional_levels must be a mapping"),
+    ({"directional_levels": {"npdqr": "0.9"}}, None, "npdqr directional level must be a number"),
+    ({"directional_levels": {"stdqr": None}}, None, "stdqr directional level must be a number"),
+    ({"alpha": "0.1"}, None, "alpha must be a number"),
+    ({"alpha": None}, None, "alpha must be a number"),
+    ({"alpha": True}, None, "alpha must be a number")],
+    ids=["number-section", "none-section", "list-section", "string-section",
+         "list-levels", "string-level", "none-level", "string-alpha", "none-alpha",
+         "bool-alpha"])
+def test_misread_experiment_setting_raises_naming_the_key(kwargs, overrides, message):
+    # Each of these used to raise TypeError or AttributeError, and a string
+    # section was read one character at a time as a list of unknown keys.
+    with pytest.raises(ValueError, match=message):
+        experiment.ExperimentConfig(
+            dataset={"setting": "nonlinear", "d": 2, "p": 1, "n": 200},
+            training=experiment.desk_scale_profile().merged(overrides), **kwargs)
+
+
 def test_complete_dataset_specs_construct():
     experiment.ExperimentConfig(dataset={"setting": "linear", "d": 2, "p": 1, "n": 200,
                                          "seed": 3})

@@ -1,12 +1,17 @@
 """Import layering of the package: the region models hand calibration plain
 point arrays, so they need not import it, only the experiment driver and
-the data loader touch files, and every public name of the package has a
-caller in the package or the benchmark."""
+the data loader touch files, every public name of the package has a
+caller in the package or the benchmark, and so does every defaulted
+parameter."""
 
 import ast
+import importlib
+import inspect
+import math
 from pathlib import Path
 
 import qregions
+from test_settings_budget import settable_values
 
 PACKAGE = Path(qregions.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -21,6 +26,10 @@ UNREFERENCED_ON_PURPOSE = {
     ("numerics", "dqr_theoretical_coverage"):
         "the latent-coverage formula, until ROADMAP item 8 adopts or drops it",
 }
+
+# Defaulted parameters that no call in the package or the benchmark
+# passes, each with the reason it stays.
+UNPASSED_ON_PURPOSE = {}
 
 # Standard modules that read or write files.
 FILE_MODULES = {"json", "pathlib", "csv", "pickle"}
@@ -71,14 +80,10 @@ def public_definitions(path: Path) -> set:
             and not node.name.startswith("_")}
 
 
-def package_references(path: Path, module: str | None, definitions: dict) -> set:
-    """``(module, name)`` of each package definition one file refers to: a
-    name imported from a package module, ``m.name`` on a name bound to a
-    package module, and, in the package module ``module`` itself, a use of
-    its own name outside that name's own definition."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    bound = {}  # local name -> package module
-    found = set()
+def package_bindings(tree: ast.Module, definitions: dict):
+    """Local names bound by ``from`` imports: to package modules, and to
+    ``(module, name)`` of names imported from package modules."""
+    modules, names = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             source = node.module or ""
@@ -88,9 +93,20 @@ def package_references(path: Path, module: str | None, definitions: dict) -> set
                 source = source.removeprefix("qregions").lstrip(".")
             for alias in node.names:
                 if not source and alias.name in definitions:
-                    bound[alias.asname or alias.name] = alias.name
+                    modules[alias.asname or alias.name] = alias.name
                 elif source in definitions:
-                    found.add((source, alias.name))
+                    names[alias.asname or alias.name] = (source, alias.name)
+    return modules, names
+
+
+def package_references(path: Path, module: str | None, definitions: dict) -> set:
+    """``(module, name)`` of each package definition one file refers to: a
+    name imported from a package module, ``m.name`` on a name bound to a
+    package module, and, in the package module ``module`` itself, a use of
+    its own name outside that name's own definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, imported = package_bindings(tree, definitions)
+    found = set(imported.values())
     for statement in tree.body:
         own = getattr(statement, "name", None)
         for node in ast.walk(statement):
@@ -101,6 +117,106 @@ def package_references(path: Path, module: str | None, definitions: dict) -> set
                     and node.id in definitions[module] and node.id != own):
                 found.add((module, node.id))
     return found
+
+
+def call_sites(path: Path, module: str | None, definitions: dict) -> list:
+    """``(callee, positional, keywords, scope)`` of each call in one file.
+
+    ``callee`` is ``(module, name)`` for a package function or class, a
+    name resolved as ``package_references`` resolves it, and ``(None,
+    name)`` for any other ``x.name(...)``, a method matched by its name.
+    ``positional`` counts the positional arguments (infinite with a
+    ``*``), ``keywords`` holds the keyword names (None for a ``**``), and
+    ``scope`` is ``(module, qualname)`` of the module-level function or
+    method the call lies in.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, imported = package_bindings(tree, definitions)
+    scopes = []
+    for statement in tree.body:
+        if isinstance(statement, ast.ClassDef):
+            scopes += [(f"{statement.name}.{getattr(member, 'name', '')}", member)
+                       for member in statement.body]
+        else:
+            scopes.append((getattr(statement, "name", ""), statement))
+    sites = []
+    for qualname, scope in scopes:
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in imported:
+                callee = imported[func.id]
+            elif (isinstance(func, ast.Name) and module is not None
+                    and func.id in definitions[module]):
+                callee = (module, func.id)
+            elif isinstance(func, ast.Attribute):
+                owner = func.value
+                is_module = isinstance(owner, ast.Name) and owner.id in bound
+                callee = (bound[owner.id] if is_module else None, func.attr)
+            else:
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            sites.append((callee, math.inf if starred else len(node.args),
+                          {keyword.arg for keyword in node.keywords}, (module, qualname)))
+    return sites
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # A parameter that only tests set is a second way to do something, as
+    # a public name only tests call is: it becomes a module constant.
+    definitions = {path.stem: public_definitions(path) for path in PACKAGE.glob("*.py")}
+    sites = []
+    for path in PACKAGE.glob("*.py"):
+        sites += call_sites(path, path.stem, definitions)
+    for path in BENCH.glob("*.py"):
+        if not path.stem.startswith("test_"):
+            sites += call_sites(path, None, definitions)
+    unpassed = set()
+    for value in settable_values():
+        if not value.endswith(")"):
+            continue  # a dataclass field
+        owner, name = value[:-1].split("(")
+        module, *qualname = owner.split(".")
+        function = importlib.import_module(f"qregions.{module}")
+        for part in qualname:
+            function = getattr(function, part)
+        parameters = list(inspect.signature(function).parameters.values())
+        if len(qualname) == 2:  # a method: the call site does not pass self
+            parameters = parameters[1:]
+            callee = (module, qualname[0]) if qualname[1] == "__init__" else (None, qualname[1])
+        else:
+            callee = (module, qualname[0])
+        (index,) = [i for i, p in enumerate(parameters) if p.name == name]
+        if parameters[index].kind is inspect.Parameter.KEYWORD_ONLY:
+            index = math.inf
+        own = (module, ".".join(qualname))
+        if not any(site == callee and scope != own
+                   and (name in keywords or None in keywords or index < positional)
+                   for site, positional, keywords, scope in sites):
+            unpassed.add(value)
+    assert sorted(unpassed) == sorted(UNPASSED_ON_PURPOSE)
+
+
+def test_call_forms_are_recognized(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from . import npdqr as dqr\n"
+                      "from .cvae import fit as fit_cvae\n"
+                      "def fit(a, b=1):\n"
+                      "    return fit(a, b) + dqr.fit(x, pool=2) + fit_cvae(*rows)\n"
+                      "class Model:\n"
+                      "    def uniform(self, size=None):\n"
+                      "        return self._gen.uniform(size=size)\n"
+                      "def caller():\n"
+                      "    return Model(**kw).uniform(3)\n")
+    definitions = {"npdqr": {"fit"}, "cvae": {"fit"}, "probe": {"fit", "Model", "caller"}}
+    assert sorted(call_sites(source, "probe", definitions), key=str) == sorted([
+        (("probe", "fit"), 2, set(), ("probe", "fit")),
+        (("npdqr", "fit"), 1, {"pool"}, ("probe", "fit")),
+        (("cvae", "fit"), math.inf, set(), ("probe", "fit")),
+        ((None, "uniform"), 0, {"size"}, ("probe", "Model.uniform")),
+        (("probe", "Model"), 0, {None}, ("probe", "caller")),
+        ((None, "uniform"), 1, set(), ("probe", "caller"))], key=str)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

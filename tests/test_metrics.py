@@ -151,7 +151,7 @@ class TestDeltaCoverage:
                            clusters, alpha=0.1, flags=flags)
 
     def test_total_coverage_is_size_weighted_cluster_mean(self):
-        rng = Rng(3)
+        rng = np.random.Generator(np.random.PCG64(3))
         flags = rng.uniform(size=100) < 0.85
         labels = rng.integers(0, 3, size=100)
         clusters = ClusterAssignment(centroids=np.zeros((3, 1)), labels=labels)

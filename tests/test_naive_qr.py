@@ -198,7 +198,7 @@ class TestOracleCoverage:
 
 
 class TestFit:
-    def test_constant_data_recovers_constant(self):
+    def test_constant_data_recovers_constant(self, monkeypatch):
         rng = Rng(10)
         x = rng.uniform(-1, 1, size=(600, 1))
         y = np.full((600, 2), [0.4, -1.1])
@@ -206,12 +206,14 @@ class TestFit:
         yv = np.full((128, 2), [0.4, -1.1])
         config = TrainConfig(learning_rate=5e-3, batch_size=128, max_epochs=300,
                              patience=300, seed=0)
-        model = fit(x, y, xv, yv, alpha=0.1, config=config, hidden=(16,))
+        monkeypatch.setattr(naive_qr, "HIDDEN", (16,))
+        model = fit(x, y, xv, yv, alpha=0.1, config=config)
+        assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 16, 1)] * 4
         lo, hi = model.bounds(np.array([[0.0]]))
         assert np.allclose(lo[0], [0.4, -1.1], atol=0.05)
         assert np.allclose(hi[0], [0.4, -1.1], atol=0.05)
 
-    def test_conformal_coverage_after_fit(self):
+    def test_conformal_coverage_after_fit(self, monkeypatch):
         # End to end on heteroscedastic data: coverage lands near 1 - alpha.
         rng = Rng(20)
 
@@ -225,7 +227,9 @@ class TestFit:
         xv, yv = draw(400)
         config = TrainConfig(learning_rate=1e-3, batch_size=256, max_epochs=150,
                              patience=30, seed=1)
-        model = fit(x, y, xv, yv, alpha=0.1, config=config, hidden=(32, 32))
+        monkeypatch.setattr(naive_qr, "HIDDEN", (32, 32))
+        model = fit(x, y, xv, yv, alpha=0.1, config=config)
+        assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 32, 32, 1)] * 4
         xc, yc = draw(999)
         calibrated = calibrate(model, xc, yc, alpha=0.1)
         xt, yt = draw(4000)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qregions import npdqr
 from qregions.nn import INFERENCE_ROWS, TrainConfig, init_mlp
 from qregions.npdqr import (
     NpdqrModel,
@@ -117,7 +118,7 @@ class TestExtractRegion:
         cells = grid.cells_per_dim
         mask2d = mask.reshape(cells, cells)
         occupied = np.argwhere(mask2d)
-        rng = Rng(3)
+        rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(200):
             a, b = occupied[rng.integers(0, len(occupied), size=2)]
             mid = a + b
@@ -250,14 +251,29 @@ def noise_fit():
     pool = sample_direction_pool(2, 512, Rng(1))
     config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=150,
                          patience=150, seed=5)
-    kwargs = dict(pool=pool, config=config, train_directions=32,
-                  membership_count=128, hidden=(32, 32))
-    model_10 = fit(x, y, xv, yv, alpha=0.10, **kwargs)
-    model_05 = fit(x, y, xv, yv, alpha=0.05, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npdqr, "TRAIN_DIRECTIONS", 32)
+        patch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 128)
+        patch.setattr(npdqr, "HIDDEN", (32, 32))
+        model_10 = fit(x, y, xv, yv, alpha=0.10, pool=pool, config=config)
+        model_05 = fit(x, y, xv, yv, alpha=0.05, pool=pool, config=config)
     return x, y, model_10, model_05
 
 
 class TestFit:
+    def test_fit_reads_the_constants_at_call_time(self, noise_fit):
+        # The fixture set the stack and the membership count; constants
+        # bound as default arguments at import would have ignored that.
+        for model in noise_fit[2:]:
+            assert model.net.widths == (1 + 2, 32, 32, 1)
+            assert len(model.membership_directions) == 128
+
+    def test_pool_smaller_than_a_direction_count_raises(self):
+        x, y = np.zeros((10, 1)), np.zeros((10, 2))
+        with pytest.raises(ValueError, match="must fit in the pool of 16"):
+            fit(x, y, x, y, alpha=0.1, pool=sample_direction_pool(2, 16, Rng(1)),
+                config=TrainConfig(max_epochs=1, patience=1))
+
     def test_learns_gaussian_directional_quantile(self, noise_fit):
         x, _, model, _ = noise_fit
         target = std_normal_inv_cdf(0.10)  # -1.2816
@@ -276,7 +292,7 @@ class TestFit:
         assert violations <= 0.01 * grid.cells_per_dim ** grid.dim
         assert mask_05.sum() > mask_10.sum()
 
-    def test_constant_response_learns_projection(self):
+    def test_constant_response_learns_projection(self, monkeypatch):
         rng = Rng(70)
         c = np.array([0.8, -0.3])
         x = rng.uniform(size=(800, 1))
@@ -284,8 +300,12 @@ class TestFit:
         pool = sample_direction_pool(2, 256, Rng(2))
         config = TrainConfig(learning_rate=1e-2, batch_size=256, max_epochs=400,
                              patience=400, seed=3)
-        model = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config,
-                    train_directions=16, membership_count=64, hidden=(16,))
+        monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 16)
+        monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 64)
+        monkeypatch.setattr(npdqr, "HIDDEN", (16,))
+        model = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config)
+        assert model.net.widths == (1 + 2, 16, 1)
+        assert len(model.membership_directions) == 64
         dirs = model.membership_directions
         f = model.thresholds(np.array([[0.5]]))[0]
         assert np.max(np.abs(f - dirs @ c)) <= 0.05
@@ -299,7 +319,7 @@ class TestFit:
 
 
 class TestUndercoverage:
-    def test_three_dim_gaussian_coverage_gap(self):
+    def test_three_dim_gaussian_coverage_gap(self, monkeypatch):
         # Intersecting 90% half-spaces over the sphere in 3 dimensions
         # covers far less than 90% of the mass: analytically
         # dqr_theoretical_coverage(0.1, 3) = 0.350, and threshold noise in
@@ -311,8 +331,12 @@ class TestUndercoverage:
         pool = sample_direction_pool(3, 1024, Rng(4))
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
                              patience=120, seed=6)
-        model = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config,
-                    train_directions=32, membership_count=256, hidden=(32, 32))
+        monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 32)
+        monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 256)
+        monkeypatch.setattr(npdqr, "HIDDEN", (32, 32))
+        model = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config)
+        assert model.net.widths == (1 + 3, 32, 32, 1)
+        assert len(model.membership_directions) == 256
         x_test = rng.uniform(size=(1500, 1))
         y_test = rng.standard_normal(size=(1500, 3))
         f = model.thresholds(x_test)

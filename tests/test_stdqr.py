@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qregions import npdqr
 from qregions.calibration import base_contains, gamma_init
 from qregions.cvae import CvaeModel, encode_batch
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
@@ -99,9 +100,12 @@ def nonlinear_fit():
                               patience=120, seed=1)
     dqr_config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
                              patience=30, seed=2)
-    model = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, r=3, lam=0.01,
-                cvae_config=cvae_config, dqr_config=dqr_config,
-                cvae_hidden=(64, 64, 64), pool_size=1024, membership_count=256)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npdqr, "POOL_SIZE", 1024)
+        patch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 256)
+        model = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, r=3, lam=0.01,
+                    cvae_config=cvae_config, dqr_config=dqr_config,
+                    cvae_hidden=(64, 64, 64))
     cal = (normalized.x[parts["calibration"]], normalized.y[parts["calibration"]])
     return model, (x_tr, y_tr), cal, x_stats
 
@@ -130,11 +134,22 @@ class TestInactiveUnits:
                                         max_epochs=150, patience=150, seed=4),
                 dqr_config=TrainConfig(batch_size=128, max_epochs=5, patience=5,
                                        seed=5),
-                cvae_hidden=(16, 16), dqr_hidden=(16,), pool_size=128,
-                membership_count=32)
+                cvae_hidden=(16, 16))
 
 
 class TestFittedPipeline:
+    def test_latent_net_reads_the_constants_at_call_time(self, nonlinear_fit):
+        # The fixture's pool held 1,024 directions: each membership
+        # direction is a row of that pool, and they are not all rows of
+        # the 2,048-row pool that the same seed draws.
+        latent = nonlinear_fit[0].latent_model
+        assert latent.net.widths == (1 + 3, 64, 64, 64, 1)
+        assert len(latent.membership_directions) == 256
+        for size, expected in ((1024, True), (npdqr.POOL_SIZE, False)):
+            pool = sample_direction_pool(3, size, Rng(2).spawn(100))
+            rows = (latent.membership_directions[:, None, :] == pool).all(axis=2).any(axis=1)
+            assert rows.all() == expected
+
     def test_latent_grid_matches_latent_dimension(self, nonlinear_fit):
         model, _, _, _ = nonlinear_fit
         assert model.latent_grid.dim == 3
@@ -195,7 +210,7 @@ class TestFittedPipeline:
         cov_response = float(np.mean(hits_response))
         assert cov_response >= cov_latent - 0.02
 
-    def test_same_seed_fits_identically(self):
+    def test_same_seed_fits_identically(self, monkeypatch):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1200, seed=5)
         parts = split(data.n, seed=5)
         normalized, _, _ = zscore_fit_apply(data, parts["train"])
@@ -206,10 +221,14 @@ class TestFittedPipeline:
                                               patience=10, seed=7),
                       dqr_config=TrainConfig(batch_size=128, max_epochs=5,
                                              patience=5, seed=8),
-                      cvae_hidden=(16, 16), dqr_hidden=(16,), pool_size=128,
-                      membership_count=32)
+                      cvae_hidden=(16, 16))
+        monkeypatch.setattr(npdqr, "POOL_SIZE", 128)
+        monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
+        monkeypatch.setattr(npdqr, "HIDDEN", (16,))
         m1 = fit(*args, **kwargs)
         m2 = fit(*args, **kwargs)
+        assert m1.latent_model.net.widths == (1 + 2, 16, 1)
+        assert len(m1.latent_model.membership_directions) == 32
         for a, b in zip(
             m1.cvae.encoder.parameters() + m1.cvae.decoder.parameters()
             + m1.latent_model.net.parameters(),
@@ -221,19 +240,23 @@ class TestFittedPipeline:
 
 
 class TestOneDimensionalLatent:
-    def test_latent_region_is_an_interval(self):
+    def test_latent_region_is_an_interval(self, monkeypatch):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1500, seed=9)
         parts = split(data.n, seed=9)
         normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        monkeypatch.setattr(npdqr, "POOL_SIZE", 64)
+        monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
+        monkeypatch.setattr(npdqr, "HIDDEN", (16, 16))
         model = fit(
             normalized.x[parts["train"]], normalized.y[parts["train"]],
             normalized.x[parts["validation"]], normalized.y[parts["validation"]],
             alpha=0.07, r=1, lam=0.01,
             cvae_config=TrainConfig(batch_size=128, max_epochs=60, patience=20, seed=3),
             dqr_config=TrainConfig(batch_size=128, max_epochs=40, patience=15, seed=4),
-            cvae_hidden=(32, 32), dqr_hidden=(16, 16), pool_size=64,
-            membership_count=32,
+            cvae_hidden=(32, 32),
         )
+        assert model.latent_model.net.widths == (1 + 1, 16, 16, 1)
+        assert len(model.latent_model.membership_directions) == 32
         latent = model.extractor.extract(normalized.x[parts["test"][0]])
         centers = model.latent_grid.axis_centers(0)
         member = np.isin(centers, latent[:, 0])
