@@ -88,15 +88,6 @@ def gamma_init(region: np.ndarray) -> float:
     return empirical_quantile(spacings, int(np.ceil(0.9 * m)))
 
 
-def base_contains(region: np.ndarray, y, gamma: float) -> bool:
-    """Whether y lies within distance gamma of the region's point set."""
-    if gamma < 0:
-        raise ValueError(f"dilation radius must be nonnegative, got {gamma}")
-    if len(region) == 0:
-        return False
-    return bool(min_distances(np.atleast_2d(np.asarray(y, dtype=float)), region)[0] <= gamma)
-
-
 @dataclass(frozen=True)
 class CalibratedRule:
     """Frozen output of calibration: one mode, one distance threshold.

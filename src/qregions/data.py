@@ -40,10 +40,6 @@ class Dataset:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        if self.x.ndim == 1:
-            self.x = self.x[:, None]
-        if self.y.ndim == 1:
-            self.y = self.y[:, None]
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("features and responses disagree on row count")
         if not self.feature_names:

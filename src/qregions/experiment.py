@@ -73,10 +73,12 @@ class TrainingProfile:
     def merged(self, overrides: dict | None) -> "TrainingProfile":
         """Copy with ``overrides`` ({section: {key: value}}) applied.
 
-        Raises ValueError on a section that is not a mapping, a section or
-        key the profile does not have (``seed`` included) and a value
-        ``TrainConfig`` rejects.
+        Raises ValueError on overrides or a section that is not a mapping,
+        a section or key the profile does not have (``seed`` included) and
+        a value ``TrainConfig`` rejects.
         """
+        if overrides is not None and not isinstance(overrides, Mapping):
+            raise ValueError(f"training overrides must be a mapping, got {overrides!r}")
         sections = {name: getattr(self, name) for name in ("cvae", "dqr", "naive")}
         for section, values in (overrides or {}).items():
             if section not in sections:
@@ -114,15 +116,18 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_dataset_spec(self.dataset)
         _check_number("alpha", self.alpha, 0.0, 1.0)
-        if not self.methods or len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"need distinct methods, got {list(self.methods)}")
+        if (not isinstance(self.methods, (list, tuple)) or not self.methods
+                or len(set(self.methods)) < len(self.methods)):
+            raise ValueError(f"need a list of distinct methods, got {self.methods!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if (not self.seeds
+        if (not isinstance(self.seeds, (list, tuple)) or not self.seeds
                 or not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)
                 or len(set(self.seeds)) < len(self.seeds)):
-            raise ValueError(f"need distinct integer seeds, got {list(self.seeds)}")
+            raise ValueError(f"need a list of distinct integer seeds, got {self.seeds!r}")
+        if not isinstance(self.training, TrainingProfile):
+            raise ValueError(f"training must be a TrainingProfile, got {self.training!r}")
         levels = {} if self.directional_levels is None else self.directional_levels
         if not isinstance(levels, Mapping):
             raise ValueError(f"directional_levels must be a mapping, got {levels!r}")
@@ -162,6 +167,8 @@ def _check_number(name: str, value, low: float, high: float) -> None:
 
 def _check_dataset_spec(spec: dict) -> None:
     """Reject, naming the key, a spec that ``load_dataset`` would misread."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"dataset must be a mapping, got {spec!r}")
     kind = spec.get("kind", "synthetic")
     required = {"synthetic": {"setting", "d", "p", "n"}, "csv": {"path", "response_columns"}}
     if kind not in required:

@@ -217,17 +217,6 @@ def pinball_values(y: np.ndarray, yhat: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(diff > 0, alpha * diff, (alpha - 1.0) * diff)
 
 
-class MseLoss:
-    """Mean over the batch of the squared error summed over output dims."""
-
-    def value(self, y, yhat) -> float:
-        return float(np.mean(np.sum((y - yhat) ** 2, axis=1)))
-
-    def value_and_grad(self, y, yhat):
-        n = y.shape[0]
-        return self.value(y, yhat), 2.0 * (yhat - y) / n
-
-
 class PinballLoss:
     """Mean pinball loss at a fixed level, for scalar-output nets.
 
@@ -426,8 +415,6 @@ def _as_xy(xy, model: MlpModel):
     x, y = xy
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     if y.ndim == 1:
         y = y[:, None]
     if x.shape[1] != model.in_width:

@@ -44,7 +44,7 @@ def sample_direction_pool(d: int, count: int, rng: Rng) -> np.ndarray:
     raw = rng.standard_normal(size=(count, d))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     # A zero draw is a measure-zero event; regenerate those rows defensively.
-    while np.any(norms == 0.0):  # pragma: no cover
+    while np.any(norms == 0.0):
         bad = norms[:, 0] == 0.0
         raw[bad] = rng.standard_normal(size=(int(bad.sum()), d))
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -173,15 +173,6 @@ def project(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     for j in range(1, points.shape[1]):
         out += np.multiply.outer(directions[:, j], points[:, j], out=term)
     return out
-
-
-def contains(model: NpdqrModel, x, y) -> bool:
-    """Whether y satisfies u . y >= f(x, u) for every membership direction."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.d,):
-        raise ValueError(f"response has shape {y.shape}, expected ({model.d},)")
-    f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    return bool(np.all(project(y, model.membership_directions)[:, 0] >= f))
 
 
 class RegionExtractor:

@@ -12,13 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Rng",
-    "empirical_quantile",
-    "std_normal_inv_cdf",
-    "chi_squared_cdf",
-    "dqr_theoretical_coverage",
-]
+__all__ = ["Rng", "empirical_quantile", "dqr_theoretical_coverage"]
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -87,8 +81,6 @@ class Rng:
 def empirical_quantile(values, k: int) -> float:
     """k-th smallest value (1-indexed) under an ascending stable sort."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.ravel()
     n = arr.size
     if n == 0:
         raise ValueError("empirical_quantile of an empty sequence")
@@ -97,39 +89,21 @@ def empirical_quantile(values, k: int) -> float:
     return float(np.sort(arr, kind="stable")[k - 1])
 
 
-def std_normal_inv_cdf(p: float) -> float:
-    """Inverse standard normal CDF (``scipy.special.ndtri``)."""
-    # Imported here, as in ``regions``: scipy costs more to import than
-    # all of qregions, and only the analytic coverage formula needs it.
-    from scipy.special import ndtri
-
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"inverse normal CDF requires p in (0,1), got {p}")
-    return float(ndtri(p))
-
-
-def chi_squared_cdf(x: float, r: int) -> float:
-    """CDF of the chi-squared distribution with r degrees of freedom: the
-    regularized lower incomplete gamma P(r/2, x/2) (``scipy.special.gammainc``)."""
-    from scipy.special import gammainc
-
-    if r < 1 or int(r) != r:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {r}")
-    if not x >= 0.0:
-        raise ValueError(f"chi-squared CDF argument must be nonnegative, got {x}")
-    return float(gammainc(r / 2.0, x / 2.0))
-
-
 def dqr_theoretical_coverage(alpha: float, r: int) -> float:
     """Mass of a standard normal r-vector inside the intersection of all
     directional level-alpha half-spaces, i.e. the ball of radius
-    -Phi^-1(alpha).
+    z = -Phi^-1(alpha): the chi-squared CDF with r degrees of freedom at
+    z^2, the regularized lower incomplete gamma P(r/2, z^2/2).
 
     This is the exact population coverage of a directional quantile
     region at nominal per-direction level 1-alpha when the response is
     N(0,1)^r.
     """
+    # Imported here, as in ``regions``: scipy costs more to import than
+    # all of qregions, and only this formula needs it.
+    from scipy.special import gammainc, ndtri
+
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
-    z = std_normal_inv_cdf(alpha)
-    return chi_squared_cdf(z * z, r)
+    z = float(ndtri(alpha))
+    return float(gammainc(r / 2.0, z * z / 2.0))

@@ -59,15 +59,12 @@ class Grid:
 
 
 def build_grid(train_responses: np.ndarray, purpose: str) -> Grid:
-    """Grid over as many dimensions as the training responses have columns
-    (a 1-D array is one column), bounded per dimension by the 1%/99%
-    empirical quantiles widened by 1.0 (region discretization) or 0.2
-    (area measurement)."""
+    """Grid over as many dimensions as the training responses have columns,
+    bounded per dimension by the 1%/99% empirical quantiles widened by 1.0
+    (region discretization) or 0.2 (area measurement)."""
     if purpose not in _CELLS_PER_DIM:
         raise ValueError(f"unknown grid purpose {purpose!r}")
     responses = np.asarray(train_responses, dtype=float)
-    if responses.ndim == 1:
-        responses = responses[:, None]
     n, dimension = responses.shape
     if dimension not in _CELLS_PER_DIM[purpose]:
         raise ValueError(f"unsupported grid dimension {dimension} (need 1-4)")

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import base_contains
 from qregions import calibration
 from qregions.calibration import (
     GROW,
     SHRINK,
     CalibratedRule,
     CalibrationSetTooSmallError,
-    base_contains,
     calibrate,
     conformal_rank,
     gamma_init,
@@ -382,6 +382,26 @@ class TestShrink:
         scores = np.array([rule.scores(x[i], y[i])[0] for i in range(99)])
         assert np.all(np.isinf(scores[::3]))
         assert rule.gamma_cal == np.sort(scores)[9]
+
+    def test_empty_region_leaves_the_whole_grid_as_complement(self, disc_setup):
+        # An input whose region is empty has every area-grid point in its
+        # complement, and its membership compares the score calibration
+        # ranked for it.
+        provider, grid, draw, _ = disc_setup
+        x, y = draw(99)
+        x[::20] = 2.0  # every twentieth input gets an empty region
+        empty_or_disc = lambda xi: np.zeros((0, 2)) if xi[0] == 2.0 else provider(xi)
+        rule = calibrate(empty_or_disc, x, y, alpha=0.1, area_grid=grid)
+        assert rule.mode == SHRINK
+        pts = grid.points()
+        assert np.array_equal(rule.complement_carrier(x[0]), pts)
+        scores = rule.scores(x[0], y)
+        assert np.array_equal(scores, min_distances(y, pts))
+        assert np.array_equal(rule.membership(x[0], y), scores >= rule.gamma_cal)
+        ranked = np.array([rule.scores(x[i], y[i])[0] for i in range(99)])
+        assert rule.gamma_cal == np.sort(ranked)[9]
+        # A grid point is its own complement point, so none is covered.
+        assert not rule.membership(x[0], pts).any()
 
     def test_calibrated_membership_inside_and_outside(self, disc_setup):
         provider, grid, draw, region_pts = disc_setup

@@ -42,6 +42,19 @@ class TestHiddenDefaults:
         assert default_hidden(10) == (64, 128, 256, 512, 256, 128, 64)
         assert default_hidden(20) == (64, 128, 256, 256, 128, 64)
         assert default_hidden(100) == (128, 256, 512, 512, 256, 128)
+        # Both ends of a bracket of p take its stack, and the brackets' stacks differ.
+        brackets = [(1, 5), (6, 8), (9, 10), (11, 25), (26, 100)]
+        assert all(default_hidden(lo) == default_hidden(hi) for lo, hi in brackets)
+        assert len({default_hidden(lo) for lo, _ in brackets}) == len(brackets)
+
+    @pytest.mark.parametrize("p", [1, 26])
+    def test_fit_without_a_stack_builds_the_default(self, p):
+        rng = Rng(8)
+        x, y = rng.uniform(size=(12, p)), rng.uniform(size=(12, 2))
+        model = fit(x[:8], y[:8], x[8:], y[8:], r=3, lam=0.01,
+                    config=TrainConfig(max_epochs=1, patience=1))
+        assert model.encoder.widths == (p + 2, *default_hidden(p), 6)
+        assert model.decoder.widths == (p + 3, *default_hidden(p), 2)
 
 
 class TestEncodeDecode:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestGenSynthetic:
         beta_hat = Rng(9).uniform(0.0, 1.0, size=4)
         beta = beta_hat / np.abs(beta_hat).sum()
         assert np.sum(np.abs(beta)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("setting, d, p, n, seed, digest", [
+        (NONLINEAR, 2, 1, 200, 0, "f4ab65999dcd9edc"),
+        (LINEAR, 2, 3, 50, 7, "7c6d5e719cff7ea8"),
+        (NONLINEAR, 3, 2, 100, 4, "ecbf99b338e37219"),
+        (NONLINEAR, 4, 1, 60, 0, "e4748da8ae6256fd"),
+        (NONLINEAR, 4, 10, 80, 3, "f2120a5bd3b2f541"),
+        (LINEAR, 4, 2, 40, 11, "9ec5f63223b972e4")])
+    def test_datasets_are_pinned(self, setting, d, p, n, seed, digest):
+        # A change to the formulas or to the order of the draws moves these
+        # bits, and with them every seeded run on synthetic data.
+        data = gen_synthetic(setting, d, p, n, seed)
+        assert data.x.shape == (n, p) and data.y.shape == (n, d)
+        assert hashlib.sha256(data.x.tobytes() + data.y.tobytes()).hexdigest()[:16] == digest
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

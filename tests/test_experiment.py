@@ -1,16 +1,25 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qregions
-from qregions import experiment
+from linetrace import counted_statements, record_lines, unrun_statements
+from qregions import cvae, experiment
+from qregions.calibration import calibrate
 from qregions.data import Dataset, gen_synthetic, split
+from qregions.numerics import Rng
+from qregions.regions import AREA_MEASUREMENT, build_grid
+from test_data import write_csv
+
+PACKAGE = Path(qregions.__file__).parent
 
 ROW_KEYS = {"seed", "coverage", "area", "delta_coverage", "per_cluster_coverage",
             "n_test", "method", "config_digest", "calibration",
@@ -33,9 +42,17 @@ def smoke_config(methods, out_dir):
 
 
 @pytest.fixture(scope="module")
-def smoke_run(tmp_path_factory):
+def reached():
+    """``(file, line)`` of each package line that the traced runs of this
+    module execute."""
+    return set()
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory, reached):
     out_dir = tmp_path_factory.mktemp("run")
-    result = experiment.run_experiment(smoke_config(experiment.METHODS, out_dir))
+    with record_lines(PACKAGE, reached):
+        result = experiment.run_experiment(smoke_config(experiment.METHODS, out_dir))
     return result, out_dir
 
 
@@ -135,19 +152,74 @@ class TestRunExperiment:
         assert saved["traceback"] == failed["traceback"]
 
 
-def test_cell_whose_region_blankets_the_grid_finishes():
+@pytest.fixture(scope="module")
+def blanket_row(reached):
+    """The row of an NP-DQR cell at directional level 0.995, which
+    calibrates in shrink mode."""
+    with record_lines(PACKAGE, reached):
+        config = experiment.ExperimentConfig(
+            dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
+                     "n": 600, "seed": 0},
+            methods=("npdqr",), directional_levels={"npdqr": 0.995}, seeds=(0,),
+            training=experiment.desk_scale_profile())
+        (row,) = experiment.run_experiment(config)["rows"]
+    return row
+
+
+@pytest.fixture(scope="module")
+def csv_run(tmp_path_factory, reached):
+    """The smoke run's naive and NP-DQR cells on its rows, read back from a
+    CSV file."""
+    run_dir = tmp_path_factory.mktemp("csv")
+    path = run_dir / "data.csv"
+    write_csv(gen_synthetic("nonlinear", 2, 1, 200, seed=0), path)
+    with record_lines(PACKAGE, reached):
+        config = replace(smoke_config(("naive", "npdqr"), run_dir / "run"), dataset={
+            "kind": "csv", "path": str(path), "response_columns": ["y0", "y1"]})
+        return experiment.run_experiment(config)
+
+
+@pytest.fixture(scope="module")
+def published_row(reached):
+    """The row of an ST-DQR cell on the published profile with every epoch
+    cap cut to 5, so the auto-encoder takes its default stack."""
+    capped = {section: {"max_epochs": 5, "patience": 5} for section in ("cvae", "dqr", "naive")}
+    with record_lines(PACKAGE, reached):
+        config = experiment.ExperimentConfig(
+            dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
+                     "n": 200, "seed": 0},
+            methods=("stdqr",), training=experiment.TrainingProfile().merged(capped))
+        (row,) = experiment.run_experiment(config)["rows"]
+    return row
+
+
+def test_cell_whose_region_blankets_the_grid_finishes(blanket_row):
     # At directional level 0.995 some calibration regions leave no
     # complement carrier; they score +inf and the cell still calibrates.
-    config = experiment.ExperimentConfig(
-        dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
-                 "n": 600, "seed": 0},
-        methods=("npdqr",), directional_levels={"npdqr": 0.995}, seeds=(0,),
-        training=experiment.desk_scale_profile())
-    (row,) = experiment.run_experiment(config)["rows"]
-    assert "error" not in row, row.get("traceback")
-    assert row["calibration"]["mode"] == "shrink"
-    assert 0.0 <= row["coverage"] <= 1.0 and row["area"] > 0.0
-    json.dumps(row, allow_nan=False)
+    assert "error" not in blanket_row, blanket_row.get("traceback")
+    assert blanket_row["calibration"]["mode"] == "shrink"
+    assert 0.0 <= blanket_row["coverage"] <= 1.0 and blanket_row["area"] > 0.0
+    json.dumps(blanket_row, allow_nan=False)
+
+
+def test_csv_cells_give_the_synthetic_rows(smoke_run, csv_run):
+    # The CSV holds the smoke rows to the bit, so its cells repeat the smoke
+    # run's rows; only the digest of the dataset spec and the times differ.
+    result, _ = smoke_run
+    synthetic = {row["method"]: row for row in result["rows"]}
+    differ = {"config_digest", "fit_s", "calibrate_s", "evaluate_s"}
+    assert [row["method"] for row in csv_run["rows"]] == ["naive", "npdqr"]
+    for row in csv_run["rows"]:
+        assert "error" not in row, row.get("traceback")
+        expected = synthetic[row["method"]]
+        assert {k: v for k, v in row.items() if k not in differ} == {
+            k: v for k, v in expected.items() if k not in differ}
+
+
+def test_published_profile_cell_runs_to_its_caps(published_row):
+    assert "error" not in published_row, published_row.get("traceback")
+    assert [(net["net"], net["epochs_run"]) for net in published_row["training"]] == [
+        ("cvae", 5), ("latent_threshold", 5)]
 
 
 class TestDirectionalLevels:
@@ -160,6 +232,11 @@ class TestDirectionalLevels:
 
     def test_defaults_follow_the_dataset(self):
         assert self.config().resolve_levels() == {"npdqr": 0.95, "stdqr": 0.93}
+        # Nonlinear d=4 has its own levels, and the wide ones from p=10 on.
+        for p, levels in ((9, {"npdqr": 0.98, "stdqr": 0.93}),
+                          (10, {"npdqr": 0.98, "stdqr": 0.95})):
+            spec = {"setting": "nonlinear", "d": 4, "p": p, "n": 200}
+            assert experiment.ExperimentConfig(dataset=spec).resolve_levels() == levels
 
     def test_partial_override_keeps_the_other_default(self):
         levels = self.config(directional_levels={"npdqr": 0.995}).resolve_levels()
@@ -225,6 +302,12 @@ def test_misread_dataset_spec_raises_naming_the_key(spec, key):
 
 
 @pytest.mark.parametrize("kwargs, overrides, message", [
+    ({"methods": "naive"}, None, "need a list of distinct methods, got 'naive'"),
+    ({"seeds": 5}, None, "need a list of distinct integer seeds, got 5"),
+    ({}, ["dqr"], "training overrides must be a mapping"),
+    ({}, "dqr", "training overrides must be a mapping"),
+    ({"dataset": [1]}, None, "dataset must be a mapping"),
+    ({"training": {"naive": {"max_epochs": 5}}}, None, "training must be a TrainingProfile"),
     ({}, {"dqr": 5}, "training section 'dqr' must be a mapping"),
     ({}, {"dqr": None}, "training section 'dqr' must be a mapping"),
     ({}, {"dqr": ["max_epochs"]}, "training section 'dqr' must be a mapping"),
@@ -235,16 +318,19 @@ def test_misread_dataset_spec_raises_naming_the_key(spec, key):
     ({"alpha": "0.1"}, None, "alpha must be a number"),
     ({"alpha": None}, None, "alpha must be a number"),
     ({"alpha": True}, None, "alpha must be a number")],
-    ids=["number-section", "none-section", "list-section", "string-section",
+    ids=["string-methods", "number-seeds", "list-overrides", "string-overrides",
+         "list-dataset", "dict-training",
+         "number-section", "none-section", "list-section", "string-section",
          "list-levels", "string-level", "none-level", "string-alpha", "none-alpha",
          "bool-alpha"])
 def test_misread_experiment_setting_raises_naming_the_key(kwargs, overrides, message):
-    # Each of these used to raise TypeError or AttributeError, and a string
-    # section was read one character at a time as a list of unknown keys.
+    # Each of these used to raise TypeError or AttributeError, or construct
+    # (a training dict then crashed the run outside its cells), and a string
+    # of methods or a string section was read one character at a time.
     with pytest.raises(ValueError, match=message):
-        experiment.ExperimentConfig(
-            dataset={"setting": "nonlinear", "d": 2, "p": 1, "n": 200},
-            training=experiment.desk_scale_profile().merged(overrides), **kwargs)
+        experiment.ExperimentConfig(**{
+            "dataset": {"setting": "nonlinear", "d": 2, "p": 1, "n": 200},
+            "training": experiment.desk_scale_profile().merged(overrides), **kwargs})
 
 
 def test_complete_dataset_specs_construct():
@@ -355,3 +441,93 @@ def test_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "[]"
+
+
+# Statements of the package's function bodies that the traced runs and
+# probes below do not execute, as (function, first line, statement count),
+# each with the degenerate input it guards and the tier-1 test that reaches
+# it. A raise statement and an exception class's methods need no entry.
+UNRUN_ON_PURPOSE = {
+    ("cvae.CvaeModel.d", "return self.decoder.out_width", 1):
+        "read only to shape an empty ST-DQR region: test_stdqr.py::TestRegionComposition::"
+        "test_empty_latent_region_gives_empty_response_region",
+    ("stdqr.StdqrModel.region", "return np.zeros((0, self.cvae.d))", 1):
+        "an empty latent region: test_stdqr.py::TestRegionComposition::"
+        "test_empty_latent_region_gives_empty_response_region",
+    ("stdqr.inactive_unit_layers", "centers = latent_grid.axis_centers(unit)", 2):
+        "an inactive latent unit: test_stdqr.py::TestInactiveUnits::"
+        "test_fit_raises_when_every_unit_is_inactive",
+    ("stdqr.StdqrModel.__init__",
+     "if not (0 <= unit < cvae.r and 0 <= layer < latent_grid.cells_per_dim):", 1):
+        "an inactive latent unit: test_stdqr.py::TestInactiveUnits::"
+        "test_ignored_unit_takes_one_layer",
+    ("stdqr.StdqrModel.__init__",
+     "keep &= points[:, unit] == latent_grid.axis_centers(unit)[layer]", 1):
+        "an inactive latent unit: test_stdqr.py::TestInactiveUnits::"
+        "test_ignored_unit_takes_one_layer",
+    ("experiment.run_experiment", 'row = {"method": method, "seed": seed,', 1):
+        "a cell that raises: TestRunExperiment::test_failed_cell_keeps_its_traceback",
+    ("experiment.aggregate", "continue", 1):
+        "a method with no finished cell: "
+        "TestAggregate::test_means_and_standard_errors_skip_failed_cells",
+    ("metrics._kmeans_once", "centroids.append(x[int(rng.integers(0, n))])", 2):
+        "no seeding mass left: test_metrics.py::TestKmeans::test_rows_too_close_to_separate_raise",
+    ("npdqr.sample_direction_pool", "bad = norms[:, 0] == 0.0", 3):
+        "a zero normal draw: test_npdqr.py::TestPoolSampling::test_zero_draw_is_redrawn",
+    ("numerics.dqr_theoretical_coverage", "from scipy.special import gammainc, ndtri", 4):
+        "no caller in the package until ROADMAP item 8 or 20 gives it one: "
+        "test_numerics.py::TestTheoreticalCoverage",
+}
+
+
+def test_every_package_statement_runs_or_is_a_named_guard(
+        reached, smoke_run, blanket_row, csv_run, published_row):
+    # The runs recorded what a run executes; cheap direct calls reach the
+    # guards no run does: d=4 responses, the wide levels, each hidden stack,
+    # and a shrink rule whose provider answers one input with no points.
+    y = Rng(0).uniform(size=(20, 2))
+    grid = build_grid(y, AREA_MEASUREMENT)
+    with record_lines(PACKAGE, reached):
+        gen_synthetic("nonlinear", 4, 1, 20, seed=0)
+        experiment.ExperimentConfig(
+            dataset={"setting": "nonlinear", "d": 4, "p": 10, "n": 200}).resolve_levels()
+        for p in (1, 6, 9, 11, 26):
+            cvae.default_hidden(p)
+        rule = calibrate(lambda x: grid.points() if x[0] else np.zeros((0, 2)),
+                         np.arange(20.0)[:, None], y, alpha=0.1, area_grid=grid)
+    assert rule.mode == "shrink"
+    unrun = unrun_statements(PACKAGE, reached)
+    assert set(unrun) == set(UNRUN_ON_PURPOSE), sorted(unrun.items())
+
+
+def test_line_trace_forms_are_recognized(tmp_path):
+    # On a probe module: a branch no call takes is reported, while an
+    # unreached raise, an exception class's method, a docstring and a
+    # nonlocal declaration are not counted.
+    source = tmp_path / "probe.py"
+    source.write_text("class ProbeError(ValueError):\n"
+                      "    def __init__(self):\n"
+                      "        super().__init__('probe')\n"
+                      "def clip(a):\n"
+                      "    'Docstring.'\n"
+                      "    if a < 0:\n"
+                      "        raise ProbeError()\n"
+                      "    if a > 10:\n"
+                      "        a = 10\n"
+                      "        a -= 1\n"
+                      "    def half(b):\n"
+                      "        nonlocal a\n"
+                      "        return b / 2\n"
+                      "    return [half(v) for v in (a,\n"
+                      "                              a)]\n")
+    spec = importlib.util.spec_from_file_location("probe", source)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    previous, lines = sys.gettrace(), set()
+    with record_lines(tmp_path, lines):
+        assert probe.clip(3) == [1.5, 1.5]
+    assert sys.gettrace() is previous
+    assert [(name, statement.lineno) for name, statement in counted_statements(source)] == [
+        ("clip", 6), ("clip", 8), ("clip", 9), ("clip", 10), ("clip", 11),
+        ("clip.half", 13), ("clip", 14)]
+    assert unrun_statements(tmp_path, lines) == {("probe.clip", "a = 10", 2): [9, 10]}

@@ -20,9 +20,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # each with the reason it stays.
 UNREFERENCED_ON_PURPOSE = {
     ("experiment", "run_experiment"): "the entry point of a run",
-    ("nn", "MseLoss"): "the loss of the nn tests' reference training steps",
-    ("npdqr", "contains"): "the per-direction membership oracle of the extractor tests",
-    ("calibration", "base_contains"): "the raw-region membership oracle of the tests",
     ("numerics", "dqr_theoretical_coverage"):
         "the latent-coverage formula, until ROADMAP item 8 adopts or drops it",
 }

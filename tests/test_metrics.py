@@ -100,6 +100,14 @@ class TestKmeans:
         assert result.k == 1
         assert np.all(result.labels == 0)
 
+    def test_rows_too_close_to_separate_raise(self):
+        # Squared gaps of 1e-170 underflow to zero, so seeding finds no mass
+        # left after the first centroid and draws the next one uniformly;
+        # no attempt separates the rows, and the restarts run out.
+        x = np.array([[0.0], [1e-170], [2e-170]])
+        with pytest.raises(ConstraintUnsatisfiedError):
+            kmeans(x, k=2, seed=0)
+
     def test_restart_budget_exhausted_raises(self):
         # 96% of mass in one blob: no 3-clustering has all clusters >= 20%.
         rng = Rng(9)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gradcheck import central_difference, relative_errors, sample_probes
+from oracles import MseLoss
 from qregions import nn
 from qregions.nn import (
     INFERENCE_ROWS,
     AdamState,
     MlpModel,
-    MseLoss,
     PinballLoss,
     TrainConfig,
     TrainingDivergedError,

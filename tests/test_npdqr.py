@@ -3,17 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import contains, normal_quantile
 from qregions import npdqr
 from qregions.nn import INFERENCE_ROWS, TrainConfig, init_mlp
 from qregions.npdqr import (
     NpdqrModel,
     RegionExtractor,
-    contains,
     fit,
     project,
     sample_direction_pool,
 )
-from qregions.numerics import Rng, dqr_theoretical_coverage, std_normal_inv_cdf
+from qregions.numerics import Rng, dqr_theoretical_coverage
 from qregions.regions import REGION_DISCRETIZATION, Grid, build_grid
 
 
@@ -46,6 +46,26 @@ class TestPoolSampling:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
             sample_direction_pool(0, 4, Rng(0))
+
+    def test_zero_draw_is_redrawn(self):
+        # A zero row has no direction; the pool draws that row again.
+        class ZeroFirstRow:
+            def __init__(self):
+                self.sizes = []
+
+            def standard_normal(self, size):
+                self.sizes.append(size)
+                draw = Rng(len(self.sizes)).standard_normal(size=size)
+                if len(self.sizes) == 1:
+                    draw[1] = 0.0
+                return draw
+
+        rng = ZeroFirstRow()
+        pool = sample_direction_pool(3, 4, rng)
+        assert rng.sizes == [(4, 3), (1, 3)]
+        redrawn = Rng(2).standard_normal(size=(1, 3))[0]
+        assert np.array_equal(pool[1], redrawn / np.linalg.norm(redrawn))
+        assert np.max(np.abs(np.linalg.norm(pool, axis=1) - 1.0)) <= 1e-12
 
 
 class TestContains:
@@ -276,7 +296,7 @@ class TestFit:
 
     def test_learns_gaussian_directional_quantile(self, noise_fit):
         x, _, model, _ = noise_fit
-        target = std_normal_inv_cdf(0.10)  # -1.2816
+        target = normal_quantile(0.10)  # -1.2816
         probe = np.array([[0.5]])
         f = model.thresholds(probe)
         assert np.max(np.abs(f - target)) <= 0.1

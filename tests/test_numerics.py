@@ -3,36 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qregions.numerics import (
-    Rng,
-    chi_squared_cdf,
-    dqr_theoretical_coverage,
-    empirical_quantile,
-    std_normal_inv_cdf,
-)
-
-
-def normal_cdf_quadrature(z: float, steps: int = 20_000) -> float:
-    """Simpson integration of the standard normal density on [0, |z|]."""
-    a, b = 0.0, abs(z)
-    if b == 0.0:
-        return 0.5
-    t = np.linspace(a, b, 2 * steps + 1)
-    f = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    h = (b - a) / (2 * steps)
-    integral = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-    return 0.5 + integral if z > 0 else 0.5 - integral
-
-
-def inverse_normal_bisection(p: float) -> float:
-    lo, hi = -10.0, 10.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf_quadrature(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from oracles import normal_quantile
+from qregions.numerics import Rng, dqr_theoretical_coverage, empirical_quantile
 
 
 def chi2_cdf_quadrature(x: float, r: int, steps: int = 40_000) -> float:
@@ -71,58 +43,66 @@ class TestEmpiricalQuantile:
         assert empirical_quantile([2.0, 1.0, 2.0, 1.0], 3) == 2.0
 
 
+def radius(alpha: float) -> float:
+    """-Phi^-1(alpha), read back from the r=2 coverage 1 - exp(-z^2 / 2)."""
+    return math.sqrt(-2.0 * math.log1p(-dqr_theoretical_coverage(alpha, 2)))
+
+
 class TestInverseNormal:
+    """The normal quantile inside ``dqr_theoretical_coverage``, read through
+    its closed forms: 1 - 2 alpha at r=1 and 1 - exp(-z^2 / 2) at r=2."""
+
     def test_median_is_zero(self):
-        assert std_normal_inv_cdf(0.5) == pytest.approx(0.0, abs=1e-12)
+        assert radius(0.5) == 0.0
 
     def test_extreme_directional_level(self):
         # The 99.38% point sits near 2.50.
-        assert std_normal_inv_cdf(0.9938) == pytest.approx(2.50, abs=0.005)
+        assert radius(0.0062) == pytest.approx(2.50, abs=0.005)
 
     def test_against_bisection_oracle(self):
-        for p in (0.05, 0.01, 0.3, 0.9, 0.975):
-            assert std_normal_inv_cdf(p) == pytest.approx(
-                inverse_normal_bisection(p), abs=1e-6
-            )
-        assert std_normal_inv_cdf(0.05) == pytest.approx(-1.6449, abs=1e-4)
+        for alpha in (0.05, 0.01, 0.3, 0.1, 0.025):
+            assert radius(alpha) == pytest.approx(-normal_quantile(alpha), abs=1e-6)
+        assert radius(0.05) == pytest.approx(1.6449, abs=1e-4)
 
     def test_roundtrip_accuracy(self):
-        for p in np.linspace(1e-6, 1 - 1e-6, 101):
-            # Phi(z) = erfc(-z / sqrt 2) / 2, from the standard library.
-            assert abs(0.5 * math.erfc(-std_normal_inv_cdf(p) / math.sqrt(2.0)) - p) <= 1e-8
+        # At r=1 the ball is the interval |Z| <= -Phi^-1(alpha).
+        for alpha in np.linspace(1e-6, 0.5, 101):
+            assert abs(dqr_theoretical_coverage(alpha, 1) - (1.0 - 2.0 * alpha)) <= 2e-8
 
     def test_domain_errors(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        for alpha in (0.0, 1.0, -0.1, 1.1, 0.6):
             with pytest.raises(ValueError):
-                std_normal_inv_cdf(p)
+                dqr_theoretical_coverage(alpha, 2)
 
 
 class TestChiSquaredCdf:
+    """The chi-squared CDF inside ``dqr_theoretical_coverage``, at
+    x = Phi^-1(alpha)^2."""
+
     def test_zero_mass_at_origin(self):
         for r in (1, 2, 3, 7):
-            assert chi_squared_cdf(0.0, r) == 0.0
+            assert dqr_theoretical_coverage(0.5, r) == 0.0
 
     def test_two_dof_closed_form(self):
-        # For r=2 the CDF is 1 - exp(-x/2).
-        assert chi_squared_cdf(2 * math.log(2), 2) == pytest.approx(0.5, abs=1e-12)
+        # alpha = Phi(-sqrt x) puts x at z^2, and for r=2 the CDF is 1 - exp(-x/2).
+        def at(x):
+            return dqr_theoretical_coverage(0.5 * math.erfc(math.sqrt(x / 2.0)), 2)
+
+        assert at(2 * math.log(2)) == pytest.approx(0.5, abs=1e-12)
         for x in (0.3, 1.0, 5.0):
-            assert chi_squared_cdf(x, 2) == pytest.approx(1 - math.exp(-x / 2), abs=1e-12)
+            assert at(x) == pytest.approx(1 - math.exp(-x / 2), abs=1e-12)
 
     def test_against_quadrature_oracle(self):
-        assert chi_squared_cdf(6.2514, 3) == pytest.approx(
-            chi2_cdf_quadrature(6.2514, 3), abs=1e-8
+        z = normal_quantile(0.0062)
+        assert dqr_theoretical_coverage(0.0062, 3) == pytest.approx(
+            chi2_cdf_quadrature(z * z, 3), abs=1e-8
         )
-        assert chi_squared_cdf(6.2514, 3) == pytest.approx(0.90, abs=0.001)
-        for x, r in ((1.2, 1), (4.5, 4), (10.0, 6)):
-            assert chi_squared_cdf(x, r) == pytest.approx(
-                chi2_cdf_quadrature(x, r), abs=1e-7
+        assert dqr_theoretical_coverage(0.0062, 3) == pytest.approx(0.90, abs=0.001)
+        for alpha, r in ((0.2, 1), (0.05, 4), (0.01, 6)):
+            z = normal_quantile(alpha)
+            assert dqr_theoretical_coverage(alpha, r) == pytest.approx(
+                chi2_cdf_quadrature(z * z, r), abs=1e-7
             )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            chi_squared_cdf(-1.0, 3)
-        with pytest.raises(ValueError):
-            chi_squared_cdf(1.0, 0)
 
 
 class TestTheoreticalCoverage:
@@ -138,7 +118,7 @@ class TestTheoreticalCoverage:
 
     def test_two_dimension_closed_form(self):
         for alpha in (0.01, 0.05, 0.1, 0.25):
-            z = std_normal_inv_cdf(alpha)
+            z = normal_quantile(alpha)
             assert abs(
                 dqr_theoretical_coverage(alpha, 2) - (1 - math.exp(-z * z / 2))
             ) <= 1e-7
@@ -158,7 +138,7 @@ class TestTheoreticalCoverage:
             z = rng.standard_normal(size=(1_000_000 // 4, r))
             norms = np.linalg.norm(z, axis=1)
             for alpha in (0.05, 0.1):
-                radius = -std_normal_inv_cdf(alpha)
+                radius = -normal_quantile(alpha)
                 mc = float(np.mean(norms <= radius))
                 assert mc == pytest.approx(
                     dqr_theoretical_coverage(alpha, r), abs=0.003

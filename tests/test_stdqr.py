@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import base_contains
 from qregions import npdqr
-from qregions.calibration import base_contains, gamma_init
+from qregions.calibration import gamma_init
 from qregions.cvae import CvaeModel, encode_batch
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
 from qregions.nn import TrainConfig, init_mlp
