@@ -160,15 +160,15 @@ class CalibratedRule:
             "c_init": self.c_init,
             # Infinite when too few rows leave a complement; null keeps JSON valid.
             "gamma_cal": self.gamma_cal if np.isfinite(self.gamma_cal) else None,
-            "gamma_init_median": float(np.median(g)) if g.size else None,
-            "gamma_init_min": float(g.min()) if g.size else None,
-            "gamma_init_max": float(g.max()) if g.size else None,
+            "gamma_init_median": float(np.median(g)),
+            "gamma_init_min": float(g.min()),
+            "gamma_init_max": float(g.max()),
             "complement_threshold": self.complement_threshold,
             "empty_regions": int((sizes == 0).sum()),
             "fallback_rows": int((sizes < 2).sum()),
-            "region_size_min": int(sizes.min()) if sizes.size else None,
-            "region_size_median": float(np.median(sizes)) if sizes.size else None,
-            "region_size_max": int(sizes.max()) if sizes.size else None,
+            "region_size_min": int(sizes.min()),
+            "region_size_median": float(np.median(sizes)),
+            "region_size_max": int(sizes.max()),
         }
 
 

@@ -120,8 +120,9 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
 
 
 def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
-        hidden=None) -> CvaeModel:
-    """Train encoder and decoder jointly with Adam and early stopping.
+        hidden: tuple) -> CvaeModel:
+    """Train encoder and decoder, each with the hidden stack ``hidden``,
+    jointly with Adam and early stopping.
 
     The validation loss scores the posterior mean (no sampling noise), so
     early stopping is deterministic.
@@ -136,8 +137,6 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
     y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     n, p = x_train.shape
     d = y_train.shape[1]
-    if hidden is None:
-        hidden = default_hidden(p)
     rng = Rng(config.seed)
     encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10))
     decoder = init_mlp((p + r, *hidden, d), rng.spawn(11))

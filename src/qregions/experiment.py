@@ -24,7 +24,7 @@ import numpy as np
 
 from . import naive_qr, npdqr, stdqr
 from .calibration import CalibratedRule, calibrate, check_paired_rows
-from .cvae import reconstruction_mse
+from .cvae import default_hidden, reconstruction_mse
 from .data import Dataset, gen_synthetic, load_csv, split, zscore_fit_apply
 from .metrics import cluster_coverages, delta_coverage, kmeans
 from .nn import TrainConfig
@@ -56,7 +56,8 @@ _DEFAULT_LEVELS = {"npdqr": 0.95, "stdqr": 0.93}
 @dataclass
 class TrainingProfile:
     """Training settings of the three model families and the auto-encoder
-    stack ``cvae_hidden`` (None keeps ``cvae.fit``'s default).
+    stack ``cvae_hidden`` (None takes ``cvae.default_hidden`` of the
+    feature count).
 
     Defaults follow the published protocol: ``TrainConfig``'s Adam 1e-3,
     batch 256 and patience 100, with batch 512 and patience 200 for the
@@ -276,11 +277,12 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
         info["directional_level"] = levels["npdqr"]
     elif method == "stdqr":
         alpha_dir = 1.0 - levels["stdqr"]
+        hidden = config.training.cvae_hidden
         model = stdqr.fit(
             x_tr, y_tr, x_v, y_v, alpha=alpha_dir, r=LATENT_DIM, lam=KL_WEIGHT,
             cvae_config=replace(config.training.cvae, seed=seed),
             dqr_config=replace(config.training.dqr, seed=seed + 1),
-            cvae_hidden=config.training.cvae_hidden)
+            cvae_hidden=default_hidden(x_tr.shape[1]) if hidden is None else hidden)
         provider = model.region
         info["directional_level"] = levels["stdqr"]
         info["reconstruction_mse"] = reconstruction_mse(model.cvae, x_cal, y_cal)

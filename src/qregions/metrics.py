@@ -43,11 +43,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: Rng):
             ((x[:, None, :] - np.asarray(centroids)[None, :, :]) ** 2).sum(axis=2),
             axis=1,
         )
-        total = dist_sq.sum()
-        if total <= 0.0:
-            centroids.append(x[int(rng.integers(0, n))])
-            continue
-        threshold = rng.uniform(0.0, total)
+        threshold = rng.uniform(0.0, dist_sq.sum())
         centroids.append(x[int(np.searchsorted(np.cumsum(dist_sq), threshold))])
     centroids = np.asarray(centroids, dtype=float)
 

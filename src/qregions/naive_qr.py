@@ -12,8 +12,6 @@ the region when its score is at most the offset: every interval widened
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .calibration import check_paired_rows, conformal_rank
@@ -80,12 +78,12 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig) -> Na
     for j in range(d):
         for side, level, bucket in (("lower", level_lo, nets_lo),
                                     ("upper", level_hi, nets_hi)):
-            net = init_mlp(widths, seed_rng.spawn(len(nets_lo) + len(nets_hi)))
-            net_config = replace(
-                config, seed=seed_rng.spawn(1000 + len(nets_lo) + len(nets_hi)).seed)
-            net, histories[f"{side}_{j}"] = train(
-                net, (x_train, y_train[:, j]), PinballLoss(level), net_config,
-                (x_val, y_val[:, j]))
+            k = len(nets_lo) + len(nets_hi)
+            net = init_mlp(widths, seed_rng.spawn(k))
+            histories[f"{side}_{j}"] = train(
+                net, len(x_train), lambda idx: (x_train[idx], y_train[idx, j : j + 1]),
+                (x_val, y_val[:, j : j + 1]), PinballLoss(level), config,
+                seed_rng.spawn(1000 + k))
             bucket.append(net)
     return NaiveModel(nets_lo, nets_hi, alpha, histories=histories)
 
@@ -111,7 +109,6 @@ def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
 
 
 def membership_flags(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
-    """Whether each response's conformity score is at most the offset; one
-    x row broadcasts against many y rows."""
-    offset = model.offset if model.offset is not None else 0.0
-    return cqr_scores(model, x_rows, y_rows) <= offset
+    """Whether each response's conformity score is at most the offset of
+    a calibrated model; one x row broadcasts against many y rows."""
+    return cqr_scores(model, x_rows, y_rows) <= model.offset

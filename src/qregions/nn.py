@@ -380,47 +380,30 @@ def train_minibatches(params, n: int, step, val_loss, config: TrainConfig,
                              config.patience)
 
 
-def train(model: MlpModel, train_xy, loss, config: TrainConfig, val_xy):
-    """Minibatch-train a supervised net; returns (best model, history).
+def train(net: MlpModel, n: int, batch, val_xy, loss, config: TrainConfig,
+          rng: Rng) -> TrainHistory:
+    """Minibatch-train a supervised net over ``n`` rows, in place.
 
-    ``train_xy`` and ``val_xy`` are (inputs, targets) pairs with targets
-    shaped (n, out_width). The returned model carries the parameter
-    snapshot with the lowest validation loss.
+    ``batch(idx)`` returns the (inputs, targets) of one batch of row
+    indices, targets shaped (rows, out_width); it runs after the epoch's
+    permutation is drawn from ``rng`` and may draw more from it.
+    ``val_xy`` is the (inputs, targets) pair the validation loss scores.
+    The net ends with the parameter snapshot of the lowest validation
+    loss; see ``train_minibatches`` for the epochs.
     """
-    x_train, y_train = _as_xy(train_xy, model)
-    x_val, y_val = _as_xy(val_xy, model)
-    if x_train.shape[0] == 0 or x_val.shape[0] == 0:
-        raise ValueError("training and validation sets must be nonempty")
-    rng = Rng(config.seed)
-
+    x_val, y_val = val_xy
     cache = None
 
     def step(idx):
         nonlocal cache
-        out, cache = forward_cached(model, x_train[idx], train_mode=True, cache=cache)
-        batch_loss, grad_out = loss.value_and_grad(y_train[idx], out)
-        grads, _ = backward(model, cache, grad_out)
+        inputs, targets = batch(idx)
+        out, cache = forward_cached(net, inputs, train_mode=True, cache=cache)
+        batch_loss, grad_out = loss.value_and_grad(targets, out)
+        grads, _ = backward(net, cache, grad_out)
         return batch_loss, grads
 
     def val_loss() -> float:
         # Between epochs the last step's cache is consumed, so it is lent.
-        return loss.value(y_val, forward_batch(model, x_val, cache))
+        return loss.value(y_val, forward_batch(net, x_val, cache))
 
-    history = train_minibatches(model.parameters(), x_train.shape[0], step, val_loss,
-                                config, rng)
-    return model, history
-
-
-def _as_xy(xy, model: MlpModel):
-    x, y = xy
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.shape[1] != model.in_width:
-        raise ValueError(f"inputs have width {x.shape[1]}, model expects {model.in_width}")
-    if y.shape[1] != model.out_width:
-        raise ValueError(f"targets have width {y.shape[1]}, model expects {model.out_width}")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("inputs and targets disagree on row count")
-    return x, y
+    return train_minibatches(net.parameters(), n, step, val_loss, config, rng)

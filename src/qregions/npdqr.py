@@ -22,11 +22,9 @@ from .nn import (
     MlpModel,
     PinballLoss,
     TrainConfig,
-    backward,
     forward_batch,
-    forward_cached,
     init_mlp,
-    train_minibatches,
+    train,
 )
 from .numerics import Rng
 
@@ -137,25 +135,15 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     val_stack = _pair_inputs(x_val, val_dirs)
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
-    # A step's pair inputs and training cache are reused by the next step.
+    # A batch's pair inputs are written into one reused buffer.
     pairs = np.empty((min(n, config.batch_size) * TRAIN_DIRECTIONS, val_stack.shape[1]))
-    cache = None
 
-    def step(idx):
-        nonlocal cache
+    def batch(idx):
         dirs = pool[rng.subset(len(pool), TRAIN_DIRECTIONS)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-        inputs = _pair_inputs(x_train[idx], dirs, out=pairs[: len(idx) * TRAIN_DIRECTIONS])
-        out, cache = forward_cached(net, inputs, train_mode=True, cache=cache)
-        batch_loss, grad_out = loss.value_and_grad(targets, out)
-        grads, _ = backward(net, cache, grad_out)
-        return batch_loss, grads
+        return _pair_inputs(x_train[idx], dirs, out=pairs[: len(idx) * TRAIN_DIRECTIONS]), targets
 
-    def val_loss() -> float:
-        # Between epochs the last step's cache is consumed, so it is lent.
-        return loss.value(val_targets, forward_batch(net, val_stack, cache))
-
-    history = train_minibatches(net.parameters(), n, step, val_loss, config, rng)
+    history = train(net, n, batch, (val_stack, val_targets), loss, config, rng)
     return NpdqrModel(net=net, membership_directions=membership_directions,
                       histories={"threshold": history})
 

@@ -104,7 +104,7 @@ def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
         cvae_config: TrainConfig, dqr_config: TrainConfig,
-        cvae_hidden=None) -> StdqrModel:
+        cvae_hidden: tuple) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
     Responses are transformed to latent space with the deterministic

@@ -12,7 +12,7 @@ from qregions.cvae import (
     gaussian_kl_rows,
     reconstruction_mse,
 )
-from qregions import cvae
+from qregions import cvae, experiment, stdqr
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
 from qregions.nn import MlpModel, TrainConfig, init_mlp
 from qregions.numerics import Rng
@@ -48,11 +48,31 @@ class TestHiddenDefaults:
         assert len({default_hidden(lo) for lo, _ in brackets}) == len(brackets)
 
     @pytest.mark.parametrize("p", [1, 26])
-    def test_fit_without_a_stack_builds_the_default(self, p):
+    def test_fit_without_a_stack_builds_the_default(self, monkeypatch, p):
+        # The cell resolves a profile's missing stack; the auto-encoder it
+        # trains is caught before the latent stage.
         rng = Rng(8)
         x, y = rng.uniform(size=(12, p)), rng.uniform(size=(12, 2))
-        model = fit(x[:8], y[:8], x[8:], y[8:], r=3, lam=0.01,
-                    config=TrainConfig(max_epochs=1, patience=1))
+        prep = experiment.PreparedData(
+            x={"train": x[:8], "validation": x[8:], "calibration": x[8:]},
+            y={"train": y[:8], "validation": y[8:], "calibration": y[8:]})
+        capped = experiment.TrainingProfile().merged({"cvae": {"max_epochs": 1, "patience": 1}})
+        config = experiment.ExperimentConfig(
+            dataset={"kind": "synthetic", "setting": NONLINEAR, "d": 2, "p": p, "n": 12},
+            methods=("stdqr",), training=capped)
+        fitted = []
+
+        class Fitted(Exception):
+            pass
+
+        def fit_and_stop(*args, **kwargs):
+            fitted.append(fit(*args, **kwargs))
+            raise Fitted
+
+        monkeypatch.setattr(stdqr, "fit_cvae", fit_and_stop)
+        with pytest.raises(Fitted):
+            experiment.fit_and_calibrate("stdqr", config, prep, seed=0)
+        (model,) = fitted
         assert model.encoder.widths == (p + 2, *default_hidden(p), 6)
         assert model.decoder.widths == (p + 3, *default_hidden(p), 2)
 

@@ -470,8 +470,6 @@ UNRUN_ON_PURPOSE = {
     ("experiment.aggregate", "continue", 1):
         "a method with no finished cell: "
         "TestAggregate::test_means_and_standard_errors_skip_failed_cells",
-    ("metrics._kmeans_once", "centroids.append(x[int(rng.integers(0, n))])", 2):
-        "no seeding mass left: test_metrics.py::TestKmeans::test_rows_too_close_to_separate_raise",
     ("npdqr.sample_direction_pool", "bad = norms[:, 0] == 0.0", 3):
         "a zero normal draw: test_npdqr.py::TestPoolSampling::test_zero_draw_is_redrawn",
     ("numerics.dqr_theoretical_coverage", "from scipy.special import gammainc, ndtri", 4):

@@ -260,6 +260,16 @@ def test_only_experiment_and_naive_qr_import_calibration():
     assert importers == ["experiment", "naive_qr"]
 
 
+def test_only_nn_and_cvae_run_a_training_step():
+    # A supervised net trains through nn.train; only the auto-encoder,
+    # whose loss spans two nets, runs forward and backward itself.
+    definitions = {path.stem: public_definitions(path) for path in PACKAGE.glob("*.py")}
+    step = {("nn", "forward_cached"), ("nn", "backward")}
+    users = sorted(path.stem for path in PACKAGE.glob("*.py")
+                   if package_references(path, path.stem, definitions) & step)
+    assert users == ["cvae", "nn"]
+
+
 def test_only_experiment_and_data_touch_files():
     # experiment writes the run directory and data reads CSV input; a
     # model lives in memory and is rebuilt from its config and seed.

@@ -102,8 +102,8 @@ class TestKmeans:
 
     def test_rows_too_close_to_separate_raise(self):
         # Squared gaps of 1e-170 underflow to zero, so seeding finds no mass
-        # left after the first centroid and draws the next one uniformly;
-        # no attempt separates the rows, and the restarts run out.
+        # left after the first centroid, draws a threshold of 0 and takes
+        # row 0; no attempt separates the rows, and the restarts run out.
         x = np.array([[0.0], [1e-170], [2e-170]])
         with pytest.raises(ConstraintUnsatisfiedError):
             kmeans(x, k=2, seed=0)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -27,7 +28,7 @@ def constant_net(p, value):
     return net
 
 
-def box_model(lo_values, hi_values, alpha=0.1, offset=None):
+def box_model(lo_values, hi_values, alpha=0.1, offset=0.0):
     p = 1
     nets_lo = [constant_net(p, v) for v in lo_values]
     nets_hi = [constant_net(p, v) for v in hi_values]
@@ -212,6 +213,23 @@ class TestFit:
         lo, hi = model.bounds(np.array([[0.0]]))
         assert np.allclose(lo[0], [0.4, -1.1], atol=0.05)
         assert np.allclose(hi[0], [0.4, -1.1], atol=0.05)
+
+    def test_trained_bits_are_pinned(self, monkeypatch):
+        # A change to the training step, its draws or their order moves
+        # these bits, and with them every seeded naive run. Batches of 16
+        # leave a ragged last batch of 8 rows.
+        rng = Rng(11)
+        x, y = rng.uniform(size=(52, 2)), rng.standard_normal(size=(52, 2))
+        monkeypatch.setattr(naive_qr, "HIDDEN", (8, 8))
+        config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4,
+                             patience=4, seed=3)
+        model = fit(x[:40], y[:40], x[40:], y[40:], alpha=0.1, config=config)
+        assert list(model.histories) == ["lower_0", "upper_0", "lower_1", "upper_1"]
+        bits = b"".join(a.tobytes() for net in model.nets_lo + model.nets_hi
+                        for a in net.parameters())
+        bits += b"".join(np.array(h.val_losses).tobytes() for h in model.histories.values())
+        assert all(h.epochs_run == 4 for h in model.histories.values())
+        assert hashlib.sha256(bits).hexdigest()[:16] == "8eb4d948e916721b"
 
     def test_conformal_coverage_after_fit(self, monkeypatch):
         # End to end on heteroscedastic data: coverage lands near 1 - alpha.

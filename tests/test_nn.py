@@ -507,7 +507,8 @@ class TestTraining:
         model = init_mlp((1, 1), Rng(5))
         config = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=800,
                              patience=800, seed=0)
-        model, history = train(model, (x, y), MseLoss(), config, (xv, 2.0 * xv))
+        history = train(model, len(x), lambda idx: (x[idx], y[idx]), (xv, 2.0 * xv),
+                        MseLoss(), config, Rng(config.seed))
         assert history.best_val_loss <= 1e-4
 
     def test_constant_model_recovers_quantile(self):
@@ -517,7 +518,8 @@ class TestTraining:
         model = init_mlp((1, 1), Rng(2))
         config = TrainConfig(learning_rate=2e-3, batch_size=1001, max_epochs=4000,
                              patience=4000, seed=0)
-        model, _ = train(model, (x, samples), PinballLoss(alpha), config, (x, samples))
+        train(model, len(x), lambda idx: (x[idx], samples[idx, None]), (x, samples[:, None]),
+              PinballLoss(alpha), config, Rng(config.seed))
         fitted = float(forward_batch(model, np.zeros((1, 1)))[0, 0])
         order = np.sort(samples)
         k = math.ceil(alpha * 1001)
@@ -529,7 +531,8 @@ class TestTraining:
         x = rng.uniform(size=(64, 1))
         model = init_mlp((1, 4, 1), Rng(1))
         config = TrainConfig(batch_size=32, max_epochs=100, patience=0, seed=0)
-        _, history = train(model, (x, x), MseLoss(), config, (x, x))
+        history = train(model, len(x), lambda idx: (x[idx], x[idx]), (x, x), MseLoss(),
+                        config, Rng(config.seed))
         assert history.epochs_run == 1
 
     def test_returned_model_has_best_validation_loss(self):
@@ -541,7 +544,8 @@ class TestTraining:
         model = init_mlp((2, 8, 1), Rng(3))
         config = TrainConfig(learning_rate=5e-3, batch_size=32, max_epochs=60,
                              patience=60, seed=0)
-        model, history = train(model, (x, y), MseLoss(), config, (xv, yv))
+        history = train(model, len(x), lambda idx: (x[idx], y[idx]), (xv, yv), MseLoss(),
+                        config, Rng(config.seed))
         final_val = MseLoss().value(yv, forward_batch(model, xv))
         assert final_val == pytest.approx(min(history.val_losses), abs=1e-12)
         assert all(final_val <= v + 1e-12 for v in history.val_losses)
@@ -553,7 +557,8 @@ class TestTraining:
         config = TrainConfig(learning_rate=1e30, batch_size=64, max_epochs=50,
                              patience=50, seed=0)
         with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore"):
-            train(model, (x, 1e200 * x), MseLoss(), config, (x, 1e200 * x))
+            train(model, len(x), lambda idx: (x[idx], 1e200 * x[idx]), (x, 1e200 * x),
+                  MseLoss(), config, Rng(config.seed))
         assert err.value.epoch >= 1
 
     def test_seeded_training_is_bit_reproducible(self):
@@ -562,12 +567,23 @@ class TestTraining:
         y = x[:, :1] - 0.5 * x[:, 1:]
         config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=20,
                              patience=20, seed=77)
-        m1, _ = train(init_mlp((2, 8, 1), Rng(4)), (x, y),
-                      MseLoss(), config, (x, y))
-        m2, _ = train(init_mlp((2, 8, 1), Rng(4)), (x, y),
-                      MseLoss(), config, (x, y))
+        m1, m2 = init_mlp((2, 8, 1), Rng(4)), init_mlp((2, 8, 1), Rng(4))
+        for model in (m1, m2):
+            train(model, len(x), lambda idx: (x[idx], y[idx]), (x, y), MseLoss(), config,
+                  Rng(config.seed))
         for a, b in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("widths", [(1, 4, 1), (1, 1)])
+    def test_targets_of_the_wrong_width_raise(self, widths):
+        # Nothing checks the targets up front: a hidden layer's backward
+        # matmul or the Adam update of a net without one refuses them.
+        x = Rng(2).uniform(size=(16, 1))
+        y = np.hstack([x, x])
+        config = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=0)
+        with pytest.raises(ValueError):
+            train(init_mlp(widths, Rng(1)), len(x), lambda idx: (x[idx], y[idx]), (x, y),
+                  PinballLoss(0.5), config, Rng(config.seed))
 
 
 class TestTrainConfig:

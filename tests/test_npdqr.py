@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,25 @@ class TestFit:
         dirs = model.membership_directions
         f = model.thresholds(np.array([[0.5]]))[0]
         assert np.max(np.abs(f - dirs @ c)) <= 0.05
+
+    def test_trained_bits_are_pinned(self, monkeypatch):
+        # A change to the training step, its draws or their order moves
+        # these bits, and with them every seeded NP-DQR run. Batches of 24
+        # leave a ragged last batch of 14 rows.
+        rng = Rng(12)
+        x, y = rng.uniform(size=(62, 2)), rng.standard_normal(size=(62, 2))
+        monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 8)
+        monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 16)
+        monkeypatch.setattr(npdqr, "HIDDEN", (8, 8))
+        config = TrainConfig(learning_rate=1e-2, batch_size=24, max_epochs=4,
+                             patience=4, seed=5)
+        model = fit(x[:50], y[:50], x[50:], y[50:], alpha=0.1,
+                    pool=sample_direction_pool(2, 32, Rng(6)), config=config)
+        history = model.histories["threshold"]
+        bits = b"".join(a.tobytes() for a in model.net.parameters())
+        bits += model.membership_directions.tobytes() + np.array(history.val_losses).tobytes()
+        assert history.epochs_run == 4
+        assert hashlib.sha256(bits).hexdigest()[:16] == "7ccfd201a7988c4d"
 
     def test_rejects_bad_alpha(self, noise_fit):
         x, y, model, _ = noise_fit
