@@ -135,7 +135,6 @@ class CalibratedRule:
         """Conformity score of each candidate point for one input: the
         distance to the region carrier (grow), or to the complement
         carrier, +inf when there is none (shrink)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.mode == GROW:
             return min_distances(points, self.region_carrier(x))
         complement = self.complement_carrier(x)
@@ -151,8 +150,7 @@ class CalibratedRule:
         return scores >= self.gamma_cal
 
     def to_report(self) -> dict:
-        g = np.asarray(self.gamma_init_values, dtype=float)
-        sizes = np.asarray(self.region_sizes)
+        g, sizes = self.gamma_init_values, self.region_sizes
         return {
             "mode": self.mode,
             "alpha": self.alpha,
@@ -182,8 +180,6 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
     grid's center, the rule's anchor. In shrink mode a region that leaves
     no complement carrier scores +inf, as membership treats it.
     """
-    x_cal = np.asarray(x_cal, dtype=float)
-    y_cal = np.asarray(y_cal, dtype=float)
     check_paired_rows(x_cal, y_cal)
     n2 = y_cal.shape[0]
     k = conformal_rank(n2, alpha)
@@ -216,5 +212,5 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
         mode=SHRINK, gamma_cal=np.nan,
         complement_threshold=empirical_quantile(gammas, int(np.ceil(0.5 * n2))),
         complement_points=area_grid.points(), **common)
-    shrink_scores = [rule.scores(x_cal[i], y_cal[i])[0] for i in range(n2)]
+    shrink_scores = [rule.scores(x_cal[i], y_cal[i][None, :])[0] for i in range(n2)]
     return replace(rule, gamma_cal=empirical_quantile(shrink_scores, n2 + 1 - k))

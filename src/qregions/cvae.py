@@ -61,8 +61,6 @@ class CvaeModel:
 
     def posterior(self, x_rows: np.ndarray, y_rows: np.ndarray):
         """Encoder output split into (mu, logvar), each (n, r)."""
-        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-        y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
         out = forward_batch(self.encoder, np.concatenate([x_rows, y_rows], axis=1))
         return out[:, : self.r], out[:, self.r :]
 
@@ -73,8 +71,6 @@ def encode_batch(model: CvaeModel, x_rows, y_rows) -> np.ndarray:
 
 
 def decode_batch(model: CvaeModel, x_rows, z_rows) -> np.ndarray:
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
     if x_rows.shape[0] == 1 and z_rows.shape[0] > 1:
         x_rows = np.repeat(x_rows, z_rows.shape[0], axis=0)
     return forward_batch(model.decoder, np.concatenate([x_rows, z_rows], axis=1))
@@ -131,10 +127,6 @@ def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
         raise ValueError(f"latent dimension must be >= 1, got {r}")
     if lam < 0:
         raise ValueError(f"KL weight must be nonnegative, got {lam}")
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
-    x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
-    y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     n, p = x_train.shape
     d = y_train.shape[1]
     rng = Rng(config.seed)
@@ -168,4 +160,4 @@ def reconstruction_mse(model: CvaeModel, x_rows, y_rows) -> float:
     """Mean squared reconstruction error through the posterior mean."""
     mu, _ = model.posterior(x_rows, y_rows)
     reconstructed = decode_batch(model, x_rows, mu)
-    return float(np.mean(np.sum((reconstructed - np.atleast_2d(y_rows)) ** 2, axis=1)))
+    return float(np.mean(np.sum((reconstructed - y_rows) ** 2, axis=1)))

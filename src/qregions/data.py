@@ -130,7 +130,6 @@ def zscore_fit_apply(dataset: Dataset, train_indices):
 
     Returns (normalized dataset, feature stats, response stats).
     """
-    train_indices = np.asarray(train_indices)
     if len(train_indices) < 2:
         raise ValueError("need at least 2 training rows to fit normalization")
     x_stats = _fit_stats(dataset.x[train_indices], dataset.feature_names)

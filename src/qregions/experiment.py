@@ -220,8 +220,6 @@ class DistanceRule:
         self.rule = rule
 
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
-        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-        y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
         check_paired_rows(x_rows, y_rows)
         return np.array([self.rule.membership(x, y[None])[0]
                          for x, y in zip(x_rows, y_rows)], dtype=bool)
@@ -240,7 +238,7 @@ class RectangleRule:
         self.model = model
 
     def membership_rows(self, x_rows, y_rows) -> np.ndarray:
-        check_paired_rows(np.atleast_2d(x_rows), np.atleast_2d(y_rows))
+        check_paired_rows(x_rows, y_rows)
         return naive_qr.membership_flags(self.model, x_rows, y_rows)
 
     def area_cells(self, x, area_grid) -> int:

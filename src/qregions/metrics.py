@@ -69,7 +69,6 @@ def kmeans(x, k: int, seed: int) -> ClusterAssignment:
     of clusters instead of failing. Raises ConstraintUnsatisfiedError
     when ``RESTARTS`` attempts leave a cluster undersized.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     if n < k:
         raise ValueError(f"need at least k={k} rows, got {n}")
@@ -100,6 +99,5 @@ def delta_coverage(rule, x_rows, y_rows, clusters: ClusterAssignment,
     """Mean absolute deviation from 1 - alpha of the per-cluster coverage
     of ``flags``, the test rows' membership flags. ``rule``, ``x_rows``
     and ``y_rows`` are not read; callers still pass them by position."""
-    flags = np.asarray(flags, dtype=bool)
     per_cluster = cluster_coverages(flags, clusters.labels, clusters.k)
     return float(np.mean([abs(c - (1.0 - alpha)) for c in per_cluster]))

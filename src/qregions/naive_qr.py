@@ -42,14 +42,14 @@ class NaiveModel:
     training history of each net; it is empty for nets not trained here.
     """
 
-    def __init__(self, nets_lo, nets_hi, alpha, offset=None, histories=None):
+    def __init__(self, nets_lo, nets_hi, alpha, histories: dict, offset=None):
         if len(nets_lo) != len(nets_hi):
             raise ValueError("need one lower and one upper net per dimension")
         self.nets_lo = nets_lo
         self.nets_hi = nets_hi
         self.alpha = float(alpha)
         self.offset = offset  # None until calibrated
-        self.histories = dict(histories or {})
+        self.histories = dict(histories)
 
     @property
     def d(self) -> int:
@@ -68,8 +68,6 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig) -> Na
     stack ``HIDDEN`` (read at call time)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
     d = y_train.shape[1]
     level_lo, level_hi = quantile_levels(alpha, d)
     widths = (x_train.shape[1], *HIDDEN, 1)
@@ -90,7 +88,6 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig) -> Na
 
 def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
     """Worst per-dimension interval violation; negative inside the box."""
-    y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
     if y_rows.shape[1] != model.d:
         raise ValueError(f"responses have {y_rows.shape[1]} dims, model has {model.d}")
     lo, hi = model.bounds(x_rows)
@@ -99,8 +96,7 @@ def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
 
 def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
     """Set the widening offset to the conformity-score quantile."""
-    y_cal = np.atleast_2d(np.asarray(y_cal, dtype=float))
-    check_paired_rows(np.atleast_2d(x_cal), y_cal)
+    check_paired_rows(x_cal, y_cal)
     k = conformal_rank(y_cal.shape[0], alpha)
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)

@@ -35,6 +35,7 @@ block keeps its memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class TrainConfig:
         integers = (self.batch_size, self.max_epochs, self.patience, self.seed)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
             raise ValueError("batch size, max epochs, patience and seed must be integers")
-        if (isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < np.inf
+        if (isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, Real)
+                or not 0 < self.learning_rate < np.inf
                 or min(self.batch_size, self.max_epochs) <= 0):
             raise ValueError("need a finite positive learning rate, batch size and max epochs")
         if not 0 <= self.patience <= self.max_epochs:
@@ -125,7 +127,6 @@ def forward_batch(model: MlpModel, x: np.ndarray, cache=None) -> np.ndarray:
     ``cache`` lends the blocks the buffers of a consumed training cache of
     this model (see ``forward_cached``); the output bits are the same.
     """
-    x = np.asarray(x, dtype=float)
     out = np.empty((len(x), model.out_width))
     # An empty batch still makes one call, which checks its shape.
     for start in range(0, max(len(x), 1), INFERENCE_ROWS):
@@ -135,7 +136,7 @@ def forward_batch(model: MlpModel, x: np.ndarray, cache=None) -> np.ndarray:
     return out
 
 
-def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cache=None):
+def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache=None):
     """Forward pass that, in train mode, records what backward needs.
 
     Returns (output, cache); the cache is None unless ``train_mode`` or
@@ -148,7 +149,6 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool = False, cac
     consumed lends its buffers and scratch if it holds n rows; it is left
     fit only to go back to ``forward_cached`` in train mode.
     """
-    x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
     n, n_layers = x.shape[0], len(model.weights)
@@ -192,7 +192,7 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     n_layers = len(model.weights)
     w_grads = [None] * n_layers
     b_grads = [None] * n_layers
-    delta = np.asarray(grad_out, dtype=float)
+    delta = grad_out
     for k in reversed(range(n_layers)):
         a = cache["inputs"][k]
         w_grads[k] = a.T @ delta

@@ -70,15 +70,14 @@ class NpdqrModel:
     ``threshold``; it is empty for a net not trained here.
     """
 
-    def __init__(self, net: MlpModel, membership_directions: np.ndarray,
-                 histories: dict | None = None):
-        directions = np.asarray(membership_directions, dtype=float)
-        if directions.ndim != 2 or directions.size == 0 or not np.isfinite(directions).all():
+    def __init__(self, net: MlpModel, membership_directions: np.ndarray, histories: dict):
+        if (membership_directions.ndim != 2 or membership_directions.size == 0
+                or not np.isfinite(membership_directions).all()):
             raise ValueError("membership directions must be a non-empty finite (m, d) "
-                             f"array, got shape {directions.shape}")
+                             f"array, got shape {membership_directions.shape}")
         self.net = net
-        self.membership_directions = directions
-        self.histories = dict(histories or {})
+        self.membership_directions = membership_directions
+        self.histories = dict(histories)
 
     @property
     def d(self) -> int:
@@ -89,7 +88,6 @@ class NpdqrModel:
         rows go in chunks whose pair inputs fill one inference block of the
         net."""
         directions = self.membership_directions
-        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
         n, m = x_rows.shape[0], directions.shape[0]
         out = np.empty((n, m))
         rows_per_chunk = max(1, INFERENCE_ROWS // m)
@@ -114,10 +112,6 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
-    x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
-    y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
     if y_train.shape[1] != pool.shape[1]:
         raise ValueError(f"responses have {y_train.shape[1]} dims, pool has {pool.shape[1]}")
     if len(pool) < max(TRAIN_DIRECTIONS, MEMBERSHIP_DIRECTIONS):
@@ -155,7 +149,6 @@ def project(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     coordinate order and without BLAS, so a point gets the same bits
     whichever other points it is projected with.
     """
-    points, directions = np.atleast_2d(points), np.atleast_2d(directions)
     out = np.multiply.outer(directions[:, 0], points[:, 0])
     term = np.empty_like(out)
     for j in range(1, points.shape[1]):

@@ -64,8 +64,7 @@ def build_grid(train_responses: np.ndarray, purpose: str) -> Grid:
     (region discretization) or 0.2 (area measurement)."""
     if purpose not in _CELLS_PER_DIM:
         raise ValueError(f"unknown grid purpose {purpose!r}")
-    responses = np.asarray(train_responses, dtype=float)
-    n, dimension = responses.shape
+    n, dimension = train_responses.shape
     if dimension not in _CELLS_PER_DIM[purpose]:
         raise ValueError(f"unsupported grid dimension {dimension} (need 1-4)")
     if n < 2:
@@ -75,7 +74,7 @@ def build_grid(train_responses: np.ndarray, purpose: str) -> Grid:
     k_hi = max(1, int(np.ceil(0.99 * n)))
     lows, highs = [], []
     for j in range(dimension):
-        col = responses[:, j]
+        col = train_responses[:, j]
         lows.append(empirical_quantile(col, k_lo) - margin)
         highs.append(empirical_quantile(col, k_hi) + margin)
     return Grid(
@@ -95,8 +94,7 @@ def area(membership, x, grid: Grid) -> int:
     """
     if grid.purpose != AREA_MEASUREMENT:
         raise ValueError("area must be measured on an area-measurement grid")
-    mask = np.asarray(membership(x, grid.points()), dtype=bool)
-    return int(mask.sum())
+    return int(membership(x, grid.points()).sum())
 
 
 def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
@@ -106,8 +104,6 @@ def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
     # Imported here: scipy.spatial takes longer to import than all of qregions.
     from scipy.spatial import cKDTree
 
-    carrier = np.atleast_2d(np.asarray(carrier, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if carrier.shape[0] == 0:
         raise ValueError("minimum distance to an empty carrier is undefined")
     if points.shape[1] != carrier.shape[1]:
@@ -121,7 +117,6 @@ def pairwise_nn_distances(points: np.ndarray) -> np.ndarray:
     of ``bench/oracle.py``."""
     from scipy.spatial import cKDTree
 
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError("nearest-neighbor spacing needs at least 2 points")
     return cKDTree(points, balanced_tree=False).query(points, k=2)[0][:, 1]

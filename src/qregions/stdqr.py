@@ -49,14 +49,14 @@ class StdqrModel:
     """
 
     def __init__(self, cvae: CvaeModel, latent_model: npdqr.NpdqrModel, latent_grid: Grid,
-                 inactive_layers: dict | None = None):
+                 inactive_layers: dict):
         if latent_model.d != cvae.r:
             raise ValueError(
                 f"latent net dimension {latent_model.d} != latent size {cvae.r}")
         if latent_grid.dim != cvae.r:
             raise ValueError(
                 f"latent grid dimension {latent_grid.dim} != latent size {cvae.r}")
-        inactive_layers = {int(u): int(k) for u, k in (inactive_layers or {}).items()}
+        inactive_layers = {int(u): int(k) for u, k in inactive_layers.items()}
         for unit, layer in inactive_layers.items():
             if not (0 <= unit < cvae.r and 0 <= layer < latent_grid.cells_per_dim):
                 raise ValueError(f"inactive unit {unit} at layer {layer} is off the lattice")
@@ -78,7 +78,6 @@ class StdqrModel:
 
     def region(self, x) -> np.ndarray:
         """Decoded latent region: one response point per latent point."""
-        x = np.asarray(x, dtype=float)
         latent = self.extractor.extract(x)
         if len(latent) == 0:
             return np.zeros((0, self.cvae.d))

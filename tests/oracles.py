@@ -25,7 +25,7 @@ def contains(model: NpdqrModel, x, y) -> bool:
     if y.shape != (model.d,):
         raise ValueError(f"response has shape {y.shape}, expected ({model.d},)")
     f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    return bool(np.all(project(y, model.membership_directions)[:, 0] >= f))
+    return bool(np.all(project(y[None, :], model.membership_directions)[:, 0] >= f))
 
 
 class MseLoss:

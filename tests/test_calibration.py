@@ -352,7 +352,7 @@ class TestShrink:
         assert conformal_rank(48, alpha) == 48 and np.floor(49 * alpha) == 0
         rule = calibrate(provider, x, y, alpha=alpha, area_grid=grid)
         assert rule.mode == SHRINK
-        scores = np.array([rule.scores(x[i], y[i])[0] for i in range(48)])
+        scores = np.array([rule.scores(x[i], y[i : i + 1])[0] for i in range(48)])
         assert rule.gamma_cal == scores.min()
 
     def test_blanket_region_calibrates_with_infinite_threshold(self, disc_setup):
@@ -379,7 +379,7 @@ class TestShrink:
         assert rule.mode == SHRINK and np.isfinite(rule.gamma_cal)
         assert np.all(rule.scores(x[0], y) == math.inf)
         assert np.all(rule.membership(x[0], grid.points()))
-        scores = np.array([rule.scores(x[i], y[i])[0] for i in range(99)])
+        scores = np.array([rule.scores(x[i], y[i : i + 1])[0] for i in range(99)])
         assert np.all(np.isinf(scores[::3]))
         assert rule.gamma_cal == np.sort(scores)[9]
 
@@ -398,7 +398,7 @@ class TestShrink:
         scores = rule.scores(x[0], y)
         assert np.array_equal(scores, min_distances(y, pts))
         assert np.array_equal(rule.membership(x[0], y), scores >= rule.gamma_cal)
-        ranked = np.array([rule.scores(x[i], y[i])[0] for i in range(99)])
+        ranked = np.array([rule.scores(x[i], y[i : i + 1])[0] for i in range(99)])
         assert rule.gamma_cal == np.sort(ranked)[9]
         # A grid point is its own complement point, so none is covered.
         assert not rule.membership(x[0], pts).any()

@@ -2,7 +2,7 @@
 point arrays, so they need not import it, only the experiment driver and
 the data loader touch files, every public name of the package has a
 caller in the package or the benchmark, and so does every defaulted
-parameter."""
+parameter. Arrays are shaped only where they enter the package."""
 
 import ast
 import importlib
@@ -27,6 +27,19 @@ UNREFERENCED_ON_PURPOSE = {
 # Defaulted parameters that no call in the package or the benchmark
 # passes, each with the reason it stays.
 UNPASSED_ON_PURPOSE = {}
+
+# Functions that call ``np.asarray`` or ``np.atleast_2d``, each with the
+# input it shapes. Everything else takes the float64 arrays its callers hold.
+COERCED_ON_PURPOSE = {
+    ("calibration", "_region"): "a provider's answer: any array-like of points",
+    ("calibration", "calibrate"): "the area grid's bound tuples, averaged into the anchor",
+    ("data", "Dataset.__post_init__"): "the feature and response matrices of a dataset",
+    ("metrics", "_kmeans_once"): "the list of seeded centroids",
+    ("numerics", "empirical_quantile"): "calibrate's list of shrink scores",
+    ("npdqr", "RegionExtractor.mask"): "one input row, as a region provider receives it",
+    ("naive_qr", "NaiveModel.bounds"):
+        "one input row of the area count, broadcast against the grid points",
+}
 
 # Standard modules that read or write files.
 FILE_MODULES = {"json", "pathlib", "csv", "pickle"}
@@ -116,6 +129,31 @@ def package_references(path: Path, module: str | None, definitions: dict) -> set
     return found
 
 
+def scopes(tree: ast.Module) -> list:
+    """``(qualname, node)`` of each module-level statement, with a class
+    split into its members, named ``Class.member``."""
+    found = []
+    for statement in tree.body:
+        if isinstance(statement, ast.ClassDef):
+            found += [(f"{statement.name}.{getattr(member, 'name', '')}", member)
+                      for member in statement.body]
+        else:
+            found.append((getattr(statement, "name", ""), statement))
+    return found
+
+
+def array_conversions(path: Path, module: str) -> set:
+    """``(module, qualname)`` of each function or method of one file that
+    calls ``np.asarray`` or ``np.atleast_2d`` (``numpy.`` too), in its own
+    body or a function nested in it."""
+    return {(module, qualname)
+            for qualname, scope in scopes(ast.parse(path.read_text(encoding="utf-8")))
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in {"np", "numpy"}
+            and node.func.attr in {"asarray", "atleast_2d"}}
+
+
 def call_sites(path: Path, module: str | None, definitions: dict) -> list:
     """``(callee, positional, keywords, scope)`` of each call in one file.
 
@@ -129,15 +167,8 @@ def call_sites(path: Path, module: str | None, definitions: dict) -> list:
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound, imported = package_bindings(tree, definitions)
-    scopes = []
-    for statement in tree.body:
-        if isinstance(statement, ast.ClassDef):
-            scopes += [(f"{statement.name}.{getattr(member, 'name', '')}", member)
-                       for member in statement.body]
-        else:
-            scopes.append((getattr(statement, "name", ""), statement))
     sites = []
-    for qualname, scope in scopes:
+    for qualname, scope in scopes(tree):
         for node in ast.walk(scope):
             if not isinstance(node, ast.Call):
                 continue
@@ -251,6 +282,36 @@ def test_reference_forms_are_recognized(tmp_path):
     assert package_references(source, "probe", definitions) == {
         ("npdqr", "fit"), ("experiment", "prepare"), ("nn", "init_mlp"),
         ("regions", "area"), ("probe", "Model")}
+
+
+def test_arrays_are_shaped_only_at_named_boundaries():
+    # The dataset, a provider's answer and the single input rows that
+    # providers and the naive area count receive are shaped where they
+    # enter; a conversion anywhere else is a second input format (a list,
+    # a 1-D row) that the line trace cannot see, since it shares its line
+    # with the path every run takes.
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= array_conversions(path, path.stem)
+    assert sorted(found) == sorted(COERCED_ON_PURPOSE)
+
+
+def test_conversion_forms_are_recognized(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy as np\n"
+                      "import numpy\n"
+                      "def load(a):\n"
+                      "    return np.asarray(a, dtype=float)\n"
+                      "class Model:\n"
+                      "    def rows(self, x):\n"
+                      "        def inner():\n"
+                      "            return numpy.atleast_2d(x)\n"
+                      "        return inner()\n"
+                      "    def other(self, x):\n"
+                      "        return np.array(x) + np.atleast_1d(x) + x.asarray()\n"
+                      "def passed(f=np.asarray):\n"
+                      "    return f\n")
+    assert array_conversions(source, "probe") == {("probe", "load"), ("probe", "Model.rows")}
 
 
 def test_only_experiment_and_naive_qr_import_calibration():

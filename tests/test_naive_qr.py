@@ -32,7 +32,7 @@ def box_model(lo_values, hi_values, alpha=0.1, offset=0.0):
     p = 1
     nets_lo = [constant_net(p, v) for v in lo_values]
     nets_hi = [constant_net(p, v) for v in hi_values]
-    return NaiveModel(nets_lo, nets_hi, alpha, offset=offset)
+    return NaiveModel(nets_lo, nets_hi, alpha, histories={}, offset=offset)
 
 
 def refuse_net_pass(*_args, **_kwargs):
@@ -69,15 +69,15 @@ class TestLevels:
 class TestCqrScore:
     def test_interior_point(self):
         model = box_model([0.0, 0.0], [1.0, 1.0])
-        assert cqr_scores(model, [[0.0]], [[0.5, 0.5]])[0] == pytest.approx(-0.5)
+        assert cqr_scores(model, [[0.0]], np.array([[0.5, 0.5]]))[0] == pytest.approx(-0.5)
 
     def test_one_sided_exceedance(self):
         model = box_model([0.0, 0.0], [1.0, 1.0])
-        assert cqr_scores(model, [[0.0]], [[2.0, 0.5]])[0] == pytest.approx(1.0)
+        assert cqr_scores(model, [[0.0]], np.array([[2.0, 0.5]]))[0] == pytest.approx(1.0)
 
     def test_boundary_point(self):
         model = box_model([0.0, 0.0], [1.0, 1.0])
-        assert cqr_scores(model, [[0.0]], [[1.0, 0.5]])[0] == pytest.approx(0.0)
+        assert cqr_scores(model, [[0.0]], np.array([[1.0, 0.5]]))[0] == pytest.approx(0.0)
 
 
 class TestCalibrate:
@@ -98,7 +98,7 @@ class TestCalibrate:
         calibrated = calibrate(model, x, y, alpha=0.1)
         assert calibrated.offset < 0.0
         # The base box's own faces now lie outside the calibrated box.
-        assert not membership_flags(calibrated, [[0.0]], [[-10.0], [10.0]]).any()
+        assert not membership_flags(calibrated, [[0.0]], np.array([[-10.0], [10.0]])).any()
 
     def test_offset_row_is_covered(self):
         # The row whose score sets the offset must lie inside its own
@@ -112,7 +112,7 @@ class TestCalibrate:
             scores = cqr_scores(model, x, y)
             row = np.argsort(scores, kind="stable")[k - 1]
             assert calibrated.offset == scores[row]
-            assert membership_flags(calibrated, x[row], y[row])[0], seed
+            assert membership_flags(calibrated, x[row : row + 1], y[row : row + 1])[0], seed
 
     def test_too_small_calibration_set(self):
         model = box_model([0.0], [1.0])
@@ -132,7 +132,7 @@ class TestCalibrate:
 class TestRegion:
     def test_zero_offset_degenerate_point(self):
         model = box_model([0.7, -0.2], [0.7, -0.2], offset=0.0)
-        assert membership_flags(model, [[0.0]], [[0.7, -0.2]])[0]
+        assert membership_flags(model, [[0.0]], np.array([[0.7, -0.2]]))[0]
         # Zero width: a step off the point along any axis leaves the box.
         off = just_outside([0.7, -0.2], [0.7, -0.2])
         assert not membership_flags(model, [[0.0]], off).any()

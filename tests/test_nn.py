@@ -329,8 +329,9 @@ class TestInferenceBlocks:
         if rows <= INFERENCE_ROWS:
             _assert_same_bits(blocked, single)
             return
-        per_block = np.concatenate([forward_cached(model, x[i : i + INFERENCE_ROWS])[0]
-                                    for i in range(0, rows, INFERENCE_ROWS)])
+        per_block = np.concatenate([
+            forward_cached(model, x[i : i + INFERENCE_ROWS], train_mode=False)[0]
+            for i in range(0, rows, INFERENCE_ROWS)])
         _assert_same_bits(blocked, per_block)
         # Outputs near zero are sums that cancel, so the tolerance is
         # relative to the largest output as well as to each one.
@@ -589,13 +590,14 @@ class TestTraining:
 class TestTrainConfig:
     @pytest.mark.parametrize("setting, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
-        ("learning_rate", True),
+        ("learning_rate", True), ("learning_rate", "0.001"), ("learning_rate", None),
         ("batch_size", 2.5), ("max_epochs", 3.5), ("patience", 1.5),
         ("batch_size", True), ("max_epochs", 0), ("seed", 0.5), ("seed", True),
         ("seed", "0")])
     def test_bad_setting_is_rejected(self, setting, value):
         # A seed of 0.5 used to train with seed 0, and True with seed 1; a
-        # learning rate of True trained at rate 1.0.
+        # learning rate of True trained at rate 1.0, and one of "0.001" or
+        # None raised TypeError.
         with pytest.raises(ValueError):
             TrainConfig(**{"max_epochs": 10, "patience": 2, setting: value})
 

@@ -25,7 +25,7 @@ def constant_threshold_model(d, value, pool_size=64, membership=32):
     net = init_mlp((1 + d, 1), Rng(1))
     net.weights[0][...] = 0.0
     net.biases[0][...] = value
-    return NpdqrModel(net=net, membership_directions=pool[:membership])
+    return NpdqrModel(net=net, membership_directions=pool[:membership], histories={})
 
 
 class TestPoolSampling:
@@ -116,7 +116,7 @@ class TestExtractRegion:
         rng = Rng(11)
         pool = sample_direction_pool(2, 256, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, membership_directions=pool[:64])
+        model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
         region = RegionExtractor(model, grid.points()).extract([0.4])
         for pt in region[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
@@ -125,7 +125,7 @@ class TestExtractRegion:
         rng = Rng(13)
         pool = sample_direction_pool(2, 512, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, membership_directions=pool[:128])
+        model = NpdqrModel(net=net, membership_directions=pool[:128], histories={})
         extractor = RegionExtractor(model, grid.points())
         mask_fast = extractor.mask([0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
@@ -158,7 +158,8 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
     rng = Rng(seed)
     pool = sample_direction_pool(d, 512, rng)
     net = init_mlp((1 + d, 8, 1), rng)
-    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)])
+    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)],
+                       histories={})
     dirs = model.membership_directions
     f = model.thresholds(np.atleast_2d(x))[0]
     f -= f.max() + 0.5
@@ -166,8 +167,8 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
     tied = []
     for i in rng.subset(len(dirs), ties):
         inside = np.flatnonzero(np.all(project(points, dirs) >= f[:, None], axis=0))
-        j = inside[np.argsort(project(points[inside], dirs[i])[0])[len(inside) // 50]]
-        f[i] = project(points[j], dirs[i])[0, 0]
+        j = inside[np.argsort(project(points[inside], dirs[i : i + 1])[0])[len(inside) // 50]]
+        f[i] = project(points[j : j + 1], dirs[i : i + 1])[0, 0]
         tied.append(j)
     model.thresholds = lambda x_rows: f[None, :].copy()
     return model, f, np.array(tied)
@@ -189,7 +190,7 @@ class TestExactExtraction:
         assert 0 < full.sum() < len(points)
         assert full[tied[-1]]
 
-        per_point = np.array([np.all(project(p, dirs)[:, 0] >= f) for p in points])
+        per_point = np.array([np.all(project(p[None, :], dirs)[:, 0] >= f) for p in points])
         assert np.array_equal(full, per_point)
         for j in tied:
             assert contains(model, x, points[j]) == full[j]
@@ -392,4 +393,5 @@ class TestUndercoverage:
     ids=["one-dimensional", "no-rows", "nan"])
 def test_malformed_membership_directions_are_rejected(directions):
     with pytest.raises(ValueError, match="membership directions"):
-        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions)
+        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions,
+                   histories={})

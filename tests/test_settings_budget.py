@@ -10,7 +10,7 @@ import pkgutil
 
 import qregions
 
-BUDGET = 33
+BUDGET = 29
 
 
 def settable_values() -> list:
@@ -61,7 +61,7 @@ def test_settable_values_stay_within_budget():
 
 def test_counter_sees_each_kind_of_setting():
     values = set(settable_values())
-    assert {"nn.TrainConfig.learning_rate", "npdqr.NpdqrModel.__init__(histories)",
+    assert {"nn.TrainConfig.learning_rate", "naive_qr.NaiveModel.__init__(offset)",
             "nn.forward_batch(cache)", "numerics.Rng.uniform(size)",
             "experiment.TrainingProfile.cvae_hidden"} <= values
     assert not any("_pair_inputs" in v or "TrainConfig.__init__" in v for v in values)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,11 @@ def identity_pipeline():
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, membership_directions=pool[:64])
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
     grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30,
                 purpose=REGION_DISCRETIZATION)
-    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid)
+    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
+                      inactive_layers={})
 
 
 def ignored_unit_pipeline():
@@ -52,7 +55,7 @@ def ignored_unit_pipeline():
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, membership_directions=pool[:64])
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
     grid = Grid(dim=r, lows=(-2.0,) * r, highs=(2.0,) * r, cells_per_dim=12,
                 purpose=REGION_DISCRETIZATION)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
@@ -63,13 +66,13 @@ class TestRegionComposition:
     def test_identity_decoder_passes_latent_points_through(self):
         model = identity_pipeline()
         latent = model.extractor.extract([0.5])
-        decoded = model.region([0.5])
+        decoded = model.region(np.array([0.5]))
         assert len(latent) > 0
         assert np.allclose(np.sort(decoded, axis=0), np.sort(latent, axis=0))
 
     def test_cardinality_preserved(self):
         model = identity_pipeline()
-        assert len(model.region([0.2])) == len(model.extractor.extract([0.2]))
+        assert len(model.region(np.array([0.2]))) == len(model.extractor.extract([0.2]))
 
     def test_matches_manual_decode(self):
         model = identity_pipeline()
@@ -84,7 +87,7 @@ class TestRegionComposition:
         model = identity_pipeline()
         model.latent_model.net.biases[0][...] = 50.0  # infeasible thresholds
         model.extractor = RegionExtractor(model.latent_model, model.latent_grid.points())
-        result = model.region([0.0])
+        result = model.region(np.array([0.0]))
         assert len(result) == 0
         assert result.shape == (0, model.cvae.d)
 
@@ -118,7 +121,7 @@ class TestInactiveUnits:
         assert len(latent) > 2
         assert np.unique(latent[:, 0]).tolist() == [
             model.latent_grid.axis_centers(0)[6]]
-        decoded = model.region([0.3])
+        decoded = model.region(np.array([0.3]))
         assert np.all(pairwise_nn_distances(decoded) > 0.0)
 
     def test_fit_raises_when_every_unit_is_inactive(self):
@@ -210,6 +213,30 @@ class TestFittedPipeline:
         cov_latent = float(np.mean(hits_latent))
         cov_response = float(np.mean(hits_response))
         assert cov_response >= cov_latent - 0.02
+
+    def test_decoded_region_bits_are_pinned(self, monkeypatch):
+        # The region at one input, through a small trained pipeline: a
+        # change to either net's training, the lattice or the decode moves
+        # these bits, and with them every seeded ST-DQR run.
+        data = gen_synthetic(NONLINEAR, d=2, p=1, n=300, seed=4)
+        parts = split(data.n, seed=4)
+        normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        monkeypatch.setattr(npdqr, "POOL_SIZE", 64)
+        monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 8)
+        monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
+        monkeypatch.setattr(npdqr, "HIDDEN", (8,))
+        model = fit(
+            normalized.x[parts["train"]], normalized.y[parts["train"]],
+            normalized.x[parts["validation"]], normalized.y[parts["validation"]],
+            alpha=0.07, r=2, lam=0.01,
+            cvae_config=TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=4,
+                                    patience=4, seed=3),
+            dqr_config=TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=4,
+                                   patience=4, seed=4),
+            cvae_hidden=(8, 8))
+        region = model.region(normalized.x[parts["test"][2]])
+        assert region.shape == (461, 2)
+        assert hashlib.sha256(region.tobytes()).hexdigest()[:16] == "34bf996ee75cec7d"
 
     def test_same_seed_fits_identically(self, monkeypatch):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1200, seed=5)
