@@ -55,10 +55,6 @@ class CvaeModel:
         self.r = int(r)
         self.histories = {}
 
-    @property
-    def d(self) -> int:
-        return self.decoder.out_width
-
     def posterior(self, x_rows: np.ndarray, y_rows: np.ndarray):
         """Encoder output split into (mu, logvar), each (n, r)."""
         out = forward_batch(self.encoder, np.concatenate([x_rows, y_rows], axis=1))
@@ -71,8 +67,7 @@ def encode_batch(model: CvaeModel, x_rows, y_rows) -> np.ndarray:
 
 
 def decode_batch(model: CvaeModel, x_rows, z_rows) -> np.ndarray:
-    if x_rows.shape[0] == 1 and z_rows.shape[0] > 1:
-        x_rows = np.repeat(x_rows, z_rows.shape[0], axis=0)
+    """Decoded responses, one per paired (x, z) row."""
     return forward_batch(model.decoder, np.concatenate([x_rows, z_rows], axis=1))
 
 

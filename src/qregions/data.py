@@ -105,42 +105,28 @@ def split(n: int, seed: int) -> dict:
     return {name: perm[lo:hi] for name, lo, hi in zip(_SPLIT_NAMES, bounds, bounds[1:])}
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Per-column mean and population standard deviation."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def normalize(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
-
-
-def _fit_stats(values: np.ndarray, names) -> ColumnStats:
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)  # population (1/n) standard deviation
+def _zscore(values: np.ndarray, train_indices, names) -> np.ndarray:
+    """Columns of ``values`` z-scored by the mean and population (1/n)
+    standard deviation of their train rows."""
+    train = values[train_indices]
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
     for j, s in enumerate(std):
         if s <= 0.0:
             raise ValueError(f"zero variance in training column {names[j]!r}")
-    return ColumnStats(mean, std)
+    return (values - mean) / std
 
 
-def zscore_fit_apply(dataset: Dataset, train_indices):
-    """Normalize every column by train-only mean/std.
-
-    Returns (normalized dataset, feature stats, response stats).
-    """
+def zscore_fit_apply(dataset: Dataset, train_indices) -> Dataset:
+    """The dataset with every column normalized by train-only mean/std."""
     if len(train_indices) < 2:
         raise ValueError("need at least 2 training rows to fit normalization")
-    x_stats = _fit_stats(dataset.x[train_indices], dataset.feature_names)
-    y_stats = _fit_stats(dataset.y[train_indices], dataset.response_names)
-    normalized = Dataset(
-        x=x_stats.normalize(dataset.x),
-        y=y_stats.normalize(dataset.y),
+    return Dataset(
+        x=_zscore(dataset.x, train_indices, dataset.feature_names),
+        y=_zscore(dataset.y, train_indices, dataset.response_names),
         feature_names=list(dataset.feature_names),
         response_names=list(dataset.response_names),
     )
-    return normalized, x_stats, y_stats
 
 
 def load_csv(path, response_columns) -> Dataset:

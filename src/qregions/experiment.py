@@ -208,7 +208,7 @@ class PreparedData:
 def prepare(dataset: Dataset, seed: int) -> PreparedData:
     """Split, then z-score every row with the train rows' statistics."""
     parts = split(dataset.n, seed)
-    normalized, _, _ = zscore_fit_apply(dataset, parts["train"])
+    normalized = zscore_fit_apply(dataset, parts["train"])
     return PreparedData(x={name: normalized.x[rows] for name, rows in parts.items()},
                         y={name: normalized.y[rows] for name, rows in parts.items()})
 

@@ -35,7 +35,6 @@ block keeps its memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -64,7 +63,8 @@ class TrainConfig:
         integers = (self.batch_size, self.max_epochs, self.patience, self.seed)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
             raise ValueError("batch size, max epochs, patience and seed must be integers")
-        if (isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, Real)
+        if (isinstance(self.learning_rate, bool)
+                or not isinstance(self.learning_rate, (int, float, np.integer, np.floating))
                 or not 0 < self.learning_rate < np.inf
                 or min(self.batch_size, self.max_epochs) <= 0):
             raise ValueError("need a finite positive learning rate, batch size and max epochs")

@@ -12,7 +12,8 @@ regions the directional method alone cannot represent.
 A latent unit is inactive when its posterior means barely vary over the
 training rows (Burda et al. 2016); the decoder ignores such a unit, so
 lattice layers along it would decode onto the same responses. The
-lattice is therefore realized on one layer per inactive unit, the layer
+latent points, an ``(m, r)`` array built once by ``latent_lattice``, are
+therefore the lattice's points on one layer per inactive unit, the layer
 nearest that unit's mean training code. The latent net takes its pool
 size, hidden stack and direction counts from ``npdqr.POOL_SIZE``,
 ``HIDDEN``, ``TRAIN_DIRECTIONS`` and ``MEMBERSHIP_DIRECTIONS``.
@@ -28,7 +29,7 @@ from .cvae import fit as fit_cvae
 from .nn import TrainConfig
 from .npdqr import fit as fit_npdqr
 from .numerics import Rng
-from .regions import REGION_DISCRETIZATION, Grid, build_grid
+from .regions import REGION_DISCRETIZATION, build_grid
 
 # A latent unit is active when the variance of its posterior means over
 # the training rows exceeds this (Burda et al. 2016).
@@ -41,34 +42,17 @@ class InactiveLatentError(ValueError):
 
 
 class StdqrModel:
-    """Fitted pipeline: CVAE, latent threshold net, and the latent lattice.
+    """Fitted pipeline: CVAE, latent threshold net, and the ``(m, r)``
+    latent points its regions are extracted on, held by ``extractor``."""
 
-    ``inactive_layers`` maps each inactive latent unit to the index of
-    the lattice layer (along that unit's axis) its regions are realized
-    on; units not in it are active and span the whole lattice.
-    """
-
-    def __init__(self, cvae: CvaeModel, latent_model: npdqr.NpdqrModel, latent_grid: Grid,
-                 inactive_layers: dict):
+    def __init__(self, cvae: CvaeModel, latent_model: npdqr.NpdqrModel,
+                 latent_points: np.ndarray):
         if latent_model.d != cvae.r:
             raise ValueError(
                 f"latent net dimension {latent_model.d} != latent size {cvae.r}")
-        if latent_grid.dim != cvae.r:
-            raise ValueError(
-                f"latent grid dimension {latent_grid.dim} != latent size {cvae.r}")
-        inactive_layers = {int(u): int(k) for u, k in inactive_layers.items()}
-        for unit, layer in inactive_layers.items():
-            if not (0 <= unit < cvae.r and 0 <= layer < latent_grid.cells_per_dim):
-                raise ValueError(f"inactive unit {unit} at layer {layer} is off the lattice")
         self.cvae = cvae
         self.latent_model = latent_model
-        self.latent_grid = latent_grid
-        self.inactive_layers = inactive_layers
-        points = latent_grid.points()
-        keep = np.ones(points.shape[0], dtype=bool)
-        for unit, layer in inactive_layers.items():
-            keep &= points[:, unit] == latent_grid.axis_centers(unit)[layer]
-        self.extractor = npdqr.RegionExtractor(latent_model, points[keep])
+        self.extractor = npdqr.RegionExtractor(latent_model, latent_points)
 
     @property
     def histories(self) -> dict:
@@ -79,26 +63,28 @@ class StdqrModel:
     def region(self, x) -> np.ndarray:
         """Decoded latent region: one response point per latent point."""
         latent = self.extractor.extract(x)
-        if len(latent) == 0:
-            return np.zeros((0, self.cvae.d))
-        return decode_batch(self.cvae, x[None, :], latent)
+        return decode_batch(self.cvae, np.repeat(x[None, :], len(latent), axis=0), latent)
 
 
-def inactive_unit_layers(z_train: np.ndarray, latent_grid: Grid) -> dict:
-    """Inactive units of the encoded training latents, each mapped to the
-    lattice layer nearest its mean code.
+def latent_lattice(z_train: np.ndarray) -> np.ndarray:
+    """The points of the region lattice over the encoded training latents,
+    held, along each inactive unit, on the layer nearest that unit's mean
+    code.
 
     Raises InactiveLatentError when no unit is active.
     """
-    layers = {}
-    for unit in np.nonzero(z_train.var(axis=0) <= ACTIVE_UNIT_VARIANCE)[0]:
-        centers = latent_grid.axis_centers(unit)
-        layers[int(unit)] = int(np.argmin(np.abs(centers - z_train[:, unit].mean())))
-    if len(layers) == latent_grid.dim:
+    grid = build_grid(z_train, REGION_DISCRETIZATION)
+    inactive = np.nonzero(z_train.var(axis=0) <= ACTIVE_UNIT_VARIANCE)[0]
+    if len(inactive) == grid.dim:
         raise InactiveLatentError(
-            f"all {latent_grid.dim} latent units are inactive: no posterior mean "
+            f"all {grid.dim} latent units are inactive: no posterior mean "
             f"varies by more than {ACTIVE_UNIT_VARIANCE} over the training rows")
-    return layers
+    points = grid.points()
+    for unit in inactive:
+        centers = grid.axis_centers(unit)
+        layer = centers[np.argmin(np.abs(centers - z_train[:, unit].mean()))]
+        points = points[points[:, unit] == layer]
+    return points
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
@@ -112,17 +98,16 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     whose posterior means vary by at most ``ACTIVE_UNIT_VARIANCE`` over
     the training rows is inactive, and its regions are realized on the
     single lattice layer nearest its mean code. Raises
-    InactiveLatentError, before the threshold net is trained, when every
-    unit is inactive. The latent net's pool has ``npdqr.POOL_SIZE`` directions.
+    InactiveLatentError when every unit is inactive. The lattice is built
+    after the threshold net is trained, so its points are not held while
+    the net trains. The latent net's pool has ``npdqr.POOL_SIZE`` directions.
     """
     cvae = fit_cvae(x_train, y_train, x_val, y_val, r=r, lam=lam,
                     config=cvae_config, hidden=cvae_hidden)
     z_train = encode_batch(cvae, x_train, y_train)
     z_val = encode_batch(cvae, x_val, y_val)
-    latent_grid = build_grid(z_train, REGION_DISCRETIZATION)
-    inactive_layers = inactive_unit_layers(z_train, latent_grid)
     pool = npdqr.sample_direction_pool(r, npdqr.POOL_SIZE, Rng(dqr_config.seed).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
                              pool=pool, config=dqr_config)
-    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=latent_grid,
-                      inactive_layers=inactive_layers)
+    latent_points = latent_lattice(z_train)
+    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=latent_points)

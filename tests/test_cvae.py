@@ -112,11 +112,13 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             decode_batch(model, np.zeros((1, 1)), np.zeros((1, 3)))
 
-    def test_decode_batch_broadcasts_single_x(self):
+    def test_decode_batch_rejects_unpaired_rows(self):
+        # One x row is not broadcast against many codes: the caller repeats it.
         model = zeroed_cvae()
         z = Rng(0).standard_normal(size=(7, 2))
-        out = decode_batch(model, np.zeros((1, 1)), z)
-        assert out.shape == (7, 2)
+        with pytest.raises(ValueError):
+            decode_batch(model, np.zeros((1, 1)), z)
+        assert decode_batch(model, np.zeros((7, 1)), z).shape == (7, 2)
 
 
 class TestLossDecomposition:
@@ -169,7 +171,7 @@ def nonlinear_cvae():
     """CVAE trained on normalized nonlinear synthetic data, shared."""
     data = gen_synthetic(NONLINEAR, d=2, p=1, n=4000, seed=3)
     parts = split(data.n, seed=3)
-    normalized, _, _ = zscore_fit_apply(data, parts["train"])
+    normalized = zscore_fit_apply(data, parts["train"])
     x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
     x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
     config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1100,

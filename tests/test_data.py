@@ -28,9 +28,9 @@ def write_csv(dataset: Dataset, path) -> None:
                             + [repr(float(v)) for v in yi])
 
 
-def denormalize(stats, values: np.ndarray) -> np.ndarray:
-    """Undo ``ColumnStats.normalize``."""
-    return values * stats.std + stats.mean
+def denormalize(values: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """Undo a z-score by the mean and population std of the train rows."""
+    return values * train.std(axis=0) + train.mean(axis=0)
 
 
 def synthetic_responses(setting, d, z, phi, radius, x, beta):
@@ -141,29 +141,31 @@ class TestZscore:
     def test_train_statistics_only(self):
         data = Dataset(x=np.array([[0.0], [2.0], [10.0]]),
                        y=np.array([[1.0], [3.0], [100.0]]))
-        normalized, x_stats, y_stats = zscore_fit_apply(data, [0, 1])
-        # Train column {0, 2} has mean 1 and population std 1.
-        assert x_stats.mean[0] == pytest.approx(1.0)
-        assert x_stats.std[0] == pytest.approx(1.0)
-        assert normalized.x[2, 0] == pytest.approx(9.0)
-        assert y_stats.mean[0] == pytest.approx(2.0)
+        normalized = zscore_fit_apply(data, [0, 1])
+        # Train column {0, 2} has mean 1 and population std 1, so the
+        # train rows map to -1 and 1 and the third row to 9.
+        assert normalized.x[:, 0] == pytest.approx([-1.0, 1.0, 9.0])
+        # Train column {1, 3} has mean 2 and population std 1.
+        assert normalized.y[:, 0] == pytest.approx([-1.0, 1.0, 98.0])
 
     def test_value_three_maps_to_two(self):
         data = Dataset(x=np.array([[0.0], [2.0], [3.0]]), y=np.zeros((3, 1)) + [[1], [2], [3]])
-        normalized, x_stats, _ = zscore_fit_apply(data, [0, 1])
+        normalized = zscore_fit_apply(data, [0, 1])
         assert normalized.x[2, 0] == pytest.approx(2.0)
 
     def test_round_trip(self):
         rng = Rng(5)
         data = Dataset(x=rng.uniform(size=(50, 3)), y=rng.uniform(size=(50, 2)))
-        normalized, x_stats, y_stats = zscore_fit_apply(data, np.arange(30))
-        assert np.max(np.abs(denormalize(x_stats, normalized.x) - data.x)) <= 1e-12
-        assert np.max(np.abs(denormalize(y_stats, normalized.y) - data.y)) <= 1e-12
+        normalized = zscore_fit_apply(data, np.arange(30))
+        assert normalized.x[:30].mean(axis=0) == pytest.approx(0.0, abs=1e-12)
+        assert normalized.x[:30].std(axis=0) == pytest.approx(1.0)
+        assert np.max(np.abs(denormalize(normalized.x, data.x[:30]) - data.x)) <= 1e-12
+        assert np.max(np.abs(denormalize(normalized.y, data.y[:30]) - data.y)) <= 1e-12
 
     def test_constant_column_outside_train_is_fine(self):
         x = np.array([[0.0], [1.0], [5.0], [5.0]])
         data = Dataset(x=x, y=x.copy())
-        normalized, _, _ = zscore_fit_apply(data, [0, 1])
+        normalized = zscore_fit_apply(data, [0, 1])
         assert np.isfinite(normalized.x).all()
 
     def test_zero_variance_column_raises_with_name(self):

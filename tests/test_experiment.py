@@ -448,23 +448,9 @@ def test_import_loads_no_scipy():
 # each with the degenerate input it guards and the tier-1 test that reaches
 # it. A raise statement and an exception class's methods need no entry.
 UNRUN_ON_PURPOSE = {
-    ("cvae.CvaeModel.d", "return self.decoder.out_width", 1):
-        "read only to shape an empty ST-DQR region: test_stdqr.py::TestRegionComposition::"
-        "test_empty_latent_region_gives_empty_response_region",
-    ("stdqr.StdqrModel.region", "return np.zeros((0, self.cvae.d))", 1):
-        "an empty latent region: test_stdqr.py::TestRegionComposition::"
-        "test_empty_latent_region_gives_empty_response_region",
-    ("stdqr.inactive_unit_layers", "centers = latent_grid.axis_centers(unit)", 2):
+    ("stdqr.latent_lattice", "centers = grid.axis_centers(unit)", 3):
         "an inactive latent unit: test_stdqr.py::TestInactiveUnits::"
-        "test_fit_raises_when_every_unit_is_inactive",
-    ("stdqr.StdqrModel.__init__",
-     "if not (0 <= unit < cvae.r and 0 <= layer < latent_grid.cells_per_dim):", 1):
-        "an inactive latent unit: test_stdqr.py::TestInactiveUnits::"
-        "test_ignored_unit_takes_one_layer",
-    ("stdqr.StdqrModel.__init__",
-     "keep &= points[:, unit] == latent_grid.axis_centers(unit)[layer]", 1):
-        "an inactive latent unit: test_stdqr.py::TestInactiveUnits::"
-        "test_ignored_unit_takes_one_layer",
+        "test_inactive_unit_sits_on_the_layer_nearest_its_mean",
     ("experiment.run_experiment", 'row = {"method": method, "seed": seed,', 1):
         "a cell that raises: TestRunExperiment::test_failed_cell_keeps_its_traceback",
     ("experiment.aggregate", "continue", 1):

@@ -2,9 +2,11 @@
 point arrays, so they need not import it, only the experiment driver and
 the data loader touch files, every public name of the package has a
 caller in the package or the benchmark, and so does every defaulted
-parameter. Arrays are shaped only where they enter the package."""
+parameter and every stored attribute. Arrays are shaped only where they
+enter the package."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import math
@@ -154,6 +156,42 @@ def array_conversions(path: Path, module: str) -> set:
             and node.func.attr in {"asarray", "atleast_2d"}}
 
 
+def is_exception_class(node: ast.ClassDef) -> bool:
+    """Whether a class derives directly from a builtin exception."""
+    bases = [getattr(builtins, getattr(base, "id", ""), None) for base in node.bases]
+    return any(isinstance(base, type) and issubclass(base, BaseException) for base in bases)
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+               or isinstance(decorator, ast.Call) and decorator.func.id == "dataclass"
+               for decorator in node.decorator_list)
+
+
+def stored_attributes(path: Path, module: str) -> set:
+    """``(module, Class.name)`` of each attribute that a class of one file,
+    not an exception class, stores: a ``self.name`` assignment target in
+    any of its methods, and an annotated field of a dataclass."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef) or is_exception_class(node):
+            continue
+        names = {target.attr for target in ast.walk(node)
+                 if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                 and isinstance(target.value, ast.Name) and target.value.id == "self"}
+        if is_dataclass(node):
+            names |= {field.target.id for field in node.body
+                      if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)}
+        found |= {(module, f"{node.name}.{name}") for name in names}
+    return found
+
+
+def attribute_loads(path: Path) -> set:
+    """Names read as ``anything.name`` in one file."""
+    return {node.attr for node in syntax_nodes(path)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def call_sites(path: Path, module: str | None, definitions: dict) -> list:
     """``(callee, positional, keywords, scope)`` of each call in one file.
 
@@ -282,6 +320,51 @@ def test_reference_forms_are_recognized(tmp_path):
     assert package_references(source, "probe", definitions) == {
         ("npdqr", "fit"), ("experiment", "prepare"), ("nn", "init_mlp"),
         ("regions", "area"), ("probe", "Model")}
+
+
+def test_every_stored_attribute_is_read():
+    # An attribute that nothing reads is a second copy of state that only
+    # its constructor keeps consistent. The check goes by name, so it
+    # cannot tell two classes' ``alpha`` apart: it catches a stored name
+    # that no code of the package or the benchmark reads on any object,
+    # not one read only on another class.
+    stored, loaded = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        stored |= stored_attributes(path, path.stem)
+        loaded |= attribute_loads(path)
+    for path in BENCH.glob("*.py"):
+        if not path.stem.startswith("test_"):
+            loaded |= attribute_loads(path)
+    assert stored, f"no stored attributes found under {PACKAGE}"
+    assert sorted(attr for attr in stored if attr[1].split(".")[1] not in loaded) == []
+
+
+def test_attribute_forms_are_recognized(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from dataclasses import dataclass\n"
+                      "@dataclass(frozen=True)\n"
+                      "class Config:\n"
+                      "    rate: float = 1e-3\n"
+                      "    LIMIT = 3\n"
+                      "@dataclass\n"
+                      "class Row:\n"
+                      "    values: list\n"
+                      "class Model:\n"
+                      "    def __init__(self, net):\n"
+                      "        self.net = net\n"
+                      "        self.count: int = 0\n"
+                      "        self.low, self.high = net.bounds\n"
+                      "        self.net.cache[0] = None\n"
+                      "    def step(self):\n"
+                      "        self.count += 1\n"
+                      "        return self.net.size, other.width\n"
+                      "class FitError(ValueError):\n"
+                      "    def __init__(self, epoch):\n"
+                      "        self.epoch = epoch\n")
+    assert stored_attributes(source, "probe") == {
+        ("probe", "Config.rate"), ("probe", "Row.values"), ("probe", "Model.net"),
+        ("probe", "Model.count"), ("probe", "Model.low"), ("probe", "Model.high")}
+    assert attribute_loads(source) == {"bounds", "net", "cache", "size", "width"}
 
 
 def test_arrays_are_shaped_only_at_named_boundaries():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -591,13 +592,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize("setting, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
         ("learning_rate", True), ("learning_rate", "0.001"), ("learning_rate", None),
+        ("learning_rate", Fraction(1, 1000)),
         ("batch_size", 2.5), ("max_epochs", 3.5), ("patience", 1.5),
         ("batch_size", True), ("max_epochs", 0), ("seed", 0.5), ("seed", True),
         ("seed", "0")])
     def test_bad_setting_is_rejected(self, setting, value):
         # A seed of 0.5 used to train with seed 0, and True with seed 1; a
         # learning rate of True trained at rate 1.0, and one of "0.001" or
-        # None raised TypeError.
+        # None raised TypeError; a Fraction trained into an object array
+        # that the first Adam step could not cast.
         with pytest.raises(ValueError):
             TrainConfig(**{"max_epochs": 10, "patience": 2, setting: value})
 

@@ -14,10 +14,21 @@ from qregions.numerics import Rng
 from qregions.regions import (
     REGION_DISCRETIZATION,
     Grid,
+    build_grid,
     min_distances,
     pairwise_nn_distances,
 )
-from qregions.stdqr import InactiveLatentError, StdqrModel, fit
+from qregions.stdqr import (
+    ACTIVE_UNIT_VARIANCE,
+    InactiveLatentError,
+    StdqrModel,
+    fit,
+    latent_lattice,
+)
+
+# The lattice of ``ignored_unit_pipeline``, which holds unit 0 on layer 6.
+IGNORED_UNIT_GRID = Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=12,
+                         purpose=REGION_DISCRETIZATION)
 
 
 def identity_pipeline():
@@ -37,13 +48,12 @@ def identity_pipeline():
     latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
     grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30,
                 purpose=REGION_DISCRETIZATION)
-    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
-                      inactive_layers={})
+    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=grid.points())
 
 
 def ignored_unit_pipeline():
     """Hand-built r=3, d=2 model whose decoder ignores latent unit 0 and
-    copies units 1 and 2 into the response; unit 0 is marked inactive."""
+    copies units 1 and 2 into the response; unit 0 is held on layer 6."""
     r, d, p = 3, 2, 1
     encoder = init_mlp((p + d, 4, 2 * r), Rng(0))
     decoder = init_mlp((p + r, d), Rng(1))
@@ -56,10 +66,9 @@ def ignored_unit_pipeline():
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
     latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
-    grid = Grid(dim=r, lows=(-2.0,) * r, highs=(2.0,) * r, cells_per_dim=12,
-                purpose=REGION_DISCRETIZATION)
-    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_grid=grid,
-                      inactive_layers={0: 6})
+    points = IGNORED_UNIT_GRID.points()
+    points = points[points[:, 0] == IGNORED_UNIT_GRID.axis_centers(0)[6]]
+    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=points)
 
 
 class TestRegionComposition:
@@ -80,16 +89,16 @@ class TestRegionComposition:
         latent = model.extractor.extract(x)
         from qregions.cvae import decode_batch
 
-        manual = decode_batch(model.cvae, x[None, :], latent)
+        manual = decode_batch(model.cvae, np.repeat(x[None, :], len(latent), axis=0), latent)
         assert np.array_equal(model.region(x), manual)
 
     def test_empty_latent_region_gives_empty_response_region(self):
         model = identity_pipeline()
         model.latent_model.net.biases[0][...] = 50.0  # infeasible thresholds
-        model.extractor = RegionExtractor(model.latent_model, model.latent_grid.points())
+        model.extractor = RegionExtractor(model.latent_model, model.extractor.points)
         result = model.region(np.array([0.0]))
         assert len(result) == 0
-        assert result.shape == (0, model.cvae.d)
+        assert result.shape == (0, 2)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +106,7 @@ def nonlinear_fit():
     """Full pipeline fit on nonlinear v-shaped data, shared across tests."""
     data = gen_synthetic(NONLINEAR, d=2, p=1, n=6000, seed=12)
     parts = split(data.n, seed=12)
-    normalized, x_stats, y_stats = zscore_fit_apply(data, parts["train"])
+    normalized = zscore_fit_apply(data, parts["train"])
     x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
     x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
     cvae_config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=800,
@@ -111,7 +120,12 @@ def nonlinear_fit():
                     cvae_config=cvae_config, dqr_config=dqr_config,
                     cvae_hidden=(64, 64, 64))
     cal = (normalized.x[parts["calibration"]], normalized.y[parts["calibration"]])
-    return model, (x_tr, y_tr), cal, x_stats
+    raw_x = data.x[parts["train"]]
+
+    def normalize_x(x):
+        return (x - raw_x.mean(axis=0)) / raw_x.std(axis=0)
+
+    return model, (x_tr, y_tr), cal, normalize_x
 
 
 class TestInactiveUnits:
@@ -119,17 +133,33 @@ class TestInactiveUnits:
         model = ignored_unit_pipeline()
         latent = model.extractor.extract([0.3])
         assert len(latent) > 2
-        assert np.unique(latent[:, 0]).tolist() == [
-            model.latent_grid.axis_centers(0)[6]]
+        assert np.unique(latent[:, 0]).tolist() == [IGNORED_UNIT_GRID.axis_centers(0)[6]]
         decoded = model.region(np.array([0.3]))
         assert np.all(pairwise_nn_distances(decoded) > 0.0)
+
+    def test_inactive_unit_sits_on_the_layer_nearest_its_mean(self):
+        z = Rng(7).standard_normal(size=(400, 3))
+        z[:, 1] = 0.3 + 0.05 * z[:, 1]  # variance about 0.0025
+        assert z[:, 1].var() <= ACTIVE_UNIT_VARIANCE < z[:, [0, 2]].var(axis=0).min()
+        points = latent_lattice(z)
+        grid = build_grid(z, REGION_DISCRETIZATION)
+        centers = grid.axis_centers(1)
+        nearest = centers[np.argmin(np.abs(centers - z[:, 1].mean()))]
+        assert np.unique(points[:, 1]).tolist() == [nearest]
+        assert abs(nearest - z[:, 1].mean()) <= 0.5 * (centers[1] - centers[0])
+        for unit in (0, 2):
+            assert np.array_equal(np.unique(points[:, unit]), grid.axis_centers(unit))
+            assert len(grid.axis_centers(unit)) == 35
+        assert points.shape == (35**2, 3)
+        with pytest.raises(InactiveLatentError):
+            latent_lattice(0.05 * z)
 
     def test_fit_raises_when_every_unit_is_inactive(self):
         # A huge KL weight pins every posterior to the prior, so no
         # posterior mean varies and the region would be one lattice point.
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1000, seed=6)
         parts = split(data.n, seed=6)
-        normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        normalized = zscore_fit_apply(data, parts["train"])
         with pytest.raises(InactiveLatentError):
             fit(normalized.x[parts["train"]], normalized.y[parts["train"]],
                 normalized.x[parts["validation"]], normalized.y[parts["validation"]],
@@ -155,22 +185,32 @@ class TestFittedPipeline:
             assert rows.all() == expected
 
     def test_latent_grid_matches_latent_dimension(self, nonlinear_fit):
-        model, _, _, _ = nonlinear_fit
-        assert model.latent_grid.dim == 3
-        assert model.latent_grid.cells_per_dim == 35
-        assert model.latent_grid.cells_per_dim ** model.latent_grid.dim == 42_875
+        model, (x_tr, y_tr), _, _ = nonlinear_fit
+        active = encode_batch(model.cvae, x_tr, y_tr).var(axis=0) > ACTIVE_UNIT_VARIANCE
+        points = model.extractor.points
+        assert points.shape[1] == 3
+        assert [len(np.unique(points[:, unit])) for unit in range(3)] == [
+            35 if unit_active else 1 for unit_active in active]
+        assert len(points) == 35 ** active.sum()
+
+    def test_latent_lattice_bits_are_pinned(self, nonlinear_fit):
+        # The points the fitted pipeline realizes regions on: unit 0 is
+        # inactive and held on one layer, units 1 and 2 span 35 centers.
+        points = nonlinear_fit[0].extractor.points
+        assert points.shape == (1225, 3)
+        assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == "72f4c4f4513bc1bd"
 
     def test_region_is_nonempty_at_central_inputs(self, nonlinear_fit):
-        model, _, _, x_stats = nonlinear_fit
+        model, _, _, normalize_x = nonlinear_fit
         for raw in (1.5, 2.0, 2.5):
-            x = x_stats.normalize(np.array([raw]))
+            x = normalize_x(np.array([raw]))
             assert len(model.region(x)) > 50
 
     def test_v_shape_region_is_nonconvex(self, nonlinear_fit):
         # At x = 1.5 the conditional support is a v: the midpoint of the
         # two arm tips falls in the empty valley, far from region points.
-        model, _, _, x_stats = nonlinear_fit
-        x = x_stats.normalize(np.array([1.5]))
+        model, _, _, normalize_x = nonlinear_fit
+        x = normalize_x(np.array([1.5]))
         pts = model.region(x)
         tip_lo = pts[np.argmin(pts[:, 0])]
         tip_hi = pts[np.argmax(pts[:, 0])]
@@ -181,11 +221,11 @@ class TestFittedPipeline:
     def test_decoded_points_stay_on_data_manifold(self, nonlinear_fit):
         # Support-containment proxy: decoded region points should lie near
         # training responses rather than in empty space.
-        model, (x_tr, y_tr), _, x_stats = nonlinear_fit
+        model, (x_tr, y_tr), _, normalize_x = nonlinear_fit
         spacing = 3.0 * float(np.median(pairwise_nn_distances(y_tr)))
         fractions = []
         for raw in (1.5, 2.0, 2.5):
-            x = x_stats.normalize(np.array([raw]))
+            x = normalize_x(np.array([raw]))
             pts = model.region(x)
             near = min_distances(pts, y_tr) <= spacing
             fractions.append(float(near.mean()))
@@ -220,7 +260,7 @@ class TestFittedPipeline:
         # these bits, and with them every seeded ST-DQR run.
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=300, seed=4)
         parts = split(data.n, seed=4)
-        normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        normalized = zscore_fit_apply(data, parts["train"])
         monkeypatch.setattr(npdqr, "POOL_SIZE", 64)
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 8)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
@@ -241,7 +281,7 @@ class TestFittedPipeline:
     def test_same_seed_fits_identically(self, monkeypatch):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1200, seed=5)
         parts = split(data.n, seed=5)
-        normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        normalized = zscore_fit_apply(data, parts["train"])
         args = (normalized.x[parts["train"]], normalized.y[parts["train"]],
                 normalized.x[parts["validation"]], normalized.y[parts["validation"]])
         kwargs = dict(alpha=0.07, r=2, lam=0.01,
@@ -264,14 +304,14 @@ class TestFittedPipeline:
             + m2.latent_model.net.parameters(),
         ):
             assert np.array_equal(a, b)
-        assert m1.latent_grid == m2.latent_grid
+        assert np.array_equal(m1.extractor.points, m2.extractor.points)
 
 
 class TestOneDimensionalLatent:
     def test_latent_region_is_an_interval(self, monkeypatch):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1500, seed=9)
         parts = split(data.n, seed=9)
-        normalized, _, _ = zscore_fit_apply(data, parts["train"])
+        normalized = zscore_fit_apply(data, parts["train"])
         monkeypatch.setattr(npdqr, "POOL_SIZE", 64)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (16, 16))
@@ -286,7 +326,7 @@ class TestOneDimensionalLatent:
         assert model.latent_model.net.widths == (1 + 1, 16, 16, 1)
         assert len(model.latent_model.membership_directions) == 32
         latent = model.extractor.extract(normalized.x[parts["test"][0]])
-        centers = model.latent_grid.axis_centers(0)
+        centers = np.unique(model.extractor.points[:, 0])
         member = np.isin(centers, latent[:, 0])
         if member.any():
             first, last = np.argmax(member), len(member) - np.argmax(member[::-1]) - 1
