@@ -33,6 +33,9 @@ _HIDDEN_BY_P = (
 )
 _HIDDEN_LARGE_P = (128, 256, 512, 512, 256, 128)
 
+LATENT_DIM = 3  # r, the latent size
+KL_WEIGHT = 0.01  # lambda, the weight of the KL term
+
 
 def default_hidden(p: int) -> tuple:
     for bound, widths in _HIDDEN_BY_P:
@@ -110,21 +113,18 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
     return loss, enc_grads + dec_grads, (enc_cache, dec_cache)
 
 
-def fit(x_train, y_train, x_val, y_val, r: int, lam: float, config: TrainConfig,
-        hidden: tuple) -> CvaeModel:
-    """Train encoder and decoder, each with the hidden stack ``hidden``,
-    jointly with Adam and early stopping.
+def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
+        seed: int) -> CvaeModel:
+    """Train encoder and decoder jointly from ``Rng(seed)``, each with the
+    hidden stack ``hidden``; ``LATENT_DIM`` and ``KL_WEIGHT`` are read at call time.
 
     The validation loss scores the posterior mean (no sampling noise), so
     early stopping is deterministic.
     """
-    if r < 1:
-        raise ValueError(f"latent dimension must be >= 1, got {r}")
-    if lam < 0:
-        raise ValueError(f"KL weight must be nonnegative, got {lam}")
+    r, lam = LATENT_DIM, KL_WEIGHT
     n, p = x_train.shape
     d = y_train.shape[1]
-    rng = Rng(config.seed)
+    rng = Rng(seed)
     encoder = init_mlp((p + d, *hidden, 2 * r), rng.spawn(10))
     decoder = init_mlp((p + r, *hidden, d), rng.spawn(11))
     eps_rng = rng.spawn(12)

@@ -38,10 +38,6 @@ METHODS = ("stdqr", "npdqr", "naive")
 AREA_EVAL_COUNT = 64
 CLUSTER_COUNT = 3
 
-# Latent dimension and KL weight of the ST-DQR auto-encoder.
-LATENT_DIM = 3
-KL_WEIGHT = 0.01
-
 # Pre-calibration directional coverage levels of each (setting, d, p>=10)
 # that departs from the default: the threshold nets aim above the nominal
 # 90% because intersecting half-spaces undercover; calibration corrects.
@@ -61,8 +57,8 @@ class TrainingProfile:
 
     Defaults follow the published protocol: ``TrainConfig``'s Adam 1e-3,
     batch 256 and patience 100, with batch 512 and patience 200 for the
-    auto-encoder. Each cell sets the seeds. The other nets' stacks and
-    direction counts are constants of ``npdqr`` and ``naive_qr``.
+    auto-encoder. A cell passes its seed to each fit. The nets' other
+    settings are constants of ``npdqr``, ``naive_qr`` and ``cvae``.
     """
 
     cvae: TrainConfig = field(
@@ -75,7 +71,7 @@ class TrainingProfile:
         """Copy with ``overrides`` ({section: {key: value}}) applied.
 
         Raises ValueError on overrides or a section that is not a mapping,
-        a section or key the profile does not have (``seed`` included) and
+        a section or key the profile does not have (a seed among them) and
         a value ``TrainConfig`` rejects.
         """
         if overrides is not None and not isinstance(overrides, Mapping):
@@ -86,7 +82,7 @@ class TrainingProfile:
                 raise ValueError(f"unknown training section {section!r}")
             if not isinstance(values, Mapping):
                 raise ValueError(f"training section {section!r} must be a mapping, got {values!r}")
-            unknown = sorted(set(values) - (set(asdict(sections[section])) - {"seed"}))
+            unknown = sorted(set(values) - set(asdict(sections[section])))
             if unknown:
                 raise ValueError(f"unknown {section} training keys {unknown}")
             sections[section] = replace(sections[section], **values)
@@ -125,8 +121,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if (not isinstance(self.seeds, (list, tuple)) or not self.seeds
                 or not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)
-                or len(set(self.seeds)) < len(self.seeds)):
-            raise ValueError(f"need a list of distinct integer seeds, got {self.seeds!r}")
+                or len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0):
+            raise ValueError(f"need a list of distinct integer seeds >= 0, got {self.seeds!r}")
         if not isinstance(self.training, TrainingProfile):
             raise ValueError(f"training must be a TrainingProfile, got {self.training!r}")
         levels = {} if self.directional_levels is None else self.directional_levels
@@ -139,6 +135,8 @@ class ExperimentConfig:
             _check_number(f"{method} directional level", level, 0.5, 1.0)
 
     def digest(self) -> str:
+        """Short SHA-256 of the dataset, methods, alpha, levels and training
+        profile; seeds and ``out_dir`` are left out, so a run's cells share it."""
         payload = {
             "dataset": self.dataset, "methods": list(self.methods),
             "alpha": self.alpha, "directional_levels": self.directional_levels,
@@ -179,8 +177,9 @@ def _check_dataset_spec(spec: dict) -> None:
     if missing or unknown:
         raise ValueError(f"{kind} spec: missing {sorted(missing)}, unknown {sorted(unknown)}")
     for key in ("seed", "n", "d", "p"):
-        if key in spec and (not isinstance(spec[key], int) or isinstance(spec[key], bool)):
-            raise ValueError(f"dataset {key!r} must be an integer, got {spec[key]!r}")
+        if key in spec and (not isinstance(spec[key], int) or isinstance(spec[key], bool)
+                            or spec[key] < 0):
+            raise ValueError(f"dataset {key!r} must be a non-negative integer, got {spec[key]!r}")
     if kind == "csv":
         if not isinstance(spec["path"], str):
             raise ValueError(f"dataset 'path' must be a string, got {spec['path']!r}")
@@ -262,25 +261,22 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     info = {"method": method, "seed": seed}
 
     if method == "naive":
-        model = naive_qr.fit(
-            x_tr, y_tr, x_v, y_v, alpha=config.alpha,
-            config=replace(config.training.naive, seed=seed))
+        model = naive_qr.fit(x_tr, y_tr, x_v, y_v, alpha=config.alpha,
+                             config=config.training.naive, seed=seed)
     elif method == "npdqr":
         alpha_dir = 1.0 - levels["npdqr"]
         pool = npdqr.sample_direction_pool(y_tr.shape[1], npdqr.POOL_SIZE, Rng(seed).spawn(41))
         model = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
-                          config=replace(config.training.dqr, seed=seed))
+                          config=config.training.dqr, seed=seed)
         region_grid = build_grid(y_tr, REGION_DISCRETIZATION)
         provider = npdqr.RegionExtractor(model, region_grid.points()).extract
         info["directional_level"] = levels["npdqr"]
     elif method == "stdqr":
         alpha_dir = 1.0 - levels["stdqr"]
         hidden = config.training.cvae_hidden
-        model = stdqr.fit(
-            x_tr, y_tr, x_v, y_v, alpha=alpha_dir, r=LATENT_DIM, lam=KL_WEIGHT,
-            cvae_config=replace(config.training.cvae, seed=seed),
-            dqr_config=replace(config.training.dqr, seed=seed + 1),
-            cvae_hidden=default_hidden(x_tr.shape[1]) if hidden is None else hidden)
+        model = stdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, cvae_config=config.training.cvae,
+                          dqr_config=config.training.dqr, seed=seed,
+                          cvae_hidden=default_hidden(x_tr.shape[1]) if hidden is None else hidden)
         provider = model.region
         info["directional_level"] = levels["stdqr"]
         info["reconstruction_mse"] = reconstruction_mse(model.cvae, x_cal, y_cal)

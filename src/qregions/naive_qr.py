@@ -63,15 +63,16 @@ class NaiveModel:
         return lo, hi
 
 
-def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig) -> NaiveModel:
+def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
+        seed: int) -> NaiveModel:
     """Train the 2d per-dimension pinball regressors, each with the hidden
-    stack ``HIDDEN`` (read at call time)."""
+    stack ``HIDDEN`` (read at call time), from ``Rng(seed)``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     d = y_train.shape[1]
     level_lo, level_hi = quantile_levels(alpha, d)
     widths = (x_train.shape[1], *HIDDEN, 1)
-    seed_rng = Rng(config.seed)
+    seed_rng = Rng(seed)
     nets_lo, nets_hi, histories = [], [], {}
     for j in range(d):
         for side, level, bucket in (("lower", level_lo, nets_lo),

@@ -51,18 +51,17 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"non-finite {kind} at epoch {epoch}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 256
     max_epochs: int = 10_000
     patience: int = 100
-    seed: int = 0
 
     def __post_init__(self):
-        integers = (self.batch_size, self.max_epochs, self.patience, self.seed)
+        integers = (self.batch_size, self.max_epochs, self.patience)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
-            raise ValueError("batch size, max epochs, patience and seed must be integers")
+            raise ValueError("batch size, max epochs and patience must be integers")
         if (isinstance(self.learning_rate, bool)
                 or not isinstance(self.learning_rate, (int, float, np.integer, np.floating))
                 or not 0 < self.learning_rate < np.inf

@@ -100,7 +100,7 @@ class NpdqrModel:
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
-        config: TrainConfig) -> NpdqrModel:
+        config: TrainConfig, seed: int) -> NpdqrModel:
     """Pinball-train the threshold net on direction projections.
 
     Each gradient step pairs one batch of rows with a fresh sample of
@@ -108,7 +108,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     directions; the target for (row i, direction u) is the projection
     u . y_i and the loss level is alpha, so the net estimates the lower
     directional quantile. The model keeps ``MEMBERSHIP_DIRECTIONS`` pool
-    rows; the constants are read at call time.
+    rows; draws come from ``Rng(seed)``, constants are read at call time.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
@@ -118,7 +118,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
         raise ValueError(f"{TRAIN_DIRECTIONS} train and {MEMBERSHIP_DIRECTIONS} membership "
                          f"directions must fit in the pool of {len(pool)}")
     n, p = x_train.shape
-    rng = Rng(config.seed)
+    rng = Rng(seed)
     membership_directions = pool[rng.spawn(2).subset(len(pool), MEMBERSHIP_DIRECTIONS)]
     val_dirs = pool[rng.spawn(3).subset(len(pool), TRAIN_DIRECTIONS)]
 

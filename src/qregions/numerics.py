@@ -36,8 +36,8 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 

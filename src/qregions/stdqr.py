@@ -87,9 +87,8 @@ def latent_lattice(z_train: np.ndarray) -> np.ndarray:
     return points
 
 
-def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
-        cvae_config: TrainConfig, dqr_config: TrainConfig,
-        cvae_hidden: tuple) -> StdqrModel:
+def fit(x_train, y_train, x_val, y_val, alpha: float, cvae_config: TrainConfig,
+        dqr_config: TrainConfig, cvae_hidden: tuple, seed: int) -> StdqrModel:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
     Responses are transformed to latent space with the deterministic
@@ -100,14 +99,18 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, r: int, lam: float,
     single lattice layer nearest its mean code. Raises
     InactiveLatentError when every unit is inactive. The lattice is built
     after the threshold net is trained, so its points are not held while
-    the net trains. The latent net's pool has ``npdqr.POOL_SIZE`` directions.
+    the net trains. The CVAE trains from ``Rng(seed)``, the latent net and
+    its pool of ``npdqr.POOL_SIZE`` directions from ``Rng(seed + 1)``: the
+    root stream of cell s + 1's CVAE, whose first epoch permutation cell
+    s's latent net thus shares. Separating them would move every seeded
+    ST-DQR output.
     """
-    cvae = fit_cvae(x_train, y_train, x_val, y_val, r=r, lam=lam,
-                    config=cvae_config, hidden=cvae_hidden)
+    cvae = fit_cvae(x_train, y_train, x_val, y_val, config=cvae_config,
+                    hidden=cvae_hidden, seed=seed)
     z_train = encode_batch(cvae, x_train, y_train)
     z_val = encode_batch(cvae, x_val, y_val)
-    pool = npdqr.sample_direction_pool(r, npdqr.POOL_SIZE, Rng(dqr_config.seed).spawn(100))
+    pool = npdqr.sample_direction_pool(cvae.r, npdqr.POOL_SIZE, Rng(seed + 1).spawn(100))
     latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
-                             pool=pool, config=dqr_config)
+                             pool=pool, config=dqr_config, seed=seed + 1)
     latent_points = latent_lattice(z_train)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=latent_points)

@@ -174,60 +174,51 @@ def nonlinear_cvae():
     normalized = zscore_fit_apply(data, parts["train"])
     x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
     x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
-    config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1100,
-                         patience=150, seed=0)
-    model = fit(x_tr, y_tr, x_v, y_v, r=3, lam=0.01, config=config,
-                hidden=(64, 64, 64))
+    config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1100, patience=150)
+    model = fit(x_tr, y_tr, x_v, y_v, config=config, hidden=(64, 64, 64), seed=0)
     x_cal, y_cal = normalized.x[parts["calibration"]], normalized.y[parts["calibration"]]
     return model, (x_tr, y_tr), (x_cal, y_cal)
 
 
 class TestFit:
-    def test_identity_task_without_kl(self):
+    def test_identity_task_without_kl(self, monkeypatch):
         # With lam = 0 and r = d the model only has to autoencode.
         rng = Rng(17)
         y = rng.uniform(-1, 1, size=(2000, 2))
         x = rng.uniform(size=(2000, 1))
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=150,
-                             patience=150, seed=2)
-        model = fit(x[:1600], y[:1600], x[1600:], y[1600:], r=2, lam=0.0,
-                    config=config, hidden=(32, 32))
+                             patience=150)
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
+        monkeypatch.setattr(cvae, "KL_WEIGHT", 0.0)
+        model = fit(x[:1600], y[:1600], x[1600:], y[1600:], config=config, hidden=(32, 32),
+                    seed=2)
         assert reconstruction_mse(model, x[1600:], y[1600:]) <= 0.01
 
-    def test_huge_kl_weight_collapses_posterior(self):
+    def test_huge_kl_weight_collapses_posterior(self, monkeypatch):
         rng = Rng(23)
         y = rng.uniform(-1, 1, size=(1200, 2))
         x = rng.uniform(size=(1200, 1))
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
-                             patience=120, seed=4)
-        model = fit(x[:1000], y[:1000], x[1000:], y[1000:], r=2, lam=1e3,
-                    config=config, hidden=(16, 16))
+                             patience=120)
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
+        monkeypatch.setattr(cvae, "KL_WEIGHT", 1e3)
+        model = fit(x[:1000], y[:1000], x[1000:], y[1000:], config=config, hidden=(16, 16),
+                    seed=4)
         mu, logvar = model.posterior(x[1000:], y[1000:])
         # Posterior pinned to the prior: means near 0, variances near 1,
         # far below the response scale (~0.58 for uniform(-1, 1) data).
         assert np.max(np.abs(mu)) <= 0.15
         assert np.max(np.abs(logvar)) <= 0.15
 
-    def test_negative_kl_weight_raises_before_training(self, monkeypatch):
-        def no_training(*args):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(cvae, "train_minibatches", no_training)
-        x, y = Rng(3).uniform(size=(20, 1)), Rng(4).uniform(size=(20, 2))
-        with pytest.raises(ValueError, match="KL weight"):
-            fit(x[:16], y[:16], x[16:], y[16:], r=2, lam=-1.0,
-                config=TrainConfig(max_epochs=2, patience=2), hidden=(4,))
-
-    def test_trained_bits_are_pinned(self):
+    def test_trained_bits_are_pinned(self, monkeypatch):
         # A change to the training step, its draws or their order moves
         # these bits, and with them every seeded ST-DQR run. Batches of 16
         # leave a ragged last batch of 8 rows.
         rng = Rng(13)
         x, y = rng.uniform(size=(52, 2)), rng.standard_normal(size=(52, 2))
-        config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4,
-                             patience=4, seed=7)
-        model = fit(x[:40], y[:40], x[40:], y[40:], r=2, lam=0.01, config=config,
-                    hidden=(8, 8))
+        config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4, patience=4)
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
+        model = fit(x[:40], y[:40], x[40:], y[40:], config=config, hidden=(8, 8), seed=7)
         history = model.histories["cvae"]
         bits = b"".join(a.tobytes() for a in
                         model.encoder.parameters() + model.decoder.parameters())
@@ -270,8 +261,8 @@ class TestCacheReuse:
         # writes into the first rows of the caches the full steps made.
         rng = Rng(29)
         x, y = rng.uniform(size=(700, 1)), rng.uniform(-1, 1, size=(700, 2))
-        config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=6,
-                             patience=6, seed=1)
+        config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=6, patience=6)
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
         original = cvae.composite_loss_and_grads
         caches_seen = []
 
@@ -285,8 +276,8 @@ class TestCacheReuse:
         runs = []
         for wrapper in (reusing, fresh):
             monkeypatch.setattr(cvae, "composite_loss_and_grads", wrapper)
-            runs.append(fit(x[:600], y[:600], x[600:], y[600:], r=2, lam=0.01,
-                            config=config, hidden=(16, 32)))
+            runs.append(fit(x[:600], y[:600], x[600:], y[600:], config=config,
+                            hidden=(16, 32), seed=1))
         reused, fresh_model = runs
         assert caches_seen[0] == (None, None)
         assert len({tuple(map(id, caches)) for caches in caches_seen[1:]}) == 1

@@ -266,12 +266,13 @@ class TestDirectionalLevels:
 
 @pytest.mark.parametrize("kwargs", [
     {"methods": ("naive", "naive")}, {"methods": ()}, {"seeds": (0, 0)},
-    {"seeds": (0.5,)}, {"seeds": (True,)}, {"seeds": ("0",)}, {"seeds": ()}],
+    {"seeds": (0.5,)}, {"seeds": (True,)}, {"seeds": ("0",)}, {"seeds": ()},
+    {"seeds": (-1,)}],
     ids=["repeated-method", "no-method", "repeated-seed", "fractional-seed",
-         "bool-seed", "string-seed", "no-seed"])
+         "bool-seed", "string-seed", "no-seed", "negative-seed"])
 def test_repeated_or_non_integer_cells_raise(kwargs):
-    # Repeated cells used to run as copies of one cell, and a seed of 0.5
-    # ran seed 0 while reporting 0.5.
+    # Repeated cells used to run as copies of one cell, a seed of 0.5 ran
+    # seed 0 while reporting 0.5, and a seed of -1 failed in every cell.
     with pytest.raises(ValueError):
         experiment.ExperimentConfig(
             dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
@@ -285,14 +286,16 @@ def test_repeated_or_non_integer_cells_raise(kwargs):
     ({"kind": "csv", "path": "data.csv"}, "response_columns"),
     ({"kind": "csv", "path": "data.csv", "response_columns": ["y0"], "seed": 1}, "seed"),
     ({"kind": "csv", "path": "data.csv", "response_columns": "y0"}, "response_columns"),
-    ({"kind": "csv", "path": 3, "response_columns": ["y0"]}, "path")],
+    ({"kind": "csv", "path": 3, "response_columns": ["y0"]}, "path"),
+    ({"seed": -3}, "seed")],
     ids=["fractional-seed", "bool-seed", "misspelt-seed", "float-n", "bool-d", "string-p",
          "bool-pca", "unknown-kind", "csv-without-responses", "csv-with-seed",
-         "string-responses", "number-path"])
+         "string-responses", "number-path", "negative-seed"])
 def test_misread_dataset_spec_raises_naming_the_key(spec, key):
     # Each of these used to construct: a seed of 0.5 generated the seed-0
-    # data, "sed" was ignored, a csv spec failed later with a KeyError, and
-    # a string of response names was read one character at a time.
+    # data, "sed" was ignored, a csv spec failed later with a KeyError, a
+    # string of response names was read one character at a time, and a
+    # seed of -3 crashed the run outside its cells.
     synthetic = {"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1, "n": 200}
     base = synthetic if spec.get("kind", "synthetic") == "synthetic" else {}
     with pytest.raises(ValueError, match=key):
@@ -303,7 +306,7 @@ def test_misread_dataset_spec_raises_naming_the_key(spec, key):
 
 @pytest.mark.parametrize("kwargs, overrides, message", [
     ({"methods": "naive"}, None, "need a list of distinct methods, got 'naive'"),
-    ({"seeds": 5}, None, "need a list of distinct integer seeds, got 5"),
+    ({"seeds": 5}, None, "need a list of distinct integer seeds >= 0, got 5"),
     ({}, ["dqr"], "training overrides must be a mapping"),
     ({}, "dqr", "training overrides must be a mapping"),
     ({"dataset": [1]}, None, "dataset must be a mapping"),
@@ -408,7 +411,6 @@ class TestTrainingProfile:
             config = getattr(profile, section)
             assert (config.learning_rate, config.batch_size, config.max_epochs,
                     config.patience) == expected[section]
-            assert config.seed == 0
         assert profile.cvae_hidden == expected["cvae_hidden"]
 
     def test_bad_override_raises_at_merge(self):

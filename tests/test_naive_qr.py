@@ -206,9 +206,9 @@ class TestFit:
         xv = rng.uniform(-1, 1, size=(128, 1))
         yv = np.full((128, 2), [0.4, -1.1])
         config = TrainConfig(learning_rate=5e-3, batch_size=128, max_epochs=300,
-                             patience=300, seed=0)
+                             patience=300)
         monkeypatch.setattr(naive_qr, "HIDDEN", (16,))
-        model = fit(x, y, xv, yv, alpha=0.1, config=config)
+        model = fit(x, y, xv, yv, alpha=0.1, config=config, seed=0)
         assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 16, 1)] * 4
         lo, hi = model.bounds(np.array([[0.0]]))
         assert np.allclose(lo[0], [0.4, -1.1], atol=0.05)
@@ -221,9 +221,8 @@ class TestFit:
         rng = Rng(11)
         x, y = rng.uniform(size=(52, 2)), rng.standard_normal(size=(52, 2))
         monkeypatch.setattr(naive_qr, "HIDDEN", (8, 8))
-        config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4,
-                             patience=4, seed=3)
-        model = fit(x[:40], y[:40], x[40:], y[40:], alpha=0.1, config=config)
+        config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4, patience=4)
+        model = fit(x[:40], y[:40], x[40:], y[40:], alpha=0.1, config=config, seed=3)
         assert list(model.histories) == ["lower_0", "upper_0", "lower_1", "upper_1"]
         bits = b"".join(a.tobytes() for net in model.nets_lo + model.nets_hi
                         for a in net.parameters())
@@ -244,9 +243,9 @@ class TestFit:
         x, y = draw(1500)
         xv, yv = draw(400)
         config = TrainConfig(learning_rate=1e-3, batch_size=256, max_epochs=150,
-                             patience=30, seed=1)
+                             patience=30)
         monkeypatch.setattr(naive_qr, "HIDDEN", (32, 32))
-        model = fit(x, y, xv, yv, alpha=0.1, config=config)
+        model = fit(x, y, xv, yv, alpha=0.1, config=config, seed=1)
         assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 32, 32, 1)] * 4
         xc, yc = draw(999)
         calibrated = calibrate(model, xc, yc, alpha=0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -508,9 +509,9 @@ class TestTraining:
         xv = rng.uniform(-1, 1, size=(128, 1))
         model = init_mlp((1, 1), Rng(5))
         config = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=800,
-                             patience=800, seed=0)
+                             patience=800)
         history = train(model, len(x), lambda idx: (x[idx], y[idx]), (xv, 2.0 * xv),
-                        MseLoss(), config, Rng(config.seed))
+                        MseLoss(), config, Rng(0))
         assert history.best_val_loss <= 1e-4
 
     def test_constant_model_recovers_quantile(self):
@@ -519,9 +520,9 @@ class TestTraining:
         x = np.zeros((1001, 1))
         model = init_mlp((1, 1), Rng(2))
         config = TrainConfig(learning_rate=2e-3, batch_size=1001, max_epochs=4000,
-                             patience=4000, seed=0)
+                             patience=4000)
         train(model, len(x), lambda idx: (x[idx], samples[idx, None]), (x, samples[:, None]),
-              PinballLoss(alpha), config, Rng(config.seed))
+              PinballLoss(alpha), config, Rng(0))
         fitted = float(forward_batch(model, np.zeros((1, 1)))[0, 0])
         order = np.sort(samples)
         k = math.ceil(alpha * 1001)
@@ -532,9 +533,9 @@ class TestTraining:
         rng = Rng(0)
         x = rng.uniform(size=(64, 1))
         model = init_mlp((1, 4, 1), Rng(1))
-        config = TrainConfig(batch_size=32, max_epochs=100, patience=0, seed=0)
+        config = TrainConfig(batch_size=32, max_epochs=100, patience=0)
         history = train(model, len(x), lambda idx: (x[idx], x[idx]), (x, x), MseLoss(),
-                        config, Rng(config.seed))
+                        config, Rng(0))
         assert history.epochs_run == 1
 
     def test_returned_model_has_best_validation_loss(self):
@@ -545,9 +546,9 @@ class TestTraining:
         yv = np.sin(3 * xv[:, :1]) + xv[:, 1:]
         model = init_mlp((2, 8, 1), Rng(3))
         config = TrainConfig(learning_rate=5e-3, batch_size=32, max_epochs=60,
-                             patience=60, seed=0)
+                             patience=60)
         history = train(model, len(x), lambda idx: (x[idx], y[idx]), (xv, yv), MseLoss(),
-                        config, Rng(config.seed))
+                        config, Rng(0))
         final_val = MseLoss().value(yv, forward_batch(model, xv))
         assert final_val == pytest.approx(min(history.val_losses), abs=1e-12)
         assert all(final_val <= v + 1e-12 for v in history.val_losses)
@@ -557,22 +558,21 @@ class TestTraining:
         x = rng.uniform(1.0, 2.0, size=(64, 1))
         model = init_mlp((1, 8, 1), Rng(1))
         config = TrainConfig(learning_rate=1e30, batch_size=64, max_epochs=50,
-                             patience=50, seed=0)
+                             patience=50)
         with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore"):
             train(model, len(x), lambda idx: (x[idx], 1e200 * x[idx]), (x, 1e200 * x),
-                  MseLoss(), config, Rng(config.seed))
+                  MseLoss(), config, Rng(0))
         assert err.value.epoch >= 1
 
     def test_seeded_training_is_bit_reproducible(self):
         rng = Rng(8)
         x = rng.uniform(-1, 1, size=(256, 2))
         y = x[:, :1] - 0.5 * x[:, 1:]
-        config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=20,
-                             patience=20, seed=77)
+        config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=20, patience=20)
         m1, m2 = init_mlp((2, 8, 1), Rng(4)), init_mlp((2, 8, 1), Rng(4))
         for model in (m1, m2):
             train(model, len(x), lambda idx: (x[idx], y[idx]), (x, y), MseLoss(), config,
-                  Rng(config.seed))
+                  Rng(77))
         for a, b in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(a, b)
 
@@ -582,10 +582,10 @@ class TestTraining:
         # matmul or the Adam update of a net without one refuses them.
         x = Rng(2).uniform(size=(16, 1))
         y = np.hstack([x, x])
-        config = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=0)
+        config = TrainConfig(batch_size=8, max_epochs=2, patience=2)
         with pytest.raises(ValueError):
             train(init_mlp(widths, Rng(1)), len(x), lambda idx: (x[idx], y[idx]), (x, y),
-                  PinballLoss(0.5), config, Rng(config.seed))
+                  PinballLoss(0.5), config, Rng(0))
 
 
 class TestTrainConfig:
@@ -594,15 +594,19 @@ class TestTrainConfig:
         ("learning_rate", True), ("learning_rate", "0.001"), ("learning_rate", None),
         ("learning_rate", Fraction(1, 1000)),
         ("batch_size", 2.5), ("max_epochs", 3.5), ("patience", 1.5),
-        ("batch_size", True), ("max_epochs", 0), ("seed", 0.5), ("seed", True),
-        ("seed", "0")])
+        ("batch_size", True), ("max_epochs", 0)])
     def test_bad_setting_is_rejected(self, setting, value):
-        # A seed of 0.5 used to train with seed 0, and True with seed 1; a
-        # learning rate of True trained at rate 1.0, and one of "0.001" or
+        # A learning rate of True trained at rate 1.0, and one of "0.001" or
         # None raised TypeError; a Fraction trained into an object array
         # that the first Adam step could not cast.
         with pytest.raises(ValueError):
             TrainConfig(**{"max_epochs": 10, "patience": 2, setting: value})
+
+    def test_a_fit_cannot_change_the_schedule(self):
+        # One schedule serves the fits of every cell of a run.
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_epochs = 5
 
 
 class TestTrainMinibatches:
@@ -615,7 +619,7 @@ class TestTrainMinibatches:
             seen.append(idx.copy())
             return float(idx.sum()), [np.zeros(1)]
 
-        config = TrainConfig(batch_size=4, max_epochs=3, patience=3, seed=0)
+        config = TrainConfig(batch_size=4, max_epochs=3, patience=3)
         history = train_minibatches(params, 10, step, lambda: 1.0, config, Rng(5))
         assert history.epochs_run == 3
         assert [len(idx) for idx in seen] == [4, 4, 2] * 3

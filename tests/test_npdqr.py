@@ -271,14 +271,13 @@ def noise_fit():
     xv = rng.uniform(0.0, 1.0, size=(400, 1))
     yv = rng.standard_normal(size=(400, 2))
     pool = sample_direction_pool(2, 512, Rng(1))
-    config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=150,
-                         patience=150, seed=5)
+    config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=150, patience=150)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npdqr, "TRAIN_DIRECTIONS", 32)
         patch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 128)
         patch.setattr(npdqr, "HIDDEN", (32, 32))
-        model_10 = fit(x, y, xv, yv, alpha=0.10, pool=pool, config=config)
-        model_05 = fit(x, y, xv, yv, alpha=0.05, pool=pool, config=config)
+        model_10 = fit(x, y, xv, yv, alpha=0.10, pool=pool, config=config, seed=5)
+        model_05 = fit(x, y, xv, yv, alpha=0.05, pool=pool, config=config, seed=5)
     return x, y, model_10, model_05
 
 
@@ -294,7 +293,7 @@ class TestFit:
         x, y = np.zeros((10, 1)), np.zeros((10, 2))
         with pytest.raises(ValueError, match="must fit in the pool of 16"):
             fit(x, y, x, y, alpha=0.1, pool=sample_direction_pool(2, 16, Rng(1)),
-                config=TrainConfig(max_epochs=1, patience=1))
+                config=TrainConfig(max_epochs=1, patience=1), seed=0)
 
     def test_learns_gaussian_directional_quantile(self, noise_fit):
         x, _, model, _ = noise_fit
@@ -321,11 +320,11 @@ class TestFit:
         y = np.tile(c, (800, 1))
         pool = sample_direction_pool(2, 256, Rng(2))
         config = TrainConfig(learning_rate=1e-2, batch_size=256, max_epochs=400,
-                             patience=400, seed=3)
+                             patience=400)
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 16)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 64)
         monkeypatch.setattr(npdqr, "HIDDEN", (16,))
-        model = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config)
+        model = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config, seed=3)
         assert model.net.widths == (1 + 2, 16, 1)
         assert len(model.membership_directions) == 64
         dirs = model.membership_directions
@@ -341,10 +340,9 @@ class TestFit:
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 8)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 16)
         monkeypatch.setattr(npdqr, "HIDDEN", (8, 8))
-        config = TrainConfig(learning_rate=1e-2, batch_size=24, max_epochs=4,
-                             patience=4, seed=5)
+        config = TrainConfig(learning_rate=1e-2, batch_size=24, max_epochs=4, patience=4)
         model = fit(x[:50], y[:50], x[50:], y[50:], alpha=0.1,
-                    pool=sample_direction_pool(2, 32, Rng(6)), config=config)
+                    pool=sample_direction_pool(2, 32, Rng(6)), config=config, seed=5)
         history = model.histories["threshold"]
         bits = b"".join(a.tobytes() for a in model.net.parameters())
         bits += model.membership_directions.tobytes() + np.array(history.val_losses).tobytes()
@@ -356,7 +354,7 @@ class TestFit:
         config = TrainConfig(max_epochs=1, patience=1)
         with pytest.raises(ValueError, match="miscoverage"):
             fit(x, y, x, y, alpha=0.7, pool=sample_direction_pool(2, 512, Rng(1)),
-                config=config)
+                config=config, seed=0)
 
 
 class TestUndercoverage:
@@ -371,11 +369,11 @@ class TestUndercoverage:
         y = rng.standard_normal(size=(n, 3))
         pool = sample_direction_pool(3, 1024, Rng(4))
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
-                             patience=120, seed=6)
+                             patience=120)
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 256)
         monkeypatch.setattr(npdqr, "HIDDEN", (32, 32))
-        model = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config)
+        model = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config, seed=6)
         assert model.net.widths == (1 + 3, 32, 32, 1)
         assert len(model.membership_directions) == 256
         x_test = rng.uniform(size=(1500, 1))

@@ -168,9 +168,10 @@ class TestRng:
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
-    @pytest.mark.parametrize("seed", [2.9, 0.5, 1.0, True, np.True_, "3", None])
+    @pytest.mark.parametrize("seed", [2.9, 0.5, 1.0, True, np.True_, "3", None, -1])
     def test_non_integer_seed_raises(self, seed):
-        # Rng(2.9) used to run seed 2, and Rng(True) seed 1.
+        # Rng(2.9) used to run seed 2, and Rng(True) seed 1; Rng(-1) raised
+        # numpy's error, which does not say "seed".
         with pytest.raises(ValueError, match="seed"):
             Rng(seed)
 

@@ -10,7 +10,7 @@ import pkgutil
 
 import qregions
 
-BUDGET = 29
+BUDGET = 28
 
 
 def settable_values() -> list:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import base_contains
-from qregions import npdqr
+from qregions import cvae, npdqr
 from qregions.calibration import gamma_init
 from qregions.cvae import CvaeModel, encode_batch
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
@@ -110,15 +110,14 @@ def nonlinear_fit():
     x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
     x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
     cvae_config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=800,
-                              patience=120, seed=1)
+                              patience=120)
     dqr_config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=120,
-                             patience=30, seed=2)
+                             patience=30)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npdqr, "POOL_SIZE", 1024)
         patch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 256)
-        model = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, r=3, lam=0.01,
-                    cvae_config=cvae_config, dqr_config=dqr_config,
-                    cvae_hidden=(64, 64, 64))
+        model = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, cvae_config=cvae_config,
+                    dqr_config=dqr_config, cvae_hidden=(64, 64, 64), seed=1)
     cal = (normalized.x[parts["calibration"]], normalized.y[parts["calibration"]])
     raw_x = data.x[parts["train"]]
 
@@ -154,21 +153,22 @@ class TestInactiveUnits:
         with pytest.raises(InactiveLatentError):
             latent_lattice(0.05 * z)
 
-    def test_fit_raises_when_every_unit_is_inactive(self):
+    def test_fit_raises_when_every_unit_is_inactive(self, monkeypatch):
         # A huge KL weight pins every posterior to the prior, so no
         # posterior mean varies and the region would be one lattice point.
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1000, seed=6)
         parts = split(data.n, seed=6)
         normalized = zscore_fit_apply(data, parts["train"])
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
+        monkeypatch.setattr(cvae, "KL_WEIGHT", 1e3)
         with pytest.raises(InactiveLatentError):
             fit(normalized.x[parts["train"]], normalized.y[parts["train"]],
                 normalized.x[parts["validation"]], normalized.y[parts["validation"]],
-                alpha=0.07, r=2, lam=1e3,
+                alpha=0.07,
                 cvae_config=TrainConfig(learning_rate=2e-3, batch_size=128,
-                                        max_epochs=150, patience=150, seed=4),
-                dqr_config=TrainConfig(batch_size=128, max_epochs=5, patience=5,
-                                       seed=5),
-                cvae_hidden=(16, 16))
+                                        max_epochs=150, patience=150),
+                dqr_config=TrainConfig(batch_size=128, max_epochs=5, patience=5),
+                cvae_hidden=(16, 16), seed=4)
 
 
 class TestFittedPipeline:
@@ -265,15 +265,16 @@ class TestFittedPipeline:
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 8)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (8,))
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
         model = fit(
             normalized.x[parts["train"]], normalized.y[parts["train"]],
             normalized.x[parts["validation"]], normalized.y[parts["validation"]],
-            alpha=0.07, r=2, lam=0.01,
+            alpha=0.07,
             cvae_config=TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=4,
-                                    patience=4, seed=3),
+                                    patience=4),
             dqr_config=TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=4,
-                                   patience=4, seed=4),
-            cvae_hidden=(8, 8))
+                                   patience=4),
+            cvae_hidden=(8, 8), seed=3)
         region = model.region(normalized.x[parts["test"][2]])
         assert region.shape == (461, 2)
         assert hashlib.sha256(region.tobytes()).hexdigest()[:16] == "34bf996ee75cec7d"
@@ -284,12 +285,11 @@ class TestFittedPipeline:
         normalized = zscore_fit_apply(data, parts["train"])
         args = (normalized.x[parts["train"]], normalized.y[parts["train"]],
                 normalized.x[parts["validation"]], normalized.y[parts["validation"]])
-        kwargs = dict(alpha=0.07, r=2, lam=0.01,
-                      cvae_config=TrainConfig(batch_size=128, max_epochs=10,
-                                              patience=10, seed=7),
-                      dqr_config=TrainConfig(batch_size=128, max_epochs=5,
-                                             patience=5, seed=8),
-                      cvae_hidden=(16, 16))
+        kwargs = dict(alpha=0.07,
+                      cvae_config=TrainConfig(batch_size=128, max_epochs=10, patience=10),
+                      dqr_config=TrainConfig(batch_size=128, max_epochs=5, patience=5),
+                      cvae_hidden=(16, 16), seed=7)
+        monkeypatch.setattr(cvae, "LATENT_DIM", 2)
         monkeypatch.setattr(npdqr, "POOL_SIZE", 128)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (16,))
@@ -315,13 +315,14 @@ class TestOneDimensionalLatent:
         monkeypatch.setattr(npdqr, "POOL_SIZE", 64)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (16, 16))
+        monkeypatch.setattr(cvae, "LATENT_DIM", 1)
         model = fit(
             normalized.x[parts["train"]], normalized.y[parts["train"]],
             normalized.x[parts["validation"]], normalized.y[parts["validation"]],
-            alpha=0.07, r=1, lam=0.01,
-            cvae_config=TrainConfig(batch_size=128, max_epochs=60, patience=20, seed=3),
-            dqr_config=TrainConfig(batch_size=128, max_epochs=40, patience=15, seed=4),
-            cvae_hidden=(32, 32),
+            alpha=0.07,
+            cvae_config=TrainConfig(batch_size=128, max_epochs=60, patience=20),
+            dqr_config=TrainConfig(batch_size=128, max_epochs=40, patience=15),
+            cvae_hidden=(32, 32), seed=3,
         )
         assert model.latent_model.net.widths == (1 + 1, 16, 16, 1)
         assert len(model.latent_model.membership_directions) == 32
