@@ -81,16 +81,15 @@ def gaussian_kl_rows(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar), axis=1)
 
 
-def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
-                             lam: float, r: int, caches):
-    """Loss and parameter gradients of the reconstruction + KL objective
-    for one batch with the reparameterization noise held fixed.
+def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, caches):
+    """Loss and parameter gradients of reconstruction + KL_WEIGHT * KL for
+    one batch, with the (n, r) reparameterization noise ``eps`` held fixed.
 
     ``caches`` is the (encoder, decoder) pair of training caches that the
     previous step returned, or (None, None). Returns (loss, grads, caches)
     with grads ordered as encoder.parameters() + decoder.parameters().
     """
-    n = x.shape[0]
+    n, r = eps.shape
     enc_cache, dec_cache = caches
     enc_out, enc_cache = forward_cached(
         encoder, np.concatenate([x, y], axis=1), train_mode=True, cache=enc_cache)
@@ -102,12 +101,12 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps,
     residual = dec_out - y
     recon = float(np.mean(np.sum(residual**2, axis=1)))
     kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
-    loss = recon + lam * kl
+    loss = recon + KL_WEIGHT * kl
 
     dec_grads, dec_delta = backward(decoder, dec_cache, 2.0 * residual / n)
     dz = (dec_delta @ decoder.weights[0].T)[:, x.shape[1]:]
-    dmu = dz + (lam / n) * mu
-    dlogvar = dz * (0.5 * sigma * eps) + (lam / n) * 0.5 * (np.exp(logvar) - 1.0)
+    dmu = dz + (KL_WEIGHT / n) * mu
+    dlogvar = dz * (0.5 * sigma * eps) + (KL_WEIGHT / n) * 0.5 * (np.exp(logvar) - 1.0)
     enc_grads, _ = backward(encoder, enc_cache,
                             np.concatenate([dmu, dlogvar], axis=1))
     return loss, enc_grads + dec_grads, (enc_cache, dec_cache)
@@ -121,7 +120,7 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
     The validation loss scores the posterior mean (no sampling noise), so
     early stopping is deterministic.
     """
-    r, lam = LATENT_DIM, KL_WEIGHT
+    r = LATENT_DIM
     n, p = x_train.shape
     d = y_train.shape[1]
     rng = Rng(seed)
@@ -136,7 +135,7 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
         nonlocal caches
         eps = eps_rng.standard_normal(size=(len(idx), r))
         loss, grads, caches = composite_loss_and_grads(
-            encoder, decoder, x_train[idx], y_train[idx], eps, lam, r, caches)
+            encoder, decoder, x_train[idx], y_train[idx], eps, caches)
         return loss, grads
 
     def val_loss() -> float:
@@ -144,7 +143,7 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
         reconstructed = decode_batch(model, x_val, mu)
         recon = float(np.mean(np.sum((reconstructed - y_val) ** 2, axis=1)))
         kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
-        return recon + lam * kl
+        return recon + KL_WEIGHT * kl
 
     model.histories["cvae"] = train_minibatches(
         encoder.parameters() + decoder.parameters(), n, step, val_loss, config, rng)

@@ -49,17 +49,14 @@ def sample_direction_pool(d: int, count: int, rng: Rng) -> np.ndarray:
     return raw / norms
 
 
-def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray, out=None) -> np.ndarray:
+def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Threshold-net inputs for every (row, direction) pair, row-major:
-    each row repeated once per direction, beside the directions; written
-    into ``out``, a C-contiguous array of that shape, when given."""
+    each row repeated once per direction, beside the directions."""
     (n, p), (m, d) = x_rows.shape, directions.shape
-    if out is None:
-        out = np.empty((n * m, p + d))
-    pairs = out.reshape(n, m, p + d)
+    pairs = np.empty((n, m, p + d))
     pairs[:, :, :p] = x_rows[:, None, :]
     pairs[:, :, p:] = directions
-    return out
+    return pairs.reshape(n * m, p + d)
 
 
 class NpdqrModel:
@@ -129,13 +126,10 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     val_stack = _pair_inputs(x_val, val_dirs)
     val_targets = (y_val @ val_dirs.T).reshape(-1, 1)
 
-    # A batch's pair inputs are written into one reused buffer.
-    pairs = np.empty((min(n, config.batch_size) * TRAIN_DIRECTIONS, val_stack.shape[1]))
-
     def batch(idx):
         dirs = pool[rng.subset(len(pool), TRAIN_DIRECTIONS)]
         targets = (y_train[idx] @ dirs.T).reshape(-1, 1)
-        return _pair_inputs(x_train[idx], dirs, out=pairs[: len(idx) * TRAIN_DIRECTIONS]), targets
+        return _pair_inputs(x_train[idx], dirs), targets
 
     history = train(net, n, batch, (val_stack, val_targets), loss, config, rng)
     return NpdqrModel(net=net, membership_directions=membership_directions,
@@ -158,7 +152,7 @@ def project(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 class RegionExtractor:
     """The points, of a lattice or a subset of one, that satisfy every
-    membership half-space.
+    membership half-space, kept in the order of ``points``.
 
     Membership is a conjunction over directions, tested with ``project``,
     so a point's answer does not depend on which other points are tested
@@ -180,7 +174,7 @@ class RegionExtractor:
             stop = start + INFERENCE_ROWS
             self.head[:, start:stop] = project(points[start:stop], head_dirs)
 
-    def mask(self, x) -> np.ndarray:
+    def extract(self, x) -> np.ndarray:
         f = self.model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
         dirs = self.model.membership_directions
         block = self.head.shape[0]
@@ -189,9 +183,4 @@ class RegionExtractor:
             stop = start + block
             idx = idx[np.all(project(self.points[idx], dirs[start:stop]) >= f[start:stop, None],
                              axis=0)]
-        mask = np.zeros(len(self.points), dtype=bool)
-        mask[idx] = True
-        return mask
-
-    def extract(self, x) -> np.ndarray:
-        return self.points[self.mask(x)]
+        return self.points[idx]

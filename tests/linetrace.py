@@ -9,6 +9,7 @@ are ``raise`` statements, the methods of exception classes, docstrings and
 """
 
 import ast
+import builtins
 import os
 import sys
 from contextlib import contextmanager
@@ -38,10 +39,18 @@ def record_lines(directory: Path, lines: set):
         sys.settrace(previous)
 
 
-def _is_exception_class(node: ast.ClassDef) -> bool:
-    names = [base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-             for base in node.bases]
-    return any(name.endswith(("Error", "Exception")) for name in names)
+def exception_classes(tree: ast.Module) -> set:
+    """Names of the exception classes of one file: the classes with a base
+    that is a builtin exception or an exception class of the same file."""
+    found = set()
+    for node in sorted((node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)),
+                       key=lambda node: node.lineno):
+        for base in node.bases:
+            name = getattr(base, "id", "")
+            builtin = getattr(builtins, name, None)
+            if name in found or isinstance(builtin, type) and issubclass(builtin, BaseException):
+                found.add(node.name)
+    return found
 
 
 def _own_lines(statement: ast.stmt) -> range:
@@ -59,6 +68,8 @@ def _own_lines(statement: ast.stmt) -> range:
 def counted_statements(path: Path) -> list:
     """``(qualified function name, statement)`` of each counted statement
     of one file, in source order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exceptions = exception_classes(tree)
     found = []
 
     def visit(body, qualname, in_function, exempt):
@@ -68,7 +79,7 @@ def counted_statements(path: Path) -> list:
                     found.append((qualname, statement))
                 inner = f"{qualname}.{statement.name}" if qualname else statement.name
                 if isinstance(statement, ast.ClassDef):
-                    visit(statement.body, inner, False, _is_exception_class(statement))
+                    visit(statement.body, inner, False, statement.name in exceptions)
                 else:
                     visit(statement.body, inner, True, exempt)
                 continue
@@ -83,7 +94,7 @@ def counted_statements(path: Path) -> list:
             for handler in getattr(statement, "handlers", []):
                 visit(handler.body, qualname, in_function, exempt)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")).body, "", False, False)
+    visit(tree.body, "", False, False)
     return sorted(found, key=lambda item: item[1].lineno)
 
 

@@ -122,17 +122,17 @@ class TestEncodeDecode:
 
 
 class TestLossDecomposition:
-    def test_total_is_recon_plus_weighted_kl(self):
+    def test_total_is_recon_plus_weighted_kl(self, monkeypatch):
         rng = Rng(9)
         encoder = init_mlp((3, 6, 4), rng)
         decoder = init_mlp((3, 6, 2), rng)
         x = rng.uniform(size=(16, 1))
         y = rng.uniform(size=(16, 2))
         eps = rng.standard_normal(size=(16, 2))
-        loss_l0, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, 0.0, 2,
-                                                 (None, None))
-        loss_l1, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, 1.0, 2,
-                                                 (None, None))
+        monkeypatch.setattr(cvae, "KL_WEIGHT", 0.0)
+        loss_l0, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
+        monkeypatch.setattr(cvae, "KL_WEIGHT", 1.0)
+        loss_l1, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
         # The lam = 0 loss is the pure reconstruction term; the difference
         # at lam = 1 is the mean per-sample KL, which is nonnegative.
         model = CvaeModel(encoder, decoder, 2)
@@ -144,21 +144,20 @@ class TestLossDecomposition:
 
 
 class TestReparameterizationGradients:
-    def test_matches_finite_differences_with_fixed_noise(self):
+    def test_matches_finite_differences_with_fixed_noise(self, monkeypatch):
         rng = Rng(33)
         encoder = init_mlp((4, 4, 4), rng)  # p=2, d=2, r=2
         decoder = init_mlp((4, 4, 2), rng)
         x = rng.uniform(-1, 1, size=(8, 2))
         y = rng.uniform(-1, 1, size=(8, 2))
         eps = rng.standard_normal(size=(8, 2))
+        monkeypatch.setattr(cvae, "KL_WEIGHT", 0.01)
 
         def loss_value():
-            loss, _, _ = composite_loss_and_grads(
-                encoder, decoder, x, y, eps, 0.01, 2, (None, None))
+            loss, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
             return loss
 
-        _, analytic, _ = composite_loss_and_grads(
-            encoder, decoder, x, y, eps, 0.01, 2, (None, None))
+        _, analytic, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
         params = encoder.parameters() + decoder.parameters()
         probes = sample_probes(params, 40, Rng(5))
         numeric = central_difference(loss_value, params, probes)

@@ -488,12 +488,15 @@ def test_every_package_statement_runs_or_is_a_named_guard(
 
 def test_line_trace_forms_are_recognized(tmp_path):
     # On a probe module: a branch no call takes is reported, while an
-    # unreached raise, an exception class's method, a docstring and a
-    # nonlocal declaration are not counted.
+    # unreached raise, the methods of an exception class and of its
+    # subclass, a docstring and a nonlocal declaration are not counted.
     source = tmp_path / "probe.py"
     source.write_text("class ProbeError(ValueError):\n"
                       "    def __init__(self):\n"
                       "        super().__init__('probe')\n"
+                      "class RowError(ProbeError):\n"
+                      "    def __init__(self, row):\n"
+                      "        self.row = row\n"
                       "def clip(a):\n"
                       "    'Docstring.'\n"
                       "    if a < 0:\n"
@@ -514,6 +517,6 @@ def test_line_trace_forms_are_recognized(tmp_path):
         assert probe.clip(3) == [1.5, 1.5]
     assert sys.gettrace() is previous
     assert [(name, statement.lineno) for name, statement in counted_statements(source)] == [
-        ("clip", 6), ("clip", 8), ("clip", 9), ("clip", 10), ("clip", 11),
-        ("clip.half", 13), ("clip", 14)]
-    assert unrun_statements(tmp_path, lines) == {("probe.clip", "a = 10", 2): [9, 10]}
+        ("clip", 9), ("clip", 11), ("clip", 12), ("clip", 13), ("clip", 14),
+        ("clip.half", 16), ("clip", 17)]
+    assert unrun_statements(tmp_path, lines) == {("probe.clip", "a = 10", 2): [12, 13]}

@@ -6,13 +6,13 @@ parameter and every stored attribute. Arrays are shaped only where they
 enter the package."""
 
 import ast
-import builtins
 import importlib
 import inspect
 import math
 from pathlib import Path
 
 import qregions
+from linetrace import exception_classes
 from test_settings_budget import settable_values
 
 PACKAGE = Path(qregions.__file__).parent
@@ -38,7 +38,7 @@ COERCED_ON_PURPOSE = {
     ("data", "Dataset.__post_init__"): "the feature and response matrices of a dataset",
     ("metrics", "_kmeans_once"): "the list of seeded centroids",
     ("numerics", "empirical_quantile"): "calibrate's list of shrink scores",
-    ("npdqr", "RegionExtractor.mask"): "one input row, as a region provider receives it",
+    ("npdqr", "RegionExtractor.extract"): "one input row, as a region provider receives it",
     ("naive_qr", "NaiveModel.bounds"):
         "one input row of the area count, broadcast against the grid points",
 }
@@ -156,12 +156,6 @@ def array_conversions(path: Path, module: str) -> set:
             and node.func.attr in {"asarray", "atleast_2d"}}
 
 
-def is_exception_class(node: ast.ClassDef) -> bool:
-    """Whether a class derives directly from a builtin exception."""
-    bases = [getattr(builtins, getattr(base, "id", ""), None) for base in node.bases]
-    return any(isinstance(base, type) and issubclass(base, BaseException) for base in bases)
-
-
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(decorator, ast.Name) and decorator.id == "dataclass"
                or isinstance(decorator, ast.Call) and decorator.func.id == "dataclass"
@@ -173,8 +167,10 @@ def stored_attributes(path: Path, module: str) -> set:
     not an exception class, stores: a ``self.name`` assignment target in
     any of its methods, and an annotated field of a dataclass."""
     found = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if not isinstance(node, ast.ClassDef) or is_exception_class(node):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exceptions = exception_classes(tree)
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name in exceptions:
             continue
         names = {target.attr for target in ast.walk(node)
                  if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
@@ -360,7 +356,10 @@ def test_attribute_forms_are_recognized(tmp_path):
                       "        return self.net.size, other.width\n"
                       "class FitError(ValueError):\n"
                       "    def __init__(self, epoch):\n"
-                      "        self.epoch = epoch\n")
+                      "        self.epoch = epoch\n"
+                      "class RowError(FitError):\n"
+                      "    def __init__(self, row):\n"
+                      "        self.row = row\n")
     assert stored_attributes(source, "probe") == {
         ("probe", "Config.rate"), ("probe", "Row.values"), ("probe", "Model.net"),
         ("probe", "Model.count"), ("probe", "Model.low"), ("probe", "Model.high")}

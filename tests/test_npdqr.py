@@ -28,6 +28,18 @@ def constant_threshold_model(d, value, pool_size=64, membership=32):
     return NpdqrModel(net=net, membership_directions=pool[:membership], histories={})
 
 
+def region_mask(extractor, x):
+    """Bool mask over ``extractor.points`` of the region at ``x``, rebuilt
+    from the rows ``extract`` returns; lattice points are distinct, and
+    the rows must come in the order of ``points``."""
+    index = {row.tobytes(): i for i, row in enumerate(extractor.points)}
+    rows = [index[row.tobytes()] for row in extractor.extract(x)]
+    assert np.all(np.diff(rows) > 0)
+    mask = np.zeros(len(extractor.points), dtype=bool)
+    mask[rows] = True
+    return mask
+
+
 class TestPoolSampling:
     def test_one_dimension_is_signs(self):
         pool = sample_direction_pool(1, 4, Rng(3))
@@ -127,7 +139,7 @@ class TestExtractRegion:
         net = init_mlp((1 + 2, 8, 1), rng)
         model = NpdqrModel(net=net, membership_directions=pool[:128], histories={})
         extractor = RegionExtractor(model, grid.points())
-        mask_fast = extractor.mask([0.2])
+        mask_fast = region_mask(extractor, [0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
         mask_full = np.all(project(grid.points(), model.membership_directions) >= f[:, None],
                            axis=0)
@@ -135,7 +147,7 @@ class TestExtractRegion:
 
     def test_convexity_at_grid_resolution(self, grid):
         model = constant_threshold_model(2, -1.0, pool_size=2048, membership=256)
-        mask = RegionExtractor(model, grid.points()).mask([0.0])
+        mask = region_mask(RegionExtractor(model, grid.points()), [0.0])
         cells = grid.cells_per_dim
         mask2d = mask.reshape(cells, cells)
         occupied = np.argwhere(mask2d)
@@ -186,7 +198,7 @@ class TestExactExtraction:
         x = np.array([0.3])
         model, f, tied = tied_threshold_model(d, grid, x, seed)
         points, dirs = grid.points(), model.membership_directions
-        full = RegionExtractor(model, points).mask(x)
+        full = region_mask(RegionExtractor(model, points), x)
         assert 0 < full.sum() < len(points)
         assert full[tied[-1]]
 
@@ -196,7 +208,7 @@ class TestExactExtraction:
             assert contains(model, x, points[j]) == full[j]
 
         subset = np.union1d(Rng(seed + 7).subset(len(points), min(200, len(points))), tied)
-        mask = RegionExtractor(model, points[subset]).mask(x)
+        mask = region_mask(RegionExtractor(model, points[subset]), x)
         assert np.array_equal(mask, full[subset])
 
 
@@ -305,8 +317,8 @@ class TestFit:
     def test_nested_regions_across_levels(self, noise_fit):
         _, y, model_10, model_05 = noise_fit
         grid = build_grid(y, REGION_DISCRETIZATION)
-        mask_10 = RegionExtractor(model_10, grid.points()).mask([0.5])
-        mask_05 = RegionExtractor(model_05, grid.points()).mask([0.5])
+        mask_10 = region_mask(RegionExtractor(model_10, grid.points()), [0.5])
+        mask_05 = region_mask(RegionExtractor(model_05, grid.points()), [0.5])
         # Stricter directional level (alpha = 0.05) gives the larger region;
         # tolerate 1% training-noise violations.
         violations = int(np.count_nonzero(mask_10 & ~mask_05))

@@ -9,6 +9,7 @@ import inspect
 import pkgutil
 
 import qregions
+from qregions import npdqr
 
 BUDGET = 28
 
@@ -59,9 +60,17 @@ def test_settable_values_stay_within_budget():
     assert len(values) <= BUDGET, "\n".join(values)
 
 
-def test_counter_sees_each_kind_of_setting():
+def test_counter_sees_each_kind_of_setting(monkeypatch):
+    # A private function of a package module is not counted; the same
+    # function under a public name is.
+    def probe(rows, out=None):
+        return out
+
+    probe.__module__ = npdqr.__name__
+    monkeypatch.setattr(npdqr, "_probe", probe, raising=False)
+    monkeypatch.setattr(npdqr, "probe", probe, raising=False)
     values = set(settable_values())
     assert {"nn.TrainConfig.learning_rate", "naive_qr.NaiveModel.__init__(offset)",
             "nn.forward_batch(cache)", "numerics.Rng.uniform(size)",
-            "experiment.TrainingProfile.cvae_hidden"} <= values
-    assert not any("_pair_inputs" in v or "TrainConfig.__init__" in v for v in values)
+            "experiment.TrainingProfile.cvae_hidden", "npdqr.probe(out)"} <= values
+    assert not any("_probe" in v or "TrainConfig.__init__" in v for v in values)
