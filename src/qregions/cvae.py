@@ -134,9 +134,9 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
     def step(idx):
         nonlocal caches
         eps = eps_rng.standard_normal(size=(len(idx), r))
-        loss, grads, caches = composite_loss_and_grads(
+        loss, _, caches = composite_loss_and_grads(
             encoder, decoder, x_train[idx], y_train[idx], eps, caches)
-        return loss, grads
+        return loss, [cache["gradient"] for cache in caches]
 
     def val_loss() -> float:
         mu, logvar = model.posterior(x_val, y_val)
@@ -146,7 +146,7 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
         return recon + KL_WEIGHT * kl
 
     model.histories["cvae"] = train_minibatches(
-        encoder.parameters() + decoder.parameters(), n, step, val_loss, config, rng)
+        [encoder.flat, decoder.flat], n, step, val_loss, config, rng)
     return model
 
 

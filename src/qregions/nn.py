@@ -14,9 +14,14 @@ max(a > 0, s), computed in place; they equal where(z > 0, z, s*z) and
 where(z > 0, 1, s) bit for bit, signed zeros and NaN included (a > 0
 exactly where z > 0), so a step keeps only the activations, as In-Place
 Activated BatchNorm does (Rota Bulo et al. 2018), plus a bool mask of
-a > 0 and a float scratch of at most ``INFERENCE_ROWS`` rows. Adam keeps
-one flat moment vector each for m and v and updates every parameter in
-one pass, with the same per-element operations in the same order.
+a > 0 and a float scratch of at most ``INFERENCE_ROWS`` rows.
+
+A net's weights and biases are views of one vector, ``MlpModel.flat``,
+and ``backward`` writes their gradients into views of one vector its
+training cache holds. Adam (Kingma & Ba 2015) updates each such vector in
+place, with its moments and two scratch vectors held by its state, so a
+step allocates nothing; every element goes through the same operations
+in the same order as in a per-array update.
 
 Inference runs in blocks of ``INFERENCE_ROWS`` rows. OpenBLAS picks its
 kernel by row count, so a block can differ in the last bit from one pass
@@ -27,9 +32,13 @@ may borrow a training cache's per-layer buffers for the former and its
 ``scratch`` for the latter, once ``backward`` has consumed that cache and
 before the next training step rewrites it: the validation pass between
 two epochs. It borrows them for each block the cache has rows for and
-allocates them for the others, as it would without a cache; no cache
-grows to fit a block, so a net trained in steps of fewer rows than a
-block keeps its memory.
+allocates them for the others, as it would without a cache. ``train``
+sizes its cache at the first step for that step's rows or one validation
+block, whichever is more, so every validation pass borrows. A net trained
+in steps of fewer rows than a block then holds a block's buffers from the
+first step on, but its peak memory hardly rises: every validation pass
+without them allocated the same buffers for its first block, if only for
+the length of the pass.
 """
 
 from __future__ import annotations
@@ -75,20 +84,24 @@ class MlpModel:
     """Dense network parameters.
 
     ``widths`` lists every layer width including input and output, so a
-    net with widths (3, 64, 64, 1) has two hidden layers.
+    net with widths (3, 64, 64, 1) has two hidden layers. The constructor
+    copies the weights and biases into one vector, ``flat``, and keeps
+    views of it, so an in-place update of ``flat`` moves every parameter.
     """
 
     def __init__(self, widths, weights, biases):
         self.widths = tuple(int(w) for w in widths)
-        self.weights = weights
-        self.biases = biases
-        if not len(self.weights) == len(self.biases) == len(self.widths) - 1:
+        if not len(weights) == len(biases) == len(self.widths) - 1:
             raise ValueError("one weight matrix and bias per layer transition expected")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             expected = (self.widths[k], self.widths[k + 1])
             if w.shape != expected or b.shape != expected[1:]:
                 raise ValueError(f"layer {k} has weight {w.shape} and bias {b.shape}, "
                                  f"expected {expected} and {expected[1:]}")
+        params = (*weights, *biases)
+        self.flat = np.concatenate([np.ravel(p) for p in params])
+        views = _views(self.flat, params)
+        self.weights, self.biases = views[: len(weights)], views[len(weights) :]
 
     @property
     def in_width(self) -> int:
@@ -99,8 +112,18 @@ class MlpModel:
         return self.widths[-1]
 
     def parameters(self) -> list:
-        """Trainable arrays, in a fixed order shared with gradients."""
-        return list(self.weights) + list(self.biases)
+        """Trainable arrays, in a fixed order shared with gradients: the
+        views of ``flat``, every weight matrix before every bias."""
+        return self.weights + self.biases
+
+
+def _views(flat: np.ndarray, arrays) -> list:
+    """Consecutive views of ``flat`` shaped like each of ``arrays``."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def init_mlp(widths, rng: Rng) -> MlpModel:
@@ -142,22 +165,19 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache=None)
     passed in. Its ``inputs`` are the batch and one activation buffer per
     hidden layer; ``positive`` (bool) and ``scratch`` (at most
     ``INFERENCE_ROWS`` rows), as wide as the widest, serve ``backward``,
-    and ``scratch`` takes s*z here block by block. A cache from an earlier
-    step of the same model is reused: it writes into its first n rows, and
-    one with fewer is replaced. In eval mode a cache that ``backward`` has
-    consumed lends its buffers and scratch if it holds n rows; it is left
-    fit only to go back to ``forward_cached`` in train mode.
+    and ``scratch`` takes s*z here block by block. ``gradient`` is the flat
+    vector ``backward`` writes into, through its views ``grads``. A cache
+    from an earlier step of the same model is reused: it writes into its
+    first n rows, and one with fewer is replaced. In eval mode a cache that
+    ``backward`` has consumed lends its buffers and scratch if it holds n
+    rows; it is left fit only to go back to ``forward_cached`` in train mode.
     """
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
     n, n_layers = x.shape[0], len(model.weights)
     if train_mode:
-        hidden = model.widths[1:-1]
-        width = max(hidden, default=0)
         if cache is None or cache["positive"].shape[0] < n:
-            cache = {"buffers": [np.empty((n, w)) for w in hidden],
-                     "positive": np.empty((n, width), dtype=bool),
-                     "scratch": np.empty((min(n, INFERENCE_ROWS), width))}
+            cache = _training_cache(model, n)
         cache["inputs"] = [x]
     lent = cache is not None and cache["positive"].shape[0] >= n
     a = x
@@ -176,28 +196,40 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache=None)
     return out, cache
 
 
+def _training_cache(model: MlpModel, rows: int) -> dict:
+    """Empty buffers for training steps of up to ``rows`` rows."""
+    hidden = model.widths[1:-1]
+    width = max(hidden, default=0)
+    gradient = np.empty(model.flat.size)
+    return {"buffers": [np.empty((rows, w)) for w in hidden],
+            "positive": np.empty((rows, width), dtype=bool),
+            "scratch": np.empty((min(rows, INFERENCE_ROWS), width)),
+            "gradient": gradient,
+            "grads": _views(gradient, model.parameters())}
+
+
 def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns (grads, delta): grads matches model.parameters() ordering, and
-    delta is d(loss)/d(x @ W[0] + b[0]), so the input gradient is
-    delta @ W[0].T; delta may be a view into the cache, valid until its
-    next forward pass. The cache is consumed: for k >= 1, ``positive``
-    takes a > 0 for the activation a = ``inputs[k]`` before
-    ``delta @ W[k].T`` overwrites a, and ``scratch`` then takes
+    Returns (grads, delta): grads are the cache's ``grads``, the views of
+    its flat ``gradient`` in model.parameters() ordering, valid until the
+    next ``backward`` on the cache; delta is d(loss)/d(x @ W[0] + b[0]),
+    so the input gradient is delta @ W[0].T, and may be a view into the
+    cache, valid until its next forward pass. The cache is consumed: for
+    k >= 1, ``positive`` takes a > 0 for the activation a = ``inputs[k]``
+    before ``delta @ W[k].T`` overwrites a, and ``scratch`` then takes
     max(positive, slope) block by block, so the cache is fit only to go
     back to ``forward_cached``.
     """
     n_layers = len(model.weights)
-    w_grads = [None] * n_layers
-    b_grads = [None] * n_layers
+    grads = cache["grads"]
     delta = grad_out
     for k in reversed(range(n_layers)):
         a = cache["inputs"][k]
-        w_grads[k] = a.T @ delta
-        b_grads[k] = delta.sum(axis=0)
+        np.matmul(a.T, delta, out=grads[k])
+        delta.sum(axis=0, out=grads[n_layers + k])
         if k == 0:
-            return w_grads + b_grads, delta
+            return grads, delta
         positive = np.greater(a, 0.0, out=cache["positive"][: a.shape[0], : a.shape[1]])
         delta = np.matmul(delta, model.weights[k].T, out=a)
         derivative = cache["scratch"][:, : a.shape[1]]
@@ -211,9 +243,10 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
 # Losses
 # ---------------------------------------------------------------------------
 
-def pinball_values(y: np.ndarray, yhat: np.ndarray, alpha: float) -> np.ndarray:
-    diff = y - yhat
-    return np.where(diff > 0, alpha * diff, (alpha - 1.0) * diff)
+def pinball_values(diff: np.ndarray, above: np.ndarray, alpha: float) -> np.ndarray:
+    """Pinball losses of the residuals ``diff`` = y - yhat, given ``above``,
+    their mask diff > 0."""
+    return np.where(above, alpha * diff, (alpha - 1.0) * diff)
 
 
 class PinballLoss:
@@ -228,12 +261,14 @@ class PinballLoss:
         self.alpha = alpha
 
     def value(self, y, yhat) -> float:
-        return float(np.mean(pinball_values(y, yhat, self.alpha)))
+        diff = y - yhat
+        return float(np.mean(pinball_values(diff, diff > 0, self.alpha)))
 
     def value_and_grad(self, y, yhat):
         diff = y - yhat
-        grad = np.where(diff > 0, -self.alpha, 1.0 - self.alpha) / diff.size
-        return float(np.mean(pinball_values(y, yhat, self.alpha))), grad
+        above = diff > 0
+        grad = np.where(above, -self.alpha, 1.0 - self.alpha) / diff.size
+        return float(np.mean(pinball_values(diff, above, self.alpha))), grad
 
 
 # ---------------------------------------------------------------------------
@@ -247,47 +282,42 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Step count and the first/second moment accumulators of a parameter
-    list, each one flat vector over every element in parameter order, so
-    each update runs once over every parameter."""
+    """Step count and, per parameter array, its first and second moment
+    accumulators and two scratch arrays, shaped like it; each kind is one
+    flat block over every parameter in order."""
 
-    m: np.ndarray
-    v: np.ndarray
+    parts: list
     t: int = 0
 
     @staticmethod
     def for_params(params) -> "AdamState":
-        total = sum(p.size for p in params)
-        return AdamState(np.zeros(total), np.zeros(total))
-
-
-def _views(flat: np.ndarray, params) -> list:
-    """Consecutive slices of ``flat`` shaped like each parameter."""
-    views, start = [], 0
-    for p in params:
-        views.append(flat[start : start + p.size].reshape(p.shape))
-        start += p.size
-    return views
+        blocks = np.zeros((4, sum(p.size for p in params)))
+        m, v, step, denom = (_views(block, params) for block in blocks)
+        return AdamState(list(zip(m, v, step, denom)))
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """One in-place Adam update of every parameter array.
 
-    The update runs on the concatenated gradients with the per-element
-    operations of Kingma & Ba in their usual order, so every parameter
-    gets the bits a per-array update would give it.
+    Each element goes through the operations of Kingma & Ba in their usual
+    order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in the state's arrays, so a
+    step allocates nothing.
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    g = np.concatenate([np.ravel(grad) for grad in grads])
-    m, v = state.m, state.v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    for p, step in zip(params, _views(update, params)):
+    for p, g, (m, v, step, denom) in zip(params, grads, state.parts):
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        v += np.multiply(step, g, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bc1, out=step)
+        step *= lr
+        step /= denom
         p -= step
 
 
@@ -396,13 +426,17 @@ def train(net: MlpModel, n: int, batch, val_xy, loss, config: TrainConfig,
     def step(idx):
         nonlocal cache
         inputs, targets = batch(idx)
+        if cache is None:
+            # Rows for one validation block too, so that validation passes
+            # run in the consumed cache (see the module docstring).
+            cache = _training_cache(net, max(len(inputs), min(len(x_val), INFERENCE_ROWS)))
         out, cache = forward_cached(net, inputs, train_mode=True, cache=cache)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
-        grads, _ = backward(net, cache, grad_out)
-        return batch_loss, grads
+        backward(net, cache, grad_out)
+        return batch_loss, [cache["gradient"]]
 
     def val_loss() -> float:
         # Between epochs the last step's cache is consumed, so it is lent.
         return loss.value(y_val, forward_batch(net, x_val, cache))
 
-    return train_minibatches(net.parameters(), n, step, val_loss, config, rng)
+    return train_minibatches([net.flat], n, step, val_loss, config, rng)

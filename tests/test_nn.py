@@ -25,7 +25,7 @@ from qregions.nn import (
     train,
     train_minibatches,
 )
-from qregions.cvae import gaussian_kl_rows
+from qregions.cvae import default_hidden, gaussian_kl_rows
 from qregions.numerics import Rng
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -120,9 +120,10 @@ class TestAdam:
     def test_accumulators_mirror_params(self):
         model = init_mlp((3, 5, 2), Rng(0))
         state = AdamState.for_params(model.parameters())
-        total = sum(p.size for p in model.parameters())
-        assert state.m.shape == state.v.shape == (total,)
-        assert not state.m.any() and not state.v.any() and state.t == 0
+        for p, part in zip(model.parameters(), state.parts, strict=True):
+            assert [a.shape for a in part] == [p.shape] * 4
+        moments = [a for m, v, _, _ in state.parts for a in (m, v)]
+        assert not any(a.any() for a in moments) and state.t == 0
 
     def test_first_step_is_signed_learning_rate(self):
         p = np.array([1.0])
@@ -130,6 +131,46 @@ class TestAdam:
         adam_step([p], [np.array([0.04])], state, lr=0.001)
         # With bias correction the first step is lr * g/|g| up to eps.
         assert p[0] == pytest.approx(1.0 - 0.001, rel=1e-3)
+
+    def test_step_on_a_flat_vector_allocates_nothing(self):
+        model = init_mlp((1, 64, 64, 64, 1), Rng(0))
+        grad = Rng(1).uniform(-1, 1, size=model.flat.size)
+        state = AdamState.for_params([model.flat])
+        adam_step([model.flat], [grad], state, lr=1e-3)
+        tracemalloc.start()
+        try:
+            adam_step([model.flat], [grad], state, lr=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+
+    def test_encoder_and_decoder_vectors_match_per_array_reference(self):
+        # The flat vectors cvae.fit trains, against _reference_adam on
+        # copies of them, over 300 steps with gradients of varied scale.
+        hidden = default_hidden(1)
+        encoder, decoder = init_mlp((3, *hidden, 6), Rng(0)), init_mlp((4, *hidden, 2), Rng(1))
+        params = [encoder.flat, decoder.flat]
+        reference = [p.copy() for p in params]
+        state = AdamState.for_params(params)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference]
+        rng = Rng(2)
+        for t in range(1, 301):
+            grads = [rng.standard_normal(size=p.size) * 10.0 ** rng.uniform(-6, 2)
+                     for p in params]
+            adam_step(params, grads, state, lr=1e-3)
+            _reference_adam(reference, grads, moments, t, lr=1e-3)
+        for p, ref_p in zip(params, reference, strict=True):
+            _assert_same_bits(p, ref_p)
+
+    def test_weights_and_biases_are_views_of_flat(self):
+        model = init_mlp((3, 8, 8, 2), Rng(0))
+        before = [p.copy() for p in model.parameters()]
+        assert sum(p.size for p in before) == model.flat.size
+        model.flat += 1.0
+        for p, old in zip(model.parameters(), before, strict=True):
+            assert np.shares_memory(p, model.flat)
+            _assert_same_bits(p, old + 1.0)
 
 
 def _reference_forward(model, x, keep_cache=True):
@@ -349,6 +390,9 @@ def _consumed_cache(model, rows):
     return cache
 
 
+LENT_PASS_SLACK = 128 * 1024  # what a lent pass may allocate beside its output
+
+
 class TestLentBuffers:
     """An inference pass in the buffers of a consumed training cache
     against one that allocates its own."""
@@ -393,7 +437,44 @@ class TestLentBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < out.nbytes + 128 * 1024
+        assert peak < out.nbytes + LENT_PASS_SLACK
+
+    @pytest.mark.parametrize("val_rows", [2560, 1025])
+    def test_train_validates_in_its_step_cache(self, val_rows, monkeypatch):
+        # nn.train trains in 256-row steps here, and its cache has rows for
+        # a validation block too, so every validation pass, the one-row
+        # tail of 1,025 rows included, runs in the consumed step's buffers.
+        rng = Rng(val_rows)
+        x, y = rng.uniform(-1, 1, size=(1024, 4)), rng.uniform(-1, 1, size=(1024, 1))
+        x_val = rng.uniform(-1, 1, size=(val_rows, 4))
+        y_val = rng.uniform(-1, 1, size=(val_rows, 1))
+        config = TrainConfig(batch_size=256, max_epochs=4, patience=4)
+        real = nn.forward_batch
+
+        def val_losses():
+            history = train(init_mlp((4, 64, 64, 64, 1), Rng(0)), len(x),
+                            lambda idx: (x[idx], y[idx]), (x_val, y_val), PinballLoss(0.1),
+                            config, Rng(1))
+            return history.val_losses
+
+        passes = []
+
+        def traced(model, rows, cache=None):
+            assert cache["positive"].shape[0] >= INFERENCE_ROWS
+            tracemalloc.start()
+            try:
+                out = real(model, rows, cache)
+                passes.append((tracemalloc.get_traced_memory()[1], out.nbytes))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(nn, "forward_batch", traced)
+        lent = val_losses()
+        assert len(passes) == len(lent) == 4
+        assert all(peak < out_bytes + LENT_PASS_SLACK for peak, out_bytes in passes)
+        monkeypatch.setattr(nn, "forward_batch", lambda model, rows, cache=None: real(model, rows))
+        _assert_same_bits(lent, val_losses())
 
 
 class TestActivationMemory:
@@ -410,24 +491,53 @@ class TestActivationMemory:
 
     def test_training_step_keeps_one_buffer_per_hidden_layer_and_scratch(self):
         # One float buffer per hidden layer, one bool mask as large, one
-        # float scratch of at most an inference block, and nothing else.
+        # float scratch of at most an inference block, one flat gradient
+        # vector, and nothing else.
         widths, rows = (4, 64, 64, 64, 1), 6144
         model = init_mlp(widths, Rng(0))
         x = Rng(1).uniform(-1, 1, size=(rows, widths[0]))
         out, cache = forward_cached(model, x, train_mode=True)
         backward(model, cache, np.ones_like(out) / rows)
-        assert set(cache) == {"buffers", "positive", "scratch", "inputs"}
-        owners = {}
-        for array in [*cache["buffers"], cache["positive"], cache["scratch"], *cache["inputs"]]:
-            while array.base is not None:
-                array = array.base
-            owners[id(array)] = array
-        scratch_rows = min(rows, INFERENCE_ROWS)
-        layout = sorted((a.shape, a.dtype.name) for a in owners.values() if a is not x)
-        assert layout == sorted([((rows, 64), "float64")] * len(widths[1:-1])
-                                + [((rows, 64), "bool"), ((scratch_rows, 64), "float64")])
-        assert sum(a.nbytes for a in owners.values()) == (
-            len(widths[1:-1]) * rows * 64 * 8 + rows * 64 + scratch_rows * 64 * 8 + x.nbytes)
+        _assert_cache_layout(cache, widths, rows)
+
+    def test_train_cache_has_rows_for_a_validation_block(self, monkeypatch):
+        # nn.train's 256-row steps share one cache with 1,024-row buffers
+        # and scratch, so that it can lend them to a validation block.
+        widths = (4, 64, 64, 64, 1)
+        caches, real = [], nn.backward
+        monkeypatch.setattr(nn, "backward", lambda *args: caches.append(args[1]) or real(*args))
+        data = Rng(1).uniform(-1, 1, size=(2 * INFERENCE_ROWS, widths[0]))
+        train(init_mlp(widths, Rng(0)), 512, lambda idx: (data[idx], data[idx, :1]),
+              (data, data[:, :1]), PinballLoss(0.5),
+              TrainConfig(batch_size=256, max_epochs=1, patience=1), Rng(2))
+        assert len(caches) == 2 and caches[0] is caches[1]
+        _assert_cache_layout(caches[0], widths, INFERENCE_ROWS)
+
+
+def _assert_cache_layout(cache, widths, rows):
+    """The arrays a consumed training cache of a net with ``widths`` and
+    64-unit hidden layers owns, beside its batch, for steps of up to
+    ``rows`` rows, with their exact bytes."""
+
+    def owner(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    assert set(cache) == {"buffers", "positive", "scratch", "gradient", "grads", "inputs"}
+    owners = {id(owner(a)): owner(a) for a in [
+        *cache["buffers"], cache["positive"], cache["scratch"], cache["gradient"],
+        *cache["grads"], *cache["inputs"]]}
+    x = owner(cache["inputs"][0])
+    scratch_rows = min(rows, INFERENCE_ROWS)
+    n_params = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
+    layout = sorted((a.shape, a.dtype.name) for a in owners.values() if a is not x)
+    assert layout == sorted([((rows, 64), "float64")] * len(widths[1:-1])
+                            + [((rows, 64), "bool"), ((scratch_rows, 64), "float64"),
+                               ((n_params,), "float64")])
+    assert sum(a.nbytes for a in owners.values()) == (
+        len(widths[1:-1]) * rows * 64 * 8 + rows * 64 + scratch_rows * 64 * 8
+        + n_params * 8 + x.nbytes)
 
 
 def _clean_regression_setup(widths, seed, margin_guard=None):
@@ -578,8 +688,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("widths", [(1, 4, 1), (1, 1)])
     def test_targets_of_the_wrong_width_raise(self, widths):
-        # Nothing checks the targets up front: a hidden layer's backward
-        # matmul or the Adam update of a net without one refuses them.
+        # Nothing checks the targets up front: backward's matmul into the
+        # last layer's weight gradient refuses them.
         x = Rng(2).uniform(size=(16, 1))
         y = np.hstack([x, x])
         config = TrainConfig(batch_size=8, max_epochs=2, patience=2)
