@@ -21,6 +21,7 @@ from .nn import (
     forward_cached,
     init_mlp,
     train_minibatches,
+    training_cache,
 )
 from .numerics import Rng
 
@@ -85,18 +86,19 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, ca
     """Loss and parameter gradients of reconstruction + KL_WEIGHT * KL for
     one batch, with the (n, r) reparameterization noise ``eps`` held fixed.
 
-    ``caches`` is the (encoder, decoder) pair of training caches that the
-    previous step returned, or (None, None). Returns (loss, grads, caches)
-    with grads ordered as encoder.parameters() + decoder.parameters().
+    ``caches`` is the (encoder, decoder) pair of training caches the step
+    runs in, each with at least n rows. Returns (loss, grads); grads are
+    the caches' ``grads``, valid until their next step, ordered as
+    encoder.parameters() + decoder.parameters().
     """
     n, r = eps.shape
     enc_cache, dec_cache = caches
-    enc_out, enc_cache = forward_cached(
+    enc_out = forward_cached(
         encoder, np.concatenate([x, y], axis=1), train_mode=True, cache=enc_cache)
     mu, logvar = enc_out[:, :r], enc_out[:, r:]
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
-    dec_out, dec_cache = forward_cached(
+    dec_out = forward_cached(
         decoder, np.concatenate([x, z], axis=1), train_mode=True, cache=dec_cache)
     residual = dec_out - y
     recon = float(np.mean(np.sum(residual**2, axis=1)))
@@ -109,7 +111,7 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, ca
     dlogvar = dz * (0.5 * sigma * eps) + (KL_WEIGHT / n) * 0.5 * (np.exp(logvar) - 1.0)
     enc_grads, _ = backward(encoder, enc_cache,
                             np.concatenate([dmu, dlogvar], axis=1))
-    return loss, enc_grads + dec_grads, (enc_cache, dec_cache)
+    return loss, enc_grads + dec_grads
 
 
 def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
@@ -129,12 +131,11 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
     eps_rng = rng.spawn(12)
     model = CvaeModel(encoder, decoder, r)
 
-    caches = (None, None)
+    caches = [training_cache(net, min(config.batch_size, n)) for net in (encoder, decoder)]
 
     def step(idx):
-        nonlocal caches
         eps = eps_rng.standard_normal(size=(len(idx), r))
-        loss, _, caches = composite_loss_and_grads(
+        loss, _ = composite_loss_and_grads(
             encoder, decoder, x_train[idx], y_train[idx], eps, caches)
         return loss, [cache["gradient"] for cache in caches]
 

@@ -15,7 +15,6 @@ import json
 import traceback
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from numbers import Real
 from pathlib import Path
 from time import perf_counter
@@ -29,7 +28,7 @@ from .data import Dataset, gen_synthetic, load_csv, split, zscore_fit_apply
 from .metrics import cluster_coverages, delta_coverage, kmeans
 from .nn import TrainConfig
 from .numerics import Rng
-from .regions import AREA_MEASUREMENT, REGION_DISCRETIZATION, area, build_grid
+from .regions import AREA_MEASUREMENT, REGION_DISCRETIZATION, build_grid
 
 METHODS = ("stdqr", "npdqr", "naive")
 
@@ -224,7 +223,7 @@ class DistanceRule:
                          for x, y in zip(x_rows, y_rows)], dtype=bool)
 
     def area_cells(self, x, area_grid) -> int:
-        return area(self.rule.membership, x, area_grid)
+        return int(self.rule.membership(x, area_grid.points()).sum())
 
     def report(self) -> dict:
         return self.rule.to_report()
@@ -241,7 +240,7 @@ class RectangleRule:
         return naive_qr.membership_flags(self.model, x_rows, y_rows)
 
     def area_cells(self, x, area_grid) -> int:
-        return area(partial(naive_qr.membership_flags, self.model), x, area_grid)
+        return int(naive_qr.membership_flags(self.model, x, area_grid.points()).sum())
 
     def report(self) -> dict:
         return {"mode": "interval-widening", "offset": self.model.offset,

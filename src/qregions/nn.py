@@ -27,18 +27,15 @@ Inference runs in blocks of ``INFERENCE_ROWS`` rows. OpenBLAS picks its
 kernel by row count, so a block can differ in the last bit from one pass
 over all rows (seen for one-row tails and passes over ~7,000 rows).
 
-A block's temporaries are its matmul outputs and s*z. An inference pass
-may borrow a training cache's per-layer buffers for the former and its
-``scratch`` for the latter, once ``backward`` has consumed that cache and
-before the next training step rewrites it: the validation pass between
-two epochs. It borrows them for each block the cache has rows for and
-allocates them for the others, as it would without a cache. ``train``
-sizes its cache at the first step for that step's rows or one validation
-block, whichever is more, so every validation pass borrows. A net trained
-in steps of fewer rows than a block then holds a block's buffers from the
-first step on, but its peak memory hardly rises: every validation pass
-without them allocated the same buffers for its first block, if only for
-the length of the pass.
+A training loop makes one cache, ``training_cache``, with rows for its
+largest step, and ``forward_cached`` only fills it. Between two epochs,
+once ``backward`` has consumed the cache and before the next step
+rewrites it, an inference pass may borrow the cache's per-layer buffers
+for a block's matmul outputs and its ``scratch`` for s*z, if the cache
+holds a block. ``train`` sizes its cache at the first step for that
+step's rows or one validation block, whichever is more, so every
+validation pass borrows; its peak memory hardly rises, since a pass
+without the cache allocated a block's buffers itself.
 """
 
 from __future__ import annotations
@@ -153,33 +150,28 @@ def forward_batch(model: MlpModel, x: np.ndarray, cache=None) -> np.ndarray:
     # An empty batch still makes one call, which checks its shape.
     for start in range(0, max(len(x), 1), INFERENCE_ROWS):
         stop = start + INFERENCE_ROWS
-        out[start:stop] = forward_cached(model, x[start:stop], train_mode=False,
-                                         cache=cache)[0]
+        out[start:stop] = forward_cached(model, x[start:stop], train_mode=False, cache=cache)
     return out
 
 
-def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache=None):
-    """Forward pass that, in train mode, records what backward needs.
+def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache) -> np.ndarray:
+    """Forward pass of n rows in the buffers of ``cache``; returns the output.
 
-    Returns (output, cache); the cache is None unless ``train_mode`` or
-    passed in. Its ``inputs`` are the batch and one activation buffer per
-    hidden layer; ``positive`` (bool) and ``scratch`` (at most
-    ``INFERENCE_ROWS`` rows), as wide as the widest, serve ``backward``,
-    and ``scratch`` takes s*z here block by block. ``gradient`` is the flat
-    vector ``backward`` writes into, through its views ``grads``. A cache
-    from an earlier step of the same model is reused: it writes into its
-    first n rows, and one with fewer is replaced. In eval mode a cache that
-    ``backward`` has consumed lends its buffers and scratch if it holds n
-    rows; it is left fit only to go back to ``forward_cached`` in train mode.
+    In train mode ``cache`` is a ``training_cache`` of this model with at
+    least n rows: the pass writes into its first n rows and records in its
+    ``inputs`` the batch and each hidden activation, for ``backward``. In
+    eval mode ``cache`` is either None, and the pass allocates its
+    temporaries, or a cache of this model that ``backward`` has consumed
+    and that holds n rows, whose buffers and ``scratch`` the pass borrows;
+    that cache is then fit only to go back to ``forward_cached`` in train
+    mode.
     """
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
     n, n_layers = x.shape[0], len(model.weights)
     if train_mode:
-        if cache is None or cache["positive"].shape[0] < n:
-            cache = _training_cache(model, n)
         cache["inputs"] = [x]
-    lent = cache is not None and cache["positive"].shape[0] >= n
+    lent = cache is not None
     a = x
     for k in range(n_layers - 1):
         z = np.matmul(a, model.weights[k], out=cache["buffers"][k][:n] if lent else None)
@@ -193,11 +185,15 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache=None)
             cache["inputs"].append(a)
     out = a @ model.weights[-1]
     out += model.biases[-1]
-    return out, cache
+    return out
 
 
-def _training_cache(model: MlpModel, rows: int) -> dict:
-    """Empty buffers for training steps of up to ``rows`` rows."""
+def training_cache(model: MlpModel, rows: int) -> dict:
+    """Empty buffers for training steps of up to ``rows`` rows: one
+    activation buffer per hidden layer (``buffers``); ``positive`` (bool)
+    and ``scratch`` (at most ``INFERENCE_ROWS`` rows), as wide as the
+    widest, for ``backward`` and s*z; and the flat vector ``gradient`` that
+    ``backward`` writes into through its views ``grads``."""
     hidden = model.widths[1:-1]
     width = max(hidden, default=0)
     gradient = np.empty(model.flat.size)
@@ -429,8 +425,8 @@ def train(net: MlpModel, n: int, batch, val_xy, loss, config: TrainConfig,
         if cache is None:
             # Rows for one validation block too, so that validation passes
             # run in the consumed cache (see the module docstring).
-            cache = _training_cache(net, max(len(inputs), min(len(x_val), INFERENCE_ROWS)))
-        out, cache = forward_cached(net, inputs, train_mode=True, cache=cache)
+            cache = training_cache(net, max(len(inputs), min(len(x_val), INFERENCE_ROWS)))
+        out = forward_cached(net, inputs, train_mode=True, cache=cache)
         batch_loss, grad_out = loss.value_and_grad(targets, out)
         backward(net, cache, grad_out)
         return batch_loss, [cache["gradient"]]

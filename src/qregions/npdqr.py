@@ -81,19 +81,10 @@ class NpdqrModel:
         return self.membership_directions.shape[1]
 
     def thresholds(self, x_rows: np.ndarray) -> np.ndarray:
-        """f(x, u) for each row and membership direction, shape (n, m); the
-        rows go in chunks whose pair inputs fill one inference block of the
-        net."""
+        """f(x, u) for each row and membership direction, shape (n, m)."""
         directions = self.membership_directions
-        n, m = x_rows.shape[0], directions.shape[0]
-        out = np.empty((n, m))
-        rows_per_chunk = max(1, INFERENCE_ROWS // m)
-        for start in range(0, n, rows_per_chunk):
-            block = x_rows[start : start + rows_per_chunk]
-            out[start : start + rows_per_chunk] = forward_batch(
-                self.net, _pair_inputs(block, directions)
-            ).reshape(block.shape[0], m)
-        return out
+        pairs = _pair_inputs(x_rows, directions)
+        return forward_batch(self.net, pairs).reshape(len(x_rows), len(directions))
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,

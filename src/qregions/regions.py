@@ -38,7 +38,6 @@ class Grid:
     lows: tuple
     highs: tuple
     cells_per_dim: int
-    purpose: str
 
     def __post_init__(self):
         if len(self.lows) != self.dim or len(self.highs) != self.dim:
@@ -82,19 +81,7 @@ def build_grid(train_responses: np.ndarray, purpose: str) -> Grid:
         lows=tuple(lows),
         highs=tuple(highs),
         cells_per_dim=_CELLS_PER_DIM[purpose][dimension],
-        purpose=purpose,
     )
-
-
-def area(membership, x, grid: Grid) -> int:
-    """Count of grid cells whose centers satisfy the membership test.
-
-    ``membership(x, points)`` must return a boolean array over the rows
-    of ``points``.
-    """
-    if grid.purpose != AREA_MEASUREMENT:
-        raise ValueError("area must be measured on an area-measurement grid")
-    return int(membership(x, grid.points()).sum())
 
 
 def min_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qregions import experiment
+from qregions import naive_qr
 from qregions.calibration import GROW, SHRINK, calibrate
 from qregions.experiment import DistanceRule, RectangleRule
 from qregions.naive_qr import NaiveModel
@@ -61,16 +61,22 @@ def box_rule():
 
 
 def area_mask(monkeypatch, rule, x, grid):
-    """The area count of ``rule`` at ``x`` and the mask it counted."""
-    masks = []
-    real_area = experiment.area
+    """The area count of ``rule`` at ``x`` and the mask it counted, recorded
+    from the membership test that ``area_cells`` calls."""
+    if isinstance(rule, DistanceRule):
+        owner, name = type(rule.rule), "membership"
+    else:
+        owner, name = naive_qr, "membership_flags"
+    real, masks = getattr(owner, name), []
 
-    def recording(membership, x_row, area_grid):
-        masks.append(np.asarray(membership(x_row, area_grid.points()), dtype=bool))
-        return real_area(membership, x_row, area_grid)
+    def recording(*args):
+        flags = real(*args)
+        masks.append(np.asarray(flags, dtype=bool).copy())
+        return flags
 
-    monkeypatch.setattr(experiment, "area", recording)
-    count = rule.area_cells(x, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, recording)
+        count = rule.area_cells(x, grid)
     assert len(masks) == 1
     return count, masks[0]
 

@@ -14,7 +14,7 @@ from qregions.cvae import (
     gaussian_kl_rows,
     reconstruction_mse,
 )
-from qregions import cvae, experiment, stdqr
+from qregions import cvae, experiment, nn, stdqr
 from qregions.data import NONLINEAR, gen_synthetic, split, zscore_fit_apply
 from qregions.nn import MlpModel, TrainConfig, init_mlp
 from qregions.numerics import Rng
@@ -24,6 +24,11 @@ def posterior_sample(model, x, y, rng):
     """A reparameterized latent draw mu + exp(logvar / 2) * eps."""
     mu, logvar = model.posterior(x, y)
     return mu + np.exp(0.5 * logvar) * rng.standard_normal(size=mu.shape)
+
+
+def step_caches(encoder, decoder, x):
+    """New training caches of the encoder and decoder for a step over ``x``."""
+    return [nn.training_cache(net, len(x)) for net in (encoder, decoder)]
 
 
 def zeroed_cvae(p=1, d=2, r=2):
@@ -129,10 +134,11 @@ class TestLossDecomposition:
         x = rng.uniform(size=(16, 1))
         y = rng.uniform(size=(16, 2))
         eps = rng.standard_normal(size=(16, 2))
+        caches = step_caches(encoder, decoder, x)
         monkeypatch.setattr(cvae, "KL_WEIGHT", 0.0)
-        loss_l0, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
+        loss_l0, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, caches)
         monkeypatch.setattr(cvae, "KL_WEIGHT", 1.0)
-        loss_l1, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
+        loss_l1, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, caches)
         # The lam = 0 loss is the pure reconstruction term; the difference
         # at lam = 1 is the mean per-sample KL, which is nonnegative.
         model = CvaeModel(encoder, decoder, 2)
@@ -152,12 +158,15 @@ class TestReparameterizationGradients:
         y = rng.uniform(-1, 1, size=(8, 2))
         eps = rng.standard_normal(size=(8, 2))
         monkeypatch.setattr(cvae, "KL_WEIGHT", 0.01)
+        # The analytic gradients are views of their caches, so the probes
+        # run in caches of their own.
+        caches, probe_caches = step_caches(encoder, decoder, x), step_caches(encoder, decoder, x)
 
         def loss_value():
-            loss, _, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
+            loss, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, probe_caches)
             return loss
 
-        _, analytic, _ = composite_loss_and_grads(encoder, decoder, x, y, eps, (None, None))
+        _, analytic = composite_loss_and_grads(encoder, decoder, x, y, eps, caches)
         params = encoder.parameters() + decoder.parameters()
         probes = sample_probes(params, 40, Rng(5))
         numeric = central_difference(loss_value, params, probes)
@@ -257,29 +266,39 @@ class TestFit:
 class TestCacheReuse:
     def test_reused_caches_give_the_bits_of_fresh_ones(self, monkeypatch):
         # 600 rows in 256-row steps: the short last step of each epoch
-        # writes into the first rows of the caches the full steps made.
+        # writes into the first rows of the two caches fit makes.
         rng = Rng(29)
         x, y = rng.uniform(size=(700, 1)), rng.uniform(-1, 1, size=(700, 2))
         config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=6, patience=6)
         monkeypatch.setattr(cvae, "LATENT_DIM", 2)
         original = cvae.composite_loss_and_grads
-        caches_seen = []
+        made, caches_seen = [], []
+
+        def counted(net, rows):
+            made.append(rows)
+            return nn.training_cache(net, rows)
 
         def reusing(*args):
             caches_seen.append(args[-1])
             return original(*args)
 
         def fresh(*args):
-            return original(*args[:-1], (None, None))
+            # Each step runs in new caches; fit reads the gradients from its own.
+            new = step_caches(*args[:3])
+            result = original(*args[:-1], new)
+            for own, step_cache in zip(args[-1], new, strict=True):
+                own["gradient"][...] = step_cache["gradient"]
+            return result
 
         runs = []
-        for wrapper in (reusing, fresh):
+        for wrapper, cache_maker in ((reusing, counted), (fresh, nn.training_cache)):
             monkeypatch.setattr(cvae, "composite_loss_and_grads", wrapper)
+            monkeypatch.setattr(cvae, "training_cache", cache_maker)
             runs.append(fit(x[:600], y[:600], x[600:], y[600:], config=config,
                             hidden=(16, 32), seed=1))
         reused, fresh_model = runs
-        assert caches_seen[0] == (None, None)
-        assert len({tuple(map(id, caches)) for caches in caches_seen[1:]}) == 1
+        assert made == [256, 256]
+        assert len({tuple(map(id, caches)) for caches in caches_seen}) == 1
         for got, want in zip(reused.encoder.parameters() + reused.decoder.parameters(),
                              fresh_model.encoder.parameters()
                              + fresh_model.decoder.parameters(), strict=True):

@@ -405,9 +405,10 @@ def test_only_experiment_and_naive_qr_import_calibration():
 
 def test_only_nn_and_cvae_run_a_training_step():
     # A supervised net trains through nn.train; only the auto-encoder,
-    # whose loss spans two nets, runs forward and backward itself.
+    # whose loss spans two nets, makes its training caches and runs
+    # forward and backward itself.
     definitions = {path.stem: public_definitions(path) for path in PACKAGE.glob("*.py")}
-    step = {("nn", "forward_cached"), ("nn", "backward")}
+    step = {("nn", "forward_cached"), ("nn", "backward"), ("nn", "training_cache")}
     users = sorted(path.stem for path in PACKAGE.glob("*.py")
                    if package_references(path, path.stem, definitions) & step)
     assert users == ["cvae", "nn"]

@@ -24,7 +24,9 @@ from qregions.nn import (
     init_mlp,
     train,
     train_minibatches,
+    training_cache,
 )
+from qregions import naive_qr, npdqr
 from qregions.cvae import default_hidden, gaussian_kl_rows
 from qregions.numerics import Rng
 
@@ -225,6 +227,13 @@ def _assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _train_forward(model, x):
+    """A train-mode pass of ``x`` in a new training cache of ``len(x)``
+    rows; returns (output, cache)."""
+    cache = training_cache(model, len(x))
+    return forward_cached(model, x, train_mode=True, cache=cache), cache
+
+
 def _copy(model: MlpModel) -> MlpModel:
     """A net with the same bits that shares no array with ``model``."""
     return MlpModel(model.widths, [w.copy() for w in model.weights],
@@ -257,7 +266,7 @@ class TestBitwiseOracle:
                 x[1] = 0.0
             y = data_rng.uniform(-1, 1, size=(rows, widths[-1]))
 
-            out, cache = forward_cached(model, x, train_mode=True)
+            out, cache = _train_forward(model, x)
             ref_out, ref_cache = _reference_forward(reference, x)
             _assert_same_bits(out, ref_out)
             for a, ref_a in zip(cache["inputs"], ref_cache["inputs"], strict=True):
@@ -285,19 +294,19 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("slope", [0.0, 0.2])
     @pytest.mark.parametrize("widths", [(4, 64, 64, 64, 1), (3, 8, 8, 2), (2, 1)])
     def test_reused_cache_matches_fresh_caches(self, widths, slope, monkeypatch):
-        # One cache goes back to every step, the short batches included;
-        # a second model takes a fresh cache each step. The 1,500-row
-        # cache replaces the first, and 2,100 rows replace it again.
+        # One cache, made for the largest step, goes back to every step,
+        # the shorter ones included; a second model takes a fresh cache of
+        # each step's rows.
         monkeypatch.setattr(nn, "LEAKY_SLOPE", slope)
         model = init_mlp(widths, Rng(5))
         fresh = _copy(model)
         adam, fresh_adam = (AdamState.for_params(m.parameters()) for m in (model, fresh))
-        data_rng, loss, cache = Rng(6), MseLoss(), None
+        data_rng, loss, cache = Rng(6), MseLoss(), training_cache(model, 2100)
         for rows in (64, 64, 17, 64, 1500, 700, 2100):
             x = data_rng.uniform(-1, 1, size=(rows, widths[0]))
             y = data_rng.uniform(-1, 1, size=(rows, widths[-1]))
-            out, cache = forward_cached(model, x, train_mode=True, cache=cache)
-            fresh_out, fresh_cache = forward_cached(fresh, x, train_mode=True)
+            out = forward_cached(model, x, train_mode=True, cache=cache)
+            fresh_out, fresh_cache = _train_forward(fresh, x)
             _assert_same_bits(out, fresh_out)
             _, grad_out = loss.value_and_grad(y, out)
             grads, grad_input = _grads_and_input_gradient(model, cache, grad_out)
@@ -309,16 +318,19 @@ class TestBitwiseOracle:
             adam_step(model.parameters(), grads, adam, lr=1e-2)
             adam_step(fresh.parameters(), fresh_grads, fresh_adam, lr=1e-2)
 
-    def test_cache_with_too_few_rows_is_replaced(self):
+    def test_cache_with_too_few_rows_is_refused(self):
+        # A step never replaces the cache it is given: one of 17 rows
+        # refuses 40 and keeps its buffers for the steps it can hold.
         model = init_mlp((3, 8, 8, 1), Rng(0))
         x = Rng(1).uniform(-1, 1, size=(40, 3))
-        _, small = forward_cached(model, x[:17], train_mode=True)
-        out, cache = forward_cached(model, x, train_mode=True, cache=small)
-        assert cache is not small
-        assert [a.shape for a in cache["inputs"][1:]] == [(40, 8), (40, 8)]
-        _assert_same_bits(out, forward_cached(model, x, train_mode=True)[0])
-        _, again = forward_cached(model, x[:17], train_mode=True, cache=cache)
-        assert again is cache
+        cache = training_cache(model, 17)
+        buffers = list(cache["buffers"])
+        with pytest.raises(ValueError):
+            forward_cached(model, x, train_mode=True, cache=cache)
+        out = forward_cached(model, x[:17], train_mode=True, cache=cache)
+        assert all(got is kept for got, kept in zip(cache["buffers"], buffers, strict=True))
+        assert all(a.base is b for a, b in zip(cache["inputs"][1:], buffers, strict=True))
+        _assert_same_bits(out, _train_forward(model, x[:17])[0])
 
     def test_activation_keeps_signed_zeros_and_nan(self, monkeypatch):
         special = np.array([[-0.0], [0.0], [np.nan], [-2.0], [3.0], [-1e-320]])
@@ -326,7 +338,7 @@ class TestBitwiseOracle:
             monkeypatch.setattr(nn, "LEAKY_SLOPE", slope)
             model = init_mlp((1, 1, 1), Rng(0))
             model.weights[0][...] = 1.0
-            out, cache = forward_cached(model, special, train_mode=True)
+            out, cache = _train_forward(model, special)
             ref_out, ref_cache = _reference_forward(model, special)
             _assert_same_bits(cache["inputs"][1], ref_cache["inputs"][1])
             _assert_same_bits(out, ref_out)
@@ -368,12 +380,12 @@ class TestInferenceBlocks:
         model = init_mlp(widths, Rng(rows))
         x = Rng(3).uniform(-1, 1, size=(rows, widths[0]))
         blocked = forward_batch(model, x)
-        single, _ = forward_cached(model, x, train_mode=False)
+        single = forward_cached(model, x, train_mode=False, cache=None)
         if rows <= INFERENCE_ROWS:
             _assert_same_bits(blocked, single)
             return
         per_block = np.concatenate([
-            forward_cached(model, x[i : i + INFERENCE_ROWS], train_mode=False)[0]
+            forward_cached(model, x[i : i + INFERENCE_ROWS], train_mode=False, cache=None)
             for i in range(0, rows, INFERENCE_ROWS)])
         _assert_same_bits(blocked, per_block)
         # Outputs near zero are sums that cancel, so the tolerance is
@@ -385,7 +397,7 @@ class TestInferenceBlocks:
 def _consumed_cache(model, rows):
     """The cache of one training step over ``rows`` rows, after backward."""
     x = Rng(11).uniform(-1, 1, size=(rows, model.in_width))
-    out, cache = forward_cached(model, x, train_mode=True)
+    out, cache = _train_forward(model, x)
     backward(model, cache, np.ones_like(out) / rows)
     return cache
 
@@ -410,18 +422,9 @@ class TestLentBuffers:
         _assert_same_bits(loss.value(y, lent), loss.value(y, own))
         # The lent cache still serves the next training step.
         step_x = Rng(5).uniform(-1, 1, size=(6144, widths[0]))
-        out, again = forward_cached(model, step_x, train_mode=True, cache=cache)
-        assert again is cache
-        _assert_same_bits(out, forward_cached(model, step_x, train_mode=True)[0])
-
-    def test_cache_smaller_than_a_block_is_not_lent(self):
-        model = init_mlp((4, 64, 64, 64, 1), Rng(0))
-        x = Rng(3).uniform(-1, 1, size=(2560, 4))
-        cache = _consumed_cache(model, 256)
-        before = [b.copy() for b in cache["buffers"]] + [cache["scratch"].copy()]
-        _assert_same_bits(forward_batch(model, x, cache), forward_batch(model, x))
-        for got, want in zip(cache["buffers"] + [cache["scratch"]], before, strict=True):
-            _assert_same_bits(got, want)
+        out = forward_cached(model, step_x, train_mode=True, cache=cache)
+        assert cache["inputs"][0] is step_x
+        _assert_same_bits(out, _train_forward(model, step_x)[0])
 
     def test_validation_in_lent_buffers_allocates_only_its_output(self):
         # Without the lent buffers each 1,024-row block allocates its
@@ -496,7 +499,7 @@ class TestActivationMemory:
         widths, rows = (4, 64, 64, 64, 1), 6144
         model = init_mlp(widths, Rng(0))
         x = Rng(1).uniform(-1, 1, size=(rows, widths[0]))
-        out, cache = forward_cached(model, x, train_mode=True)
+        out, cache = _train_forward(model, x)
         backward(model, cache, np.ones_like(out) / rows)
         _assert_cache_layout(cache, widths, rows)
 
@@ -540,6 +543,37 @@ def _assert_cache_layout(cache, widths, rows):
         + n_params * 8 + x.nbytes)
 
 
+
+class TestOneCachePerNet:
+    @pytest.mark.parametrize("method,nets", [("naive", 4), ("npdqr", 1)])
+    def test_each_trained_net_makes_one_training_cache(self, method, nets, monkeypatch):
+        # nn.train makes a net's cache at its first step and keeps it, so a
+        # naive fit at d = 2 makes one per interval net and an NP-DQR fit
+        # one for its threshold net; counting them leaves the bits alone.
+        rng = Rng(41)
+        x, y = rng.uniform(size=(400, 1)), rng.uniform(-1, 1, size=(400, 2))
+        config = TrainConfig(batch_size=64, max_epochs=3, patience=3)
+        pool = npdqr.sample_direction_pool(2, npdqr.MEMBERSHIP_DIRECTIONS, Rng(4))
+
+        def fitted_nets():
+            if method == "naive":
+                model = naive_qr.fit(x[:300], y[:300], x[300:], y[300:], alpha=0.1,
+                                     config=config, seed=3)
+                return model.nets_lo + model.nets_hi
+            model = npdqr.fit(x[:300], y[:300], x[300:], y[300:], alpha=0.1, pool=pool,
+                              config=config, seed=3)
+            return [model.net]
+
+        plain = fitted_nets()
+        made, real = [], nn.training_cache
+        monkeypatch.setattr(nn, "training_cache",
+                            lambda net, rows: made.append(rows) or real(net, rows))
+        counted = fitted_nets()
+        assert len(made) == nets
+        for got, want in zip(counted, plain, strict=True):
+            _assert_same_bits(got.flat, want.flat)
+
+
 def _clean_regression_setup(widths, seed, margin_guard=None):
     """Model + batch with all hidden pre-activations away from the
     leaky-ReLU kink, so finite differences are valid."""
@@ -566,7 +600,7 @@ class TestGradients:
         def loss_value():
             return loss.value(y, forward_batch(model, x))
 
-        out, cache = forward_cached(model, x, train_mode=True)
+        out, cache = _train_forward(model, x)
         _, grad_out = loss.value_and_grad(y, out)
         analytic, _ = backward(model, cache, grad_out)
         params = model.parameters()
@@ -583,7 +617,7 @@ class TestGradients:
         def loss_value():
             return loss.value(y, forward_batch(model, x))
 
-        out, cache = forward_cached(model, x, train_mode=True)
+        out, cache = _train_forward(model, x)
         _, grad_out = loss.value_and_grad(y, out)
         analytic, _ = backward(model, cache, grad_out)
         params = model.parameters()
@@ -595,7 +629,7 @@ class TestGradients:
     def test_input_gradient(self):
         model, x, y = _clean_regression_setup((3, 5, 2), seed=17)
         loss = MseLoss()
-        out, cache = forward_cached(model, x, train_mode=True)
+        out, cache = _train_forward(model, x)
         _, grad_out = loss.value_and_grad(y, out)
         _, delta = backward(model, cache, grad_out)
         grad_input = delta @ model.weights[0].T

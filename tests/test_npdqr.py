@@ -102,8 +102,7 @@ class TestContains:
 class TestExtractRegion:
     @pytest.fixture
     def grid(self):
-        return Grid(dim=2, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=40,
-                    purpose=REGION_DISCRETIZATION)
+        return Grid(dim=2, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=40)
 
     def test_ball_region_matches_exact_membership(self, grid):
         model = constant_threshold_model(2, -1.0, pool_size=2048, membership=256)
@@ -193,8 +192,7 @@ class TestExactExtraction:
     @pytest.mark.parametrize("d, cells", [(1, 101), (2, 40), (3, 15), (4, 8)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_subset_and_per_point_masks_match_full_lattice(self, d, cells, seed):
-        grid = Grid(dim=d, lows=(-2.0,) * d, highs=(2.0,) * d, cells_per_dim=cells,
-                    purpose=REGION_DISCRETIZATION)
+        grid = Grid(dim=d, lows=(-2.0,) * d, highs=(2.0,) * d, cells_per_dim=cells)
         x = np.array([0.3])
         model, f, tied = tied_threshold_model(d, grid, x, seed)
         points, dirs = grid.points(), model.membership_directions
@@ -217,8 +215,7 @@ class TestExtractorMemory:
 
     @pytest.fixture(scope="class")
     def cube(self):
-        return Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=35,
-                    purpose=REGION_DISCRETIZATION)
+        return Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=35)
 
     def test_holds_only_points_and_head(self, cube):
         model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
@@ -264,8 +261,7 @@ class TestExtractorMemory:
         assert peak < 3 * len(region) * 16 * 8
 
     def test_four_dimensional_lattice(self):
-        grid = Grid(dim=4, lows=(-2.0,) * 4, highs=(2.0,) * 4, cells_per_dim=18,
-                    purpose=REGION_DISCRETIZATION)
+        grid = Grid(dim=4, lows=(-2.0,) * 4, highs=(2.0,) * 4, cells_per_dim=18)
         model = constant_threshold_model(4, -1.0, pool_size=2048, membership=256)
         region = RegionExtractor(model, grid.points()).extract([0.0])
         assert 0 < len(region) < grid.cells_per_dim ** grid.dim

@@ -8,7 +8,6 @@ from qregions.regions import (
     AREA_MEASUREMENT,
     REGION_DISCRETIZATION,
     Grid,
-    area,
     build_grid,
     min_distances,
     pairwise_nn_distances,
@@ -62,8 +61,7 @@ class TestBuildGrid:
         assert np.array_equal(g1.points(), g2.points())
 
     def test_points_are_cell_centers_row_major(self):
-        grid = Grid(dim=2, lows=(0.0, 0.0), highs=(1.0, 2.0), cells_per_dim=2,
-                    purpose=AREA_MEASUREMENT)
+        grid = Grid(dim=2, lows=(0.0, 0.0), highs=(1.0, 2.0), cells_per_dim=2)
         pts = grid.points()
         expected = np.array([
             [0.25, 0.5], [0.25, 1.5], [0.75, 0.5], [0.75, 1.5],
@@ -72,15 +70,12 @@ class TestBuildGrid:
 
 
 class TestArea:
-    def test_constant_predicates(self, train_responses):
-        grid = build_grid(train_responses, AREA_MEASUREMENT)
-        assert area(lambda x, pts: np.zeros(len(pts), dtype=bool), None, grid) == 0
-        assert area(lambda x, pts: np.ones(len(pts), dtype=bool), None, grid) == 3025
+    """A region's area is the count of area-grid cell centers it holds."""
 
-    def test_requires_area_grid(self, train_responses):
-        grid = build_grid(train_responses, REGION_DISCRETIZATION)
-        with pytest.raises(ValueError):
-            area(lambda x, pts: np.ones(len(pts), dtype=bool), None, grid)
+    def test_constant_predicates(self, train_responses):
+        points = build_grid(train_responses, AREA_MEASUREMENT).points()
+        assert int(np.zeros(len(points), dtype=bool).sum()) == 0
+        assert int(np.isfinite(points).all(axis=1).sum()) == 3025
 
     def test_disc_count_matches_analytic_area(self, train_responses):
         grid = build_grid(train_responses, AREA_MEASUREMENT)
@@ -89,9 +84,7 @@ class TestArea:
             0.5 * (grid.lows[1] + grid.highs[1]),
         ])
         radius = 0.25 * (grid.highs[0] - grid.lows[0])
-        count = area(
-            lambda x, pts: np.linalg.norm(pts - center, axis=1) <= radius, None, grid
-        )
+        count = int((np.linalg.norm(grid.points() - center, axis=1) <= radius).sum())
         widths = (np.asarray(grid.highs) - grid.lows) / grid.cells_per_dim
         cell_area = float(np.prod(widths))
         analytic_cells = math.pi * radius**2 / cell_area
@@ -99,11 +92,8 @@ class TestArea:
         assert abs(count - analytic_cells) <= 4 * perimeter_cells
 
     def test_monotone_in_predicate(self, train_responses):
-        grid = build_grid(train_responses, AREA_MEASUREMENT)
-        center = np.zeros(2)
-        small = area(lambda x, p: np.linalg.norm(p - center, axis=1) <= 0.5, None, grid)
-        large = area(lambda x, p: np.linalg.norm(p - center, axis=1) <= 1.0, None, grid)
-        assert small <= large
+        distances = np.linalg.norm(build_grid(train_responses, AREA_MEASUREMENT).points(), axis=1)
+        assert (distances <= 0.5).sum() <= (distances <= 1.0).sum()
 
 
 DUPLICATES = 20
@@ -124,8 +114,7 @@ def carrier_and_queries(kind, d, rng):
         return rng.uniform(-3, 3, size=(800, d)), queries
     if kind == "lattice":
         lattice = Grid(dim=d, lows=(0.0,) * d, highs=(1.0,) * d,
-                       cells_per_dim=LATTICE_CELLS[d],
-                       purpose=REGION_DISCRETIZATION).points()
+                       cells_per_dim=LATTICE_CELLS[d]).points()
         keep = rng.uniform(size=len(lattice)) < 0.5
         return lattice[keep], lattice
     if kind == "duplicates":

@@ -11,7 +11,7 @@ import pkgutil
 import qregions
 from qregions import npdqr
 
-BUDGET = 28
+BUDGET = 27
 
 
 def settable_values() -> list:

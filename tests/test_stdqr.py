@@ -27,8 +27,7 @@ from qregions.stdqr import (
 )
 
 # The lattice of ``ignored_unit_pipeline``, which holds unit 0 on layer 6.
-IGNORED_UNIT_GRID = Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=12,
-                         purpose=REGION_DISCRETIZATION)
+IGNORED_UNIT_GRID = Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=12)
 
 
 def identity_pipeline():
@@ -46,8 +45,7 @@ def identity_pipeline():
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
     latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
-    grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30,
-                purpose=REGION_DISCRETIZATION)
+    grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=grid.points())
 
 
