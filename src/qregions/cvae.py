@@ -46,10 +46,7 @@ def default_hidden(p: int) -> tuple:
 
 
 class CvaeModel:
-    """Encoder/decoder pair with latent dimension r.
-
-    ``fit`` records the pair's joint training history in ``histories``.
-    """
+    """Encoder/decoder pair with latent dimension r."""
 
     def __init__(self, encoder: MlpModel, decoder: MlpModel, r: int):
         if encoder.out_width != 2 * r:
@@ -57,7 +54,6 @@ class CvaeModel:
         self.encoder = encoder
         self.decoder = decoder
         self.r = int(r)
-        self.histories = {}
 
     def posterior(self, x_rows: np.ndarray, y_rows: np.ndarray):
         """Encoder output split into (mu, logvar), each (n, r)."""
@@ -115,12 +111,13 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, ca
 
 
 def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
-        seed: int) -> CvaeModel:
+        seed: int) -> tuple:
     """Train encoder and decoder jointly from ``Rng(seed)``, each with the
     hidden stack ``hidden``; ``LATENT_DIM`` and ``KL_WEIGHT`` are read at call time.
 
     The validation loss scores the posterior mean (no sampling noise), so
-    early stopping is deterministic.
+    early stopping is deterministic. Returns ``(model, histories)``, with
+    the pair's joint training history under ``cvae``.
     """
     r = LATENT_DIM
     n, p = x_train.shape
@@ -146,9 +143,8 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
         kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
         return recon + KL_WEIGHT * kl
 
-    model.histories["cvae"] = train_minibatches(
-        [encoder.flat, decoder.flat], n, step, val_loss, config, rng)
-    return model
+    history = train_minibatches([encoder.flat, decoder.flat], n, step, val_loss, config, rng)
+    return model, {"cvae": history}
 
 
 def reconstruction_mse(model: CvaeModel, x_rows, y_rows) -> float:

@@ -250,7 +250,8 @@ class RectangleRule:
 def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
                       seed: int):
     """Train one method and calibrate it; returns (rule adapter, area grid,
-    info), with the wall times ``fit_s`` and ``calibrate_s`` in ``info``."""
+    info), with the wall times ``fit_s`` and ``calibrate_s`` in ``info``
+    and one ``TrainHistory.summary`` per trained net in its ``training``."""
     start = perf_counter()
     levels = config.resolve_levels()
     x_tr, y_tr = prep.x["train"], prep.y["train"]
@@ -260,22 +261,23 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     info = {"method": method, "seed": seed}
 
     if method == "naive":
-        model = naive_qr.fit(x_tr, y_tr, x_v, y_v, alpha=config.alpha,
-                             config=config.training.naive, seed=seed)
+        model, histories = naive_qr.fit(x_tr, y_tr, x_v, y_v, alpha=config.alpha,
+                                        config=config.training.naive, seed=seed)
     elif method == "npdqr":
         alpha_dir = 1.0 - levels["npdqr"]
         pool = npdqr.sample_direction_pool(y_tr.shape[1], npdqr.POOL_SIZE, Rng(seed).spawn(41))
-        model = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
-                          config=config.training.dqr, seed=seed)
+        model, histories = npdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, pool=pool,
+                                     config=config.training.dqr, seed=seed)
         region_grid = build_grid(y_tr, REGION_DISCRETIZATION)
         provider = npdqr.RegionExtractor(model, region_grid.points()).extract
         info["directional_level"] = levels["npdqr"]
     elif method == "stdqr":
         alpha_dir = 1.0 - levels["stdqr"]
         hidden = config.training.cvae_hidden
-        model = stdqr.fit(x_tr, y_tr, x_v, y_v, alpha=alpha_dir, cvae_config=config.training.cvae,
-                          dqr_config=config.training.dqr, seed=seed,
-                          cvae_hidden=default_hidden(x_tr.shape[1]) if hidden is None else hidden)
+        model, histories = stdqr.fit(
+            x_tr, y_tr, x_v, y_v, alpha=alpha_dir, cvae_config=config.training.cvae,
+            dqr_config=config.training.dqr, seed=seed,
+            cvae_hidden=default_hidden(x_tr.shape[1]) if hidden is None else hidden)
         provider = model.region
         info["directional_level"] = levels["stdqr"]
         info["reconstruction_mse"] = reconstruction_mse(model.cvae, x_cal, y_cal)
@@ -289,14 +291,9 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
     else:
         rule = DistanceRule(calibrate(provider, x_cal, y_cal, config.alpha, area_grid))
     info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted,
-                calibration=rule.report(), training=_training_report(model))
+                calibration=rule.report(),
+                training=[history.summary(net) for net, history in histories.items()])
     return rule, area_grid, info
-
-
-def _training_report(model) -> list:
-    """One entry per trained net of a fitted model: epochs run, best epoch,
-    best validation loss and whether training hit its epoch cap."""
-    return [history.summary(net) for net, history in model.histories.items()]
 
 
 def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,

@@ -36,20 +36,15 @@ def quantile_levels(alpha: float, d: int):
 
 class NaiveModel:
     """2d pinball nets (lower and upper per response dimension) plus the
-    conformal widening offset once calibrated.
+    conformal widening offset once calibrated."""
 
-    ``histories`` maps net names (``lower_j``, ``upper_j``) to the
-    training history of each net; it is empty for nets not trained here.
-    """
-
-    def __init__(self, nets_lo, nets_hi, alpha, histories: dict, offset=None):
+    def __init__(self, nets_lo, nets_hi, alpha, offset=None):
         if len(nets_lo) != len(nets_hi):
             raise ValueError("need one lower and one upper net per dimension")
         self.nets_lo = nets_lo
         self.nets_hi = nets_hi
         self.alpha = float(alpha)
         self.offset = offset  # None until calibrated
-        self.histories = dict(histories)
 
     @property
     def d(self) -> int:
@@ -64,9 +59,13 @@ class NaiveModel:
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
-        seed: int) -> NaiveModel:
+        seed: int) -> tuple:
     """Train the 2d per-dimension pinball regressors, each with the hidden
-    stack ``HIDDEN`` (read at call time), from ``Rng(seed)``."""
+    stack ``HIDDEN`` (read at call time), from ``Rng(seed)``.
+
+    Returns ``(model, histories)``: ``histories`` maps ``lower_j`` and
+    ``upper_j``, in training order, to each net's training history.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     d = y_train.shape[1]
@@ -84,7 +83,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
                 (x_val, y_val[:, j : j + 1]), PinballLoss(level), config,
                 seed_rng.spawn(1000 + k))
             bucket.append(net)
-    return NaiveModel(nets_lo, nets_hi, alpha, histories=histories)
+    return NaiveModel(nets_lo, nets_hi, alpha), histories
 
 
 def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
@@ -101,8 +100,7 @@ def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
     k = conformal_rank(y_cal.shape[0], alpha)
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)
-    return NaiveModel(model.nets_lo, model.nets_hi, model.alpha,
-                      offset=offset, histories=model.histories)
+    return NaiveModel(model.nets_lo, model.nets_hi, model.alpha, offset=offset)
 
 
 def membership_flags(model: NaiveModel, x_rows, y_rows) -> np.ndarray:

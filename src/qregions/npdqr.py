@@ -61,20 +61,15 @@ def _pair_inputs(x_rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 class NpdqrModel:
     """Threshold net plus the ``(m, d)`` unit directions whose half-spaces
-    make up its regions.
+    make up its regions."""
 
-    ``histories`` holds the threshold net's training history under
-    ``threshold``; it is empty for a net not trained here.
-    """
-
-    def __init__(self, net: MlpModel, membership_directions: np.ndarray, histories: dict):
+    def __init__(self, net: MlpModel, membership_directions: np.ndarray):
         if (membership_directions.ndim != 2 or membership_directions.size == 0
                 or not np.isfinite(membership_directions).all()):
             raise ValueError("membership directions must be a non-empty finite (m, d) "
                              f"array, got shape {membership_directions.shape}")
         self.net = net
         self.membership_directions = membership_directions
-        self.histories = dict(histories)
 
     @property
     def d(self) -> int:
@@ -88,7 +83,7 @@ class NpdqrModel:
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
-        config: TrainConfig, seed: int) -> NpdqrModel:
+        config: TrainConfig, seed: int) -> tuple:
     """Pinball-train the threshold net on direction projections.
 
     Each gradient step pairs one batch of rows with a fresh sample of
@@ -97,6 +92,8 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
     u . y_i and the loss level is alpha, so the net estimates the lower
     directional quantile. The model keeps ``MEMBERSHIP_DIRECTIONS`` pool
     rows; draws come from ``Rng(seed)``, constants are read at call time.
+    Returns ``(model, histories)``, with the net's training history under
+    ``threshold``.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"directional miscoverage must be in (0, 0.5), got {alpha}")
@@ -123,8 +120,8 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, pool: np.ndarray,
         return _pair_inputs(x_train[idx], dirs), targets
 
     history = train(net, n, batch, (val_stack, val_targets), loss, config, rng)
-    return NpdqrModel(net=net, membership_directions=membership_directions,
-                      histories={"threshold": history})
+    model = NpdqrModel(net=net, membership_directions=membership_directions)
+    return model, {"threshold": history}
 
 
 def project(points: np.ndarray, directions: np.ndarray) -> np.ndarray:

@@ -51,14 +51,7 @@ class StdqrModel:
             raise ValueError(
                 f"latent net dimension {latent_model.d} != latent size {cvae.r}")
         self.cvae = cvae
-        self.latent_model = latent_model
         self.extractor = npdqr.RegionExtractor(latent_model, latent_points)
-
-    @property
-    def histories(self) -> dict:
-        """Training histories of the CVAE and of the latent threshold net."""
-        latent = {f"latent_{net}": h for net, h in self.latent_model.histories.items()}
-        return {**self.cvae.histories, **latent}
 
     def region(self, x) -> np.ndarray:
         """Decoded latent region: one response point per latent point."""
@@ -88,7 +81,7 @@ def latent_lattice(z_train: np.ndarray) -> np.ndarray:
 
 
 def fit(x_train, y_train, x_val, y_val, alpha: float, cvae_config: TrainConfig,
-        dqr_config: TrainConfig, cvae_hidden: tuple, seed: int) -> StdqrModel:
+        dqr_config: TrainConfig, cvae_hidden: tuple, seed: int) -> tuple:
     """Fit the full pipeline at directional miscoverage ``alpha``.
 
     Responses are transformed to latent space with the deterministic
@@ -103,14 +96,17 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, cvae_config: TrainConfig,
     its pool of ``npdqr.POOL_SIZE`` directions from ``Rng(seed + 1)``: the
     root stream of cell s + 1's CVAE, whose first epoch permutation cell
     s's latent net thus shares. Separating them would move every seeded
-    ST-DQR output.
+    ST-DQR output. Returns ``(model, histories)``: the CVAE's history
+    under ``cvae``, then the latent net's under ``latent_threshold``.
     """
-    cvae = fit_cvae(x_train, y_train, x_val, y_val, config=cvae_config,
-                    hidden=cvae_hidden, seed=seed)
+    cvae, histories = fit_cvae(x_train, y_train, x_val, y_val, config=cvae_config,
+                               hidden=cvae_hidden, seed=seed)
     z_train = encode_batch(cvae, x_train, y_train)
     z_val = encode_batch(cvae, x_val, y_val)
     pool = npdqr.sample_direction_pool(cvae.r, npdqr.POOL_SIZE, Rng(seed + 1).spawn(100))
-    latent_model = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
-                             pool=pool, config=dqr_config, seed=seed + 1)
+    latent_model, latent = fit_npdqr(x_train, z_train, x_val, z_val, alpha=alpha,
+                                     pool=pool, config=dqr_config, seed=seed + 1)
+    histories["latent_threshold"] = latent["threshold"]
     latent_points = latent_lattice(z_train)
-    return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=latent_points)
+    model = StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=latent_points)
+    return model, histories

@@ -57,7 +57,7 @@ def line_net(weight, bias):
 def box_rule():
     lower = [line_net(0.5, -1.0), line_net(-0.25, -0.5)]
     upper = [line_net(-0.3, 1.0), line_net(0.4, 0.75)]
-    return RectangleRule(NaiveModel(lower, upper, alpha=0.1, histories={}, offset=0.1))
+    return RectangleRule(NaiveModel(lower, upper, alpha=0.1, offset=0.1))
 
 
 def area_mask(monkeypatch, rule, x, grid):

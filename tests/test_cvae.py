@@ -79,7 +79,7 @@ class TestHiddenDefaults:
         monkeypatch.setattr(stdqr, "fit_cvae", fit_and_stop)
         with pytest.raises(Fitted):
             experiment.fit_and_calibrate("stdqr", config, prep, seed=0)
-        (model,) = fitted
+        ((model, _),) = fitted
         assert model.encoder.widths == (p + 2, *default_hidden(p), 6)
         assert model.decoder.widths == (p + 3, *default_hidden(p), 2)
 
@@ -176,16 +176,17 @@ class TestReparameterizationGradients:
 
 @pytest.fixture(scope="module")
 def nonlinear_cvae():
-    """CVAE trained on normalized nonlinear synthetic data, shared."""
+    """CVAE trained on normalized nonlinear synthetic data, shared, with its
+    training histories and the calibration rows."""
     data = gen_synthetic(NONLINEAR, d=2, p=1, n=4000, seed=3)
     parts = split(data.n, seed=3)
     normalized = zscore_fit_apply(data, parts["train"])
     x_tr, y_tr = normalized.x[parts["train"]], normalized.y[parts["train"]]
     x_v, y_v = normalized.x[parts["validation"]], normalized.y[parts["validation"]]
     config = TrainConfig(learning_rate=2e-3, batch_size=256, max_epochs=1100, patience=150)
-    model = fit(x_tr, y_tr, x_v, y_v, config=config, hidden=(64, 64, 64), seed=0)
+    model, histories = fit(x_tr, y_tr, x_v, y_v, config=config, hidden=(64, 64, 64), seed=0)
     x_cal, y_cal = normalized.x[parts["calibration"]], normalized.y[parts["calibration"]]
-    return model, (x_tr, y_tr), (x_cal, y_cal)
+    return model, histories, (x_cal, y_cal)
 
 
 class TestFit:
@@ -198,8 +199,8 @@ class TestFit:
                              patience=150)
         monkeypatch.setattr(cvae, "LATENT_DIM", 2)
         monkeypatch.setattr(cvae, "KL_WEIGHT", 0.0)
-        model = fit(x[:1600], y[:1600], x[1600:], y[1600:], config=config, hidden=(32, 32),
-                    seed=2)
+        model, _ = fit(x[:1600], y[:1600], x[1600:], y[1600:], config=config,
+                       hidden=(32, 32), seed=2)
         assert reconstruction_mse(model, x[1600:], y[1600:]) <= 0.01
 
     def test_huge_kl_weight_collapses_posterior(self, monkeypatch):
@@ -210,8 +211,8 @@ class TestFit:
                              patience=120)
         monkeypatch.setattr(cvae, "LATENT_DIM", 2)
         monkeypatch.setattr(cvae, "KL_WEIGHT", 1e3)
-        model = fit(x[:1000], y[:1000], x[1000:], y[1000:], config=config, hidden=(16, 16),
-                    seed=4)
+        model, _ = fit(x[:1000], y[:1000], x[1000:], y[1000:], config=config,
+                       hidden=(16, 16), seed=4)
         mu, logvar = model.posterior(x[1000:], y[1000:])
         # Posterior pinned to the prior: means near 0, variances near 1,
         # far below the response scale (~0.58 for uniform(-1, 1) data).
@@ -226,8 +227,9 @@ class TestFit:
         x, y = rng.uniform(size=(52, 2)), rng.standard_normal(size=(52, 2))
         config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4, patience=4)
         monkeypatch.setattr(cvae, "LATENT_DIM", 2)
-        model = fit(x[:40], y[:40], x[40:], y[40:], config=config, hidden=(8, 8), seed=7)
-        history = model.histories["cvae"]
+        model, histories = fit(x[:40], y[:40], x[40:], y[40:], config=config, hidden=(8, 8),
+                               seed=7)
+        history = histories["cvae"]
         bits = b"".join(a.tobytes() for a in
                         model.encoder.parameters() + model.decoder.parameters())
         bits += np.array(history.val_losses).tobytes()
@@ -236,8 +238,8 @@ class TestFit:
 
     def test_nonlinear_fixture_stops_before_its_cap(self, nonlinear_cvae):
         # The assertions that share the fixture see a converged net.
-        model, _, _ = nonlinear_cvae
-        assert not model.histories["cvae"].hit_cap
+        _, histories, _ = nonlinear_cvae
+        assert not histories["cvae"].hit_cap
 
     def test_nonlinear_reconstruction_quality(self, nonlinear_cvae):
         model, _, (x_cal, y_cal) = nonlinear_cvae
@@ -296,11 +298,11 @@ class TestCacheReuse:
             monkeypatch.setattr(cvae, "training_cache", cache_maker)
             runs.append(fit(x[:600], y[:600], x[600:], y[600:], config=config,
                             hidden=(16, 32), seed=1))
-        reused, fresh_model = runs
+        (reused, reused_histories), (fresh_model, fresh_histories) = runs
         assert made == [256, 256]
         assert len({tuple(map(id, caches)) for caches in caches_seen}) == 1
         for got, want in zip(reused.encoder.parameters() + reused.decoder.parameters(),
                              fresh_model.encoder.parameters()
                              + fresh_model.decoder.parameters(), strict=True):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert reused.histories["cvae"] == fresh_model.histories["cvae"]
+        assert reused_histories["cvae"] == fresh_histories["cvae"]

@@ -182,7 +182,7 @@ def test_unpaired_rows_raise_before_any_membership(monkeypatch, kind, x_rows, y_
         rule.rule = dataclasses.replace(rule.rule, provider=refuse)
     else:
         rule = RectangleRule(NaiveModel([constant_net(-1.0)] * 2, [constant_net(1.0)] * 2,
-                                        alpha=0.1, histories={}, offset=0.0))
+                                        alpha=0.1, offset=0.0))
         monkeypatch.setattr(naive_qr, "forward_batch", refuse)
     with pytest.raises(ValueError, match="rows"):
         rule.membership_rows(np.zeros((x_rows, 1)), np.zeros((y_rows, 2)))

@@ -32,7 +32,7 @@ def box_model(lo_values, hi_values, alpha=0.1, offset=0.0):
     p = 1
     nets_lo = [constant_net(p, v) for v in lo_values]
     nets_hi = [constant_net(p, v) for v in hi_values]
-    return NaiveModel(nets_lo, nets_hi, alpha, histories={}, offset=offset)
+    return NaiveModel(nets_lo, nets_hi, alpha, offset=offset)
 
 
 def refuse_net_pass(*_args, **_kwargs):
@@ -208,7 +208,7 @@ class TestFit:
         config = TrainConfig(learning_rate=5e-3, batch_size=128, max_epochs=300,
                              patience=300)
         monkeypatch.setattr(naive_qr, "HIDDEN", (16,))
-        model = fit(x, y, xv, yv, alpha=0.1, config=config, seed=0)
+        model, _ = fit(x, y, xv, yv, alpha=0.1, config=config, seed=0)
         assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 16, 1)] * 4
         lo, hi = model.bounds(np.array([[0.0]]))
         assert np.allclose(lo[0], [0.4, -1.1], atol=0.05)
@@ -222,12 +222,12 @@ class TestFit:
         x, y = rng.uniform(size=(52, 2)), rng.standard_normal(size=(52, 2))
         monkeypatch.setattr(naive_qr, "HIDDEN", (8, 8))
         config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4, patience=4)
-        model = fit(x[:40], y[:40], x[40:], y[40:], alpha=0.1, config=config, seed=3)
-        assert list(model.histories) == ["lower_0", "upper_0", "lower_1", "upper_1"]
+        model, histories = fit(x[:40], y[:40], x[40:], y[40:], alpha=0.1, config=config, seed=3)
+        assert list(histories) == ["lower_0", "upper_0", "lower_1", "upper_1"]
         bits = b"".join(a.tobytes() for net in model.nets_lo + model.nets_hi
                         for a in net.parameters())
-        bits += b"".join(np.array(h.val_losses).tobytes() for h in model.histories.values())
-        assert all(h.epochs_run == 4 for h in model.histories.values())
+        bits += b"".join(np.array(h.val_losses).tobytes() for h in histories.values())
+        assert all(h.epochs_run == 4 for h in histories.values())
         assert hashlib.sha256(bits).hexdigest()[:16] == "8eb4d948e916721b"
 
     def test_conformal_coverage_after_fit(self, monkeypatch):
@@ -245,7 +245,7 @@ class TestFit:
         config = TrainConfig(learning_rate=1e-3, batch_size=256, max_epochs=150,
                              patience=30)
         monkeypatch.setattr(naive_qr, "HIDDEN", (32, 32))
-        model = fit(x, y, xv, yv, alpha=0.1, config=config, seed=1)
+        model, _ = fit(x, y, xv, yv, alpha=0.1, config=config, seed=1)
         assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 32, 32, 1)] * 4
         xc, yc = draw(999)
         calibrated = calibrate(model, xc, yc, alpha=0.1)

@@ -557,11 +557,11 @@ class TestOneCachePerNet:
 
         def fitted_nets():
             if method == "naive":
-                model = naive_qr.fit(x[:300], y[:300], x[300:], y[300:], alpha=0.1,
-                                     config=config, seed=3)
+                model, _ = naive_qr.fit(x[:300], y[:300], x[300:], y[300:], alpha=0.1,
+                                        config=config, seed=3)
                 return model.nets_lo + model.nets_hi
-            model = npdqr.fit(x[:300], y[:300], x[300:], y[300:], alpha=0.1, pool=pool,
-                              config=config, seed=3)
+            model, _ = npdqr.fit(x[:300], y[:300], x[300:], y[300:], alpha=0.1, pool=pool,
+                                 config=config, seed=3)
             return [model.net]
 
         plain = fitted_nets()

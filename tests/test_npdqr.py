@@ -25,7 +25,7 @@ def constant_threshold_model(d, value, pool_size=64, membership=32):
     net = init_mlp((1 + d, 1), Rng(1))
     net.weights[0][...] = 0.0
     net.biases[0][...] = value
-    return NpdqrModel(net=net, membership_directions=pool[:membership], histories={})
+    return NpdqrModel(net=net, membership_directions=pool[:membership])
 
 
 def region_mask(extractor, x):
@@ -127,7 +127,7 @@ class TestExtractRegion:
         rng = Rng(11)
         pool = sample_direction_pool(2, 256, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
+        model = NpdqrModel(net=net, membership_directions=pool[:64])
         region = RegionExtractor(model, grid.points()).extract([0.4])
         for pt in region[:: max(1, len(region) // 25)]:
             assert contains(model, [0.4], pt)
@@ -136,7 +136,7 @@ class TestExtractRegion:
         rng = Rng(13)
         pool = sample_direction_pool(2, 512, rng)
         net = init_mlp((1 + 2, 8, 1), rng)
-        model = NpdqrModel(net=net, membership_directions=pool[:128], histories={})
+        model = NpdqrModel(net=net, membership_directions=pool[:128])
         extractor = RegionExtractor(model, grid.points())
         mask_fast = region_mask(extractor, [0.2])
         f = model.thresholds(np.array([[0.2]]))[0]
@@ -169,8 +169,7 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
     rng = Rng(seed)
     pool = sample_direction_pool(d, 512, rng)
     net = init_mlp((1 + d, 8, 1), rng)
-    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)],
-                       histories={})
+    model = NpdqrModel(net=net, membership_directions=pool[rng.subset(512, 256)])
     dirs = model.membership_directions
     f = model.thresholds(np.atleast_2d(x))[0]
     f -= f.max() + 0.5
@@ -284,8 +283,8 @@ def noise_fit():
         patch.setattr(npdqr, "TRAIN_DIRECTIONS", 32)
         patch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 128)
         patch.setattr(npdqr, "HIDDEN", (32, 32))
-        model_10 = fit(x, y, xv, yv, alpha=0.10, pool=pool, config=config, seed=5)
-        model_05 = fit(x, y, xv, yv, alpha=0.05, pool=pool, config=config, seed=5)
+        model_10, _ = fit(x, y, xv, yv, alpha=0.10, pool=pool, config=config, seed=5)
+        model_05, _ = fit(x, y, xv, yv, alpha=0.05, pool=pool, config=config, seed=5)
     return x, y, model_10, model_05
 
 
@@ -332,7 +331,7 @@ class TestFit:
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 16)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 64)
         monkeypatch.setattr(npdqr, "HIDDEN", (16,))
-        model = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config, seed=3)
+        model, _ = fit(x, y, x[:200], y[:200], alpha=0.1, pool=pool, config=config, seed=3)
         assert model.net.widths == (1 + 2, 16, 1)
         assert len(model.membership_directions) == 64
         dirs = model.membership_directions
@@ -349,9 +348,9 @@ class TestFit:
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 16)
         monkeypatch.setattr(npdqr, "HIDDEN", (8, 8))
         config = TrainConfig(learning_rate=1e-2, batch_size=24, max_epochs=4, patience=4)
-        model = fit(x[:50], y[:50], x[50:], y[50:], alpha=0.1,
-                    pool=sample_direction_pool(2, 32, Rng(6)), config=config, seed=5)
-        history = model.histories["threshold"]
+        model, histories = fit(x[:50], y[:50], x[50:], y[50:], alpha=0.1,
+                               pool=sample_direction_pool(2, 32, Rng(6)), config=config, seed=5)
+        history = histories["threshold"]
         bits = b"".join(a.tobytes() for a in model.net.parameters())
         bits += model.membership_directions.tobytes() + np.array(history.val_losses).tobytes()
         assert history.epochs_run == 4
@@ -381,7 +380,7 @@ class TestUndercoverage:
         monkeypatch.setattr(npdqr, "TRAIN_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 256)
         monkeypatch.setattr(npdqr, "HIDDEN", (32, 32))
-        model = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config, seed=6)
+        model, _ = fit(x, y, x[:500], y[:500], alpha=0.1, pool=pool, config=config, seed=6)
         assert model.net.widths == (1 + 3, 32, 32, 1)
         assert len(model.membership_directions) == 256
         x_test = rng.uniform(size=(1500, 1))
@@ -399,5 +398,4 @@ class TestUndercoverage:
     ids=["one-dimensional", "no-rows", "nan"])
 def test_malformed_membership_directions_are_rejected(directions):
     with pytest.raises(ValueError, match="membership directions"):
-        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions,
-                   histories={})
+        NpdqrModel(net=init_mlp((3, 1), Rng(0)), membership_directions=directions)

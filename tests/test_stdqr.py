@@ -44,7 +44,7 @@ def identity_pipeline():
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64])
     grid = Grid(dim=r, lows=(-2.0, -2.0), highs=(2.0, 2.0), cells_per_dim=30)
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=grid.points())
 
@@ -63,7 +63,7 @@ def ignored_unit_pipeline():
     net = init_mlp((p + r, 1), Rng(3))
     net.weights[0][...] = 0.0
     net.biases[0][...] = -1.0  # unit-ball latent region
-    latent_model = NpdqrModel(net=net, membership_directions=pool[:64], histories={})
+    latent_model = NpdqrModel(net=net, membership_directions=pool[:64])
     points = IGNORED_UNIT_GRID.points()
     points = points[points[:, 0] == IGNORED_UNIT_GRID.axis_centers(0)[6]]
     return StdqrModel(cvae=cvae, latent_model=latent_model, latent_points=points)
@@ -92,8 +92,8 @@ class TestRegionComposition:
 
     def test_empty_latent_region_gives_empty_response_region(self):
         model = identity_pipeline()
-        model.latent_model.net.biases[0][...] = 50.0  # infeasible thresholds
-        model.extractor = RegionExtractor(model.latent_model, model.extractor.points)
+        model.extractor.model.net.biases[0][...] = 50.0  # infeasible thresholds
+        model.extractor = RegionExtractor(model.extractor.model, model.extractor.points)
         result = model.region(np.array([0.0]))
         assert len(result) == 0
         assert result.shape == (0, 2)
@@ -114,8 +114,8 @@ def nonlinear_fit():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npdqr, "POOL_SIZE", 1024)
         patch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 256)
-        model = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, cvae_config=cvae_config,
-                    dqr_config=dqr_config, cvae_hidden=(64, 64, 64), seed=1)
+        model, _ = fit(x_tr, y_tr, x_v, y_v, alpha=0.07, cvae_config=cvae_config,
+                       dqr_config=dqr_config, cvae_hidden=(64, 64, 64), seed=1)
     cal = (normalized.x[parts["calibration"]], normalized.y[parts["calibration"]])
     raw_x = data.x[parts["train"]]
 
@@ -174,7 +174,7 @@ class TestFittedPipeline:
         # The fixture's pool held 1,024 directions: each membership
         # direction is a row of that pool, and they are not all rows of
         # the 2,048-row pool that the same seed draws.
-        latent = nonlinear_fit[0].latent_model
+        latent = nonlinear_fit[0].extractor.model
         assert latent.net.widths == (1 + 3, 64, 64, 64, 1)
         assert len(latent.membership_directions) == 256
         for size, expected in ((1024, True), (npdqr.POOL_SIZE, False)):
@@ -264,7 +264,7 @@ class TestFittedPipeline:
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (8,))
         monkeypatch.setattr(cvae, "LATENT_DIM", 2)
-        model = fit(
+        model, _ = fit(
             normalized.x[parts["train"]], normalized.y[parts["train"]],
             normalized.x[parts["validation"]], normalized.y[parts["validation"]],
             alpha=0.07,
@@ -291,15 +291,15 @@ class TestFittedPipeline:
         monkeypatch.setattr(npdqr, "POOL_SIZE", 128)
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (16,))
-        m1 = fit(*args, **kwargs)
-        m2 = fit(*args, **kwargs)
-        assert m1.latent_model.net.widths == (1 + 2, 16, 1)
-        assert len(m1.latent_model.membership_directions) == 32
+        m1, _ = fit(*args, **kwargs)
+        m2, _ = fit(*args, **kwargs)
+        assert m1.extractor.model.net.widths == (1 + 2, 16, 1)
+        assert len(m1.extractor.model.membership_directions) == 32
         for a, b in zip(
             m1.cvae.encoder.parameters() + m1.cvae.decoder.parameters()
-            + m1.latent_model.net.parameters(),
+            + m1.extractor.model.net.parameters(),
             m2.cvae.encoder.parameters() + m2.cvae.decoder.parameters()
-            + m2.latent_model.net.parameters(),
+            + m2.extractor.model.net.parameters(),
         ):
             assert np.array_equal(a, b)
         assert np.array_equal(m1.extractor.points, m2.extractor.points)
@@ -314,7 +314,7 @@ class TestOneDimensionalLatent:
         monkeypatch.setattr(npdqr, "MEMBERSHIP_DIRECTIONS", 32)
         monkeypatch.setattr(npdqr, "HIDDEN", (16, 16))
         monkeypatch.setattr(cvae, "LATENT_DIM", 1)
-        model = fit(
+        model, _ = fit(
             normalized.x[parts["train"]], normalized.y[parts["train"]],
             normalized.x[parts["validation"]], normalized.y[parts["validation"]],
             alpha=0.07,
@@ -322,8 +322,8 @@ class TestOneDimensionalLatent:
             dqr_config=TrainConfig(batch_size=128, max_epochs=40, patience=15),
             cvae_hidden=(32, 32), seed=3,
         )
-        assert model.latent_model.net.widths == (1 + 1, 16, 16, 1)
-        assert len(model.latent_model.membership_directions) == 32
+        assert model.extractor.model.net.widths == (1 + 1, 16, 16, 1)
+        assert len(model.extractor.model.membership_directions) == 32
         latent = model.extractor.extract(normalized.x[parts["test"][0]])
         centers = np.unique(model.extractor.points[:, 0])
         member = np.isin(centers, latent[:, 0])
