@@ -7,14 +7,16 @@ against that contract, and a broken one raises ValueError before any
 distance is taken from it. Calibration measures how often the
 provider's dilated point sets capture held-out responses, then either
 grows the dilation radius or shrinks the region via its complement
-until the empirical rule hits the requested coverage. Each mode has one conformity score, a distance that
-``CalibratedRule.scores`` computes: calibration ranks it, and membership
-and area compare it with the calibrated threshold. Both modes take their
-rank k from ``conformal_rank``: grow mode, which covers scores at most
-the threshold, keeps the k-th smallest score, and shrink mode, which
-covers scores at least the threshold, the k-th largest. So the
-calibrated rule works for any provider, any dimension, and any response
-distribution.
+until the empirical rule hits the requested coverage. Each mode has one
+conformity score, a distance that ``CalibratedRule.scores`` computes:
+calibration ranks it, and membership and area compare it with the
+calibrated threshold. Both modes take their rank k from
+``conformal_rank``: grow mode, which covers scores at most the
+threshold, keeps the k-th smallest score, and shrink mode, which covers
+scores at least the threshold, the k-th largest. So the calibrated rule
+works for any provider, any dimension, and any response distribution.
+``calibrate`` returns the rule, which holds only what membership reads,
+beside a report of the calibration's diagnostics.
 """
 
 from __future__ import annotations
@@ -108,11 +110,6 @@ class CalibratedRule:
     mode: str
     gamma_cal: float
     provider: object
-    alpha: float
-    n2: int
-    c_init: float
-    gamma_init_values: np.ndarray
-    region_sizes: np.ndarray
     anchor: np.ndarray
     complement_threshold: float | None
     complement_points: np.ndarray | None
@@ -149,28 +146,8 @@ class CalibratedRule:
             return scores <= self.gamma_cal
         return scores >= self.gamma_cal
 
-    def to_report(self) -> dict:
-        g, sizes = self.gamma_init_values, self.region_sizes
-        return {
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "n2": self.n2,
-            "c_init": self.c_init,
-            # Infinite when too few rows leave a complement; null keeps JSON valid.
-            "gamma_cal": self.gamma_cal if np.isfinite(self.gamma_cal) else None,
-            "gamma_init_median": float(np.median(g)),
-            "gamma_init_min": float(g.min()),
-            "gamma_init_max": float(g.max()),
-            "complement_threshold": self.complement_threshold,
-            "empty_regions": int((sizes == 0).sum()),
-            "fallback_rows": int((sizes < 2).sum()),
-            "region_size_min": int(sizes.min()),
-            "region_size_median": float(np.median(sizes)),
-            "region_size_max": int(sizes.max()),
-        }
 
-
-def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> CalibratedRule:
+def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> tuple:
     """Choose grow or shrink from the providers' initial coverage on the
     calibration set and fix the distance threshold at the conformity
     quantile that guarantees 1 - alpha marginal coverage.
@@ -179,6 +156,9 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
     regions cover nothing initially and score distances against the area
     grid's center, the rule's anchor. In shrink mode a region that leaves
     no complement carrier scores +inf, as membership treats it.
+
+    Returns ``(rule, report)``: the report is a JSON-ready dict of the
+    mode, c_init, thresholds, spacing statistics and region-size counts.
     """
     check_paired_rows(x_cal, y_cal)
     n2 = y_cal.shape[0]
@@ -200,17 +180,35 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> Calibrat
         if sizes[i] > 0:
             covered[i] = grow_scores[i] <= gammas[i]
     c_init = float(covered.mean())
-    common = dict(provider=provider, alpha=alpha, n2=n2, c_init=c_init,
-                  gamma_init_values=gammas, region_sizes=sizes, anchor=anchor)
 
     if c_init <= 1.0 - alpha:
-        return CalibratedRule(mode=GROW, gamma_cal=empirical_quantile(grow_scores, k),
-                              complement_threshold=None, complement_points=None, **common)
-    # A shrink score reads the complement fields only; the threshold is
-    # the score of rank n2 + 1 - k, the k-th largest.
-    rule = CalibratedRule(
-        mode=SHRINK, gamma_cal=np.nan,
-        complement_threshold=empirical_quantile(gammas, int(np.ceil(0.5 * n2))),
-        complement_points=area_grid.points(), **common)
-    shrink_scores = [rule.scores(x_cal[i], y_cal[i][None, :])[0] for i in range(n2)]
-    return replace(rule, gamma_cal=empirical_quantile(shrink_scores, n2 + 1 - k))
+        rule = CalibratedRule(mode=GROW, gamma_cal=empirical_quantile(grow_scores, k),
+                              provider=provider, anchor=anchor,
+                              complement_threshold=None, complement_points=None)
+    else:
+        # A shrink score reads the complement fields only; the threshold is
+        # the score of rank n2 + 1 - k, the k-th largest.
+        rule = CalibratedRule(
+            mode=SHRINK, gamma_cal=np.nan, provider=provider, anchor=anchor,
+            complement_threshold=empirical_quantile(gammas, int(np.ceil(0.5 * n2))),
+            complement_points=area_grid.points())
+        shrink_scores = [rule.scores(x_cal[i], y_cal[i][None, :])[0] for i in range(n2)]
+        rule = replace(rule, gamma_cal=empirical_quantile(shrink_scores, n2 + 1 - k))
+    report = {
+        "mode": rule.mode,
+        "alpha": alpha,
+        "n2": n2,
+        "c_init": c_init,
+        # Infinite when too few rows leave a complement; null keeps JSON valid.
+        "gamma_cal": rule.gamma_cal if np.isfinite(rule.gamma_cal) else None,
+        "gamma_init_median": float(np.median(gammas)),
+        "gamma_init_min": float(gammas.min()),
+        "gamma_init_max": float(gammas.max()),
+        "complement_threshold": rule.complement_threshold,
+        "empty_regions": int((sizes == 0).sum()),
+        "fallback_rows": int((sizes < 2).sum()),
+        "region_size_min": int(sizes.min()),
+        "region_size_median": float(np.median(sizes)),
+        "region_size_max": int(sizes.max()),
+    }
+    return rule, report

@@ -137,18 +137,21 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
         return loss, [cache["gradient"] for cache in caches]
 
     def val_loss() -> float:
-        mu, logvar = model.posterior(x_val, y_val)
-        reconstructed = decode_batch(model, x_val, mu)
-        recon = float(np.mean(np.sum((reconstructed - y_val) ** 2, axis=1)))
-        kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
-        return recon + KL_WEIGHT * kl
+        recon, mu, logvar = _reconstruction(model, x_val, y_val)
+        return recon + KL_WEIGHT * float(np.mean(gaussian_kl_rows(mu, logvar)))
 
     history = train_minibatches([encoder.flat, decoder.flat], n, step, val_loss, config, rng)
     return model, {"cvae": history}
 
 
+def _reconstruction(model: CvaeModel, x_rows, y_rows) -> tuple:
+    """Mean squared reconstruction error through the posterior mean, with
+    the posterior ``(mu, logvar)`` it decoded from."""
+    mu, logvar = model.posterior(x_rows, y_rows)
+    reconstructed = decode_batch(model, x_rows, mu)
+    return float(np.mean(np.sum((reconstructed - y_rows) ** 2, axis=1))), mu, logvar
+
+
 def reconstruction_mse(model: CvaeModel, x_rows, y_rows) -> float:
     """Mean squared reconstruction error through the posterior mean."""
-    mu, _ = model.posterior(x_rows, y_rows)
-    reconstructed = decode_batch(model, x_rows, mu)
-    return float(np.mean(np.sum((reconstructed - y_rows) ** 2, axis=1)))
+    return _reconstruction(model, x_rows, y_rows)[0]

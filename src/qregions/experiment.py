@@ -212,7 +212,7 @@ def prepare(dataset: Dataset, seed: int) -> PreparedData:
 
 
 class DistanceRule:
-    """Adapter for grow/shrink-calibrated point-set providers."""
+    """Membership and area counts of a grow/shrink-calibrated provider."""
 
     def __init__(self, rule: CalibratedRule):
         self.rule = rule
@@ -225,12 +225,9 @@ class DistanceRule:
     def area_cells(self, x, area_grid) -> int:
         return int(self.rule.membership(x, area_grid.points()).sum())
 
-    def report(self) -> dict:
-        return self.rule.to_report()
-
 
 class RectangleRule:
-    """Adapter for the calibrated per-dimension interval model."""
+    """Membership and area counts of the calibrated per-dimension interval model."""
 
     def __init__(self, model: naive_qr.NaiveModel):
         self.model = model
@@ -242,16 +239,13 @@ class RectangleRule:
     def area_cells(self, x, area_grid) -> int:
         return int(naive_qr.membership_flags(self.model, x, area_grid.points()).sum())
 
-    def report(self) -> dict:
-        return {"mode": "interval-widening", "offset": self.model.offset,
-                "alpha": self.model.alpha}
-
 
 def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
                       seed: int):
     """Train one method and calibrate it; returns (rule adapter, area grid,
-    info), with the wall times ``fit_s`` and ``calibrate_s`` in ``info``
-    and one ``TrainHistory.summary`` per trained net in its ``training``."""
+    info), with the wall times ``fit_s`` and ``calibrate_s`` in ``info``,
+    the calibrator's report in its ``calibration`` and one
+    ``TrainHistory.summary`` per trained net in its ``training``."""
     start = perf_counter()
     levels = config.resolve_levels()
     x_tr, y_tr = prep.x["train"], prep.y["train"]
@@ -286,12 +280,13 @@ def fit_and_calibrate(method: str, config: ExperimentConfig, prep: PreparedData,
 
     fitted = perf_counter()
     if method == "naive":
-        model = naive_qr.calibrate(model, x_cal, y_cal, config.alpha)
+        model, report = naive_qr.calibrate(model, x_cal, y_cal, config.alpha)
         rule = RectangleRule(model)
     else:
-        rule = DistanceRule(calibrate(provider, x_cal, y_cal, config.alpha, area_grid))
+        calibrated, report = calibrate(provider, x_cal, y_cal, config.alpha, area_grid)
+        rule = DistanceRule(calibrated)
     info.update(fit_s=fitted - start, calibrate_s=perf_counter() - fitted,
-                calibration=rule.report(),
+                calibration=report,
                 training=[history.summary(net) for net, history in histories.items()])
     return rule, area_grid, info
 

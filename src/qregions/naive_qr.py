@@ -38,12 +38,11 @@ class NaiveModel:
     """2d pinball nets (lower and upper per response dimension) plus the
     conformal widening offset once calibrated."""
 
-    def __init__(self, nets_lo, nets_hi, alpha, offset=None):
+    def __init__(self, nets_lo, nets_hi, offset=None):
         if len(nets_lo) != len(nets_hi):
             raise ValueError("need one lower and one upper net per dimension")
         self.nets_lo = nets_lo
         self.nets_hi = nets_hi
-        self.alpha = float(alpha)
         self.offset = offset  # None until calibrated
 
     @property
@@ -83,7 +82,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
                 (x_val, y_val[:, j : j + 1]), PinballLoss(level), config,
                 seed_rng.spawn(1000 + k))
             bucket.append(net)
-    return NaiveModel(nets_lo, nets_hi, alpha), histories
+    return NaiveModel(nets_lo, nets_hi), histories
 
 
 def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
@@ -94,13 +93,15 @@ def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
     return np.maximum(lo - y_rows, y_rows - hi).max(axis=1)
 
 
-def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> NaiveModel:
-    """Set the widening offset to the conformity-score quantile."""
+def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> tuple:
+    """Set the widening offset to the conformity-score quantile; returns
+    ``(model, report)``, the report holding the mode, offset and alpha."""
     check_paired_rows(x_cal, y_cal)
     k = conformal_rank(y_cal.shape[0], alpha)
     scores = cqr_scores(model, x_cal, y_cal)
     offset = empirical_quantile(scores, k)
-    return NaiveModel(model.nets_lo, model.nets_hi, model.alpha, offset=offset)
+    report = {"mode": "interval-widening", "offset": offset, "alpha": alpha}
+    return NaiveModel(model.nets_lo, model.nets_hi, offset=offset), report
 
 
 def membership_flags(model: NaiveModel, x_rows, y_rows) -> np.ndarray:

@@ -44,7 +44,8 @@ def disc_data():
 def disc_rule(disc_data, radius):
     grid, x, y = disc_data
     region_pts = grid.points()[np.linalg.norm(grid.points(), axis=1) <= radius]
-    return DistanceRule(calibrate(lambda _x: region_pts, x, y, alpha=0.1, area_grid=grid))
+    rule, _ = calibrate(lambda _x: region_pts, x, y, alpha=0.1, area_grid=grid)
+    return DistanceRule(rule)
 
 
 def line_net(weight, bias):
@@ -57,7 +58,7 @@ def line_net(weight, bias):
 def box_rule():
     lower = [line_net(0.5, -1.0), line_net(-0.25, -0.5)]
     upper = [line_net(-0.3, 1.0), line_net(0.4, 0.75)]
-    return RectangleRule(NaiveModel(lower, upper, alpha=0.1, offset=0.1))
+    return RectangleRule(NaiveModel(lower, upper, offset=0.1))
 
 
 def area_mask(monkeypatch, rule, x, grid):

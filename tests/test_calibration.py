@@ -76,8 +76,8 @@ class TestInitialCoverage:
         def cover_none(_x):
             return np.zeros((0, 2))
 
-        assert calibrate(cover_all, x, y, alpha=0.1, area_grid=grid).c_init == 1.0
-        assert calibrate(cover_none, x, y, alpha=0.1, area_grid=grid).c_init == 0.0
+        assert calibrate(cover_all, x, y, alpha=0.1, area_grid=grid)[1]["c_init"] == 1.0
+        assert calibrate(cover_none, x, y, alpha=0.1, area_grid=grid)[1]["c_init"] == 0.0
 
 
 def ring_provider(center_fn, radii=(0.3, 0.6), count=12):
@@ -109,11 +109,25 @@ def gaussian_setup():
     return draw, provider, grid
 
 
+def assert_report_agrees_with_rule(rule, report, provider, x, y):
+    """The report carries the rule's mode and thresholds, the initial
+    coverage recomputed from each region's spacing threshold, and dumps
+    as strict JSON."""
+    assert report["mode"] == rule.mode
+    assert report["gamma_cal"] == rule.gamma_cal
+    assert report["complement_threshold"] == rule.complement_threshold
+    assert report["n2"] == len(y)
+    hits = [base_contains(provider(x[i]), y[i], gamma_init(provider(x[i])))
+            for i in range(len(y))]
+    assert report["c_init"] == float(np.mean(hits))
+    json.dumps(report, allow_nan=False)
+
+
 class TestCalibrate:
     def test_grow_quantile_index(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == GROW
         scores = np.array([
             float(min_distances(y[i][None, :], provider(x[i]))[0])
@@ -124,12 +138,19 @@ class TestCalibrate:
     def test_mode_branch_is_exact(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
         x, y = draw(60)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
-        gammas = rule.gamma_init_values
-        hits = [base_contains(provider(x[i]), y[i], gammas[i]) for i in range(60)]
+        rule, report = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        hits = [base_contains(provider(x[i]), y[i], gamma_init(provider(x[i])))
+                for i in range(60)]
         c_init = float(np.mean(hits))
-        assert rule.c_init == c_init
+        assert report["c_init"] == c_init
         assert rule.mode == (GROW if c_init <= 0.9 else SHRINK)
+
+    def test_report_agrees_with_grow_rule(self, gaussian_setup):
+        draw, provider, grid = gaussian_setup
+        x, y = draw(99)
+        rule, report = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        assert rule.mode == GROW
+        assert_report_agrees_with_rule(rule, report, provider, x, y)
 
     def test_too_small_calibration_set(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
@@ -140,7 +161,7 @@ class TestCalibrate:
     def test_calibrated_rule_is_frozen(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rule.gamma_cal = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -156,7 +177,7 @@ class TestCalibrate:
     def test_grow_membership_monotone_in_threshold(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         pts = grid.points()
         inner = rule.membership(x[0], pts)
         wider = dataclasses.replace(
@@ -168,9 +189,7 @@ class TestCalibrate:
         x, _ = draw(1)
         region = provider(x[0])
         rule = CalibratedRule(
-            mode=GROW, gamma_cal=0.0, provider=provider, alpha=0.1, n2=0,
-            c_init=0.0, gamma_init_values=np.zeros(0),
-            region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2),
+            mode=GROW, gamma_cal=0.0, provider=provider, anchor=np.zeros(2),
             complement_threshold=None, complement_points=None,
         )
         assert np.all(rule.membership(x[0], region))
@@ -181,7 +200,7 @@ class TestCalibrate:
         draw, _, grid = gaussian_setup
         x, y = draw(99)
         empty = lambda _x: np.zeros((0, 2))
-        rule = calibrate(empty, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(empty, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == GROW
         assert np.isfinite(rule.gamma_cal)
         # Scores were measured from the anchor, so the anchor is covered.
@@ -196,8 +215,8 @@ class TestCalibrate:
         for seed in range(40):
             rng = Rng(seed)
             x, y = rng.uniform(size=(99, 1)), rng.standard_normal(size=(99, 2))
-            rule = calibrate(empty, x, y, alpha=0.1,
-                             area_grid=build_grid(y, AREA_MEASUREMENT))
+            rule, _ = calibrate(empty, x, y, alpha=0.1,
+                                area_grid=build_grid(y, AREA_MEASUREMENT))
             scores = min_distances(y, rule.anchor[None, :])
             order = np.argsort(scores, kind="stable")
             assert rule.gamma_cal == scores[order[k - 1]]
@@ -210,7 +229,7 @@ class TestCalibrate:
         coverages = []
         for _ in range(trials):
             x_cal, y_cal = draw(n2)
-            rule = calibrate(provider, x_cal, y_cal, alpha, grid)
+            rule, _ = calibrate(provider, x_cal, y_cal, alpha, grid)
             x_test, y_test = draw(n_test)
             hits = [rule.membership(x_test[i], y_test[i][None])[0] for i in range(n_test)]
             coverages.append(float(np.mean(hits)))
@@ -248,7 +267,7 @@ class TestProviderContract:
     def test_rule_checks_the_provider_again(self, gaussian_setup):
         draw, provider, grid = gaussian_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         rule = dataclasses.replace(rule, provider=lambda _x: np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError, match="finite"):
             rule.membership(x[0], y[:1])
@@ -318,14 +337,23 @@ class TestShrink:
     def test_overcovering_region_triggers_shrink(self, disc_setup):
         provider, grid, draw, _ = disc_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == SHRINK
         assert rule.gamma_cal > 0.0
+
+    def test_report_agrees_with_finite_shrink_rule(self, disc_setup):
+        # A report built before the shrink threshold is set would carry
+        # the NaN placeholder, which this catches.
+        provider, grid, draw, _ = disc_setup
+        x, y = draw(99)
+        rule, report = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        assert rule.mode == SHRINK and np.isfinite(rule.gamma_cal)
+        assert_report_agrees_with_rule(rule, report, provider, x, y)
 
     def test_shrunk_region_inside_base_and_connected(self, disc_setup):
         provider, grid, draw, region_pts = disc_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         pts = grid.points()
         covered = rule.membership(x[0], pts)
         base = min_distances(pts, region_pts) <= rule.complement_threshold
@@ -337,7 +365,7 @@ class TestShrink:
     def test_shrink_quantile_index(self, disc_setup):
         provider, grid, draw, region_pts = disc_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         pts = grid.points()
         complement = pts[min_distances(pts, region_pts) > rule.complement_threshold]
         scores = np.sort(min_distances(y, complement))
@@ -350,7 +378,7 @@ class TestShrink:
         x, y = draw(48)
         alpha = 1 / 49
         assert conformal_rank(48, alpha) == 48 and np.floor(49 * alpha) == 0
-        rule = calibrate(provider, x, y, alpha=alpha, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=alpha, area_grid=grid)
         assert rule.mode == SHRINK
         scores = np.array([rule.scores(x[i], y[i : i + 1])[0] for i in range(48)])
         assert rule.gamma_cal == scores.min()
@@ -361,11 +389,11 @@ class TestShrink:
         _, grid, draw, _ = disc_setup
         blanket = lambda _x: grid.points()
         x, y = draw(99)
-        rule = calibrate(blanket, x, y, alpha=0.1, area_grid=grid)
+        rule, report = calibrate(blanket, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == SHRINK
         assert rule.gamma_cal == math.inf
         assert np.all(rule.membership(x[0], grid.points()))
-        report = json.loads(json.dumps(rule.to_report(), allow_nan=False))
+        report = json.loads(json.dumps(report, allow_nan=False))
         assert report["gamma_cal"] is None
 
     def test_blanketed_rows_score_infinitely_inside(self, disc_setup):
@@ -375,7 +403,7 @@ class TestShrink:
         x, y = draw(99)
         x[::3] = 2.0  # every third input gets the blanket
         blanket_or_disc = lambda xi: grid.points() if xi[0] == 2.0 else provider(xi)
-        rule = calibrate(blanket_or_disc, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(blanket_or_disc, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == SHRINK and np.isfinite(rule.gamma_cal)
         assert np.all(rule.scores(x[0], y) == math.inf)
         assert np.all(rule.membership(x[0], grid.points()))
@@ -391,7 +419,7 @@ class TestShrink:
         x, y = draw(99)
         x[::20] = 2.0  # every twentieth input gets an empty region
         empty_or_disc = lambda xi: np.zeros((0, 2)) if xi[0] == 2.0 else provider(xi)
-        rule = calibrate(empty_or_disc, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(empty_or_disc, x, y, alpha=0.1, area_grid=grid)
         assert rule.mode == SHRINK
         pts = grid.points()
         assert np.array_equal(rule.complement_carrier(x[0]), pts)
@@ -406,7 +434,7 @@ class TestShrink:
     def test_calibrated_membership_inside_and_outside(self, disc_setup):
         provider, grid, draw, region_pts = disc_setup
         x, y = draw(99)
-        rule = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(provider, x, y, alpha=0.1, area_grid=grid)
         assert rule.membership(x[0], np.zeros((1, 2)))[0]
         # A grid point just outside the disc sits in the complement.
         outside = grid.points()[
@@ -420,7 +448,7 @@ class TestShrink:
         coverages = []
         for _ in range(trials):
             x_cal, y_cal = draw(n2)
-            rule = calibrate(provider, x_cal, y_cal, alpha, grid)
+            rule, _ = calibrate(provider, x_cal, y_cal, alpha, grid)
             assert rule.mode == SHRINK
             x_test, y_test = draw(n_test)
             hits = [rule.membership(x_test[i], y_test[i][None])[0] for i in range(n_test)]

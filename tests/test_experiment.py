@@ -479,8 +479,8 @@ def test_every_package_statement_runs_or_is_a_named_guard(
             dataset={"setting": "nonlinear", "d": 4, "p": 10, "n": 200}).resolve_levels()
         for p in (1, 6, 9, 11, 26):
             cvae.default_hidden(p)
-        rule = calibrate(lambda x: grid.points() if x[0] else np.zeros((0, 2)),
-                         np.arange(20.0)[:, None], y, alpha=0.1, area_grid=grid)
+        rule, _ = calibrate(lambda x: grid.points() if x[0] else np.zeros((0, 2)),
+                            np.arange(20.0)[:, None], y, alpha=0.1, area_grid=grid)
     assert rule.mode == "shrink"
     unrun = unrun_statements(PACKAGE, reached)
     assert set(unrun) == set(UNRUN_ON_PURPOSE), sorted(unrun.items())

@@ -22,9 +22,7 @@ def ball_rule(radius):
     """Grow rule around the origin: covers y when |y| <= radius."""
     return DistanceRule(CalibratedRule(
         mode=GROW, gamma_cal=radius,
-        provider=lambda _x: np.zeros((1, 2)),
-        alpha=0.1, n2=0, c_init=0.0, gamma_init_values=np.zeros(0),
-        region_sizes=np.zeros(0, dtype=int), anchor=np.zeros(2),
+        provider=lambda _x: np.zeros((1, 2)), anchor=np.zeros(2),
         complement_threshold=None, complement_points=None))
 
 
@@ -182,7 +180,7 @@ def test_unpaired_rows_raise_before_any_membership(monkeypatch, kind, x_rows, y_
         rule.rule = dataclasses.replace(rule.rule, provider=refuse)
     else:
         rule = RectangleRule(NaiveModel([constant_net(-1.0)] * 2, [constant_net(1.0)] * 2,
-                                        alpha=0.1, offset=0.0))
+                                        offset=0.0))
         monkeypatch.setattr(naive_qr, "forward_batch", refuse)
     with pytest.raises(ValueError, match="rows"):
         rule.membership_rows(np.zeros((x_rows, 1)), np.zeros((y_rows, 2)))

@@ -28,11 +28,11 @@ def constant_net(p, value):
     return net
 
 
-def box_model(lo_values, hi_values, alpha=0.1, offset=0.0):
+def box_model(lo_values, hi_values, offset=0.0):
     p = 1
     nets_lo = [constant_net(p, v) for v in lo_values]
     nets_hi = [constant_net(p, v) for v in hi_values]
-    return NaiveModel(nets_lo, nets_hi, alpha, offset=offset)
+    return NaiveModel(nets_lo, nets_hi, offset=offset)
 
 
 def refuse_net_pass(*_args, **_kwargs):
@@ -86,7 +86,7 @@ class TestCalibrate:
         rng = Rng(1)
         x = rng.uniform(size=(99, 1))
         y = rng.uniform(-1.0, 2.0, size=(99, 1))
-        calibrated = calibrate(model, x, y, alpha=0.1)
+        calibrated, _ = calibrate(model, x, y, alpha=0.1)
         scores = np.sort(cqr_scores(model, x, y))
         assert calibrated.offset == pytest.approx(scores[89])
 
@@ -95,7 +95,7 @@ class TestCalibrate:
         rng = Rng(2)
         x = rng.uniform(size=(99, 1))
         y = rng.uniform(-1.0, 1.0, size=(99, 1))
-        calibrated = calibrate(model, x, y, alpha=0.1)
+        calibrated, _ = calibrate(model, x, y, alpha=0.1)
         assert calibrated.offset < 0.0
         # The base box's own faces now lie outside the calibrated box.
         assert not membership_flags(calibrated, [[0.0]], np.array([[-10.0], [10.0]])).any()
@@ -108,7 +108,7 @@ class TestCalibrate:
             rng = Rng(seed)
             model = box_model(rng.uniform(-1.0, 0.0, size=2), rng.uniform(0.0, 1.0, size=2))
             x, y = rng.uniform(size=(99, 1)), rng.standard_normal(size=(99, 2))
-            calibrated = calibrate(model, x, y, alpha=0.1)
+            calibrated, _ = calibrate(model, x, y, alpha=0.1)
             scores = cqr_scores(model, x, y)
             row = np.argsort(scores, kind="stable")[k - 1]
             assert calibrated.offset == scores[row]
@@ -190,7 +190,7 @@ class TestOracleCoverage:
         beta = alpha / d
         lo_values = [beta / 2.0] * d
         hi_values = [1.0 - beta / 2.0] * d
-        model = box_model(lo_values, hi_values, alpha=alpha, offset=0.0)
+        model = box_model(lo_values, hi_values, offset=0.0)
         y = Rng(7).uniform(size=(n, d))
         hits = membership_flags(model, np.zeros((n, 1)), y)
         coverage = float(hits.mean())
@@ -248,7 +248,7 @@ class TestFit:
         model, _ = fit(x, y, xv, yv, alpha=0.1, config=config, seed=1)
         assert [net.widths for net in model.nets_lo + model.nets_hi] == [(1, 32, 32, 1)] * 4
         xc, yc = draw(999)
-        calibrated = calibrate(model, xc, yc, alpha=0.1)
+        calibrated, _ = calibrate(model, xc, yc, alpha=0.1)
         xt, yt = draw(4000)
         coverage = float(membership_flags(calibrated, xt, yt).mean())
         assert 0.86 <= coverage <= 0.94
