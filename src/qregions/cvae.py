@@ -89,8 +89,10 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, ca
     """
     n, r = eps.shape
     enc_cache, dec_cache = caches
+    # The loss terms are float64, as in validation, whatever the nets' dtype.
     enc_out = forward_cached(
-        encoder, np.concatenate([x, y], axis=1), train_mode=True, cache=enc_cache)
+        encoder, np.concatenate([x, y], axis=1), train_mode=True,
+        cache=enc_cache).astype(float)
     mu, logvar = enc_out[:, :r], enc_out[:, r:]
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps

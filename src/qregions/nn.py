@@ -36,6 +36,20 @@ holds a block. ``train`` sizes its cache at the first step for that
 step's rows or one validation block, whichever is more, so every
 validation pass borrows; its peak memory hardly rises, since a pass
 without the cache allocated a block's buffers itself.
+
+Precision is mixed (Micikevicius et al. 2018). Every net that
+``init_mlp`` makes holds ``NET_DTYPE`` (float32) weights and biases, and
+a net computes in the dtype of its parameters: ``forward_cached`` casts
+a batch once where it enters, ``backward`` casts the output gradient
+once, and the training cache's buffers, the flat gradient and Adam's
+moments and scratch share that dtype, so no step runs a float64 loop or
+casts on the way. Single precision halves the bytes a step moves and
+lets BLAS run its single-precision kernels. Everything outside a net
+stays float64: ``forward_batch`` returns float64, so thresholds, decoded
+responses, lattices, distances, conformal scores and areas keep the
+precision a region's geometry needs, and losses are scored in float64
+from a net's float32 outputs. A net built with float64 arrays
+(``MlpModel``) computes in float64, as the gradient checks need.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ import numpy as np
 from .numerics import Rng
 
 LEAKY_SLOPE = 0.2  # slope of the hidden layers' leaky ReLUs; must lie in [0, 1]
+NET_DTYPE = np.float32  # dtype of every net init_mlp makes: parameters, buffers, Adam state
 
 
 class TrainingDivergedError(RuntimeError):
@@ -124,7 +139,8 @@ def _views(flat: np.ndarray, arrays) -> list:
 
 
 def init_mlp(widths, rng: Rng) -> MlpModel:
-    """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero biases."""
+    """Fan-in scaled uniform weight init (He-style for leaky ReLU), zero
+    biases, both in ``NET_DTYPE``."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"need at least input and output widths >= 1, got {widths}")
@@ -132,8 +148,8 @@ def init_mlp(widths, rng: Rng) -> MlpModel:
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = np.sqrt(3.0 * gain2 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(NET_DTYPE))
+        biases.append(np.zeros(fan_out, dtype=NET_DTYPE))
     return MlpModel(widths, weights, biases)
 
 
@@ -141,7 +157,8 @@ INFERENCE_ROWS = 1024
 
 
 def forward_batch(model: MlpModel, x: np.ndarray, cache=None) -> np.ndarray:
-    """Eval-mode forward pass in blocks of ``INFERENCE_ROWS`` rows.
+    """Eval-mode forward pass in blocks of ``INFERENCE_ROWS`` rows; the
+    output is float64, whatever the net's dtype.
 
     ``cache`` lends the blocks the buffers of a consumed training cache of
     this model (see ``forward_cached``); the output bits are the same.
@@ -155,7 +172,8 @@ def forward_batch(model: MlpModel, x: np.ndarray, cache=None) -> np.ndarray:
 
 
 def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache) -> np.ndarray:
-    """Forward pass of n rows in the buffers of ``cache``; returns the output.
+    """Forward pass of n rows in the buffers of ``cache``; returns the
+    output, in the net's dtype, to which ``x`` is cast first.
 
     In train mode ``cache`` is a ``training_cache`` of this model with at
     least n rows: the pass writes into its first n rows and records in its
@@ -169,6 +187,7 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache) -> n
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {model.in_width})")
     n, n_layers = x.shape[0], len(model.weights)
+    x = x.astype(model.flat.dtype, copy=False)
     if train_mode:
         cache["inputs"] = [x]
     lent = cache is not None
@@ -189,23 +208,25 @@ def forward_cached(model: MlpModel, x: np.ndarray, train_mode: bool, cache) -> n
 
 
 def training_cache(model: MlpModel, rows: int) -> dict:
-    """Empty buffers for training steps of up to ``rows`` rows: one
-    activation buffer per hidden layer (``buffers``); ``positive`` (bool)
-    and ``scratch`` (at most ``INFERENCE_ROWS`` rows), as wide as the
-    widest, for ``backward`` and s*z; and the flat vector ``gradient`` that
-    ``backward`` writes into through its views ``grads``."""
+    """Empty buffers, in the net's dtype, for training steps of up to
+    ``rows`` rows: one activation buffer per hidden layer (``buffers``);
+    ``positive`` (bool) and ``scratch`` (at most ``INFERENCE_ROWS`` rows),
+    as wide as the widest, for ``backward`` and s*z; and the flat vector
+    ``gradient`` that ``backward`` writes into through its views ``grads``."""
     hidden = model.widths[1:-1]
     width = max(hidden, default=0)
-    gradient = np.empty(model.flat.size)
-    return {"buffers": [np.empty((rows, w)) for w in hidden],
+    dtype = model.flat.dtype
+    gradient = np.empty(model.flat.size, dtype=dtype)
+    return {"buffers": [np.empty((rows, w), dtype=dtype) for w in hidden],
             "positive": np.empty((rows, width), dtype=bool),
-            "scratch": np.empty((min(rows, INFERENCE_ROWS), width)),
+            "scratch": np.empty((min(rows, INFERENCE_ROWS), width), dtype=dtype),
             "gradient": gradient,
             "grads": _views(gradient, model.parameters())}
 
 
 def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
-    """Backpropagate d(loss)/d(output) through the cached forward pass.
+    """Backpropagate d(loss)/d(output), cast to the net's dtype, through
+    the cached forward pass.
 
     Returns (grads, delta): grads are the cache's ``grads``, the views of
     its flat ``gradient`` in model.parameters() ordering, valid until the
@@ -219,7 +240,10 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """
     n_layers = len(model.weights)
     grads = cache["grads"]
-    delta = grad_out
+    delta = grad_out.astype(model.flat.dtype, copy=False)
+    # A slope of the net's dtype: with a Python float, max(bool, slope)
+    # would run in float64 and cast its result.
+    slope = model.flat.dtype.type(LEAKY_SLOPE)
     for k in reversed(range(n_layers)):
         a = cache["inputs"][k]
         np.matmul(a.T, delta, out=grads[k])
@@ -232,7 +256,7 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
         for start in range(0, len(delta), INFERENCE_ROWS):
             rows = slice(start, start + INFERENCE_ROWS)
             block = delta[rows]
-            block *= np.maximum(positive[rows], LEAKY_SLOPE, out=derivative[: len(block)])
+            block *= np.maximum(positive[rows], slope, out=derivative[: len(block)])
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +303,16 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     """Step count and, per parameter array, its first and second moment
-    accumulators and two scratch arrays, shaped like it; each kind is one
-    flat block over every parameter in order."""
+    accumulators and two scratch arrays, shaped like it and of the
+    parameters' dtype; each kind is one flat block over every parameter in
+    order."""
 
     parts: list
     t: int = 0
 
     @staticmethod
     def for_params(params) -> "AdamState":
-        blocks = np.zeros((4, sum(p.size for p in params)))
+        blocks = np.zeros((4, sum(p.size for p in params)), dtype=np.result_type(*params))
         m, v, step, denom = (_views(block, params) for block in blocks)
         return AdamState(list(zip(m, v, step, denom)))
 
@@ -298,8 +323,11 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     Each element goes through the operations of Kingma & Ba in their usual
     order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in the state's arrays, so a
-    step allocates nothing.
+    step allocates nothing. ``lr`` enters as a Python float, which takes
+    the arrays' dtype: a numpy float64 rate would turn a float32 step's
+    loops into float64 ones.
     """
+    lr = float(lr)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t

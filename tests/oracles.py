@@ -1,11 +1,14 @@
 """Reference implementations the tests compare the package against: a
 raw-region membership test, the per-direction NP-DQR membership test, a
-squared-error loss and the standard normal quantile."""
+squared-error loss, the standard normal quantile, and float64 copies of
+nets for the checks whose tolerances or hand-set values need double
+precision."""
 
 import math
 
 import numpy as np
 
+from qregions.nn import MlpModel
 from qregions.npdqr import NpdqrModel, project
 from qregions.regions import min_distances
 
@@ -49,3 +52,10 @@ def normal_quantile(p: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def as_float64(model: MlpModel) -> MlpModel:
+    """A float64 net with ``model``'s widths and parameter values; it
+    computes in float64 (``init_mlp`` makes ``nn.NET_DTYPE`` nets)."""
+    return MlpModel(model.widths, [w.astype(np.float64) for w in model.weights],
+                    [b.astype(np.float64) for b in model.biases])

@@ -15,6 +15,7 @@ from linetrace import counted_statements, record_lines, unrun_statements
 from qregions import cvae, experiment
 from qregions.calibration import calibrate
 from qregions.data import Dataset, gen_synthetic, split
+from qregions.nn import forward_batch
 from qregions.numerics import Rng
 from qregions.regions import AREA_MEASUREMENT, build_grid
 from test_data import write_csv
@@ -134,6 +135,27 @@ class TestRunExperiment:
             assert report["region_size_min"] == int(sizes.min())
             assert report["region_size_median"] == float(np.median(sizes))
             assert report["region_size_max"] == int(sizes.max())
+
+    def test_cells_train_float32_nets_and_keep_float64_geometry(self, smoke_refit):
+        # Every net a smoke cell trains holds float32 parameters; what leaves
+        # a net, the thresholds, regions and scores built on it, is float64.
+        _, prep, cells = smoke_refit
+        naive = cells["naive"][0].model
+        npdqr_model = cells["npdqr"][0].rule.provider.__self__.model
+        stdqr_model = cells["stdqr"][0].rule.provider.__self__
+        nets = [*naive.nets_lo, *naive.nets_hi, npdqr_model.net, stdqr_model.cvae.encoder,
+                stdqr_model.cvae.decoder, stdqr_model.extractor.model.net]
+        assert len(nets) == 8
+        assert {net.flat.dtype for net in nets} == {np.dtype(np.float32)}
+        assert all(forward_batch(net, np.zeros((3, net.in_width))).dtype == np.float64
+                   for net in nets)
+        x, y = prep.x["calibration"], prep.y["calibration"]
+        for model in (npdqr_model, stdqr_model.extractor.model):
+            assert model.thresholds(x[:3]).dtype == np.float64
+        region = stdqr_model.region(x[0])
+        assert len(region) > 0 and region.dtype == np.float64
+        for method in ("npdqr", "stdqr"):
+            assert cells[method][0].rule.scores(x[0], y[:5]).dtype == np.float64
 
     def test_failed_cell_keeps_its_traceback(self, tmp_path, monkeypatch):
         def broken_fit(*args, **kwargs):

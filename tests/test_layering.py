@@ -3,7 +3,8 @@ point arrays, so they need not import it, only the experiment driver and
 the data loader touch files, every public name of the package has a
 caller in the package or the benchmark, and so does every defaulted
 parameter and every stored attribute. Arrays are shaped only where they
-enter the package."""
+enter the package, and only the nets' dtype constant names a narrower
+float than float64."""
 
 import ast
 import importlib
@@ -412,6 +413,49 @@ def test_only_nn_and_cvae_run_a_training_step():
     users = sorted(path.stem for path in PACKAGE.glob("*.py")
                    if package_references(path, path.stem, definitions) & step)
     assert users == ["cvae", "nn"]
+
+
+# Names of a single- or half-precision dtype, as attributes, names or strings.
+NARROW_FLOATS = {"float32", "float16", "single", "half", "f4", "f2", "<f4", "<f2"}
+
+
+def narrow_float_lines(path: Path) -> set:
+    """Lines of one file that name a float32 or float16 dtype."""
+    found = set()
+    for node in syntax_nodes(path):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                else None)
+        if name in NARROW_FLOATS:
+            found.add((path.stem, node.lineno))
+    return found
+
+
+def test_only_the_nn_constant_names_a_narrow_float():
+    # Every net takes its dtype from nn.NET_DTYPE; everything else is
+    # float64, so a second float32 or float16 would be a second precision.
+    declared = next(node.lineno for node in syntax_nodes(PACKAGE / "nn.py")
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["NET_DTYPE"])
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= narrow_float_lines(path)
+    assert found == {("nn", declared)}
+
+
+def test_narrow_float_forms_are_recognized(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy as np\n"
+                      "from numpy import float16\n"
+                      "a = np.zeros(3, dtype=np.float32)\n"
+                      "b = a.astype('f4')\n"
+                      "c = np.dtype('float16')\n"
+                      "d = float16(1.0)\n"
+                      "e = np.float64(1.0)  # float32 in a comment\n"
+                      "f = 'a float32 in prose'\n")
+    assert narrow_float_lines(source) == {("probe", 3), ("probe", 4), ("probe", 5),
+                                          ("probe", 6)}
 
 
 def test_only_experiment_and_data_touch_files():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gradcheck import central_difference, relative_errors, sample_probes
-from oracles import MseLoss
+from oracles import MseLoss, as_float64
 from qregions import nn
 from qregions.nn import (
     INFERENCE_ROWS,
@@ -135,8 +135,9 @@ class TestAdam:
         assert p[0] == pytest.approx(1.0 - 0.001, rel=1e-3)
 
     def test_step_on_a_flat_vector_allocates_nothing(self):
+        # A training cache's gradient has the net's dtype, as the moments do.
         model = init_mlp((1, 64, 64, 64, 1), Rng(0))
-        grad = Rng(1).uniform(-1, 1, size=model.flat.size)
+        grad = Rng(1).uniform(-1, 1, size=model.flat.size).astype(model.flat.dtype)
         state = AdamState.for_params([model.flat])
         adam_step([model.flat], [grad], state, lr=1e-3)
         tracemalloc.start()
@@ -158,8 +159,8 @@ class TestAdam:
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference]
         rng = Rng(2)
         for t in range(1, 301):
-            grads = [rng.standard_normal(size=p.size) * 10.0 ** rng.uniform(-6, 2)
-                     for p in params]
+            grads = [(rng.standard_normal(size=p.size) * 10.0 ** rng.uniform(-6, 2))
+                     .astype(p.dtype) for p in params]
             adam_step(params, grads, state, lr=1e-3)
             _reference_adam(reference, grads, moments, t, lr=1e-3)
         for p, ref_p in zip(params, reference, strict=True):
@@ -176,9 +177,10 @@ class TestAdam:
 
 
 def _reference_forward(model, x, keep_cache=True):
-    """The np.where forward pass that the in-place one must match bit for bit."""
+    """The np.where forward pass, in the net's dtype, that the in-place one
+    must match bit for bit."""
     cache = {"inputs": [], "pre_act": []}
-    a = np.asarray(x, dtype=float)
+    a = np.asarray(x, dtype=model.flat.dtype)
     n_layers = len(model.weights)
     for k in range(n_layers):
         cache["inputs"].append(a)
@@ -190,12 +192,13 @@ def _reference_forward(model, x, keep_cache=True):
 
 
 def _reference_backward(model, cache, grad_out):
+    dtype = model.flat.dtype.type
     n_layers = len(model.weights)
     w_grads, b_grads = [None] * n_layers, [None] * n_layers
-    delta = grad_out
+    delta = np.asarray(grad_out, dtype=dtype)
     for k in reversed(range(n_layers)):
         if k != n_layers - 1:
-            delta = delta * np.where(cache["pre_act"][k] > 0, 1.0, nn.LEAKY_SLOPE)
+            delta = delta * np.where(cache["pre_act"][k] > 0, dtype(1.0), dtype(nn.LEAKY_SLOPE))
         w_grads[k] = cache["inputs"][k].T @ delta
         b_grads[k] = delta.sum(axis=0)
         delta = delta @ model.weights[k].T
@@ -221,7 +224,8 @@ def _grads_and_input_gradient(model, cache, grad_out):
 
 
 def _assert_same_bits(got, want):
-    """Equal shapes and identical float64 bit patterns (so -0 != +0)."""
+    """Equal shapes and identical float64 bit patterns (so -0 != +0); a
+    float32 value converts to float64 exactly, so this compares its bits too."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -333,7 +337,10 @@ class TestBitwiseOracle:
         _assert_same_bits(out, _train_forward(model, x[:17])[0])
 
     def test_activation_keeps_signed_zeros_and_nan(self, monkeypatch):
-        special = np.array([[-0.0], [0.0], [np.nan], [-2.0], [3.0], [-1e-320]])
+        # The special values are of the net's dtype, its subnormal among them.
+        dtype = init_mlp((1, 1, 1), Rng(0)).flat.dtype
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([[-0.0], [0.0], [np.nan], [-2.0], [3.0], [-4 * tiny]], dtype=dtype)
         for slope in (0.0, 0.2, 1.0):
             monkeypatch.setattr(nn, "LEAKY_SLOPE", slope)
             model = init_mlp((1, 1, 1), Rng(0))
@@ -367,8 +374,14 @@ class TestBitwiseOracle:
         _assert_same_bits(np.maximum(activation > 0, slope), np.maximum(z > 0, slope))
 
 
+# The blocked and unblocked passes of a float32 net may differ by as many
+# float32 ulps as float64 passes may differ by float64 ulps at rtol 1e-12.
+FLOAT32_BLOCK_RTOL = 1e-12 / np.finfo(np.float64).eps * np.finfo(np.float32).eps
+
+
 class TestInferenceBlocks:
-    """``forward_batch`` against one unblocked eval-mode pass.  Up to
+    """``forward_batch`` against one unblocked eval-mode pass, for the
+    float32 nets ``init_mlp`` makes and for float64 copies.  Up to
     INFERENCE_ROWS rows they agree bit for bit.  Above it, the blocks are
     separate passes, and OpenBLAS picks its kernel by row count, so the
     unblocked pass can differ in the last bits (a one-row tail at 1,025
@@ -377,21 +390,22 @@ class TestInferenceBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 256, 1000, 1024, 1025, 3000, 7862])
     @pytest.mark.parametrize("widths", [(1, 64, 64, 64, 1), (4, 64, 64, 64, 2), (3, 8, 8, 2)])
     def test_blocks_match_unblocked_pass(self, widths, rows):
-        model = init_mlp(widths, Rng(rows))
         x = Rng(3).uniform(-1, 1, size=(rows, widths[0]))
-        blocked = forward_batch(model, x)
-        single = forward_cached(model, x, train_mode=False, cache=None)
-        if rows <= INFERENCE_ROWS:
-            _assert_same_bits(blocked, single)
-            return
-        per_block = np.concatenate([
-            forward_cached(model, x[i : i + INFERENCE_ROWS], train_mode=False, cache=None)
-            for i in range(0, rows, INFERENCE_ROWS)])
-        _assert_same_bits(blocked, per_block)
-        # Outputs near zero are sums that cancel, so the tolerance is
-        # relative to the largest output as well as to each one.
-        np.testing.assert_allclose(blocked, single, rtol=1e-12,
-                                   atol=1e-12 * np.abs(single).max())
+        net = init_mlp(widths, Rng(rows))
+        for model, rtol in ((net, FLOAT32_BLOCK_RTOL), (as_float64(net), 1e-12)):
+            blocked = forward_batch(model, x)
+            single = forward_cached(model, x, train_mode=False, cache=None)
+            if rows <= INFERENCE_ROWS:
+                _assert_same_bits(blocked, single)
+                continue
+            per_block = np.concatenate([
+                forward_cached(model, x[i : i + INFERENCE_ROWS], train_mode=False, cache=None)
+                for i in range(0, rows, INFERENCE_ROWS)])
+            _assert_same_bits(blocked, per_block)
+            # Outputs near zero are sums that cancel, so the tolerance is
+            # relative to the largest output as well as to each one.
+            np.testing.assert_allclose(blocked, single, rtol=rtol,
+                                       atol=rtol * np.abs(single).max())
 
 
 def _consumed_cache(model, rows):
@@ -407,24 +421,27 @@ LENT_PASS_SLACK = 128 * 1024  # what a lent pass may allocate beside its output
 
 class TestLentBuffers:
     """An inference pass in the buffers of a consumed training cache
-    against one that allocates its own."""
+    against one that allocates its own, for the float32 nets ``init_mlp``
+    makes and for float64 copies."""
 
     @pytest.mark.parametrize("rows", [1, 1024, 1025, 2560, 7862])
     @pytest.mark.parametrize("widths", [(4, 64, 64, 64, 1), (3, 16, 8, 2)])
     def test_validation_in_lent_buffers_matches_own_buffers(self, widths, rows):
-        model = init_mlp(widths, Rng(rows))
         x = Rng(3).uniform(-1, 1, size=(rows, widths[0]))
         y = Rng(4).uniform(-1, 1, size=(rows, widths[-1]))
-        loss, cache = PinballLoss(0.1), _consumed_cache(model, 6144)
-        lent = forward_batch(model, x, cache)
-        own = forward_batch(model, x)
-        _assert_same_bits(lent, own)
-        _assert_same_bits(loss.value(y, lent), loss.value(y, own))
-        # The lent cache still serves the next training step.
-        step_x = Rng(5).uniform(-1, 1, size=(6144, widths[0]))
-        out = forward_cached(model, step_x, train_mode=True, cache=cache)
-        assert cache["inputs"][0] is step_x
-        _assert_same_bits(out, _train_forward(model, step_x)[0])
+        net = init_mlp(widths, Rng(rows))
+        for model in (net, as_float64(net)):
+            loss, cache = PinballLoss(0.1), _consumed_cache(model, 6144)
+            lent = forward_batch(model, x, cache)
+            own = forward_batch(model, x)
+            _assert_same_bits(lent, own)
+            _assert_same_bits(loss.value(y, lent), loss.value(y, own))
+            # The lent cache still serves the next training step. A batch
+            # of the net's dtype enters it uncast.
+            step_x = Rng(5).uniform(-1, 1, size=(6144, widths[0])).astype(model.flat.dtype)
+            out = forward_cached(model, step_x, train_mode=True, cache=cache)
+            assert cache["inputs"][0] is step_x
+            _assert_same_bits(out, _train_forward(model, step_x)[0])
 
     def test_validation_in_lent_buffers_allocates_only_its_output(self):
         # Without the lent buffers each 1,024-row block allocates its
@@ -493,9 +510,9 @@ class TestActivationMemory:
         assert peak < 4 * INFERENCE_ROWS * 64 * 8 + out.nbytes
 
     def test_training_step_keeps_one_buffer_per_hidden_layer_and_scratch(self):
-        # One float buffer per hidden layer, one bool mask as large, one
-        # float scratch of at most an inference block, one flat gradient
-        # vector, and nothing else.
+        # One float32 buffer per hidden layer, one bool mask as large, one
+        # float32 scratch of at most an inference block, one flat float32
+        # gradient vector, the batch cast to float32, and nothing else.
         widths, rows = (4, 64, 64, 64, 1), 6144
         model = init_mlp(widths, Rng(0))
         x = Rng(1).uniform(-1, 1, size=(rows, widths[0]))
@@ -518,9 +535,9 @@ class TestActivationMemory:
 
 
 def _assert_cache_layout(cache, widths, rows):
-    """The arrays a consumed training cache of a net with ``widths`` and
-    64-unit hidden layers owns, beside its batch, for steps of up to
-    ``rows`` rows, with their exact bytes."""
+    """The arrays a consumed training cache of a float32 net with
+    ``widths`` and 64-unit hidden layers owns, beside its batch, for steps
+    of up to ``rows`` rows, with their exact bytes (4 per float)."""
 
     def owner(array):
         while array.base is not None:
@@ -535,13 +552,70 @@ def _assert_cache_layout(cache, widths, rows):
     scratch_rows = min(rows, INFERENCE_ROWS)
     n_params = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
     layout = sorted((a.shape, a.dtype.name) for a in owners.values() if a is not x)
-    assert layout == sorted([((rows, 64), "float64")] * len(widths[1:-1])
-                            + [((rows, 64), "bool"), ((scratch_rows, 64), "float64"),
-                               ((n_params,), "float64")])
+    assert layout == sorted([((rows, 64), "float32")] * len(widths[1:-1])
+                            + [((rows, 64), "bool"), ((scratch_rows, 64), "float32"),
+                               ((n_params,), "float32")])
     assert sum(a.nbytes for a in owners.values()) == (
-        len(widths[1:-1]) * rows * 64 * 8 + rows * 64 + scratch_rows * 64 * 8
-        + n_params * 8 + x.nbytes)
+        len(widths[1:-1]) * rows * 64 * 4 + rows * 64 + scratch_rows * 64 * 4
+        + n_params * 4 + x.nbytes)
 
+
+
+class TestSinglePrecision:
+    def test_a_float32_step_runs_no_float64_loop(self):
+        # Every ufunc that a train-mode forward pass, backward, an Adam
+        # step and a blocked inference pass apply to the net's arrays, its
+        # cache's or its Adam state's is recorded with the loop numpy
+        # resolves for it. The batch and the output gradient arrive in
+        # float64, as the losses give them.
+        loops = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if method == "__call__":
+                    dtypes = tuple(type(a) if isinstance(a, (bool, int, float))
+                                   else np.asarray(a).dtype for a in inputs)
+                    loop = ufunc.resolve_dtypes(dtypes + (None,) * ufunc.nout)
+                else:
+                    loop = (np.asarray(inputs[0]).dtype,)
+                loops.append((ufunc.__name__, method, tuple(np.dtype(t).name for t in loop)))
+                plain = [a.view(np.ndarray) if isinstance(a, Recorded) else a for a in inputs]
+                if out is not None:
+                    getattr(ufunc, method)(*plain, out=tuple(o.view(np.ndarray) for o in out),
+                                           **kwargs)
+                    return out[0] if len(out) == 1 else out
+                return getattr(ufunc, method)(*plain, **kwargs).view(Recorded)
+
+        model = init_mlp((3, 64, 64, 64, 1), Rng(0))
+        model.flat = model.flat.view(Recorded)
+        model.weights = [w.view(Recorded) for w in model.weights]
+        model.biases = [b.view(Recorded) for b in model.biases]
+        rows = INFERENCE_ROWS + 300
+        cache = training_cache(model, rows)
+        for key in ("positive", "scratch", "gradient"):
+            cache[key] = cache[key].view(Recorded)
+        cache["buffers"] = [b.view(Recorded) for b in cache["buffers"]]
+        cache["grads"] = [g.view(Recorded) for g in cache["grads"]]
+        adam = AdamState.for_params([model.flat])
+        adam.parts = [tuple(a.view(Recorded) for a in part) for part in adam.parts]
+
+        x = Rng(1).uniform(-1, 1, size=(rows, 3))
+        out = forward_cached(model, x, train_mode=True, cache=cache)
+        # The loss is scored outside the net, in float64.
+        _, grad_out = PinballLoss(0.2).value_and_grad(Rng(2).uniform(size=(rows, 1)),
+                                                      out.view(np.ndarray))
+        assert grad_out.dtype == np.float64
+        backward(model, cache, grad_out)
+        # A TrainConfig may hold a numpy learning rate.
+        adam_step([model.flat], [cache["gradient"]], adam, lr=np.float64(1e-3))
+        forward_batch(model, x)
+        forward_batch(model, x, cache)
+
+        names = {name for name, _, _ in loops}
+        assert {"matmul", "add", "multiply", "maximum", "greater", "sqrt", "divide",
+                "subtract"} <= names
+        assert [loop for loop in loops if "float64" in loop[2]] == []
+        assert {dtype for _, _, loop in loops for dtype in loop} == {"float32", "bool"}
 
 
 class TestOneCachePerNet:
@@ -575,11 +649,11 @@ class TestOneCachePerNet:
 
 
 def _clean_regression_setup(widths, seed, margin_guard=None):
-    """Model + batch with all hidden pre-activations away from the
+    """Float64 model + batch with all hidden pre-activations away from the
     leaky-ReLU kink, so finite differences are valid."""
     for attempt in range(50):
         rng = Rng(seed + 1000 * attempt)
-        model = init_mlp(widths, rng)
+        model = as_float64(init_mlp(widths, rng))
         x = rng.uniform(-1, 1, size=(16, widths[0]))
         y = rng.uniform(-1, 1, size=(16, widths[-1]))
         out, cache = _reference_forward(model, x)

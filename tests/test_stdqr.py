@@ -196,7 +196,7 @@ class TestFittedPipeline:
         # inactive and held on one layer, units 1 and 2 span 35 centers.
         points = nonlinear_fit[0].extractor.points
         assert points.shape == (1225, 3)
-        assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == "72f4c4f4513bc1bd"
+        assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == "975f9e73614c5fa7"
 
     def test_region_is_nonempty_at_central_inputs(self, nonlinear_fit):
         model, _, _, normalize_x = nonlinear_fit
@@ -275,7 +275,7 @@ class TestFittedPipeline:
             cvae_hidden=(8, 8), seed=3)
         region = model.region(normalized.x[parts["test"][2]])
         assert region.shape == (461, 2)
-        assert hashlib.sha256(region.tobytes()).hexdigest()[:16] == "34bf996ee75cec7d"
+        assert hashlib.sha256(region.tobytes()).hexdigest()[:16] == "98b4ff6dc0f52af9"
 
     def test_same_seed_fits_identically(self, monkeypatch):
         data = gen_synthetic(NONLINEAR, d=2, p=1, n=1200, seed=5)
