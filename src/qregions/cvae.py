@@ -83,9 +83,9 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, ca
     one batch, with the (n, r) reparameterization noise ``eps`` held fixed.
 
     ``caches`` is the (encoder, decoder) pair of training caches the step
-    runs in, each with at least n rows. Returns (loss, grads); grads are
-    the caches' ``grads``, valid until their next step, ordered as
-    encoder.parameters() + decoder.parameters().
+    runs in, each with at least n rows. Returns (loss, gradients):
+    gradients are the caches' flat ``gradient`` vectors, encoder first,
+    valid until their next step.
     """
     n, r = eps.shape
     enc_cache, dec_cache = caches
@@ -103,13 +103,12 @@ def composite_loss_and_grads(encoder: MlpModel, decoder: MlpModel, x, y, eps, ca
     kl = float(np.mean(gaussian_kl_rows(mu, logvar)))
     loss = recon + KL_WEIGHT * kl
 
-    dec_grads, dec_delta = backward(decoder, dec_cache, 2.0 * residual / n)
+    dec_delta = backward(decoder, dec_cache, 2.0 * residual / n)
     dz = (dec_delta @ decoder.weights[0].T)[:, x.shape[1]:]
     dmu = dz + (KL_WEIGHT / n) * mu
     dlogvar = dz * (0.5 * sigma * eps) + (KL_WEIGHT / n) * 0.5 * (np.exp(logvar) - 1.0)
-    enc_grads, _ = backward(encoder, enc_cache,
-                            np.concatenate([dmu, dlogvar], axis=1))
-    return loss, enc_grads + dec_grads
+    backward(encoder, enc_cache, np.concatenate([dmu, dlogvar], axis=1))
+    return loss, [enc_cache["gradient"], dec_cache["gradient"]]
 
 
 def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
@@ -134,9 +133,8 @@ def fit(x_train, y_train, x_val, y_val, config: TrainConfig, hidden: tuple,
 
     def step(idx):
         eps = eps_rng.standard_normal(size=(len(idx), r))
-        loss, _ = composite_loss_and_grads(
+        return composite_loss_and_grads(
             encoder, decoder, x_train[idx], y_train[idx], eps, caches)
-        return loss, [cache["gradient"] for cache in caches]
 
     def val_loss() -> float:
         recon, mu, logvar = _reconstruction(model, x_val, y_val)

@@ -106,7 +106,6 @@ class ExperimentConfig:
     alpha: float = 0.1
     directional_levels: dict | None = None
     seeds: tuple = (0,)
-    out_dir: str | None = None
     training: TrainingProfile = field(default_factory=TrainingProfile)
 
     def __post_init__(self):
@@ -134,13 +133,9 @@ class ExperimentConfig:
             _check_number(f"{method} directional level", level, 0.5, 1.0)
 
     def digest(self) -> str:
-        """Short SHA-256 of the dataset, methods, alpha, levels and training
-        profile; seeds and ``out_dir`` are left out, so a run's cells share it."""
-        payload = {
-            "dataset": self.dataset, "methods": list(self.methods),
-            "alpha": self.alpha, "directional_levels": self.directional_levels,
-            "training": asdict(self.training),
-        }
+        """Short SHA-256 of every field but ``seeds``, so a run's cells share it."""
+        payload = asdict(self)
+        del payload["seeds"]
         text = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -321,7 +316,7 @@ def run_cell(method: str, config: ExperimentConfig, dataset: Dataset, seed: int)
     rule, area_grid, info = fit_and_calibrate(method, config, prep, seed)
     evaluating = perf_counter()
     row = evaluate_cell(rule, area_grid, config, prep, seed)
-    row.update(info, config_digest=config.digest(), evaluate_s=perf_counter() - evaluating)
+    row.update(info, evaluate_s=perf_counter() - evaluating)
     return row
 
 
@@ -344,15 +339,14 @@ def aggregate(rows: list) -> list:
     return reports
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Every (method, seed) cell; a failure in one cell is recorded and
-    does not stop the others. With ``out_dir`` set, each cell's row goes
-    to ``<method>/<seed>/report.json`` as the cell ends, and the whole
-    result to ``report.json``."""
+    does not stop the others. Each cell's row goes to
+    ``out_dir/<method>/<seed>/report.json`` as the cell ends, and the
+    whole result to ``out_dir/report.json``."""
     dataset = load_dataset(config.dataset)
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    digest = config.digest()
+    out_dir = Path(out_dir)
     rows = []
     for seed in config.seeds:
         for method in config.methods:
@@ -361,14 +355,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             except Exception as exc:  # cell isolation
                 row = {"method": method, "seed": seed,
                        "error": f"{type(exc).__name__}: {exc}",
-                       "traceback": traceback.format_exc(),
-                       "config_digest": config.digest()}
+                       "traceback": traceback.format_exc()}
+            row["config_digest"] = digest
             rows.append(row)
-            if out_dir is not None:
-                cell_dir = out_dir / method / str(seed)
-                cell_dir.mkdir(parents=True, exist_ok=True)
-                (cell_dir / "report.json").write_text(json.dumps(row, indent=2))
-    result = {"config_digest": config.digest(), "rows": rows, "aggregate": aggregate(rows)}
-    if out_dir is not None:
-        (out_dir / "report.json").write_text(json.dumps(result, indent=2))
+            cell_dir = out_dir / method / str(seed)
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            (cell_dir / "report.json").write_text(json.dumps(row, indent=2))
+    result = {"config_digest": digest, "rows": rows, "aggregate": aggregate(rows)}
+    (out_dir / "report.json").write_text(json.dumps(result, indent=2))
     return result

@@ -228,13 +228,13 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
     """Backpropagate d(loss)/d(output), cast to the net's dtype, through
     the cached forward pass.
 
-    Returns (grads, delta): grads are the cache's ``grads``, the views of
-    its flat ``gradient`` in model.parameters() ordering, valid until the
-    next ``backward`` on the cache; delta is d(loss)/d(x @ W[0] + b[0]),
-    so the input gradient is delta @ W[0].T, and may be a view into the
-    cache, valid until its next forward pass. The cache is consumed: for
-    k >= 1, ``positive`` takes a > 0 for the activation a = ``inputs[k]``
-    before ``delta @ W[k].T`` overwrites a, and ``scratch`` then takes
+    Writes the parameter gradients into the cache's flat ``gradient``,
+    through its views ``grads`` in model.parameters() ordering, and
+    returns delta = d(loss)/d(x @ W[0] + b[0]), so the input gradient is
+    delta @ W[0].T; delta may be a view into the cache, valid until its
+    next forward pass. The cache is consumed: for k >= 1, ``positive``
+    takes a > 0 for the activation a = ``inputs[k]`` before
+    ``delta @ W[k].T`` overwrites a, and ``scratch`` then takes
     max(positive, slope) block by block, so the cache is fit only to go
     back to ``forward_cached``.
     """
@@ -249,7 +249,7 @@ def backward(model: MlpModel, cache: dict, grad_out: np.ndarray):
         np.matmul(a.T, delta, out=grads[k])
         delta.sum(axis=0, out=grads[n_layers + k])
         if k == 0:
-            return grads, delta
+            return delta
         positive = np.greater(a, 0.0, out=cache["positive"][: a.shape[0], : a.shape[1]])
         delta = np.matmul(delta, model.weights[k].T, out=a)
         derivative = cache["scratch"][:, : a.shape[1]]
@@ -420,14 +420,13 @@ def train_minibatches(params, n: int, step, val_loss, config: TrainConfig,
 
     def run_epoch(epoch: int) -> float:
         order = rng.permutation(n)
-        total, seen = 0.0, 0
+        total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             batch_loss, grads = step(idx)
             adam_step(params, grads, adam, config.learning_rate)
             total += batch_loss * len(idx)
-            seen += len(idx)
-        return total / seen
+        return total / n
 
     return run_training_loop(params, run_epoch, val_loss, config.max_epochs,
                              config.patience)

@@ -456,3 +456,24 @@ class TestShrink:
         mean_cov = float(np.mean(coverages))
         se = float(np.std(coverages) / math.sqrt(trials))
         assert 0.90 - 3 * se <= mean_cov <= 0.91 + 3 * se
+
+    def test_coverage_guarantee_monte_carlo_at_the_mode_switch(self, disc_setup):
+        # A disc of radius 1.25, dilated by its spacing, holds about 90% of
+        # the draws, so c_init on 99 rows straddles 1 - alpha and each trial
+        # takes its mode from its own calibration rows.
+        _, grid, draw, _ = disc_setup
+        disc = grid.points()[np.linalg.norm(grid.points(), axis=1) <= 1.25]
+        trials, n2, n_test, alpha = 100, 99, 100, 0.1
+        modes, coverages = [], []
+        for _ in range(trials):
+            x_cal, y_cal = draw(n2)
+            rule, _ = calibrate(lambda _x: disc, x_cal, y_cal, alpha, grid)
+            modes.append(rule.mode)
+            x_test, y_test = draw(n_test)
+            # The region ignores x, so one call scores every test row.
+            coverages.append(float(rule.membership(x_test[0], y_test).mean()))
+        assert modes.count(GROW) >= trials / 4
+        assert modes.count(SHRINK) >= trials / 4
+        mean_cov = float(np.mean(coverages))
+        se = float(np.std(coverages) / math.sqrt(trials))
+        assert 0.90 - 3 * se <= mean_cov <= 0.91 + 3 * se

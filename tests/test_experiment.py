@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +31,14 @@ AGGREGATE_KEYS = {"method", "coverage", "coverage_se", "area", "area_se",
                   "delta_coverage", "delta_coverage_se", "per_cluster_coverage", "seeds"}
 
 
-def smoke_config(methods, out_dir):
+def smoke_config(methods):
     """Three-method run on 200 synthetic rows with every net capped at 60 epochs."""
     capped = {section: {"max_epochs": 60, "patience": 60}
               for section in ("cvae", "dqr", "naive")}
     return experiment.ExperimentConfig(
         dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
                  "n": 200, "seed": 0},
-        methods=methods, seeds=(0,), out_dir=str(out_dir),
+        methods=methods, seeds=(0,),
         training=experiment.desk_scale_profile().merged(capped))
 
 
@@ -53,16 +53,15 @@ def reached():
 def smoke_run(tmp_path_factory, reached):
     out_dir = tmp_path_factory.mktemp("run")
     with record_lines(PACKAGE, reached):
-        result = experiment.run_experiment(smoke_config(experiment.METHODS, out_dir))
+        result = experiment.run_experiment(smoke_config(experiment.METHODS), out_dir)
     return result, out_dir
 
 
 @pytest.fixture(scope="module")
-def smoke_refit(smoke_run):
-    """Each smoke cell fitted again from its config and seed on the run's
-    own prepared data: (config, prep, {method: (rule, area grid, info)})."""
-    _, out_dir = smoke_run
-    config = smoke_config(experiment.METHODS, out_dir)
+def smoke_refit():
+    """Each smoke cell fitted again from its config and seed: (config,
+    prep, {method: (rule, area grid, info)})."""
+    config = smoke_config(experiment.METHODS)
     prep = experiment.prepare(experiment.load_dataset(config.dataset), 0)
     cells = {method: experiment.fit_and_calibrate(method, config, prep, 0)
              for method in experiment.METHODS}
@@ -162,11 +161,12 @@ class TestRunExperiment:
             raise RuntimeError("broken naive fit")
 
         monkeypatch.setattr(experiment.naive_qr, "fit", broken_fit)
-        result = experiment.run_experiment(smoke_config(("naive", "npdqr"), tmp_path))
+        result = experiment.run_experiment(smoke_config(("naive", "npdqr")), tmp_path)
         failed, finished = result["rows"]
         assert failed["error"] == "RuntimeError: broken naive fit"
         assert "broken_fit" in failed["traceback"]
         assert "error" not in finished and 0.0 <= finished["coverage"] <= 1.0
+        assert failed["config_digest"] == finished["config_digest"] == result["config_digest"]
         assert [a["method"] for a in result["aggregate"]] == ["npdqr"]
         # The failed cell's directory holds its error row, not nothing.
         saved = json.loads((tmp_path / "naive" / "0" / "report.json").read_text())
@@ -174,8 +174,28 @@ class TestRunExperiment:
         assert saved["traceback"] == failed["traceback"]
 
 
+class TestDigest:
+    def test_smoke_config_digest_is_pinned(self):
+        assert smoke_config(experiment.METHODS).digest() == "f919821c648f"
+
+    def test_every_field_but_seeds_moves_it(self):
+        config = smoke_config(experiment.METHODS)
+        assert replace(config, seeds=(3, 1, 4)).digest() == config.digest()
+        changed = {
+            "dataset": {**config.dataset, "n": 201},
+            "methods": ("naive", "npdqr"),
+            "alpha": 0.2,
+            "directional_levels": {"npdqr": 0.96},
+            "training": config.training.merged({"dqr": {"patience": 7}}),
+        }
+        # A field added to the config needs a line here.
+        assert set(changed) == {f.name for f in fields(config)} - {"seeds"}
+        for name, value in changed.items():
+            assert replace(config, **{name: value}).digest() != config.digest(), name
+
+
 @pytest.fixture(scope="module")
-def blanket_row(reached):
+def blanket_row(tmp_path_factory, reached):
     """The row of an NP-DQR cell at directional level 0.995, which
     calibrates in shrink mode."""
     with record_lines(PACKAGE, reached):
@@ -184,7 +204,7 @@ def blanket_row(reached):
                      "n": 600, "seed": 0},
             methods=("npdqr",), directional_levels={"npdqr": 0.995}, seeds=(0,),
             training=experiment.desk_scale_profile())
-        (row,) = experiment.run_experiment(config)["rows"]
+        (row,) = experiment.run_experiment(config, tmp_path_factory.mktemp("blanket"))["rows"]
     return row
 
 
@@ -196,13 +216,13 @@ def csv_run(tmp_path_factory, reached):
     path = run_dir / "data.csv"
     write_csv(gen_synthetic("nonlinear", 2, 1, 200, seed=0), path)
     with record_lines(PACKAGE, reached):
-        config = replace(smoke_config(("naive", "npdqr"), run_dir / "run"), dataset={
+        config = replace(smoke_config(("naive", "npdqr")), dataset={
             "kind": "csv", "path": str(path), "response_columns": ["y0", "y1"]})
-        return experiment.run_experiment(config)
+        return experiment.run_experiment(config, run_dir / "run")
 
 
 @pytest.fixture(scope="module")
-def published_row(reached):
+def published_row(tmp_path_factory, reached):
     """The row of an ST-DQR cell on the published profile with every epoch
     cap cut to 5, so the auto-encoder takes its default stack."""
     capped = {section: {"max_epochs": 5, "patience": 5} for section in ("cvae", "dqr", "naive")}
@@ -211,7 +231,7 @@ def published_row(reached):
             dataset={"kind": "synthetic", "setting": "nonlinear", "d": 2, "p": 1,
                      "n": 200, "seed": 0},
             methods=("stdqr",), training=experiment.TrainingProfile().merged(capped))
-        (row,) = experiment.run_experiment(config)["rows"]
+        (row,) = experiment.run_experiment(config, tmp_path_factory.mktemp("published"))["rows"]
     return row
 
 

@@ -11,7 +11,7 @@ import pkgutil
 import qregions
 from qregions import npdqr
 
-BUDGET = 27
+BUDGET = 26
 
 
 def settable_values() -> list:
