@@ -167,7 +167,6 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> tuple:
 
     gammas = np.empty(n2)
     sizes = np.empty(n2, dtype=int)
-    covered = np.zeros(n2, dtype=bool)
     grow_scores = np.empty(n2)
     for i in range(n2):
         region = _region(provider, x_cal[i], area_grid.dim)
@@ -177,9 +176,7 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> tuple:
         # already in hand, so the scores and membership agree to the last bit.
         carrier = _grow_carrier(region, anchor)
         grow_scores[i] = float(min_distances(y_cal[i][None, :], carrier)[0])
-        if sizes[i] > 0:
-            covered[i] = grow_scores[i] <= gammas[i]
-    c_init = float(covered.mean())
+    c_init = float(np.mean((sizes > 0) & (grow_scores <= gammas)))
 
     if c_init <= 1.0 - alpha:
         rule = CalibratedRule(mode=GROW, gamma_cal=empirical_quantile(grow_scores, k),
@@ -192,7 +189,9 @@ def calibrate(provider, x_cal, y_cal, alpha: float, area_grid: Grid) -> tuple:
             mode=SHRINK, gamma_cal=np.nan, provider=provider, anchor=anchor,
             complement_threshold=empirical_quantile(gammas, int(np.ceil(0.5 * n2))),
             complement_points=area_grid.points())
-        shrink_scores = [rule.scores(x_cal[i], y_cal[i][None, :])[0] for i in range(n2)]
+        shrink_scores = np.empty(n2)
+        for i in range(n2):
+            shrink_scores[i] = rule.scores(x_cal[i], y_cal[i][None, :])[0]
         rule = replace(rule, gamma_cal=empirical_quantile(shrink_scores, n2 + 1 - k))
     report = {
         "mode": rule.mode,

@@ -298,9 +298,9 @@ def evaluate_cell(rule, area_grid, config: ExperimentConfig, prep: PreparedData,
     eval_idx = np.arange(0, len(x_te), stride)[:eval_count]
     areas = [rule.area_cells(x_te[i], area_grid) for i in eval_idx]
 
-    clusters = kmeans(x_te, k=CLUSTER_COUNT, seed=seed)
-    delta = delta_coverage(rule, x_te, y_te, clusters, config.alpha, flags=flags)
-    per_cluster = cluster_coverages(flags, clusters.labels, clusters.k)
+    labels = kmeans(x_te, k=CLUSTER_COUNT, seed=seed)
+    delta = delta_coverage(rule, x_te, y_te, labels, config.alpha, flags=flags)
+    per_cluster = cluster_coverages(flags, labels)
     return {
         "seed": seed,
         "coverage": cov,

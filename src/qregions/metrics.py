@@ -1,9 +1,7 @@
-"""Evaluation metrics: marginal coverage, cluster-conditional coverage
-deviation, and the k-means clustering that defines the clusters."""
+"""Evaluation metrics: cluster-conditional coverage deviation, and the
+k-means clustering that defines the clusters as a label array."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,31 +19,15 @@ class ConstraintUnsatisfiedError(RuntimeError):
     """K-means restarts exhausted without meeting the cluster-size floor."""
 
 
-@dataclass
-class ClusterAssignment:
-    centroids: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
-
-
-def _kmeans_once(x: np.ndarray, k: int, rng: Rng):
+def _kmeans_once(x: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     n = x.shape[0]
     # Seeding: spread initial centroids with distance-weighted sampling.
-    centroids = [x[int(rng.integers(0, n))]]
-    for _ in range(k - 1):
-        dist_sq = np.min(
-            ((x[:, None, :] - np.asarray(centroids)[None, :, :]) ** 2).sum(axis=2),
-            axis=1,
-        )
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[int(rng.integers(0, n))]
+    for j in range(1, k):
+        dist_sq = np.min(((x[:, None, :] - centroids[None, :j, :]) ** 2).sum(axis=2), axis=1)
         threshold = rng.uniform(0.0, dist_sq.sum())
-        centroids.append(x[int(np.searchsorted(np.cumsum(dist_sq), threshold))])
-    centroids = np.asarray(centroids, dtype=float)
+        centroids[j] = x[int(np.searchsorted(np.cumsum(dist_sq), threshold))]
 
     labels = np.zeros(n, dtype=int)
     for _ in range(MAX_ITERS):
@@ -58,12 +40,14 @@ def _kmeans_once(x: np.ndarray, k: int, rng: Rng):
                               for j in range(len(live))])
         if not moved:
             break
-    return ClusterAssignment(centroids=centroids, labels=labels)
+    return labels
 
 
-def kmeans(x, k: int, seed: int) -> ClusterAssignment:
-    """Lloyd iterations to an assignment fixpoint, restarted until every
-    cluster holds at least ``MIN_FRACTION`` of the rows.
+def kmeans(x, k: int, seed: int) -> np.ndarray:
+    """Cluster labels of the rows of ``x``: Lloyd iterations to an
+    assignment fixpoint, restarted until every cluster holds at least
+    ``MIN_FRACTION`` of the rows. The labels are the integers 0 ... c-1,
+    each in use, with c = min(k, distinct rows).
 
     Data with fewer than k distinct rows collapses to the feasible number
     of clusters instead of failing. Raises ConstraintUnsatisfiedError
@@ -76,28 +60,29 @@ def kmeans(x, k: int, seed: int) -> ClusterAssignment:
     target_k = min(k, distinct)
     rng = Rng(seed)
     for _ in range(RESTARTS):
-        attempt = _kmeans_once(x, target_k, rng)
-        if attempt.k == target_k and np.all(attempt.sizes() >= MIN_FRACTION * n):
-            return attempt
+        labels = _kmeans_once(x, target_k, rng)
+        sizes = np.bincount(labels)
+        if len(sizes) == target_k and np.all(sizes >= MIN_FRACTION * n):
+            return labels
     raise ConstraintUnsatisfiedError(
         f"no clustering with every cluster >= {MIN_FRACTION:.0%} of rows "
         f"in {RESTARTS} restarts")
 
 
-def cluster_coverages(flags: np.ndarray, labels: np.ndarray, k: int) -> list:
-    out = []
-    for c in range(k):
-        members = labels == c
-        if not members.any():
-            raise ValueError(f"cluster {c} is empty")
-        out.append(float(flags[members].mean()))
-    return out
+def cluster_coverages(flags: np.ndarray, labels: np.ndarray) -> list:
+    """Coverage of ``flags`` in each cluster 0 ... ``labels.max()`` of the
+    label array; raises ValueError for a cluster with no rows."""
+    sizes = np.bincount(labels, minlength=1)
+    if not sizes.all():
+        raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
+    return (np.bincount(labels, weights=flags) / sizes).tolist()
 
 
-def delta_coverage(rule, x_rows, y_rows, clusters: ClusterAssignment,
+def delta_coverage(rule, x_rows, y_rows, labels: np.ndarray,
                    alpha: float, *, flags) -> float:
     """Mean absolute deviation from 1 - alpha of the per-cluster coverage
-    of ``flags``, the test rows' membership flags. ``rule``, ``x_rows``
-    and ``y_rows`` are not read; callers still pass them by position."""
-    per_cluster = cluster_coverages(flags, clusters.labels, clusters.k)
+    of ``flags``, the test rows' membership flags, over the clusters of
+    the label array ``labels``. ``rule``, ``x_rows`` and ``y_rows`` are
+    not read; callers still pass them by position."""
+    per_cluster = cluster_coverages(flags, labels)
     return float(np.mean([abs(c - (1.0 - alpha)) for c in per_cluster]))

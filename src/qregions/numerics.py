@@ -78,15 +78,14 @@ class Rng:
         return self.permutation(n)[:k]
 
 
-def empirical_quantile(values, k: int) -> float:
+def empirical_quantile(values: np.ndarray, k: int) -> float:
     """k-th smallest value (1-indexed) under an ascending stable sort."""
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
+    n = values.size
     if n == 0:
         raise ValueError("empirical_quantile of an empty sequence")
     if not 1 <= k <= n:
         raise ValueError(f"order statistic index k={k} outside [1, {n}]")
-    return float(np.sort(arr, kind="stable")[k - 1])
+    return float(np.sort(values, kind="stable")[k - 1])
 
 
 def dqr_theoretical_coverage(alpha: float, r: int) -> float:

@@ -31,18 +31,21 @@ UNREFERENCED_ON_PURPOSE = {
 # passes, each with the reason it stays.
 UNPASSED_ON_PURPOSE = {}
 
-# Functions that call ``np.asarray`` or ``np.atleast_2d``, each with the
+# Functions that call a NumPy conversion (``CONVERSIONS``), each with the
 # input it shapes. Everything else takes the float64 arrays its callers hold.
 COERCED_ON_PURPOSE = {
     ("calibration", "_region"): "a provider's answer: any array-like of points",
     ("calibration", "calibrate"): "the area grid's bound tuples, averaged into the anchor",
     ("data", "Dataset.__post_init__"): "the feature and response matrices of a dataset",
-    ("metrics", "_kmeans_once"): "the list of seeded centroids",
-    ("numerics", "empirical_quantile"): "calibrate's list of shrink scores",
     ("npdqr", "RegionExtractor.extract"): "one input row, as a region provider receives it",
     ("naive_qr", "NaiveModel.bounds"):
         "one input row of the area count, broadcast against the grid points",
 }
+
+# NumPy functions that turn a list, a scalar or an array of another shape
+# or dtype into an array; ``np.array`` copies on purpose, so it is not one.
+CONVERSIONS = {"asarray", "asanyarray", "ascontiguousarray",
+               "atleast_1d", "atleast_2d", "atleast_3d"}
 
 # Standard modules that read or write files.
 FILE_MODULES = {"json", "pathlib", "csv", "pickle"}
@@ -147,14 +150,14 @@ def scopes(tree: ast.Module) -> list:
 
 def array_conversions(path: Path, module: str) -> set:
     """``(module, qualname)`` of each function or method of one file that
-    calls ``np.asarray`` or ``np.atleast_2d`` (``numpy.`` too), in its own
-    body or a function nested in it."""
+    calls one of ``CONVERSIONS`` as ``np.`` or ``numpy.``, in its own body
+    or a function nested in it."""
     return {(module, qualname)
             for qualname, scope in scopes(ast.parse(path.read_text(encoding="utf-8")))
             for node in ast.walk(scope)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Name) and node.func.value.id in {"np", "numpy"}
-            and node.func.attr in {"asarray", "atleast_2d"}}
+            and node.func.attr in CONVERSIONS}
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
@@ -391,10 +394,20 @@ def test_conversion_forms_are_recognized(tmp_path):
                       "            return numpy.atleast_2d(x)\n"
                       "        return inner()\n"
                       "    def other(self, x):\n"
-                      "        return np.array(x) + np.atleast_1d(x) + x.asarray()\n"
+                      "        return np.array(x) + x.asarray() + x.atleast_1d()\n"
                       "def passed(f=np.asarray):\n"
-                      "    return f\n")
-    assert array_conversions(source, "probe") == {("probe", "load"), ("probe", "Model.rows")}
+                      "    return f\n"
+                      "def any_array(x):\n"
+                      "    return numpy.asanyarray(x)\n"
+                      "def contiguous(x):\n"
+                      "    return np.ascontiguousarray(x)\n"
+                      "def row(x):\n"
+                      "    return np.atleast_1d(x)\n"
+                      "def volume(x):\n"
+                      "    return numpy.atleast_3d(x)\n")
+    assert array_conversions(source, "probe") == {
+        ("probe", "load"), ("probe", "Model.rows"), ("probe", "any_array"),
+        ("probe", "contiguous"), ("probe", "row"), ("probe", "volume")}
 
 
 def test_only_experiment_and_naive_qr_import_calibration():

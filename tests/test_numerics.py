@@ -22,8 +22,8 @@ def chi2_cdf_quadrature(x: float, r: int, steps: int = 40_000) -> float:
 
 class TestEmpiricalQuantile:
     def test_small_cases(self):
-        assert empirical_quantile([3, 1, 2], 2) == 2
-        assert empirical_quantile([5], 1) == 5
+        assert empirical_quantile(np.array([3.0, 1.0, 2.0]), 2) == 2
+        assert empirical_quantile(np.array([5.0]), 1) == 5
 
     def test_matches_full_sort_oracle(self):
         draws = Rng(7).uniform(size=100)
@@ -32,15 +32,15 @@ class TestEmpiricalQuantile:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            empirical_quantile([], 1)
+            empirical_quantile(np.array([]), 1)
         with pytest.raises(ValueError):
-            empirical_quantile([1.0, 2.0], 0)
+            empirical_quantile(np.array([1.0, 2.0]), 0)
         with pytest.raises(ValueError):
-            empirical_quantile([1.0, 2.0], 3)
+            empirical_quantile(np.array([1.0, 2.0]), 3)
 
     def test_ties_are_kept(self):
-        assert empirical_quantile([2.0, 1.0, 2.0, 1.0], 2) == 1.0
-        assert empirical_quantile([2.0, 1.0, 2.0, 1.0], 3) == 2.0
+        assert empirical_quantile(np.array([2.0, 1.0, 2.0, 1.0]), 2) == 1.0
+        assert empirical_quantile(np.array([2.0, 1.0, 2.0, 1.0]), 3) == 2.0
 
 
 def radius(alpha: float) -> float:
