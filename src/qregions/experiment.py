@@ -112,6 +112,7 @@ class ExperimentConfig:
         _check_dataset_spec(self.dataset)
         _check_number("alpha", self.alpha, 0.0, 1.0)
         if (not isinstance(self.methods, (list, tuple)) or not self.methods
+                or not all(isinstance(m, str) for m in self.methods)
                 or len(set(self.methods)) < len(self.methods)):
             raise ValueError(f"need a list of distinct methods, got {self.methods!r}")
         unknown = set(self.methods) - set(METHODS)
@@ -164,7 +165,7 @@ def _check_dataset_spec(spec: dict) -> None:
         raise ValueError(f"dataset must be a mapping, got {spec!r}")
     kind = spec.get("kind", "synthetic")
     required = {"synthetic": {"setting", "d", "p", "n"}, "csv": {"path", "response_columns"}}
-    if kind not in required:
+    if not isinstance(kind, str) or kind not in required:
         raise ValueError(f"unknown dataset kind {kind!r}")
     optional = {"kind"} | ({"seed"} if kind == "synthetic" else set())
     missing, unknown = required[kind] - set(spec), set(spec) - required[kind] - optional

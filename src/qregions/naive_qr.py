@@ -36,14 +36,14 @@ def quantile_levels(alpha: float, d: int):
 
 class NaiveModel:
     """2d pinball nets (lower and upper per response dimension) plus the
-    conformal widening offset once calibrated."""
+    conformal widening offset: 0 for the raw quantile box ``fit`` returns."""
 
-    def __init__(self, nets_lo, nets_hi, offset=None):
+    def __init__(self, nets_lo, nets_hi, offset):
         if len(nets_lo) != len(nets_hi):
             raise ValueError("need one lower and one upper net per dimension")
         self.nets_lo = nets_lo
         self.nets_hi = nets_hi
-        self.offset = offset  # None until calibrated
+        self.offset = offset
 
     @property
     def d(self) -> int:
@@ -82,7 +82,7 @@ def fit(x_train, y_train, x_val, y_val, alpha: float, config: TrainConfig,
                 (x_val, y_val[:, j : j + 1]), PinballLoss(level), config,
                 seed_rng.spawn(1000 + k))
             bucket.append(net)
-    return NaiveModel(nets_lo, nets_hi), histories
+    return NaiveModel(nets_lo, nets_hi, 0.0), histories
 
 
 def cqr_scores(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
@@ -105,6 +105,6 @@ def calibrate(model: NaiveModel, x_cal, y_cal, alpha: float) -> tuple:
 
 
 def membership_flags(model: NaiveModel, x_rows, y_rows) -> np.ndarray:
-    """Whether each response's conformity score is at most the offset of
-    a calibrated model; one x row broadcasts against many y rows."""
+    """Whether each response's conformity score is at most the model's
+    offset; one x row broadcasts against many y rows."""
     return cqr_scores(model, x_rows, y_rows) <= model.offset

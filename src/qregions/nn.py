@@ -54,7 +54,7 @@ from a net's float32 outputs. A net built with float64 arrays
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,13 +308,13 @@ class AdamState:
     order."""
 
     parts: list
-    t: int = 0
+    t: int
 
     @staticmethod
     def for_params(params) -> "AdamState":
         blocks = np.zeros((4, sum(p.size for p in params)), dtype=np.result_type(*params))
         m, v, step, denom = (_views(block, params) for block in blocks)
-        return AdamState(list(zip(m, v, step, denom)))
+        return AdamState(list(zip(m, v, step, denom)), 0)
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
@@ -345,22 +345,17 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         p -= step
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainHistory:
-    train_losses: list = field(default_factory=list)
-    val_losses: list = field(default_factory=list)
-    best_epoch: int = 0
-    best_val_loss: float = float("inf")
-    max_epochs: int = 0
+    """What a training run reports, in report order: the epochs it ran,
+    the first epoch of its lowest validation loss and that loss, and
+    whether it ran to its cap rather than stopping early. Built once, by
+    ``run_training_loop``, when the run ends."""
 
-    @property
-    def epochs_run(self) -> int:
-        return len(self.train_losses)
-
-    @property
-    def hit_cap(self) -> bool:
-        """Whether training ran to its epoch cap rather than stopping early."""
-        return self.epochs_run >= self.max_epochs
+    epochs_run: int
+    best_epoch: int
+    best_val_loss: float
+    hit_cap: bool
 
     def summary(self, net: str) -> dict:
         """The report entry of one trained net."""
@@ -372,36 +367,28 @@ def run_training_loop(params, run_epoch, val_loss, max_epochs: int,
                       patience: int) -> TrainHistory:
     """Generic epoch driver with early stopping.
 
-    ``run_epoch(epoch)`` performs the in-place parameter updates for one
-    epoch and returns its mean train loss; ``val_loss()`` scores the
-    current parameters. Stops once the epochs elapsed since the last
-    validation improvement reach ``patience``, then restores the best
-    snapshot into ``params``.
+    ``run_epoch()`` performs the in-place parameter updates for one epoch
+    and returns its mean train loss; ``val_loss()`` scores the current
+    parameters. The best epoch is the first of the lowest validation loss
+    so far; training stops after epoch e once e minus the best epoch
+    reaches ``patience``, or at ``max_epochs`` (at least 1, so a finite
+    first loss is always a best), and restores the best epoch's ``params``.
     """
-    history = TrainHistory(max_epochs=max_epochs)
-    best_snapshot = [p.copy() for p in params]
-    since_improvement = 0
+    best_val_loss = np.inf
     for epoch in range(1, max_epochs + 1):
-        tr = run_epoch(epoch)
-        if not np.isfinite(tr):
+        if not np.isfinite(run_epoch()):
             raise TrainingDivergedError(epoch, "train loss")
         vl = val_loss()
         if not np.isfinite(vl):
             raise TrainingDivergedError(epoch, "validation loss")
-        history.train_losses.append(tr)
-        history.val_losses.append(vl)
-        if vl < history.best_val_loss:
-            history.best_val_loss = vl
-            history.best_epoch = epoch
+        if vl < best_val_loss:
+            best_val_loss, best_epoch = vl, epoch
             best_snapshot = [p.copy() for p in params]
-            since_improvement = 0
-        else:
-            since_improvement += 1
-        if since_improvement >= patience:
+        if epoch - best_epoch >= patience:
             break
     for p, best in zip(params, best_snapshot):
         p[...] = best
-    return history
+    return TrainHistory(epoch, best_epoch, best_val_loss, epoch == max_epochs)
 
 
 def train_minibatches(params, n: int, step, val_loss, config: TrainConfig,
@@ -414,11 +401,11 @@ def train_minibatches(params, n: int, step, val_loss, config: TrainConfig,
     and its gradients in ``params`` order; a step may draw more from
     ``rng``, after the epoch's permutation. The epoch's train loss is the
     row-weighted mean of the batch losses. See ``run_training_loop`` for
-    the stopping rule and the restored snapshot.
+    the stopping rule, the restored parameters and the returned history.
     """
     adam = AdamState.for_params(params)
 
-    def run_epoch(epoch: int) -> float:
+    def run_epoch() -> float:
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from curves import record_loss_curves
 from gradcheck import central_difference, relative_errors, sample_probes
 from oracles import as_float64
 from qregions.cvae import (
@@ -236,12 +237,14 @@ class TestFit:
         x, y = rng.uniform(size=(52, 2)), rng.standard_normal(size=(52, 2))
         config = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=4, patience=4)
         monkeypatch.setattr(cvae, "LATENT_DIM", 2)
+        curves = record_loss_curves(monkeypatch)
         model, histories = fit(x[:40], y[:40], x[40:], y[40:], config=config, hidden=(8, 8),
                                seed=7)
         history = histories["cvae"]
         bits = b"".join(a.tobytes() for a in
                         model.encoder.parameters() + model.decoder.parameters())
-        bits += np.array(history.val_losses).tobytes()
+        [(_, val_losses)] = curves
+        bits += np.array(val_losses).tobytes()
         assert history.epochs_run == 4
         assert hashlib.sha256(bits).hexdigest()[:16] == "7b1af30893e8e9b9"
 
@@ -297,6 +300,7 @@ class TestCacheReuse:
             # Each step runs in new caches, whose gradients fit hands to Adam.
             return original(*args[:-1], step_caches(*args[:3]))
 
+        curves = record_loss_curves(monkeypatch)
         runs = []
         for wrapper, cache_maker in ((reusing, counted), (fresh, nn.training_cache)):
             monkeypatch.setattr(cvae, "composite_loss_and_grads", wrapper)
@@ -311,3 +315,5 @@ class TestCacheReuse:
                              + fresh_model.decoder.parameters(), strict=True):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert reused_histories["cvae"] == fresh_histories["cvae"]
+        reused_curves, fresh_curves = (np.array(run, dtype=np.float64) for run in curves)
+        assert np.array_equal(reused_curves.view(np.uint64), fresh_curves.view(np.uint64))

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import suppress
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qregions
 from linetrace import counted_statements, record_lines, unrun_statements
@@ -376,6 +378,42 @@ def test_misread_experiment_setting_raises_naming_the_key(kwargs, overrides, mes
         experiment.ExperimentConfig(**{
             "dataset": {"setting": "nonlinear", "d": 2, "p": 1, "n": 200},
             "training": experiment.desk_scale_profile().merged(overrides), **kwargs})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=3),
+    max_leaves=6)
+SYNTHETIC_SPEC = {"setting": "nonlinear", "d": 2, "p": 1, "n": 200}
+CSV_SPEC = {"kind": "csv", "path": "data.csv", "response_columns": ["y0"]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from([f.name for f in fields(experiment.ExperimentConfig)]),
+       value=JSON_VALUES)
+def test_json_shaped_config_field_builds_or_raises_value_error(name, value):
+    # A config read from JSON can hold any of these values in any field; a
+    # list inside methods used to raise TypeError from the set of names.
+    with suppress(ValueError):
+        experiment.ExperimentConfig(**{"dataset": SYNTHETIC_SPEC, name: value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([SYNTHETIC_SPEC, CSV_SPEC]),
+       key=st.sampled_from(["kind", "setting", "d", "p", "n", "seed", "path",
+                            "response_columns"]),
+       value=JSON_VALUES)
+def test_json_shaped_dataset_value_builds_or_raises_value_error(base, key, value):
+    # A list as the kind used to raise TypeError from the kind lookup. A
+    # spec the config rejects, load_dataset rejects before it reads data.
+    spec = {**base, key: value}
+    try:
+        experiment.ExperimentConfig(dataset=spec)
+    except ValueError:
+        with pytest.raises(ValueError):
+            experiment.load_dataset(spec)
 
 
 def test_complete_dataset_specs_construct():

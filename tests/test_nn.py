@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from curves import record_loss_curves
 from gradcheck import central_difference, relative_errors, sample_probes
 from oracles import MseLoss, as_float64
 from qregions import nn
@@ -470,12 +471,12 @@ class TestLentBuffers:
         y_val = rng.uniform(-1, 1, size=(val_rows, 1))
         config = TrainConfig(batch_size=256, max_epochs=4, patience=4)
         real = nn.forward_batch
+        curves = record_loss_curves(monkeypatch)
 
         def val_losses():
-            history = train(init_mlp((4, 64, 64, 64, 1), Rng(0)), len(x),
-                            lambda idx: (x[idx], y[idx]), (x_val, y_val), PinballLoss(0.1),
-                            config, Rng(1))
-            return history.val_losses
+            train(init_mlp((4, 64, 64, 64, 1), Rng(0)), len(x), lambda idx: (x[idx], y[idx]),
+                  (x_val, y_val), PinballLoss(0.1), config, Rng(1))
+            return curves[-1][1]
 
         passes = []
 
@@ -758,7 +759,7 @@ class TestTraining:
                         config, Rng(0))
         assert history.epochs_run == 1
 
-    def test_returned_model_has_best_validation_loss(self):
+    def test_returned_model_has_best_validation_loss(self, monkeypatch):
         rng = Rng(10)
         x = rng.uniform(-1, 1, size=(128, 2))
         y = np.sin(3 * x[:, :1]) + x[:, 1:]
@@ -767,11 +768,14 @@ class TestTraining:
         model = init_mlp((2, 8, 1), Rng(3))
         config = TrainConfig(learning_rate=5e-3, batch_size=32, max_epochs=60,
                              patience=60)
+        curves = record_loss_curves(monkeypatch)
         history = train(model, len(x), lambda idx: (x[idx], y[idx]), (xv, yv), MseLoss(),
                         config, Rng(0))
+        [(_, curve)] = curves
+        assert history.best_val_loss == min(curve)
         final_val = MseLoss().value(yv, forward_batch(model, xv))
-        assert final_val == pytest.approx(min(history.val_losses), abs=1e-12)
-        assert all(final_val <= v + 1e-12 for v in history.val_losses)
+        assert final_val == pytest.approx(min(curve), abs=1e-12)
+        assert all(final_val <= v + 1e-12 for v in curve)
 
     def test_divergence_raises_with_epoch(self):
         rng = Rng(0)
@@ -832,7 +836,7 @@ class TestTrainConfig:
 
 
 class TestTrainMinibatches:
-    def test_ragged_last_batch(self):
+    def test_ragged_last_batch(self, monkeypatch):
         # 10 rows in batches of 4: two full batches and one of 2 rows.
         params = [np.zeros(1)]
         seen = []
@@ -842,14 +846,51 @@ class TestTrainMinibatches:
             return float(idx.sum()), [np.zeros(1)]
 
         config = TrainConfig(batch_size=4, max_epochs=3, patience=3)
+        curves = record_loss_curves(monkeypatch)
         history = train_minibatches(params, 10, step, lambda: 1.0, config, Rng(5))
-        assert history.epochs_run == 3
+        [(train_losses, _)] = curves
+        assert history.epochs_run == len(train_losses) == 3
         assert [len(idx) for idx in seen] == [4, 4, 2] * 3
         for epoch in range(3):
             batches = seen[3 * epoch : 3 * epoch + 3]
             assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(10))
             weighted = sum(float(idx.sum()) * len(idx) for idx in batches) / 10
-            assert history.train_losses[epoch] == weighted
+            assert train_losses[epoch] == weighted
+
+
+class TestRunTrainingLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_early_stopping_contract(self, data):
+        # Scripted epochs: each sets the one parameter to its epoch number,
+        # and the validation losses repeat often, so ties are common.
+        max_epochs = data.draw(st.integers(1, 12), label="max_epochs")
+        patience = data.draw(st.integers(0, max_epochs), label="patience")
+        losses = data.draw(st.lists(st.one_of(st.integers(-2, 2).map(float), finite_floats),
+                                    min_size=max_epochs, max_size=max_epochs), label="losses")
+        params, ran = [np.zeros(1)], []
+
+        def run_epoch():
+            ran.append(len(ran) + 1)
+            params[0][0] = ran[-1]
+            return 0.0
+
+        history = nn.run_training_loop(params, run_epoch, lambda: losses[len(ran) - 1],
+                                       max_epochs, patience)
+        # The first epoch e that lies patience or more after the first
+        # argmin of the losses up to e, else the cap.
+        stop = next((e for e in range(1, max_epochs + 1)
+                     if e - (1 + int(np.argmin(losses[:e]))) >= patience), max_epochs)
+        best = 1 + int(np.argmin(losses[:stop]))
+        assert history.epochs_run == len(ran) == stop
+        assert (history.best_epoch, history.best_val_loss) == (best, losses[best - 1])
+        assert params[0][0] == best
+        assert history.hit_cap == (stop == max_epochs)
+
+    def test_history_holds_what_the_report_reads(self):
+        history = nn.TrainHistory(epochs_run=3, best_epoch=2, best_val_loss=0.5, hit_cap=False)
+        report = list(history.summary("threshold"))
+        assert report == ["net"] + [f.name for f in dataclasses.fields(history)]
 
 
 class TestSerialization:
