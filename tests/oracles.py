@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the package against: a
-raw-region membership test, the per-direction NP-DQR membership test, a
-squared-error loss, the standard normal quantile, and float64 copies of
-nets for the checks whose tolerances or hand-set values need double
-precision."""
+raw-region membership test, the per-direction NP-DQR membership test and
+region of a point set, a squared-error loss, the standard normal
+quantile, and float64 copies of nets for the checks whose tolerances or
+hand-set values need double precision."""
 
 import math
 
@@ -29,6 +29,14 @@ def contains(model: NpdqrModel, x, y) -> bool:
         raise ValueError(f"response has shape {y.shape}, expected ({model.d},)")
     f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
     return bool(np.all(project(y[None, :], model.membership_directions)[:, 0] >= f))
+
+
+def region_points(model: NpdqrModel, points: np.ndarray, x) -> np.ndarray:
+    """The rows of ``points`` that pass every membership direction's
+    ``project`` test at x, in the order of ``points``: every direction is
+    tested on every point."""
+    f = model.thresholds(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    return points[np.all(project(points, model.membership_directions) >= f[:, None], axis=0)]
 
 
 class MseLoss:

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import qregions
 from linetrace import counted_statements, record_lines, unrun_statements
-from qregions import cvae, experiment
+from qregions import cvae, experiment, npdqr
 from qregions.calibration import calibrate
 from qregions.data import Dataset, gen_synthetic, split
-from qregions.nn import forward_batch
+from qregions.nn import forward_batch, init_mlp
 from qregions.numerics import Rng
 from qregions.regions import AREA_MEASUREMENT, build_grid
 from test_data import write_csv
@@ -550,9 +550,14 @@ def test_every_package_statement_runs_or_is_a_named_guard(
         reached, smoke_run, blanket_row, csv_run, published_row):
     # The runs recorded what a run executes; cheap direct calls reach the
     # guards no run does: d=4 responses, the wide levels, each hidden stack,
-    # and a shrink rule whose provider answers one input with no points.
+    # a shrink rule whose provider answers one input with no points, and a
+    # region end on an unevenly spaced line, which the first probes miss.
     y = Rng(0).uniform(size=(20, 2))
     grid = build_grid(y, AREA_MEASUREMENT)
+    net = init_mlp((2, 1), Rng(0))
+    net.weights[0][...], net.biases[0][...] = 0.0, 2.5
+    uneven = npdqr.RegionExtractor(npdqr.NpdqrModel(net, np.ones((1, 1))),
+                                   np.array([[0.0], [1.0], [2.0], [3.0], [100.0]]))
     with record_lines(PACKAGE, reached):
         gen_synthetic("nonlinear", 4, 1, 20, seed=0)
         experiment.ExperimentConfig(
@@ -561,7 +566,9 @@ def test_every_package_statement_runs_or_is_a_named_guard(
             cvae.default_hidden(p)
         rule, _ = calibrate(lambda x: grid.points() if x[0] else np.zeros((0, 2)),
                             np.arange(20.0)[:, None], y, alpha=0.1, area_grid=grid)
+        region = uneven.extract(np.zeros(1))
     assert rule.mode == "shrink"
+    assert region[:, 0].tolist() == [3.0, 100.0]
     unrun = unrun_statements(PACKAGE, reached)
     assert set(unrun) == set(UNRUN_ON_PURPOSE), sorted(unrun.items())
 

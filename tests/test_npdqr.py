@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curves import record_loss_curves
-from oracles import contains, normal_quantile
+from oracles import contains, normal_quantile, region_points
 from qregions import npdqr
-from qregions.nn import INFERENCE_ROWS, TrainConfig, init_mlp
+from qregions.nn import TrainConfig, init_mlp
 from qregions.npdqr import (
     NpdqrModel,
     RegionExtractor,
@@ -185,9 +186,65 @@ def tied_threshold_model(d, grid, x, seed, ties=24):
     return model, f, np.array(tied)
 
 
+@st.composite
+def extraction_cases(draw):
+    """A model with fixed thresholds and a point set drawn from a lattice
+    at d = 1-4. The thresholds are a random net's, shifted, and some of
+    them are tied to the projection of a point of the set; some
+    directions have a last component of +0.0 or -0.0."""
+    d = draw(st.integers(1, 4))
+    cells = draw(st.integers(1, {1: 60, 2: 24, 3: 10, 4: 6}[d]))
+    lows = draw(st.lists(st.floats(-3.0, 0.0), min_size=d, max_size=d))
+    widths = draw(st.lists(st.floats(0.01, 4.0), min_size=d, max_size=d))
+    grid = Grid(dim=d, lows=tuple(lows), highs=tuple(lo + w for lo, w in zip(lows, widths)),
+                cells_per_dim=cells)
+    rng = Rng(draw(st.integers(0, 2**16)))
+    dirs = sample_direction_pool(d, draw(st.integers(1, 70)), rng)
+    for i in draw(st.lists(st.integers(0, len(dirs) - 1), max_size=4)):
+        dirs[i, -1] = draw(st.sampled_from([0.0, -0.0]))
+    model = NpdqrModel(net=init_mlp((1 + d, 8, 1), rng), membership_directions=dirs)
+
+    points = grid.points()
+    kind = draw(st.sampled_from(["lattice", "random subset", "every other layer",
+                                 "one-point lines", "shuffled", "reversed", "one point",
+                                 "no points"]))
+    if kind == "random subset":
+        points = points[np.sort(rng.subset(len(points), draw(st.integers(1, len(points)))))]
+    elif kind == "every other layer":
+        axis = draw(st.integers(0, d - 1))
+        points = points[np.isin(points[:, axis], grid.axis_centers(axis)[::2])]
+    elif kind == "one-point lines":
+        points = points[points[:, -1] == grid.axis_centers(d - 1)[cells // 2]]
+    elif kind == "shuffled":
+        points = points[rng.permutation(len(points))]
+    elif kind == "reversed":
+        points = points[::-1]
+    elif kind == "one point":
+        points = points[[draw(st.integers(0, len(points) - 1))]]
+    elif kind == "no points":
+        points = points[:0]
+
+    x = np.array([0.3])
+    f = model.thresholds(x[None, :])[0]
+    f += draw(st.floats(-2.0, 1.0)) - f.max()
+    if len(points):
+        for i, j in draw(st.lists(st.tuples(st.integers(0, len(dirs) - 1),
+                                            st.integers(0, len(points) - 1)), max_size=8)):
+            f[i] = project(points[j : j + 1], dirs[i : i + 1])[0, 0]
+    model.thresholds = lambda x_rows: f[None, :].copy()
+    return model, points, x
+
+
 class TestExactExtraction:
     """Membership is decided by ``project``, whose bits do not depend on
     which other points are projected with a point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=extraction_cases())
+    def test_extract_equals_the_full_projection_oracle(self, case):
+        model, points, x = case
+        region = RegionExtractor(model, points).extract(x)
+        assert np.array_equal(region, region_points(model, points, x))
 
     @pytest.mark.parametrize("d, cells", [(1, 101), (2, 40), (3, 15), (4, 8)])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -208,45 +265,47 @@ class TestExactExtraction:
         subset = np.union1d(Rng(seed + 7).subset(len(points), min(200, len(points))), tied)
         mask = region_mask(RegionExtractor(model, points[subset]), x)
         assert np.array_equal(mask, full[subset])
+        shuffled = Rng(seed + 9).permutation(len(points))
+        mask = region_mask(RegionExtractor(model, points[shuffled]), x)
+        assert np.array_equal(mask, full[shuffled])
 
 
 class TestExtractorMemory:
-    """The extractor keeps no per-direction cache beyond its prefilter head."""
+    """The extractor keeps ``points`` and one entry per lattice line."""
 
     @pytest.fixture(scope="class")
     def cube(self):
         return Grid(dim=3, lows=(-2.0,) * 3, highs=(2.0,) * 3, cells_per_dim=35)
 
-    def test_holds_only_points_and_head(self, cube):
+    def test_holds_points_and_per_line_arrays(self, cube):
         model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
         extractor = RegionExtractor(model, cube.points())
         arrays = {name: v for name, v in vars(extractor).items() if isinstance(v, np.ndarray)}
-        assert set(arrays) == {"points", "head"}
-        assert arrays["head"].shape == (16, cube.cells_per_dim ** cube.dim)
+        assert set(arrays) == {"points", "line_first", "line_last"}
+        first = np.arange(0, len(extractor.points), cube.cells_per_dim)
+        assert np.array_equal(extractor.line_first, first)
+        assert np.array_equal(extractor.line_last, first + cube.cells_per_dim - 1)
 
-    @pytest.mark.parametrize("subset", [None, [0, 1, 1023, 1024, 42_874]],
-                             ids=["lattice", "five-points"])
-    def test_head_is_one_projection_of_every_point(self, cube, subset):
+    def test_lines_of_a_point_subset(self, cube):
+        # Rows 0-1 and 1023-1024 are neighbours on the lines (0, 0) and
+        # (0, 29); row 42,874 is alone on the last line.
         model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
-        points = cube.points() if subset is None else cube.points()[subset]
-        head = RegionExtractor(model, points).head
-        expected = project(points, model.membership_directions[:16])
-        assert head.shape == expected.shape and head.tobytes() == expected.tobytes()
+        extractor = RegionExtractor(model, cube.points()[[0, 1, 1023, 1024, 42_874]])
+        assert extractor.line_first.tolist() == [0, 2, 4]
+        assert extractor.line_last.tolist() == [1, 3, 4]
 
-    def test_building_the_head_peaks_at_its_size_and_two_blocks(self, cube):
-        # The head is projected in blocks of points, so no second array
-        # of its size is made. The slack covers the 8,192-element buffers
-        # in which numpy's ufunc iterator holds the broadcast operands of
-        # the outer products (64 KiB each).
+    def test_construction_peaks_below_one_coordinate_column(self, cube):
+        # Finding the lines compares neighbouring rows in bool arrays of
+        # one entry per point; no float array per point is made.
         model = constant_threshold_model(3, -1.0, pool_size=2048, membership=256)
         points = cube.points()
         tracemalloc.start()
         try:
-            extractor = RegionExtractor(model, points)
+            RegionExtractor(model, points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < extractor.head.nbytes + 2 * 16 * INFERENCE_ROWS * 8 + 256 * 1024
+        assert peak < len(points) * 8
 
     def test_whole_lattice_region_peak(self, cube):
         model = constant_threshold_model(3, -10.0, pool_size=2048, membership=256)
